@@ -6,6 +6,12 @@ quadrant); region boundaries are assembled by sweeping the parameter domain,
 collecting pentagon corners, Pareto-filtering the union, and sharpening the
 result with a per-direction local refinement pass.
 
+The refinement maximizes the pentagon support in each of the 181 sweep
+directions from the two best points of a fixed coarse grid (independent of
+``grid_n``).  Each start runs Nelder-Mead, a coordinate golden-section polish
+and a Nelder-Mead restart.  All 362 problems of a family are solved together
+as numpy arrays by :func:`_refine`, which evaluates the vectorized caps.
+
 Regions
 -------
 cutset        outer bound, arbitrary input correlation (4-atom joint sweep)
@@ -19,12 +25,11 @@ erasure-nofb  no-feedback pentagon of Y = X1 + X2
 from __future__ import annotations
 
 import enum
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _kernels
 from .channel import JointInputDistribution
@@ -321,261 +326,235 @@ def _support_of_caps(a, b, c, lam: float):
     )
 
 
-# scalar math fast paths for the Nelder-Mead refinement (inputs pre-clipped)
+# ---------------------------------------------------------------------------
+# Per-direction refinement
+# ---------------------------------------------------------------------------
 
-
-def _hs(s: float) -> float:
-    if s <= 0.0 or s >= 1.0:
-        return 0.0
-    return -s * math.log2(s) - (1.0 - s) * math.log2(1.0 - s)
-
-
-def _phis(s: float) -> float:
-    inner = 1.0 - 2.0 * s if s <= 0.5 else 2.0 * s - 1.0
-    return (1.0 - math.sqrt(max(inner, 0.0))) / 2.0
-
-
-def _f2s(x: float, y: float) -> float:
-    return (1.0 - math.sqrt(max((1.0 - 2.0 * x) * (1.0 - 2.0 * y), 0.0))) / 2.0
-
-
-def _support_scalar(a: float, b: float, c: float, lam: float) -> float:
-    x_max = min(a, c)
-    y_at_x = max(min(b, c - x_max), 0.0)
-    y_max = min(b, c)
-    x_at_y = max(min(a, c - y_max), 0.0)
-    return max(lam * x_max + (1.0 - lam) * y_at_x, lam * x_at_y + (1.0 - lam) * y_max)
-
-
+_RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
+_NM_MAXITER = 500
+_NM_XATOL = 1e-11
+_NM_FATOL = 1e-14
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-11) -> tuple[float, float]:
-    a, b = lo, hi
+def _sort_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(fsim, axis=1, kind="stable")
+    return np.take_along_axis(sim, order[:, :, None], axis=1), np.take_along_axis(fsim, order, axis=1)
+
+
+def _nelder_mead(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nelder-Mead from a small interior start simplex around each row of ``x0``.
+
+    The unbounded method with reflection 1, expansion 2, contraction 1/2 and
+    shrink 1/2.  A row stops once its simplex spans at most 1e-11 in x and
+    1e-14 in f, or after 499 steps.  Returns each row's best vertex, clipped
+    to the box, and its value.
+    """
+    p, n = x0.shape
+    h = 0.02 * (hi - lo)
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    for i in range(n):
+        v = x0[:, i]
+        sim[:, i + 1, i] = np.where(v + h[i] > hi[i], v - h[i], v + h[i])
+    fsim = fun(sim.reshape(-1, n), np.repeat(np.arange(p), n + 1)).reshape(p, n + 1)
+    sim, fsim = _sort_simplex(sim, fsim)
+    act = np.arange(p)
+    for _ in range(_NM_MAXITER - 1):
+        s, f = sim[act], fsim[act]
+        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL) & (
+            np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= _NM_FATOL
+        )
+        act, s, f = act[~done], s[~done], f[~done]
+        if not act.size:
+            break
+        # vertex by vertex, in the scalar method's order, so every row rounds alike
+        xbar = s[:, 0]
+        for k in range(1, n):
+            xbar = xbar + s[:, k]
+        xbar = xbar / n
+        worst = s[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fr = fun(xr, act)
+        new_x, new_f = xr, fr.copy()
+        shrink = np.zeros(len(act), dtype=bool)
+
+        e = np.flatnonzero(fr < f[:, 0])
+        if e.size:
+            xe = (1 + _RHO * _CHI) * xbar[e] - _RHO * _CHI * worst[e]
+            fe = fun(xe, act[e])
+            ok = fe < fr[e]
+            new_x[e[ok]], new_f[e[ok]] = xe[ok], fe[ok]
+        contract = ~(fr < f[:, 0]) & ~(fr < f[:, -2])
+        o = np.flatnonzero(contract & (fr < f[:, -1]))
+        if o.size:
+            xc = (1 + _PSI * _RHO) * xbar[o] - _PSI * _RHO * worst[o]
+            fc = fun(xc, act[o])
+            ok = fc <= fr[o]
+            new_x[o[ok]], new_f[o[ok]] = xc[ok], fc[ok]
+            shrink[o[~ok]] = True
+        c = np.flatnonzero(contract & ~(fr < f[:, -1]))
+        if c.size:
+            xcc = (1 - _PSI) * xbar[c] + _PSI * worst[c]
+            fcc = fun(xcc, act[c])
+            ok = fcc < f[c, -1]
+            new_x[c[ok]], new_f[c[ok]] = xcc[ok], fcc[ok]
+            shrink[c[~ok]] = True
+
+        keep = ~shrink
+        s[keep, -1], f[keep, -1] = new_x[keep], new_f[keep]
+        k = np.flatnonzero(shrink)
+        if k.size:
+            best = s[k, :1]
+            s[k, 1:] = best + _SIGMA * (s[k, 1:] - best)
+            f[k, 1:] = fun(s[k, 1:].reshape(-1, n), np.repeat(act[k], n)).reshape(-1, n)
+        sim[act], fsim[act] = _sort_simplex(s, f)
+    return np.clip(sim[:, 0], lo, hi), fsim.min(axis=1)
+
+
+def _golden(fun, x: np.ndarray, i: int, a: np.ndarray, b: np.ndarray, rows: np.ndarray, tol: float = 1e-11):
+    """Golden-section minimum of ``fun`` along coordinate ``i`` of each row of ``x`` over [a, b]."""
+
+    def along(v, k):
+        y = x[k]
+        y[:, i] = v
+        return fun(y, rows[k])
+
+    a, b = a.copy(), b.copy()
     c = b - _GOLD * (b - a)
     d = a + _GOLD * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLD * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLD * (b - a)
-            fd = fn(d)
+    every = np.arange(len(rows))
+    fc, fd = along(c, every), along(d, every)
+    act = np.flatnonzero(b - a > tol)
+    while act.size:
+        left = fc[act] <= fd[act]
+        l, r = act[left], act[~left]
+        b[l], d[l], fd[l] = d[l], c[l], fc[l]
+        c[l] = b[l] - _GOLD * (b[l] - a[l])
+        a[r], c[r], fc[r] = c[r], d[r], fd[r]
+        d[r] = a[r] + _GOLD * (b[r] - a[r])
+        fv = along(np.where(left, c[act], d[act]), act)
+        fc[l], fd[r] = fv[left], fv[~left]
+        act = act[b[act] - a[act] > tol]
     mid = 0.5 * (a + b)
-    return mid, fn(mid)
+    return mid, along(mid, every)
 
 
-def _local_min(neg, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, step0: float) -> tuple[np.ndarray, float]:
-    """Deterministic local minimizer over a box, robust at the boundary.
-
-    Nelder-Mead with an interior non-degenerate start simplex, a coordinate
-    golden-section polish (simplexes collapse when clipped at the box), and
-    one Nelder-Mead restart from the polished point.
-    """
-    span = hi - lo
-
-    def nm(x):
-        sim = [x]
-        for i in range(len(x)):
-            v = x.copy()
-            h = 0.02 * span[i]
-            v[i] = v[i] - h if v[i] + h > hi[i] else v[i] + h
-            sim.append(v)
-        res = minimize(
-            neg,
-            x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": 500,
-                "xatol": 1e-11,
-                "fatol": 1e-14,
-                "initial_simplex": np.asarray(sim),
-            },
-        )
-        return np.clip(res.x, lo, hi), res.fun
-
-    def polish(x, fx):
-        for r in range(5):
-            d = step0 * 0.5**r
-            for i in range(len(x)):
-                a, b = max(lo[i], x[i] - d), min(hi[i], x[i] + d)
-                if b - a < 1e-13:
-                    continue
-
-                def along(v, i=i, x=x):
-                    y = x.copy()
-                    y[i] = v
-                    return neg(y)
-
-                v, fv = _golden_min(along, a, b)
-                if fv < fx:
-                    x = x.copy()
-                    x[i], fx = v, fv
-        return x, fx
-
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    fx = neg(x)
-    xn, fn = nm(x)
-    if fn < fx:
-        x, fx = xn, fn
-    x, fx = polish(x, fx)
-    xn, fn = nm(x)
-    if fn < fx:
-        x, fx = xn, fn
+def _polish(fun, x: np.ndarray, fx: np.ndarray, lo: np.ndarray, hi: np.ndarray, step0: float):
+    """Five rounds of coordinate golden section in brackets of half-width step0 / 2**round."""
+    for r in range(5):
+        d = step0 * 0.5**r
+        for i in range(x.shape[1]):
+            a = np.maximum(lo[i], x[:, i] - d)
+            b = np.minimum(hi[i], x[:, i] + d)
+            k = np.flatnonzero(b - a >= 1e-13)
+            v, fv = _golden(fun, x[k], i, a[k], b[k], k)
+            ok = fv < fx[k]
+            x[k[ok], i], fx[k[ok]] = v[ok], fv[ok]
     return x, fx
 
 
-class _RegionFamily:
-    """Parameter space + caps of one pentagon family, for refinement."""
+def _keep_better(x, fx, xn, fn):
+    take = fn < fx
+    return np.where(take[:, None], xn, x), np.where(take, fn, fx)
 
-    def __init__(self, caps_scalar, coarse_params: np.ndarray, coarse_caps,
-                 lo: np.ndarray, hi: np.ndarray, step0: float):
-        self.caps_scalar = caps_scalar
-        self.coarse_params = coarse_params
-        self.coarse_caps = coarse_caps
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.step0 = step0
+
+def _refine(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, step0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Local minimum of ``fun`` over the box [lo, hi] from each row of ``x0``.
+
+    ``fun(x, rows)`` returns the objective of problem ``rows[j]`` at
+    ``x[j]``.  Each problem runs Nelder-Mead, then a coordinate golden-section
+    polish (a simplex collapses when it is clipped at the box), then one
+    Nelder-Mead restart from the polished point, keeping the best point seen.
+    Every step evaluates only the problems still active, each on its own row,
+    so a problem's result does not depend on the rest of the batch.
+    Returns the minimizers (p, n) and their values (p,).
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    fx = fun(x, np.arange(len(x)))
+    x, fx = _keep_better(x, fx, *_nelder_mead(fun, x, lo, hi))
+    x, fx = _polish(fun, x, fx, lo, hi, step0)
+    return _keep_better(x, fx, *_nelder_mead(fun, x, lo, hi))
+
+
+@dataclass(frozen=True)
+class _RegionFamily:
+    """Parameter box and caps of one pentagon family, for refinement.
+
+    ``caps`` maps parameter rows (m, n) to the cap arrays (a, b, c).
+    """
+
+    caps: Callable[[np.ndarray], tuple]
+    coarse_params: np.ndarray
+    coarse_caps: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    step0: float
+
+    def seeds(self, lambdas, n_starts: int) -> np.ndarray:
+        """Indices of the ``n_starts`` best coarse points per direction; shape (len(lambdas), n_starts)."""
+        seeds = np.empty((len(lambdas), n_starts), dtype=np.intp)
+        for i, lam in enumerate(lambdas):
+            # assigning copies the indices, so no full argsort outlives its direction
+            seeds[i] = np.argsort(_support_of_caps(*self.coarse_caps, lam))[-n_starts:]
+        return seeds
+
+    def neg_support(self, lam: np.ndarray):
+        """Objective of problems with directions ``lam``: minus the pentagon support."""
+        return lambda x, rows: -_support_of_caps(*self.caps(x), lam[rows])
 
     def refined_points(self, lambdas=SWEEP_LAMBDAS, n_starts: int = 2) -> np.ndarray:
-        """Local refinement per sweep direction from the best grid incumbents."""
-        a, b, c = self.coarse_caps
-        pts = np.empty((2 * len(lambdas), 2))
-        for i, lam in enumerate(lambdas):
-            sup = _support_of_caps(a, b, c, lam)
-            seeds = np.argsort(sup)[-n_starts:]
-
-            def neg_support(x, lam=lam):
-                return -_support_scalar(*self.caps_scalar(x), lam)
-
-            best_x, best_f = None, np.inf
-            for j in seeds:
-                x, fx = _local_min(neg_support, self.coarse_params[j], self.lo, self.hi, self.step0)
-                if fx < best_f:
-                    best_x, best_f = x, fx
-            ca, cb, cc = self.caps_scalar(best_x)
-            x_max = min(ca, cc)
-            y_max = min(cb, cc)
-            pts[2 * i] = (x_max, max(min(cb, cc - x_max), 0.0))
-            pts[2 * i + 1] = (max(min(ca, cc - y_max), 0.0), y_max)
-        return pts
+        """Pentagon corners at the refined optimum of each direction, from the best grid points."""
+        seeds = self.seeds(lambdas, n_starts)
+        fun = self.neg_support(np.repeat(lambdas, n_starts))
+        x, f = _refine(fun, self.coarse_params[seeds.ravel()], self.lo, self.hi, self.step0)
+        # per direction, the first seed attaining the lowest value
+        best = np.argmin(f.reshape(len(lambdas), n_starts), axis=1)
+        x = x.reshape(len(lambdas), n_starts, -1)[np.arange(len(lambdas)), best]
+        return _corner_points(*self.caps(x))
 
 
-def _db_caps_scalar(x, mirror: bool):
-    p1 = min(max(x[0], 0.0), 0.25)
-    p2 = min(max(x[1], 0.0), 0.25)
-    pw = min(max(x[2], 0.0), 1.0)
-    lo = _f2s(2.0 * p1, 2.0 * p2)
-    u = lo + pw * (1.0 - (p1 + p2) - lo)
-    capped = min(0.5 * _hs(u), _hs(_phis(2.0 * (p2 if mirror else p1))))
-    half_other = 0.5 * _hs(_phis(2.0 * (p1 if mirror else p2)))
-    csum = _hs((1.0 - u) / 2.0)
-    if mirror:
-        return half_other, capped, csum
-    return capped, half_other, csum
+def _box_family(caps_of, hi: tuple[float, ...], coarse_n: int) -> _RegionFamily:
+    """Family over the box [0, hi] with a coarse grid of ``coarse_n`` points per axis.
+
+    ``caps_of`` takes one array per parameter, clipped into the box.
+    """
+    hi = np.array(hi)
+    axes = [np.linspace(0.0, h, coarse_n) for h in hi]
+    params = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+    def caps(x):
+        return caps_of(*np.clip(x, 0.0, hi).T)
+
+    return _RegionFamily(caps, params, caps(params), lo=np.zeros(len(hi)), hi=hi, step0=0.25 / (coarse_n - 1))
 
 
-def _db_family(mirror: bool, coarse_n: int = 41) -> _RegionFamily:
-    g = np.linspace(0.0, 0.25, coarse_n)
-    w = np.linspace(0.0, 1.0, coarse_n)
-    u1, u2, ww = (x.ravel() for x in np.meshgrid(g, g, w, indexing="ij"))
-    params = np.stack([u1, u2, ww], axis=1)
+def _db_param_caps(u1, u2, w, mirror: bool):
+    """Caps at (u1, u2, w); u runs from f2(2u1, 2u2) at w = 0 to 1 - u1 - u2 at w = 1."""
     lo = f2(2.0 * u1, 2.0 * u2)
-    caps = _db_caps(u1, u2, lo + ww * (1.0 - (u1 + u2) - lo), mirror)
-    return _RegionFamily(
-        lambda x: _db_caps_scalar(x, mirror),
-        params,
-        caps,
-        lo=np.array([0.0, 0.0, 0.0]),
-        hi=np.array([0.25, 0.25, 1.0]),
-        step0=0.25 / (coarse_n - 1),
-    )
+    return _db_caps(u1, u2, lo + w * (1.0 - (u1 + u2) - lo), mirror)
 
 
-def _cl_caps_scalar(x):
-    p1 = min(max(x[0], 0.0), 0.25)
-    p2 = min(max(x[1], 0.0), 0.25)
-    return (
-        0.5 * _hs(_phis(2.0 * p1)),
-        0.5 * _hs(_phis(2.0 * p2)),
-        _hs((1.0 - _f2s(2.0 * p1, 2.0 * p2)) / 2.0),
-    )
+def _db_family(mirror: bool) -> _RegionFamily:
+    return _box_family(partial(_db_param_caps, mirror=mirror), (0.25, 0.25, 1.0), coarse_n=41)
 
 
-def _erasure_caps_scalar(x):
-    p1 = min(max(x[0], 0.0), 0.25)
-    p2 = min(max(x[1], 0.0), 0.25)
-    f = _f2s(2.0 * p1, 2.0 * p2)
-    return _hs(_phis(2.0 * p1)), _hs(_phis(2.0 * p2)), _hs(f) + 1.0 - f
-
-
-def _product_family(caps_xy, caps_scalar, coarse_n: int = 101) -> _RegionFamily:
-    g = np.linspace(0.0, 0.25, coarse_n)
-    u1, u2 = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
-    params = np.stack([u1, u2], axis=1)
-    return _RegionFamily(
-        caps_scalar,
-        params,
-        caps_xy(u1, u2),
-        lo=np.array([0.0, 0.0]),
-        hi=np.array([0.25, 0.25]),
-        step0=0.25 / (coarse_n - 1),
-    )
-
-
-def _plog2p(p: float) -> float:
-    return -p * math.log2(p) if p > 0.0 else 0.0
-
-
-def _cutset_caps_scalar(z):
-    e0, e1, e2, e3 = 1.0, math.exp(z[0]), math.exp(z[1]), math.exp(z[2])
-    tot = e0 + e1 + e2 + e3
-    a, b, c, d = e0 / tot, e1 / tot, e2 / tot, e3 / tot
-    s_x1x2 = _plog2p(a) + _plog2p(b) + _plog2p(c) + _plog2p(d)
-    s_x1 = _plog2p(a + b) + _plog2p(c + d)
-    s_x2 = _plog2p(a + c) + _plog2p(b + d)
-    # noisy additive law: each input pair splits evenly over two outputs
-    s_x1x2y = s_x1x2 + 1.0
-    s_y = (
-        _plog2p(a / 2.0)
-        + _plog2p((a + b + c) / 2.0)
-        + _plog2p((b + c + d) / 2.0)
-        + _plog2p(d / 2.0)
-    )
-    s_x1y = (
-        _plog2p(a / 2.0)
-        + _plog2p((a + b) / 2.0)
-        + _plog2p(b / 2.0)
-        + _plog2p(c / 2.0)
-        + _plog2p((c + d) / 2.0)
-        + _plog2p(d / 2.0)
-    )
-    s_x2y = (
-        _plog2p(a / 2.0)
-        + _plog2p((a + c) / 2.0)
-        + _plog2p(c / 2.0)
-        + _plog2p(b / 2.0)
-        + _plog2p((b + d) / 2.0)
-        + _plog2p(d / 2.0)
-    )
-    i1 = (s_x1x2 - s_x2) - (s_x1x2y - s_x2y)
-    i2 = (s_x1x2 - s_x1) - (s_x1x2y - s_x1y)
-    isum = s_y - 1.0
-    return i1, i2, isum
+def _cutset_param_caps(z: np.ndarray):
+    """Cut-set caps of the joint softmax(0, z1, z2, z3)."""
+    e = np.exp(z)
+    tot = 1.0 + e[:, 0] + e[:, 1] + e[:, 2]
+    joint = np.concatenate([1.0 / tot[:, None], e / tot[:, None]], axis=1)
+    stats = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
+    return stats[:, 0], stats[:, 1], stats[:, 2]
 
 
 def _cutset_family(coarse_n: int = 31) -> _RegionFamily:
     joints = np.concatenate(list(_simplex_grid(coarse_n)), axis=0)
     # parameterize free of the simplex constraint: softmax of (0, z1, z2, z3)
     z = np.log(np.clip(joints, 1e-12, None))
-    params = z[:, 1:] - z[:, :1]
     stats = _kernels.cutset_stats(joints, _kernels.KIND_NOISY)
     return _RegionFamily(
-        _cutset_caps_scalar,
-        params,
+        _cutset_param_caps,
+        z[:, 1:] - z[:, :1],
         (stats[:, 0], stats[:, 1], stats[:, 2]),
         lo=np.full(3, -40.0),
         hi=np.full(3, 40.0),
@@ -655,9 +634,9 @@ def _intersection_curve(grid_n: int) -> BoundaryCurve:
 
 @lru_cache(maxsize=4)
 def _product_points(grid_n: int, which: str) -> np.ndarray:
-    caps_xy, caps_scalar = (_cl_caps, _cl_caps_scalar) if which == "cl" else (_erasure_caps, _erasure_caps_scalar)
+    caps_xy = _cl_caps if which == "cl" else _erasure_caps
     pts = _sweep_product_region(grid_n, caps_xy)
-    refined = _product_family(caps_xy, caps_scalar).refined_points()
+    refined = _box_family(caps_xy, (0.25, 0.25), coarse_n=101).refined_points()
     return np.concatenate([pts, refined], axis=0)
 
 

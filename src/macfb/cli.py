@@ -27,6 +27,21 @@ SCHEMA_VERSION = "1.0"
 _REGION_NAMES = [r.value for r in Region]
 
 
+def _int_at_least(lowest: int):
+    """argparse type: an integer no smaller than ``lowest``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse
+
+
 def _record(command: str, parameters: dict, results) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -139,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_region = sub.add_parser("region", help="emit a region boundary curve")
     p_region.add_argument("which", choices=_REGION_NAMES)
-    p_region.add_argument("--grid-n", type=int, default=201, help="grid points per parameter axis")
+    p_region.add_argument("--grid-n", type=_int_at_least(2), default=201, help="grid points per parameter axis")
     p_region.add_argument("--format", choices=["csv", "json"], default="csv")
     p_region.set_defaults(func=_cmd_region)
 
@@ -151,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=["lemmas", "characterization", "dominance", "equivalence", "all"])
     p_ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p_ver.add_argument("--samples", type=int, default=None)
+    p_ver.add_argument("--samples", type=_int_at_least(1), default=None)
     p_ver.add_argument("--t-card", type=int, action="append", choices=[1, 2, 3], default=None)
-    p_ver.add_argument("--steps", type=int, default=None)
-    p_ver.add_argument("--grid-n", type=int, default=None)
+    p_ver.add_argument("--steps", type=_int_at_least(2), default=None)
+    p_ver.add_argument("--grid-n", type=_int_at_least(2), default=None)
     p_ver.add_argument("--format", choices=["text", "json"], default="text")
     p_ver.set_defaults(func=_cmd_verify)
 

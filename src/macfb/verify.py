@@ -243,31 +243,29 @@ SUITES = {
 }
 
 
+#: keyword arguments run_suite passes to each suite, with their defaults
+_SUITE_DEFAULTS = {
+    "lemmas": {"samples": 100_000},
+    "characterization": {"t_cards": (1, 2), "steps": 11},
+    "dominance": {"grid_n": 201},
+    "equivalence": {"samples": 1000},
+}
+
+
+def _run_one(name: str, kwargs: dict) -> dict:
+    args = {"seed": DEFAULT_SEED, **_SUITE_DEFAULTS[name]}
+    args.update({k: kwargs[k] for k in args if kwargs.get(k) is not None})
+    if "t_cards" in args:
+        args["t_cards"] = tuple(args["t_cards"])
+    return SUITES[name](**args)
+
+
 def run_suite(name: str, **kwargs) -> dict:
+    """Run one suite, or ``"all"``; an option that is absent or None takes the default."""
     if name == "all":
-        reports = [
-            lemma_suite(seed=kwargs.get("seed", DEFAULT_SEED), samples=kwargs.get("samples") or 100_000),
-            characterization_suite(
-                seed=kwargs.get("seed", DEFAULT_SEED),
-                t_cards=tuple(kwargs.get("t_cards") or (1, 2)),
-                steps=kwargs.get("steps") or 11,
-            ),
-            dominance_suite(seed=kwargs.get("seed", DEFAULT_SEED), grid_n=kwargs.get("grid_n") or 201),
-            equivalence_suite(seed=kwargs.get("seed", DEFAULT_SEED), samples=kwargs.get("samples") or 1000),
-        ]
+        reports = [_run_one(n, kwargs) for n in SUITES]
         checks = [c for r in reports for c in r["checks"]]
         return {"suite": "all", "checks": checks, "passed": all(r["passed"] for r in reports)}
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    fn = SUITES[name]
-    if name == "lemmas":
-        return fn(seed=kwargs.get("seed", DEFAULT_SEED), samples=kwargs.get("samples") or 100_000)
-    if name == "characterization":
-        return fn(
-            seed=kwargs.get("seed", DEFAULT_SEED),
-            t_cards=tuple(kwargs.get("t_cards") or (1, 2)),
-            steps=kwargs.get("steps") or 11,
-        )
-    if name == "dominance":
-        return fn(seed=kwargs.get("seed", DEFAULT_SEED), grid_n=kwargs.get("grid_n") or 201)
-    return fn(seed=kwargs.get("seed", DEFAULT_SEED), samples=kwargs.get("samples") or 1000)
+    return _run_one(name, kwargs)

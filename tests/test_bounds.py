@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import macfb
+from macfb import bounds
 from macfb.bounds import (
+    SWEEP_LAMBDAS,
     RateConstraintSet,
     Region,
     RegionSpec,
@@ -212,3 +219,148 @@ class TestRegionBoundaries:
         curve = region_boundary(RegionSpec(Region.ERASURE_FB, 51))
         assert support_value(curve, 1.0) == pytest.approx(1.0, abs=1e-9)
         assert support_value(curve, 0.5) == pytest.approx(0.791132, abs=1e-3)
+
+
+# Support of every region at grid 21, at every 10th of the 181 sweep
+# directions, as computed by the per-direction scalar Nelder-Mead refinement
+# (scipy.optimize.minimize) that the batched search replaced.  The coarse grids
+# of the refinement do not depend on grid_n, so grid 21 runs all of it.
+FROZEN_SUPPORTS_21 = {
+    "cutset": [
+        0.5000000000000009, 0.48987825490598724, 0.4806089919196736,
+        0.47243895125469076, 0.465724616478313, 0.46100507770570054,
+        0.4591479170272451, 0.4591479170272451, 0.459147917027245,
+        0.459147917027245, 0.459147917027245, 0.4591479170272451,
+        0.4591479170272451, 0.46100507770570065, 0.4657246164783129,
+        0.47243895125469065, 0.4806089919196735, 0.48987825490598713,
+        0.5000000000000009,
+    ],
+    "dbpc1": [
+        0.5, 0.48971110889296793, 0.4802517121487304,
+        0.47158779238935794, 0.46402744608890556, 0.45799100814486043,
+        0.45413003657070733, 0.45355925175033396, 0.45464813719405756,
+        0.45573702263778115, 0.4568259080815048, 0.4579147935252284,
+        0.459003678968952, 0.4610050777057002, 0.46572461647831265,
+        0.47243895125469026, 0.4806089919196731, 0.48987825490598663,
+        0.5,
+    ],
+    "dbpc2": [
+        0.5, 0.4898782549059866, 0.48060899191967305,
+        0.4724389512546902, 0.46572461647831265, 0.4610050777057002,
+        0.459003678968952, 0.45791479352522846, 0.4568259080815048,
+        0.45573702263778115, 0.4546481371940575, 0.45355925175033396,
+        0.45413003657070733, 0.45799100814486043, 0.46402744608890556,
+        0.4715877923893579, 0.4802517121487304, 0.489711108892968,
+        0.5,
+    ],
+    "dbpc": [
+        0.5, 0.48971110889296887, 0.48025171214873086,
+        0.47158779238935983, 0.46402744608890656, 0.4579910081448597,
+        0.4541300365707084, 0.4533027829181226, 0.45330278291812254,
+        0.45330278291812254, 0.45330278291812254, 0.45330278291812254,
+        0.45413003657070716, 0.4579910081448597, 0.46402744608890567,
+        0.47158779238935716, 0.480251712148731, 0.48971110889296865,
+        0.5,
+    ],
+    "cover-leung": [
+        0.5, 0.48968657268068605, 0.47976768197012853,
+        0.4703412502709555, 0.4615401848233912, 0.45354819451970885,
+        0.44662220471869957, 0.44111799864534396, 0.4374939474579699,
+        0.4362146699282341, 0.4374939474579699, 0.4411179986453439,
+        0.4466222047186996, 0.45354819451970885, 0.4615401848233912,
+        0.4703412502709555, 0.4797676819701285, 0.48968657268068605,
+        0.5,
+    ],
+    "erasure-fb": [
+        1.0, 0.9723966837279777, 0.9451972385165095,
+        0.9185067113856885, 0.8924735402251941, 0.8673173644332712,
+        0.8433849240693531, 0.8212813599762651, 0.8022777840917683,
+        0.7911324902345477, 0.8022777840917683, 0.8212813599762651,
+        0.8433849240693531, 0.8673173644332712, 0.8924735402251941,
+        0.9185067113856891, 0.945197238517476, 0.9723966837279776,
+        1.0,
+    ],
+    "erasure-nofb": [
+        1.0, 0.9722222222222222, 0.9444444444444444,
+        0.9166666666666666, 0.888888888888889, 0.8611111111111112,
+        0.8333333333333333, 0.8055555555555556, 0.7777777777777778,
+        0.75, 0.7777777777777778, 0.8055555555555556,
+        0.8333333333333334, 0.8611111111111112, 0.8888888888888888,
+        0.9166666666666667, 0.9444444444444444, 0.9722222222222223,
+        1.0,
+    ],
+}
+
+
+FAMILIES = {
+    "dbpc": lambda: bounds._db_family(False),
+    "cutset": bounds._cutset_family,
+}
+
+
+def _solve(family, lam, x0, rows):
+    """Refine the problems ``rows`` of a family on their own."""
+    fun = family.neg_support(lam[rows])
+    return bounds._refine(fun, x0[rows], family.lo, family.hi, family.step0)
+
+
+@pytest.fixture(scope="module", params=sorted(FAMILIES))
+def family_batch(request):
+    family = FAMILIES[request.param]()
+    lam = np.repeat(SWEEP_LAMBDAS, 2)
+    x0 = family.coarse_params[family.seeds(SWEEP_LAMBDAS, 2).ravel()]
+    x, f = _solve(family, lam, x0, np.arange(len(lam)))
+    return family, lam, x0, x, f
+
+
+class TestRefinement:
+    def test_import_does_not_load_scipy(self):
+        src = str(Path(macfb.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import macfb, sys; assert 'scipy' not in sys.modules, 'scipy imported'"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
+    @pytest.mark.parametrize("region", sorted(FROZEN_SUPPORTS_21))
+    def test_supports_match_frozen_values(self, region):
+        curve = region_boundary(RegionSpec(Region(region), 21))
+        got = np.array([support_value(curve, lam) for lam in SWEEP_LAMBDAS[::10]])
+        frozen = np.array(FROZEN_SUPPORTS_21[region])
+        # same tolerances as the benchmark gate: no drop, no gross rise
+        assert np.all(got >= frozen - 1e-12), (got - frozen).min()
+        assert np.all(got <= frozen + 1e-3), (got - frozen).max()
+
+    def test_batch_reversed_is_bitwise_identical(self, family_batch):
+        family, lam, x0, x, f = family_batch
+        rows = np.arange(len(lam))[::-1]
+        xr, fr = _solve(family, lam, x0, rows)
+        np.testing.assert_array_equal(xr, x[rows])
+        np.testing.assert_array_equal(fr, f[rows])
+
+    def test_batch_subset_is_bitwise_identical(self, family_batch):
+        family, lam, x0, x, f = family_batch
+        rows = np.array([361, 0, 181, 180, 37, 74, 300])
+        xs, fs = _solve(family, lam, x0, rows)
+        np.testing.assert_array_equal(xs, x[rows])
+        np.testing.assert_array_equal(fs, f[rows])
+        for r in rows[:2]:
+            xo, fo = _solve(family, lam, x0, np.array([r]))
+            np.testing.assert_array_equal(xo[0], x[r])
+            np.testing.assert_array_equal(fo[0], f[r])
+
+    def test_toy_optimum_on_box_face(self):
+        # squared distance to a target, evaluated on clipped parameters as the
+        # region families are; targets outside the box have their optimum at
+        # the nearest point of a face or corner
+        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 2.0])
+        target = np.array([[0.3, 0.7], [1.6, 0.5], [0.4, -0.8], [-0.5, 3.0], [1.25, 2.25]])
+
+        def fun(x, rows):
+            return ((np.clip(x, lo, hi) - target[rows]) ** 2).sum(axis=1)
+
+        x0 = np.array([[0.5, 1.0], [0.9, 1.9], [0.0, 0.0], [1.0, 2.0], [0.2, 0.3]])
+        x, f = bounds._refine(fun, x0, lo, hi, step0=0.1)
+        best = np.clip(target, lo, hi)
+        assert np.all((x >= lo) & (x <= hi))
+        np.testing.assert_allclose(x, best, atol=1e-6)
+        np.testing.assert_allclose(f, ((best - target) ** 2).sum(axis=1), atol=1e-12)

@@ -57,6 +57,12 @@ class TestRegion:
     def test_unknown_region_exits_2(self):
         assert run("region", "bogus").returncode == 2
 
+    @pytest.mark.parametrize("value", ["1", "0", "-5", "abc"])
+    def test_bad_grid_n_exits_2(self, value):
+        out = run("region", "erasure-nofb", "--grid-n", value)
+        assert out.returncode == 2
+        assert "--grid-n" in out.stderr
+
     def test_json_record_shape(self):
         rec = json.loads(run("region", "erasure-nofb", "--format", "json").stdout)
         assert rec["command"] == "region"
@@ -83,6 +89,23 @@ class TestVerify:
 
     def test_bad_suite_exits_2(self):
         assert run("verify", "nope").returncode == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("lemmas", "--samples", "0"),
+            ("equivalence", "--samples", "-3"),
+            ("characterization", "--steps", "0"),
+            ("characterization", "--steps", "1"),
+            ("dominance", "--grid-n", "0"),
+            ("dominance", "--grid-n", "1"),
+        ],
+    )
+    def test_bad_count_exits_2(self, args):
+        # rejected by the parser, never replaced by the suite's default
+        out = run("verify", *args)
+        assert out.returncode == 2
+        assert args[1] in out.stderr
 
 
 class TestMisc:

@@ -85,25 +85,47 @@ def test_chunked_equals_unchunked(monkeypatch, rng):
     np.testing.assert_array_equal(full, chunked)
 
 
-def test_env_var_forces_fallback():
+def _backend_in_child(forced: bool) -> str:
+    """Import macfb in a fresh interpreter with a stub compiled extension planted.
+
+    The stub stands in for ``macfb._kernels._core``, so the backend switch is
+    exercised whether or not the real extension is built.  The child checks
+    that the switch picked the fallback's functions when ``MACFB_KERNELS=numpy``
+    is set and the stub's otherwise, and prints the reported backend.
+    """
     import os
     import subprocess
     import sys
 
     code = (
+        "import sys, types\n"
+        "stub = types.ModuleType('macfb._kernels._core')\n"
+        "def input_stats(*args): raise AssertionError('stub called')\n"
+        "def cutset_stats(*args): raise AssertionError('stub called')\n"
+        "stub.input_stats, stub.cutset_stats = input_stats, cutset_stats\n"
+        "sys.modules['macfb._kernels._core'] = stub\n"
+        "import macfb\n"
         "from macfb import _kernels\n"
         "from macfb._kernels import _fallback\n"
-        "assert _kernels.input_stats is _fallback.input_stats\n"
-        "assert _kernels.cutset_stats is _fallback.cutset_stats\n"
+        f"chosen = _fallback if {forced} else stub\n"
+        "assert _kernels.HAVE_COMPILED\n"
+        "assert _kernels.input_stats is chosen.input_stats\n"
+        "assert _kernels.cutset_stats is chosen.cutset_stats\n"
         "print(_kernels.BACKEND)\n"
     )
     # Inherit the caller's environment so the child imports macfb the same way
     # the parent does (installed, or from a source checkout via PYTHONPATH).
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "MACFB_KERNELS": "numpy"},
-        capture_output=True,
-        text=True,
-    )
+    env = {k: v for k, v in os.environ.items() if k != "MACFB_KERNELS"}
+    if forced:
+        env["MACFB_KERNELS"] = "numpy"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
+    return out.stdout.strip()
+
+
+def test_env_var_forces_fallback():
+    assert _backend_in_child(forced=True) == "numpy"
+
+
+def test_compiled_backend_selected_when_not_forced():
+    assert _backend_in_child(forced=False) == "compiled"
