@@ -10,7 +10,9 @@ together with brute-force oracles that validate every closed form.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as KERNEL_BACKEND
+#: the kernels in ``macfb._kernels`` are numpy; there is no other backend
+KERNEL_BACKEND = "numpy"
+
 from .bounds import (
     RateConstraintSet,
     Region,

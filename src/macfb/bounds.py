@@ -32,6 +32,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import _kernels
+from ._budget import check_size
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P
 from .geometry import BoundaryCurve, pareto_filter, support_value
@@ -261,6 +262,7 @@ def _db_caps(u1: np.ndarray, u2: np.ndarray, u: np.ndarray, mirror: bool):
 
 
 def _sweep_db(grid_n: int, mirror: bool) -> np.ndarray:
+    check_size(grid_n**3, "dbpc sweep")
     g = np.linspace(0.0, 0.25, grid_n)
     u1, u2 = np.meshgrid(g, g, indexing="ij")
     u1, u2 = u1.ravel(), u2.ravel()
@@ -275,6 +277,7 @@ def _sweep_db(grid_n: int, mirror: bool) -> np.ndarray:
 
 
 def _sweep_product_region(grid_n: int, caps_fn) -> np.ndarray:
+    check_size(grid_n**2, "(u1, u2) sweep")
     g = np.linspace(0.0, 0.25, grid_n)
     u1, u2 = np.meshgrid(g, g, indexing="ij")
     a, b, c = caps_fn(u1.ravel(), u2.ravel())
@@ -307,6 +310,8 @@ def _simplex_grid(grid_n: int):
 
 
 def _sweep_cutset(grid_n: int) -> np.ndarray:
+    # points of the 3-simplex lattice: C(grid_n + 2, 3)
+    check_size(grid_n * (grid_n + 1) * (grid_n + 2) // 6, "cutset sweep")
     chunks = []
     for joint in _simplex_grid(grid_n):
         stats = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)

@@ -9,7 +9,8 @@ verify   run a named verification suite; exit 1 on any violation
 All numeric output uses 6 decimals in human mode and full float precision in
 CSV/JSON, so machine encodings of the same run agree digit for digit.  Given
 the same arguments and seed, every command is byte-for-byte reproducible.
-Exit codes: 0 success, 1 verification failure or internal error, 2 usage.
+Exit codes: 0 success, 1 verification failure or internal error, 2 usage
+(including a bad ``MACFB_BUDGET`` or a request larger than the budget).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import sys
 
 from . import __version__, symrate, verify
+from ._budget import BudgetExceededError, InvalidBudgetError, env_budget
 from .bounds import Region, RegionSpec, region_boundary
 from .channel import JointInputDistribution
 
@@ -147,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macfb",
         description="Feedback-capacity bounds for binary additive multiple-access channels.",
-        epilog="Set MACFB_BUDGET to override the brute-force evaluation budget (default 1e8).",
+        epilog="Set MACFB_BUDGET to a positive integer to override the evaluation budget"
+        " of grid sweeps (default 1e8).",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -180,9 +183,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        env_budget()
+    except InvalidBudgetError as exc:
+        parser.error(str(exc))
+    try:
         return args.func(args, sys.stdout)
     except BrokenPipeError:
         return 1
+    except BudgetExceededError as exc:
+        print(f"macfb: error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # internal failure: report, exit 1
         print(f"macfb: error: {exc}", file=sys.stderr)
         return 1

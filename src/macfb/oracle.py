@@ -8,13 +8,13 @@ the closed-form (u1, u2, u) characterizations they are checking.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from . import _kernels
+from ._budget import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceededError, check_size, env_budget
 from .channel import JointInputDistribution
 from .infofn import binary_entropy, mu_fn, phi
 
@@ -30,9 +30,6 @@ __all__ = [
     "verify_characterization",
 ]
 
-DEFAULT_BUDGET = 100_000_000
-BUDGET_ENV_VAR = "MACFB_BUDGET"
-
 OBJECTIVES = (
     "db1_symmetric_direct",
     "cl_symmetric_direct",
@@ -41,15 +38,6 @@ OBJECTIVES = (
 )
 
 _CHUNK = 200_000
-
-
-class BudgetExceededError(RuntimeError):
-    """Requested grid is larger than the evaluation budget."""
-
-
-def _env_budget() -> int | None:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else None
 
 
 @dataclass(frozen=True)
@@ -72,7 +60,7 @@ class OracleConfig:
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
         if self.budget is None:
-            object.__setattr__(self, "budget", _env_budget() or DEFAULT_BUDGET)
+            object.__setattr__(self, "budget", env_budget())
 
     @property
     def grid_size(self) -> int:
@@ -84,10 +72,7 @@ class OracleConfig:
         return n_p * min(self.steps**3, max(self.budget // max(n_p, 1), 1))
 
     def check_budget(self) -> None:
-        if self.grid_size > self.budget:
-            raise BudgetExceededError(
-                f"grid of {self.grid_size} evaluations exceeds budget {self.budget}"
-            )
+        check_size(self.grid_size, "grid", self.budget)
 
 
 def _axis(steps: int) -> np.ndarray:

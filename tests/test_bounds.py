@@ -24,6 +24,7 @@ from macfb.bounds import (
     erasure_nofb_constraints,
     region_boundary,
 )
+from macfb._budget import BudgetExceededError
 from macfb.channel import Channel, info_quantities
 from macfb.feasible import InvalidTripleError, UTriple, sample_triples, u_triple_of
 from macfb.geometry import support_value
@@ -219,6 +220,13 @@ class TestRegionBoundaries:
         curve = region_boundary(RegionSpec(Region.ERASURE_FB, 51))
         assert support_value(curve, 1.0) == pytest.approx(1.0, abs=1e-9)
         assert support_value(curve, 0.5) == pytest.approx(0.791132, abs=1e-3)
+
+    def test_sweep_budget_is_inclusive(self, monkeypatch):
+        # a grid no other test builds, so the sweep is not served from the cache
+        monkeypatch.setenv("MACFB_BUDGET", str(23**2))
+        assert len(region_boundary(RegionSpec(Region.ERASURE_FB, 23)).points) > 0
+        with pytest.raises(BudgetExceededError, match="sweep of 576 evaluations exceeds budget 529"):
+            region_boundary(RegionSpec(Region.ERASURE_FB, 24))
 
 
 # Support of every region at grid 21, at every 10th of the 181 sweep

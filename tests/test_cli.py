@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -8,8 +9,9 @@ import pytest
 CMD = [sys.executable, "-m", "macfb"]
 
 
-def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+def run(*args, env=None, timeout=None):
+    child_env = {**os.environ, **env} if env else None
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, env=child_env, timeout=timeout)
 
 
 class TestSymrate:
@@ -106,6 +108,31 @@ class TestVerify:
         out = run("verify", *args)
         assert out.returncode == 2
         assert args[1] in out.stderr
+
+
+class TestBudget:
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_budget_exits_2(self, value):
+        # rejected, never replaced by the default budget
+        out = run("region", "erasure-nofb", env={"MACFB_BUDGET": value})
+        assert out.returncode == 2
+        assert "MACFB_BUDGET must be a positive integer" in out.stderr
+        assert out.stdout == ""
+
+    def test_oversized_region_sweep_fails_fast(self):
+        out = run("region", "dbpc1", "--grid-n", "2001", timeout=60)
+        assert out.returncode == 2
+        assert "dbpc sweep of 8012006001 evaluations exceeds budget 100000000" in out.stderr
+
+    @pytest.mark.parametrize(
+        "which, grid_n, size",
+        [("dbpc1", 11, 11**3), ("dbpc", 11, 11**3), ("cutset", 21, 21 * 22 * 23 // 6), ("erasure-fb", 32, 32**2)],
+    )
+    def test_region_sweep_checked_against_budget(self, which, grid_n, size):
+        out = run("region", which, "--grid-n", str(grid_n), env={"MACFB_BUDGET": "1000"}, timeout=60)
+        assert out.returncode == 2
+        assert f"sweep of {size} evaluations exceeds budget 1000" in out.stderr
+        assert out.stdout == ""
 
 
 class TestMisc:

@@ -40,6 +40,12 @@ class TestConfig:
         monkeypatch.setenv(oracle_mod.BUDGET_ENV_VAR, "123")
         assert OracleConfig().budget == 123
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+    def test_budget_env_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv(oracle_mod.BUDGET_ENV_VAR, value)
+        with pytest.raises(ValueError, match=oracle_mod.BUDGET_ENV_VAR):
+            OracleConfig()
+
     def test_grid_sizes(self):
         assert OracleConfig(t_card=1, steps=11).grid_size == 121
         assert OracleConfig(t_card=2, steps=11).grid_size == 11**5
