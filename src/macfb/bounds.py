@@ -12,6 +12,15 @@ directions from the two best points of a fixed coarse grid (independent of
 and a Nelder-Mead restart.  All 362 problems of a family are solved together
 as numpy arrays by :func:`_refine`, which evaluates the vectorized caps.
 
+The grid phase keeps its arrays but skips work.  Each Pareto filter of a
+sweep-sized point set first drops the points that a point in an r1-bin
+further right already dominates, then runs the exact lexsort filter on the
+rest, so it keeps the same points.  The dbpc sweep computes the caps that do
+not depend on ``u`` once, not once per slice.  dbpc2 is dbpc1 mirrored, and
+the dbpc intersection takes the support values of both curves in all sweep
+directions in one divide-and-conquer pass over each curve
+(:func:`macfb.geometry.support_values`).
+
 Regions
 -------
 cutset        outer bound, arbitrary input correlation (4-atom joint sweep)
@@ -35,7 +44,8 @@ from . import _kernels
 from ._budget import check_size
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P
-from .geometry import BoundaryCurve, pareto_filter, support_value
+# support_value is unused here but stays a module attribute: perfbench/tracing.py wraps it
+from .geometry import BoundaryCurve, pareto_filter, support_value, support_values  # noqa: F401
 from .infofn import CLAMP_TOL, DomainError, binary_entropy, f2, mu_fn, phi
 
 __all__ = [
@@ -231,30 +241,56 @@ def erasure_nofb_constraints() -> RateConstraintSet:
 # ---------------------------------------------------------------------------
 
 
+def _corners(a, b, c):
+    """The two upper pentagon corners (x_max, y_at_x) and (x_at_y, y_max) for arrays of caps."""
+    x_max = np.minimum(a, c)
+    y_at_x = np.clip(np.minimum(b, c - x_max), 0.0, None)
+    y_max = np.minimum(b, c)
+    x_at_y = np.clip(np.minimum(a, c - y_max), 0.0, None)
+    return x_max, y_at_x, x_at_y, y_max
+
+
 def _corner_points(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Upper pentagon corners for arrays of caps; shape (2n, 2).
 
     Axis intercepts are always dominated by these corners, so the Pareto
     frontier of the union is unchanged by omitting them here.
     """
-    x_max = np.minimum(a, c)
-    y_at_x = np.clip(np.minimum(b, c - x_max), 0.0, None)
-    y_max = np.minimum(b, c)
-    x_at_y = np.clip(np.minimum(a, c - y_max), 0.0, None)
-    pts = np.concatenate(
+    x_max, y_at_x, x_at_y, y_max = _corners(a, b, c)
+    return np.concatenate(
         [np.stack([x_max, y_at_x], axis=1), np.stack([x_at_y, y_max], axis=1)], axis=0
     )
-    return pts
+
+
+def _support_of_corners(corners, lam):
+    """Pentagon support value(s) in direction (lam, 1-lam), from :func:`_corners`."""
+    x_max, y_at_x, x_at_y, y_max = corners
+    return np.maximum(
+        lam * x_max + (1.0 - lam) * y_at_x, lam * x_at_y + (1.0 - lam) * y_max
+    )
 
 
 def _pareto_points(pts: np.ndarray) -> np.ndarray:
     return pareto_filter(pts).points
 
 
-def _db_caps(u1: np.ndarray, u2: np.ndarray, u: np.ndarray, mirror: bool):
-    """Vectorized caps of the dependence-balance pentagon family."""
-    capped = np.minimum(0.5 * binary_entropy(u), binary_entropy(phi(2.0 * (u2 if mirror else u1))))
-    half_other = 0.5 * binary_entropy(phi(2.0 * (u1 if mirror else u2)))
+def _db_fixed_caps(u1: np.ndarray, u2: np.ndarray, mirror: bool):
+    """The u-independent parts of the dependence-balance caps.
+
+    Returns h(phi(2 u_g)) of the input the genie reveals (u1, or u2 when
+    ``mirror``) and h(phi(2 u_o)) / 2 of the other input.
+    """
+    genie, other = (u2, u1) if mirror else (u1, u2)
+    return binary_entropy(phi(2.0 * genie)), 0.5 * binary_entropy(phi(2.0 * other))
+
+
+def _db_caps(fixed, u: np.ndarray, mirror: bool):
+    """Vectorized caps of the dependence-balance pentagon family at ``u``.
+
+    ``fixed`` is :func:`_db_fixed_caps` of the same (u1, u2).
+    """
+    h_genie, half_other = fixed
+    capped = np.minimum(0.5 * binary_entropy(u), h_genie)
     csum = binary_entropy((1.0 - u) / 2.0)
     if mirror:
         return half_other, capped, csum
@@ -267,11 +303,11 @@ def _sweep_db(grid_n: int, mirror: bool) -> np.ndarray:
     u1, u2 = np.meshgrid(g, g, indexing="ij")
     u1, u2 = u1.ravel(), u2.ravel()
     lo = f2(2.0 * u1, 2.0 * u2)
-    hi = 1.0 - (u1 + u2)
+    span = 1.0 - (u1 + u2) - lo
+    fixed = _db_fixed_caps(u1, u2, mirror)
     chunks = []
     for w in np.linspace(0.0, 1.0, grid_n):
-        u = lo + w * (hi - lo)
-        a, b, c = _db_caps(u1, u2, u, mirror)
+        a, b, c = _db_caps(fixed, lo + w * span, mirror)
         chunks.append(_pareto_points(_corner_points(a, b, c)))
     return np.concatenate(chunks, axis=0)
 
@@ -318,17 +354,6 @@ def _sweep_cutset(grid_n: int) -> np.ndarray:
         pts = _corner_points(stats[:, 0], stats[:, 1], stats[:, 2])
         chunks.append(_pareto_points(pts))
     return np.concatenate(chunks, axis=0)
-
-
-def _support_of_caps(a, b, c, lam: float):
-    """Pentagon support value(s) in direction (lam, 1-lam), vectorized."""
-    x_max = np.minimum(a, c)
-    y_at_x = np.clip(np.minimum(b, c - x_max), 0.0, None)
-    y_max = np.minimum(b, c)
-    x_at_y = np.clip(np.minimum(a, c - y_max), 0.0, None)
-    return np.maximum(
-        lam * x_max + (1.0 - lam) * y_at_x, lam * x_at_y + (1.0 - lam) * y_max
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +521,28 @@ class _RegionFamily:
     step0: float
 
     def seeds(self, lambdas, n_starts: int) -> np.ndarray:
-        """Indices of the ``n_starts`` best coarse points per direction; shape (len(lambdas), n_starts)."""
+        """Indices of the ``n_starts`` best coarse points per direction; shape (len(lambdas), n_starts).
+
+        Each row is the tail of ``np.argsort`` of the direction's supports.
+        When the best ``n_starts + 1`` supports are distinct, that tail is
+        fixed by the values alone and a partial sort finds it; on a tie only
+        the full sort's order among equal values gives the same seeds.
+        """
+        corners = _corners(*self.coarse_caps)
+        k = n_starts + 1
         seeds = np.empty((len(lambdas), n_starts), dtype=np.intp)
         for i, lam in enumerate(lambdas):
-            # assigning copies the indices, so no full argsort outlives its direction
-            seeds[i] = np.argsort(_support_of_caps(*self.coarse_caps, lam))[-n_starts:]
+            vals = _support_of_corners(corners, lam)
+            top = np.argpartition(vals, -k)[-k:]
+            top = top[np.argsort(vals[top])]
+            if not np.all(np.diff(vals[top]) > 0.0):
+                top = np.argsort(vals)
+            seeds[i] = top[-n_starts:]
         return seeds
 
     def neg_support(self, lam: np.ndarray):
         """Objective of problems with directions ``lam``: minus the pentagon support."""
-        return lambda x, rows: -_support_of_caps(*self.caps(x), lam[rows])
+        return lambda x, rows: -_support_of_corners(_corners(*self.caps(x)), lam[rows])
 
     def refined_points(self, lambdas=SWEEP_LAMBDAS, n_starts: int = 2) -> np.ndarray:
         """Pentagon corners at the refined optimum of each direction, from the best grid points."""
@@ -536,7 +573,7 @@ def _box_family(caps_of, hi: tuple[float, ...], coarse_n: int) -> _RegionFamily:
 def _db_param_caps(u1, u2, w, mirror: bool):
     """Caps at (u1, u2, w); u runs from f2(2u1, 2u2) at w = 0 to 1 - u1 - u2 at w = 1."""
     lo = f2(2.0 * u1, 2.0 * u2)
-    return _db_caps(u1, u2, lo + w * (1.0 - (u1 + u2) - lo), mirror)
+    return _db_caps(_db_fixed_caps(u1, u2, mirror), lo + w * (1.0 - (u1 + u2) - lo), mirror)
 
 
 def _db_family(mirror: bool) -> _RegionFamily:
@@ -603,21 +640,21 @@ def _dbpc_points(grid_n: int) -> np.ndarray:
     return np.concatenate([pts, refined], axis=0)
 
 
-def _dbpc_curve(grid_n: int, mirror: bool) -> BoundaryCurve:
-    label = (Region.DBPC2 if mirror else Region.DBPC1).value
-    pts = _dbpc_points(grid_n)
-    # the two genie choices give exact mirror-image regions
-    if mirror:
-        pts = pts[:, ::-1]
-    return pareto_filter(pts, label=label)
+def _dbpc_curves(grid_n: int) -> tuple[BoundaryCurve, BoundaryCurve]:
+    """The dbpc1 and dbpc2 boundaries.
+
+    The two genie choices give exact mirror-image regions, so dbpc2 is dbpc1
+    with r1 and r2 swapped, read in reverse order.
+    """
+    c1 = pareto_filter(_dbpc_points(grid_n), label=Region.DBPC1.value)
+    return c1, BoundaryCurve(points=c1.points[::-1, ::-1], label=Region.DBPC2.value)
 
 
 def _intersection_curve(grid_n: int) -> BoundaryCurve:
     """Direction-space intersection: pointwise min of the two support functions."""
-    c1 = _dbpc_curve(grid_n, mirror=False)
-    c2 = _dbpc_curve(grid_n, mirror=True)
+    c1, c2 = _dbpc_curves(grid_n)
     lams = SWEEP_LAMBDAS
-    m = np.array([min(support_value(c1, l), support_value(c2, l)) for l in lams])
+    m = np.minimum(support_values(c1, lams), support_values(c2, lams))
     # candidate vertices: intersections of every pair of support lines (some
     # lines are redundant, so binding pairs need not be adjacent in lambda),
     # plus the axis anchors
@@ -658,9 +695,9 @@ def region_boundary(spec: RegionSpec) -> BoundaryCurve:
     if which is Region.CUTSET:
         return cutset_region_noisy(g)
     if which is Region.DBPC1:
-        return _dbpc_curve(g, mirror=False)
+        return _dbpc_curves(g)[0]
     if which is Region.DBPC2:
-        return _dbpc_curve(g, mirror=True)
+        return _dbpc_curves(g)[1]
     if which is Region.DBPC:
         return _intersection_curve(g)
     if which is Region.COVER_LEUNG:

@@ -27,8 +27,9 @@ from macfb.bounds import (
 from macfb._budget import BudgetExceededError
 from macfb.channel import Channel, info_quantities
 from macfb.feasible import InvalidTripleError, UTriple, sample_triples, u_triple_of
-from macfb.geometry import support_value
-from macfb.infofn import DomainError, f2
+from macfb import geometry
+from macfb.geometry import pareto_filter, support_value
+from macfb.infofn import DomainError, binary_entropy, f2, phi
 
 LOG2_3 = math.log2(3.0)
 H_QUARTER = 2.0 - 0.75 * LOG2_3  # h(1/4)
@@ -372,3 +373,95 @@ class TestRefinement:
         assert np.all((x >= lo) & (x <= hi))
         np.testing.assert_allclose(x, best, atol=1e-6)
         np.testing.assert_allclose(f, ((best - target) ** 2).sum(axis=1), atol=1e-12)
+
+
+SEED_FAMILIES = {
+    **FAMILIES,
+    "cover-leung": lambda: bounds._box_family(bounds._cl_caps, (0.25, 0.25), coarse_n=101),
+    "erasure-fb": lambda: bounds._box_family(bounds._erasure_caps, (0.25, 0.25), coarse_n=101),
+}
+
+
+def _old_db_caps(u1, u2, u, mirror):
+    """The dependence-balance caps written out in one piece."""
+    capped = np.minimum(0.5 * binary_entropy(u), binary_entropy(phi(2.0 * (u2 if mirror else u1))))
+    half_other = 0.5 * binary_entropy(phi(2.0 * (u1 if mirror else u2)))
+    csum = binary_entropy((1.0 - u) / 2.0)
+    return (half_other, capped, csum) if mirror else (capped, half_other, csum)
+
+
+def _old_sweep_db(grid_n, mirror):
+    """The dbpc sweep with the caps of every slice computed in full and a plain lexsort filter."""
+    g = np.linspace(0.0, 0.25, grid_n)
+    u1, u2 = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
+    lo = f2(2.0 * u1, 2.0 * u2)
+    hi = 1.0 - (u1 + u2)
+    chunks = []
+    for w in np.linspace(0.0, 1.0, grid_n):
+        pts = bounds._corner_points(*_old_db_caps(u1, u2, lo + w * (hi - lo), mirror))
+        pts = pts[geometry._lexsort_mask(pts)]
+        chunks.append(pts[np.argsort(pts[:, 0])])
+    return np.concatenate(chunks, axis=0)
+
+
+def _old_intersection_curve(grid_n):
+    """The dbpc intersection with both curves filtered and one support scan per direction."""
+    pts = bounds._dbpc_points(grid_n)
+    c1, c2 = pareto_filter(pts), pareto_filter(pts[:, ::-1])
+    lams = SWEEP_LAMBDAS
+    m = np.array([min(support_value(c1, l), support_value(c2, l)) for l in lams])
+    i, j = np.triu_indices(len(lams), k=1)
+    l1, l2 = lams[i], lams[j]
+    det = l1 - l2
+    x = (m[i] * (1.0 - l2) - m[j] * (1.0 - l1)) / det
+    y = (l1 * m[j] - l2 * m[i]) / det
+    ok = (x >= -1e-12) & (y >= -1e-12)
+    cand = np.concatenate([np.stack([x[ok], y[ok]], axis=1), [(m[-1], 0.0), (0.0, m[0])]], axis=0)
+    cand = np.clip(cand, 0.0, None)
+    feas = np.ones(len(cand), dtype=bool)
+    for l, mv in zip(lams, m):
+        feas &= l * cand[:, 0] + (1.0 - l) * cand[:, 1] <= mv + 1e-9
+    return pareto_filter(cand[feas])
+
+
+class TestGridPhase:
+    """The grid-phase shortcuts give bitwise the arrays of the plain computations."""
+
+    @pytest.mark.parametrize("name", sorted(SEED_FAMILIES))
+    def test_seeds_match_full_argsort(self, name):
+        family = SEED_FAMILIES[name]()
+        a, b, c = family.coarse_caps
+        x_max = np.minimum(a, c)
+        y_at_x = np.clip(np.minimum(b, c - x_max), 0.0, None)
+        y_max = np.minimum(b, c)
+        x_at_y = np.clip(np.minimum(a, c - y_max), 0.0, None)
+        expected, ties = [], 0
+        for lam in SWEEP_LAMBDAS:
+            vals = np.maximum(lam * x_max + (1.0 - lam) * y_at_x, lam * x_at_y + (1.0 - lam) * y_max)
+            expected.append(np.argsort(vals)[-2:])
+            ties += bool(np.any(np.diff(np.sort(vals)[-3:]) <= 0.0))
+        np.testing.assert_array_equal(family.seeds(SWEEP_LAMBDAS, 2), np.array(expected))
+        if name == "dbpc":
+            # both the partial sort and the fallback to the full sort are exercised
+            assert 0 < ties < len(SWEEP_LAMBDAS)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_sweep_db_matches_plain_sweep(self, mirror):
+        np.testing.assert_array_equal(bounds._sweep_db(21, mirror), _old_sweep_db(21, mirror))
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_db_param_caps_match_plain_caps(self, rng, mirror):
+        u1, u2, w = rng.uniform(0.0, 1.0, (3, 5000)) * np.array([[0.25], [0.25], [1.0]])
+        lo = f2(2.0 * u1, 2.0 * u2)
+        got = bounds._db_param_caps(u1, u2, w, mirror)
+        expected = _old_db_caps(u1, u2, lo + w * (1.0 - (u1 + u2) - lo), mirror)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+    def test_dbpc2_is_mirrored_dbpc1(self):
+        c1, c2 = bounds._dbpc_curves(21)
+        np.testing.assert_array_equal(c2.points, pareto_filter(bounds._dbpc_points(21)[:, ::-1]).points)
+        assert (c1.label, c2.label) == ("dbpc1", "dbpc2")
+
+    def test_intersection_matches_per_direction_loop(self):
+        np.testing.assert_array_equal(bounds._intersection_curve(21).points, _old_intersection_curve(21).points)
