@@ -3,23 +3,31 @@
 Each bound maps its parameters to a :class:`RateConstraintSet` (a pentagon
 ``R1 <= r1_max``, ``R2 <= r2_max``, ``R1 + R2 <= sum_max`` in the nonnegative
 quadrant); region boundaries are assembled by sweeping the parameter domain,
-collecting pentagon corners, Pareto-filtering the union, and sharpening the
-result with a per-direction local refinement pass.
+collecting pentagon corners, Pareto-filtering the union, and adding the
+pentagon that is best in each of the 181 sweep directions.
 
-The refinement maximizes the pentagon support in each of the 181 sweep
-directions from the two best points of a fixed coarse grid (independent of
-``grid_n``).  Each start runs Nelder-Mead, a coordinate golden-section polish
-and a Nelder-Mead restart.  All 362 problems of a family are solved together
-as numpy arrays by :func:`_refine`, which evaluates the vectorized caps.
+That best pentagon is found by a direct solve.  The caps of every family are
+concave in convex coordinates, and a pentagon's support is a minimum of
+nonnegative combinations of its caps, so each direction asks for the maximum
+of a concave function.  Each family is reduced to two variables (x, y) over a
+box without losing its optimum:
 
-The grid phase keeps its arrays but skips work.  Each Pareto filter of a
-sweep-sized point set first drops the points that a point in an r1-bin
-further right already dominates, then runs the exact lexsort filter on the
-rest, so it keeps the same points.  The dbpc sweep computes the caps that do
-not depend on ``u`` once, not once per slice.  dbpc2 is dbpc1 mirrored, and
-the dbpc intersection takes the support values of both curves in all sweep
-directions in one divide-and-conquer pass over each curve
-(:func:`macfb.geometry.support_values`).
+- dbpc1: u in [0, 1/2] and a point of P's lower face u = f2(2u1, 2u2);
+- cutset: the flip-symmetric joints (s, y(1-2s), (1-y)(1-2s), s);
+- cover-leung: the (u1, u2) box;
+- erasure-fb: the (u1, u2) box with the sum cap mu(max(1/3, f2)), the
+  triple form with u maximized out.
+
+Maximizing over y keeps concavity in x, so a golden-section search over x,
+whose every step runs a golden-section search over y, finds the optimum.  All
+181 directions are solved together as numpy rows by :func:`_golden_max`.
+
+The grid phase skips work without changing its result.  Each Pareto filter of
+a sweep-sized point set first drops the points that a point in an r1-bin
+further right already dominates.  The dbpc sweep computes the caps that do
+not depend on ``u`` once.  dbpc2 is dbpc1 mirrored, and the dbpc intersection
+takes the support values of both curves in all sweep directions in one pass
+over each curve (:func:`macfb.geometry.support_values`).
 
 Regions
 -------
@@ -34,9 +42,8 @@ erasure-nofb  no-feedback pentagon of Y = X1 + X2
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -357,251 +364,136 @@ def _sweep_cutset(grid_n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-direction refinement
+# Per-direction solve
 # ---------------------------------------------------------------------------
 
-_RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
-_NM_MAXITER = 500
-_NM_XATOL = 1e-11
-_NM_FATOL = 1e-14
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
+_TOL = 1e-11
 
 
-def _sort_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(fsim, axis=1, kind="stable")
-    return np.take_along_axis(sim, order[:, :, None], axis=1), np.take_along_axis(fsim, order, axis=1)
+def _golden_max(fun, lo: np.ndarray, hi: np.ndarray, tol: float = _TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum of a unimodal function over [lo, hi], one problem per row.
 
-
-def _nelder_mead(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nelder-Mead from a small interior start simplex around each row of ``x0``.
-
-    The unbounded method with reflection 1, expansion 2, contraction 1/2 and
-    shrink 1/2.  A row stops once its simplex spans at most 1e-11 in x and
-    1e-14 in f, or after 499 steps.  Returns each row's best vertex, clipped
-    to the box, and its value.
+    ``fun(x, rows)`` returns the objective of problems ``rows`` at ``x``.
+    Golden section shrinks each bracket to at most ``tol``; the answer is the
+    best of the two last interior points and the two ends, so an optimum on
+    an end is found exactly.  Every step evaluates only the problems still
+    active, each on its own row, so a problem's result does not depend on the
+    rest of the batch.  Returns the maximizers and their values.
     """
-    p, n = x0.shape
-    h = 0.02 * (hi - lo)
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    for i in range(n):
-        v = x0[:, i]
-        sim[:, i + 1, i] = np.where(v + h[i] > hi[i], v - h[i], v + h[i])
-    fsim = fun(sim.reshape(-1, n), np.repeat(np.arange(p), n + 1)).reshape(p, n + 1)
-    sim, fsim = _sort_simplex(sim, fsim)
-    act = np.arange(p)
-    for _ in range(_NM_MAXITER - 1):
-        s, f = sim[act], fsim[act]
-        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL) & (
-            np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= _NM_FATOL
-        )
-        act, s, f = act[~done], s[~done], f[~done]
-        if not act.size:
-            break
-        # vertex by vertex, in the scalar method's order, so every row rounds alike
-        xbar = s[:, 0]
-        for k in range(1, n):
-            xbar = xbar + s[:, k]
-        xbar = xbar / n
-        worst = s[:, -1]
-        xr = (1 + _RHO) * xbar - _RHO * worst
-        fr = fun(xr, act)
-        new_x, new_f = xr, fr.copy()
-        shrink = np.zeros(len(act), dtype=bool)
-
-        e = np.flatnonzero(fr < f[:, 0])
-        if e.size:
-            xe = (1 + _RHO * _CHI) * xbar[e] - _RHO * _CHI * worst[e]
-            fe = fun(xe, act[e])
-            ok = fe < fr[e]
-            new_x[e[ok]], new_f[e[ok]] = xe[ok], fe[ok]
-        contract = ~(fr < f[:, 0]) & ~(fr < f[:, -2])
-        o = np.flatnonzero(contract & (fr < f[:, -1]))
-        if o.size:
-            xc = (1 + _PSI * _RHO) * xbar[o] - _PSI * _RHO * worst[o]
-            fc = fun(xc, act[o])
-            ok = fc <= fr[o]
-            new_x[o[ok]], new_f[o[ok]] = xc[ok], fc[ok]
-            shrink[o[~ok]] = True
-        c = np.flatnonzero(contract & ~(fr < f[:, -1]))
-        if c.size:
-            xcc = (1 - _PSI) * xbar[c] + _PSI * worst[c]
-            fcc = fun(xcc, act[c])
-            ok = fcc < f[c, -1]
-            new_x[c[ok]], new_f[c[ok]] = xcc[ok], fcc[ok]
-            shrink[c[~ok]] = True
-
-        keep = ~shrink
-        s[keep, -1], f[keep, -1] = new_x[keep], new_f[keep]
-        k = np.flatnonzero(shrink)
-        if k.size:
-            best = s[k, :1]
-            s[k, 1:] = best + _SIGMA * (s[k, 1:] - best)
-            f[k, 1:] = fun(s[k, 1:].reshape(-1, n), np.repeat(act[k], n)).reshape(-1, n)
-        sim[act], fsim[act] = _sort_simplex(s, f)
-    return np.clip(sim[:, 0], lo, hi), fsim.min(axis=1)
-
-
-def _golden(fun, x: np.ndarray, i: int, a: np.ndarray, b: np.ndarray, rows: np.ndarray, tol: float = 1e-11):
-    """Golden-section minimum of ``fun`` along coordinate ``i`` of each row of ``x`` over [a, b]."""
-
-    def along(v, k):
-        y = x[k]
-        y[:, i] = v
-        return fun(y, rows[k])
-
-    a, b = a.copy(), b.copy()
+    every = np.arange(len(lo))
+    a, b = lo.copy(), hi.copy()
     c = b - _GOLD * (b - a)
     d = a + _GOLD * (b - a)
-    every = np.arange(len(rows))
-    fc, fd = along(c, every), along(d, every)
+    fc, fd = fun(c, every), fun(d, every)
     act = np.flatnonzero(b - a > tol)
     while act.size:
-        left = fc[act] <= fd[act]
+        left = fc[act] >= fd[act]
         l, r = act[left], act[~left]
         b[l], d[l], fd[l] = d[l], c[l], fc[l]
         c[l] = b[l] - _GOLD * (b[l] - a[l])
         a[r], c[r], fc[r] = c[r], d[r], fd[r]
         d[r] = a[r] + _GOLD * (b[r] - a[r])
-        fv = along(np.where(left, c[act], d[act]), act)
+        fv = fun(np.where(left, c[act], d[act]), act)
         fc[l], fd[r] = fv[left], fv[~left]
         act = act[b[act] - a[act] > tol]
-    mid = 0.5 * (a + b)
-    return mid, along(mid, every)
+    xs = np.stack([c, d, lo, hi])
+    fs = np.stack([fc, fd, fun(lo, every), fun(hi, every)])
+    k = np.argmax(fs, axis=0)
+    return xs[k, every], fs[k, every]
 
 
-def _polish(fun, x: np.ndarray, fx: np.ndarray, lo: np.ndarray, hi: np.ndarray, step0: float):
-    """Five rounds of coordinate golden section in brackets of half-width step0 / 2**round."""
-    for r in range(5):
-        d = step0 * 0.5**r
-        for i in range(x.shape[1]):
-            a = np.maximum(lo[i], x[:, i] - d)
-            b = np.minimum(hi[i], x[:, i] + d)
-            k = np.flatnonzero(b - a >= 1e-13)
-            v, fv = _golden(fun, x[k], i, a[k], b[k], k)
-            ok = fv < fx[k]
-            x[k[ok], i], fx[k[ok]] = v[ok], fv[ok]
-    return x, fx
+def _solve(caps_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize the pentagon support over (x, y) in [0, x_hi] x [0, 1] in each direction.
 
-
-def _keep_better(x, fx, xn, fn):
-    take = fn < fx
-    return np.where(take[:, None], xn, x), np.where(take, fn, fx)
-
-
-def _refine(fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, step0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Local minimum of ``fun`` over the box [lo, hi] from each row of ``x0``.
-
-    ``fun(x, rows)`` returns the objective of problem ``rows[j]`` at
-    ``x[j]``.  Each problem runs Nelder-Mead, then a coordinate golden-section
-    polish (a simplex collapses when it is clipped at the box), then one
-    Nelder-Mead restart from the polished point, keeping the best point seen.
-    Every step evaluates only the problems still active, each on its own row,
-    so a problem's result does not depend on the rest of the batch.
-    Returns the minimizers (p, n) and their values (p,).
-    """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    fx = fun(x, np.arange(len(x)))
-    x, fx = _keep_better(x, fx, *_nelder_mead(fun, x, lo, hi))
-    x, fx = _polish(fun, x, fx, lo, hi, step0)
-    return _keep_better(x, fx, *_nelder_mead(fun, x, lo, hi))
-
-
-@dataclass(frozen=True)
-class _RegionFamily:
-    """Parameter box and caps of one pentagon family, for refinement.
-
-    ``caps`` maps parameter rows (m, n) to the cap arrays (a, b, c).
+    ``caps_of(x, y)`` gives the caps of the family; its support must be
+    concave in (x, y) in every direction.  Then the best support over y is
+    concave in x, so both golden-section levels search a unimodal function:
+    the outer one over x, the inner one over y for every direction at once.
+    Returns the maximizers x and y and the support there.
     """
 
-    caps: Callable[[np.ndarray], tuple]
-    coarse_params: np.ndarray
-    coarse_caps: tuple
-    lo: np.ndarray
-    hi: np.ndarray
-    step0: float
+    def best_y(x, rows):
+        def support(y, k):
+            return _support_of_corners(_corners(*caps_of(x[k], y)), lams[rows[k]])
 
-    def seeds(self, lambdas, n_starts: int) -> np.ndarray:
-        """Indices of the ``n_starts`` best coarse points per direction; shape (len(lambdas), n_starts).
+        return _golden_max(support, np.zeros(len(rows)), np.ones(len(rows)))
 
-        Each row is the tail of ``np.argsort`` of the direction's supports.
-        When the best ``n_starts + 1`` supports are distinct, that tail is
-        fixed by the values alone and a partial sort finds it; on a tie only
-        the full sort's order among equal values gives the same seeds.
-        """
-        corners = _corners(*self.coarse_caps)
-        k = n_starts + 1
-        seeds = np.empty((len(lambdas), n_starts), dtype=np.intp)
-        for i, lam in enumerate(lambdas):
-            vals = _support_of_corners(corners, lam)
-            top = np.argpartition(vals, -k)[-k:]
-            top = top[np.argsort(vals[top])]
-            if not np.all(np.diff(vals[top]) > 0.0):
-                top = np.argsort(vals)
-            seeds[i] = top[-n_starts:]
-        return seeds
-
-    def neg_support(self, lam: np.ndarray):
-        """Objective of problems with directions ``lam``: minus the pentagon support."""
-        return lambda x, rows: -_support_of_corners(_corners(*self.caps(x)), lam[rows])
-
-    def refined_points(self, lambdas=SWEEP_LAMBDAS, n_starts: int = 2) -> np.ndarray:
-        """Pentagon corners at the refined optimum of each direction, from the best grid points."""
-        seeds = self.seeds(lambdas, n_starts)
-        fun = self.neg_support(np.repeat(lambdas, n_starts))
-        x, f = _refine(fun, self.coarse_params[seeds.ravel()], self.lo, self.hi, self.step0)
-        # per direction, the first seed attaining the lowest value
-        best = np.argmin(f.reshape(len(lambdas), n_starts), axis=1)
-        x = x.reshape(len(lambdas), n_starts, -1)[np.arange(len(lambdas)), best]
-        return _corner_points(*self.caps(x))
+    n = len(lams)
+    x, _ = _golden_max(lambda x, rows: best_y(x, rows)[1], np.zeros(n), np.full(n, x_hi))
+    y, f = best_y(x, np.arange(n))
+    return x, y, f
 
 
-def _box_family(caps_of, hi: tuple[float, ...], coarse_n: int) -> _RegionFamily:
-    """Family over the box [0, hi] with a coarse grid of ``coarse_n`` points per axis.
+def _db_face_caps(u: np.ndarray, y: np.ndarray):
+    """dbpc1 caps on P's lower face, for u in [0, 1/2] and y in [0, 1].
 
-    ``caps_of`` takes one array per parameter, clipped into the box.
+    u1 = y u (1 - u) runs over the face's u1-range, and u2 solves
+    f2(2 u1, 2 u2) = u.  At a fixed u the caps rise with u1 and u2, and u
+    above 1/2 lowers every cap while every (u1, u2) is feasible at u = 1/2,
+    so the optimum over P lies on this face.
     """
-    hi = np.array(hi)
-    axes = [np.linspace(0.0, h, coarse_n) for h in hi]
-    params = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
-
-    def caps(x):
-        return caps_of(*np.clip(x, 0.0, hi).T)
-
-    return _RegionFamily(caps, params, caps(params), lo=np.zeros(len(hi)), hi=hi, step0=0.25 / (coarse_n - 1))
+    u1 = y * u * (1.0 - u)
+    den = 1.0 - 4.0 * u1
+    # den = 0 only at u = 1/2, where u2 = 1/4
+    ratio = np.divide((1.0 - 2.0 * u) ** 2, den, out=np.zeros_like(den), where=den > 0.0)
+    u2 = np.clip(0.25 * (1.0 - ratio), 0.0, 0.25)
+    return _db_caps(_db_fixed_caps(u1, u2, False), u, False)
 
 
-def _db_param_caps(u1, u2, w, mirror: bool):
-    """Caps at (u1, u2, w); u runs from f2(2u1, 2u2) at w = 0 to 1 - u1 - u2 at w = 1."""
-    lo = f2(2.0 * u1, 2.0 * u2)
-    return _db_caps(_db_fixed_caps(u1, u2, mirror), lo + w * (1.0 - (u1 + u2) - lo), mirror)
+def _cutset_joint(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The joint (s, y (1 - 2s), (1 - y)(1 - 2s), s) of (P(00), P(01), P(10), P(11))."""
+    r = 1.0 - 2.0 * s
+    return np.stack([s, y * r, (1.0 - y) * r, s], axis=1)
 
 
-def _db_family(mirror: bool) -> _RegionFamily:
-    return _box_family(partial(_db_param_caps, mirror=mirror), (0.25, 0.25, 1.0), coarse_n=41)
+def _cutset_caps(s: np.ndarray, y: np.ndarray):
+    """Cut-set caps on the flip-symmetric joints.
 
-
-def _cutset_param_caps(z: np.ndarray):
-    """Cut-set caps of the joint softmax(0, z1, z2, z3)."""
-    e = np.exp(z)
-    tot = 1.0 + e[:, 0] + e[:, 1] + e[:, 2]
-    joint = np.concatenate([1.0 / tot[:, None], e / tot[:, None]], axis=1)
-    stats = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
+    The flip (x1, x2) -> (1 - x1, 1 - x2) keeps all three caps, which are
+    concave in the joint, so a joint averaged with its flip (P(00) = P(11))
+    has caps no lower.
+    """
+    stats = _kernels.cutset_stats(_cutset_joint(s, y), _kernels.KIND_NOISY)
     return stats[:, 0], stats[:, 1], stats[:, 2]
 
 
-def _cutset_family(coarse_n: int = 31) -> _RegionFamily:
-    joints = np.concatenate(list(_simplex_grid(coarse_n)), axis=0)
-    # parameterize free of the simplex constraint: softmax of (0, z1, z2, z3)
-    z = np.log(np.clip(joints, 1e-12, None))
-    stats = _kernels.cutset_stats(joints, _kernels.KIND_NOISY)
-    return _RegionFamily(
-        _cutset_param_caps,
-        z[:, 1:] - z[:, :1],
-        (stats[:, 0], stats[:, 1], stats[:, 2]),
-        lo=np.full(3, -40.0),
-        hi=np.full(3, 40.0),
-        step0=1.0,
-    )
+def _erasure_band_caps(u1: np.ndarray, u2: np.ndarray):
+    """Erasure caps of the triple form with u maximized out.
+
+    mu is concave and peaks at 1/3, and the band's upper face 1 - u1 - u2 is
+    at least 1/2, so the best sum cap over the band is mu(max(1/3, f2)).
+    """
+    f = f2(2.0 * u1, 2.0 * u2)
+    return binary_entropy(phi(2.0 * u1)), binary_entropy(phi(2.0 * u2)), mu_fn(np.maximum(1.0 / 3.0, f))
+
+
+#: (caps of (x, y), upper end of x) for each pentagon family
+_FAMILIES = {
+    "dbpc1": (_db_face_caps, 0.5),
+    "cutset": (_cutset_caps, 0.5),
+    "cover-leung": (lambda u1, y: _cl_caps(u1, 0.25 * y), 0.25),
+    "erasure-fb": (lambda u1, y: _erasure_band_caps(u1, 0.25 * y), 0.25),
+}
+
+
+@lru_cache(maxsize=None)
+def _solution(family: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solve of every sweep direction of a family; cached, so read-only.
+
+    It does not depend on grid_n.
+    """
+    caps_of, x_hi = _FAMILIES[family]
+    solution = _solve(caps_of, x_hi, SWEEP_LAMBDAS)
+    for a in solution:
+        a.flags.writeable = False
+    return solution
+
+
+def _solved_points(family: str) -> np.ndarray:
+    """Pentagon corners at the optimum of each sweep direction."""
+    x, y, _ = _solution(family)
+    return _corner_points(*_FAMILIES[family][0](x, y))
 
 
 def _concave_upper_hull(pts: np.ndarray) -> np.ndarray:
@@ -621,32 +513,27 @@ def _concave_upper_hull(pts: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _cutset_points(grid_n: int) -> np.ndarray:
-    pts = _sweep_cutset(grid_n)
-    refined = _cutset_family().refined_points()
-    return np.concatenate([pts, refined], axis=0)
+    return np.concatenate([_sweep_cutset(grid_n), _solved_points("cutset")], axis=0)
 
 
 def cutset_region_noisy(grid_n: int = 201) -> BoundaryCurve:
-    """Cut-set boundary: sweep of all 4-atom input joints plus refinement."""
+    """Cut-set boundary: sweep of all 4-atom input joints plus the solved corners."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     return pareto_filter(_cutset_points(grid_n), label=Region.CUTSET.value)
 
 
 @lru_cache(maxsize=4)
-def _dbpc_points(grid_n: int) -> np.ndarray:
-    pts = _sweep_db(grid_n, mirror=False)
-    refined = _db_family(False).refined_points()
-    return np.concatenate([pts, refined], axis=0)
-
-
 def _dbpc_curves(grid_n: int) -> tuple[BoundaryCurve, BoundaryCurve]:
     """The dbpc1 and dbpc2 boundaries.
 
     The two genie choices give exact mirror-image regions, so dbpc2 is dbpc1
-    with r1 and r2 swapped, read in reverse order.
+    with r1 and r2 swapped, read in reverse order.  Both are cached, so their
+    points are read-only.
     """
-    c1 = pareto_filter(_dbpc_points(grid_n), label=Region.DBPC1.value)
+    pts = np.concatenate([_sweep_db(grid_n, mirror=False), _solved_points("dbpc1")], axis=0)
+    c1 = pareto_filter(pts, label=Region.DBPC1.value)
+    c1.points.flags.writeable = False
     return c1, BoundaryCurve(points=c1.points[::-1, ::-1], label=Region.DBPC2.value)
 
 
@@ -675,18 +562,14 @@ def _intersection_curve(grid_n: int) -> BoundaryCurve:
 
 
 @lru_cache(maxsize=4)
-def _product_points(grid_n: int, which: str) -> np.ndarray:
-    caps_xy = _cl_caps if which == "cl" else _erasure_caps
-    pts = _sweep_product_region(grid_n, caps_xy)
-    refined = _box_family(caps_xy, (0.25, 0.25), coarse_n=101).refined_points()
-    return np.concatenate([pts, refined], axis=0)
+def _product_points(grid_n: int, family: str) -> np.ndarray:
+    pts = _sweep_product_region(grid_n, _cl_caps if family == "cover-leung" else _erasure_caps)
+    return np.concatenate([pts, _solved_points(family)], axis=0)
 
 
-def _product_curve(grid_n: int, which: str, label: str, hull: bool) -> BoundaryCurve:
-    curve = pareto_filter(_product_points(grid_n, which), label=label)
-    if hull:
-        return BoundaryCurve(points=_concave_upper_hull(curve.points), label=label)
-    return curve
+def _product_curve(grid_n: int, family: str) -> BoundaryCurve:
+    curve = pareto_filter(_product_points(grid_n, family))
+    return BoundaryCurve(points=_concave_upper_hull(curve.points), label=family)
 
 
 def region_boundary(spec: RegionSpec) -> BoundaryCurve:
@@ -700,10 +583,8 @@ def region_boundary(spec: RegionSpec) -> BoundaryCurve:
         return _dbpc_curves(g)[1]
     if which is Region.DBPC:
         return _intersection_curve(g)
-    if which is Region.COVER_LEUNG:
-        return _product_curve(g, "cl", which.value, hull=True)
-    if which is Region.ERASURE_FB:
-        return _product_curve(g, "erasure", which.value, hull=True)
+    if which in (Region.COVER_LEUNG, Region.ERASURE_FB):
+        return _product_curve(g, which.value)
     if which is Region.ERASURE_NOFB:
         corners = np.asarray(erasure_nofb_constraints().corners())
         return pareto_filter(corners, label=which.value)

@@ -1,8 +1,9 @@
 """Symmetric-rate solvers: the largest R with (R, R) in each region.
 
 The dependence-balance and Cover-Leung problems reduce to scalar fixed-point
-equations solved by bisection; the cut-set problem is a derivative-free
-max-min search over the 4-atom input simplex.
+equations solved by bisection.  The cut-set problem is a concave max-min over
+the 4-atom input joints; its symmetries reduce it to a one-parameter family,
+searched by golden section.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bounds import _binary_t_witness, _simplex_grid
+from .bounds import _binary_t_witness, _cutset_joint, _golden_max
 from .channel import JointInputDistribution
 from .infofn import binary_entropy, f2, phi, phi_inv
 
@@ -134,69 +135,20 @@ def _cutset_symmetric_value(joint: np.ndarray) -> np.ndarray:
     return np.minimum(np.minimum(stats[:, 0], stats[:, 1]), 0.5 * stats[:, 2])
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def _refine_cutset(joint: np.ndarray, step: float, rounds: int = 3) -> np.ndarray:
-    """Coordinate-wise golden-section refinement on the simplex."""
-    x = joint.copy()
-    for r in range(rounds):
-        delta = step * 0.5**r
-        for j in range(3):
-            slack = x[j] + x[3]  # coordinate j trades mass with the last atom
-
-            def fj(v, j=j, slack=slack):
-                y = x.copy()
-                y[j] = v
-                y[3] = slack - v
-                return float(_cutset_symmetric_value(y)[0])
-
-            lo = max(0.0, x[j] - delta)
-            hi = min(slack, x[j] + delta)
-            best = _golden_max(fj, lo, hi)
-            x[3] = slack - best
-            x[j] = best
-    return x
-
-
-def solve_cutset_symmetric(grid_n: int = 101) -> float:
+def solve_cutset_symmetric() -> float:
     """Cut-set symmetric rate: max-min over all 4-atom input joints."""
-    return _cutset_symmetric_search(grid_n)[0]
+    return cutset_symmetric_argmax()[0]
 
 
-def cutset_symmetric_argmax(grid_n: int = 101) -> tuple[float, np.ndarray]:
-    """Cut-set symmetric rate together with the optimizing input joint."""
-    return _cutset_symmetric_search(grid_n)
+def cutset_symmetric_argmax() -> tuple[float, np.ndarray]:
+    """Cut-set symmetric rate together with the optimizing input joint.
 
-
-def _cutset_symmetric_search(grid_n: int) -> tuple[float, np.ndarray]:
-    best_val = -np.inf
-    best_joint = None
-    for joint in _simplex_grid(grid_n):
-        vals = _cutset_symmetric_value(joint)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_joint = joint[i]
-    refined = _refine_cutset(best_joint, step=1.0 / (grid_n - 1))
-    val = float(_cutset_symmetric_value(refined)[0])
-    if val >= best_val:
-        return val, refined
-    return best_val, best_joint
+    min(c1, c2, c3 / 2) is concave in the joint and kept by the flip
+    (x1, x2) -> (1 - x1, 1 - x2) and by the swap X1 <-> X2, so averaging an
+    optimal joint over both gives an optimal joint (a, b, b, a).  Golden
+    section searches a in [0, 1/2].
+    """
+    a, value = _golden_max(
+        lambda a, rows: _cutset_symmetric_value(_cutset_joint(a, 0.5)), np.zeros(1), np.full(1, 0.5)
+    )
+    return float(value[0]), _cutset_joint(a, 0.5)[0]

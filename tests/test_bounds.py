@@ -27,9 +27,9 @@ from macfb.bounds import (
 from macfb._budget import BudgetExceededError
 from macfb.channel import Channel, info_quantities
 from macfb.feasible import InvalidTripleError, UTriple, sample_triples, u_triple_of
-from macfb import geometry
+from macfb import _kernels, geometry
 from macfb.geometry import pareto_filter, support_value
-from macfb.infofn import DomainError, binary_entropy, f2, phi
+from macfb.infofn import DomainError, binary_entropy, f2, mu_fn, phi
 
 LOG2_3 = math.log2(3.0)
 H_QUARTER = 2.0 - 0.75 * LOG2_3  # h(1/4)
@@ -231,9 +231,12 @@ class TestRegionBoundaries:
 
 
 # Support of every region at grid 21, at every 10th of the 181 sweep
-# directions, as computed by the per-direction scalar Nelder-Mead refinement
-# (scipy.optimize.minimize) that the batched search replaced.  The coarse grids
-# of the refinement do not depend on grid_n, so grid 21 runs all of it.
+# directions.  Most values are those of the per-direction scalar Nelder-Mead
+# refinement (scipy.optimize.minimize) that this package used before; the
+# nested golden-section solve lies at most 3.3e-13 below them anywhere.  The
+# dbpc1 values at k = 10 and 20, dbpc2 at k = 160 and 170 and dbpc at all four
+# are the solve's own: the old refinement stopped short of them by up to
+# 9.0e-5.  The solve does not depend on grid_n, so grid 21 runs all of it.
 FROZEN_SUPPORTS_21 = {
     "cutset": [
         0.5000000000000009, 0.48987825490598724, 0.4806089919196736,
@@ -245,7 +248,7 @@ FROZEN_SUPPORTS_21 = {
         0.5000000000000009,
     ],
     "dbpc1": [
-        0.5, 0.48971110889296793, 0.4802517121487304,
+        0.5, 0.489800754400129, 0.48026806562509894,
         0.47158779238935794, 0.46402744608890556, 0.45799100814486043,
         0.45413003657070733, 0.45355925175033396, 0.45464813719405756,
         0.45573702263778115, 0.4568259080815048, 0.4579147935252284,
@@ -259,16 +262,16 @@ FROZEN_SUPPORTS_21 = {
         0.459003678968952, 0.45791479352522846, 0.4568259080815048,
         0.45573702263778115, 0.4546481371940575, 0.45355925175033396,
         0.45413003657070733, 0.45799100814486043, 0.46402744608890556,
-        0.4715877923893579, 0.4802517121487304, 0.489711108892968,
+        0.4715877923893579, 0.48026806562509894, 0.48980075440012905,
         0.5,
     ],
     "dbpc": [
-        0.5, 0.48971110889296887, 0.48025171214873086,
+        0.5, 0.48980075440012966, 0.48026806562509944,
         0.47158779238935983, 0.46402744608890656, 0.4579910081448597,
         0.4541300365707084, 0.4533027829181226, 0.45330278291812254,
         0.45330278291812254, 0.45330278291812254, 0.45330278291812254,
         0.45413003657070716, 0.4579910081448597, 0.46402744608890567,
-        0.47158779238935716, 0.480251712148731, 0.48971110889296865,
+        0.47158779238935716, 0.48026806562509966, 0.4898007544001298,
         0.5,
     ],
     "cover-leung": [
@@ -301,25 +304,69 @@ FROZEN_SUPPORTS_21 = {
 }
 
 
-FAMILIES = {
-    "dbpc": lambda: bounds._db_family(False),
-    "cutset": bounds._cutset_family,
+# test id -> solver family
+BATCH_FAMILIES = {"cutset": "cutset", "dbpc": "dbpc1"}
+
+
+def _solve(family, rows):
+    """Solve the sweep directions ``rows`` of a family on their own."""
+    caps_of, x_hi = bounds._FAMILIES[family]
+    return bounds._solve(caps_of, x_hi, SWEEP_LAMBDAS[rows])
+
+
+def _grid_supports(a, b, c):
+    """Best pentagon support over grid caps (a, b, c) in each sweep direction."""
+    x_max, y_max = np.minimum(a, c), np.minimum(b, c)
+    y_at_x = np.maximum(np.minimum(b, c - x_max), 0.0)
+    x_at_y = np.maximum(np.minimum(a, c - y_max), 0.0)
+    return np.array([
+        max((lam * x_max + (1.0 - lam) * y_at_x).max(), (lam * x_at_y + (1.0 - lam) * y_max).max())
+        for lam in SWEEP_LAMBDAS
+    ])
+
+
+def _box(n, hi):
+    g = np.linspace(0.0, hi, n)
+    return (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
+
+
+def _dbpc1_grid_caps():
+    """dbpc1 caps on a 41^3 grid over P in (u1, u2, u)."""
+    u1, u2 = _box(41, 0.25)
+    w = np.linspace(0.0, 1.0, 41)[:, None]
+    lo = f2(2.0 * u1, 2.0 * u2)
+    u = (lo + w * (1.0 - (u1 + u2) - lo)).ravel()
+    return _old_db_caps(np.tile(u1, 41), np.tile(u2, 41), u, False)
+
+
+def _cutset_grid_caps():
+    """Cut-set caps on the 31-lattice of full 4-atom joints."""
+    stats = _kernels.cutset_stats(np.concatenate(list(bounds._simplex_grid(31))), _kernels.KIND_NOISY)
+    return stats[:, 0], stats[:, 1], stats[:, 2]
+
+
+def _cover_leung_grid_caps():
+    """Cover-Leung caps on a 101^2 grid of the (u1, u2) box."""
+    u1, u2 = _box(101, 0.25)
+    return (
+        0.5 * binary_entropy(phi(2.0 * u1)),
+        0.5 * binary_entropy(phi(2.0 * u2)),
+        binary_entropy((1.0 - f2(2.0 * u1, 2.0 * u2)) / 2.0),
+    )
+
+
+def _erasure_grid_caps():
+    """Pair-form erasure feedback caps on a 101^2 grid of the (u1, u2) box."""
+    u1, u2 = _box(101, 0.25)
+    return binary_entropy(phi(2.0 * u1)), binary_entropy(phi(2.0 * u2)), mu_fn(f2(2.0 * u1, 2.0 * u2))
+
+
+GRID_CAPS = {
+    "dbpc1": _dbpc1_grid_caps,
+    "cutset": _cutset_grid_caps,
+    "cover-leung": _cover_leung_grid_caps,
+    "erasure-fb": _erasure_grid_caps,
 }
-
-
-def _solve(family, lam, x0, rows):
-    """Refine the problems ``rows`` of a family on their own."""
-    fun = family.neg_support(lam[rows])
-    return bounds._refine(fun, x0[rows], family.lo, family.hi, family.step0)
-
-
-@pytest.fixture(scope="module", params=sorted(FAMILIES))
-def family_batch(request):
-    family = FAMILIES[request.param]()
-    lam = np.repeat(SWEEP_LAMBDAS, 2)
-    x0 = family.coarse_params[family.seeds(SWEEP_LAMBDAS, 2).ravel()]
-    x, f = _solve(family, lam, x0, np.arange(len(lam)))
-    return family, lam, x0, x, f
 
 
 class TestRefinement:
@@ -339,47 +386,96 @@ class TestRefinement:
         assert np.all(got >= frozen - 1e-12), (got - frozen).min()
         assert np.all(got <= frozen + 1e-3), (got - frozen).max()
 
-    def test_batch_reversed_is_bitwise_identical(self, family_batch):
-        family, lam, x0, x, f = family_batch
-        rows = np.arange(len(lam))[::-1]
-        xr, fr = _solve(family, lam, x0, rows)
-        np.testing.assert_array_equal(xr, x[rows])
-        np.testing.assert_array_equal(fr, f[rows])
+    def test_dbpc1_reaches_witness(self):
+        # a triple on P's lower face with u2 just below 1/4, where the old
+        # refinement stopped 8.9e-5 short
+        lam = 10 / 180
+        t = UTriple(0.0551, 0.2498, f2(0.1102, 0.4996))
+        assert db_pc1_constraints(t).support(lam) == pytest.approx(0.48980041, abs=1e-8)
+        assert support_value(region_boundary(RegionSpec(Region.DBPC1, 21)), lam) >= 0.48980041
 
-    def test_batch_subset_is_bitwise_identical(self, family_batch):
-        family, lam, x0, x, f = family_batch
-        rows = np.array([361, 0, 181, 180, 37, 74, 300])
-        xs, fs = _solve(family, lam, x0, rows)
-        np.testing.assert_array_equal(xs, x[rows])
-        np.testing.assert_array_equal(fs, f[rows])
-        for r in rows[:2]:
-            xo, fo = _solve(family, lam, x0, np.array([r]))
-            np.testing.assert_array_equal(xo[0], x[r])
-            np.testing.assert_array_equal(fo[0], f[r])
+    @pytest.mark.parametrize("family", sorted(GRID_CAPS))
+    def test_solution_beats_independent_grid(self, family):
+        got = bounds._solution(family)[2]
+        best = _grid_supports(*GRID_CAPS[family]())
+        assert np.all(got >= best - 1e-12), (got - best).min()
+
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    def test_batch_reversed_is_bitwise_identical(self, name):
+        family = BATCH_FAMILIES[name]
+        rows = np.arange(len(SWEEP_LAMBDAS))[::-1]
+        for got, full in zip(_solve(family, rows), bounds._solution(family)):
+            np.testing.assert_array_equal(got, full[rows])
+
+    @pytest.mark.parametrize("name", sorted(BATCH_FAMILIES))
+    def test_batch_subset_is_bitwise_identical(self, name):
+        family = BATCH_FAMILIES[name]
+        solution = bounds._solution(family)
+        for rows in ([180, 0, 90, 10, 37, 170, 5], [10]):
+            for got, full in zip(_solve(family, np.array(rows)), solution):
+                np.testing.assert_array_equal(got, full[rows])
 
     def test_toy_optimum_on_box_face(self):
-        # squared distance to a target, evaluated on clipped parameters as the
-        # region families are; targets outside the box have their optimum at
-        # the nearest point of a face or corner
-        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 2.0])
-        target = np.array([[0.3, 0.7], [1.6, 0.5], [0.4, -0.8], [-0.5, 3.0], [1.25, 2.25]])
+        # concave parabolas peaking inside, on and beyond the ends of [lo, hi]
+        lo = np.array([0.0, 0.0, 0.0, -1.0, 0.0, 0.2])
+        hi = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 0.2])
+        peak = np.array([0.3, 1.0, 1.7, -1.5, 0.0, 0.5])
 
         def fun(x, rows):
-            return ((np.clip(x, lo, hi) - target[rows]) ** 2).sum(axis=1)
+            return -((x - peak[rows]) ** 2)
 
-        x0 = np.array([[0.5, 1.0], [0.9, 1.9], [0.0, 0.0], [1.0, 2.0], [0.2, 0.3]])
-        x, f = bounds._refine(fun, x0, lo, hi, step0=0.1)
-        best = np.clip(target, lo, hi)
-        assert np.all((x >= lo) & (x <= hi))
-        np.testing.assert_allclose(x, best, atol=1e-6)
-        np.testing.assert_allclose(f, ((best - target) ** 2).sum(axis=1), atol=1e-12)
+        x, f = bounds._golden_max(fun, lo, hi)
+        best = np.clip(peak, lo, hi)
+        at_end = (best == lo) | (best == hi)
+        np.testing.assert_array_equal(x[at_end], best[at_end])
+        np.testing.assert_array_equal(f[at_end], fun(best, np.arange(6))[at_end])
+        np.testing.assert_allclose(x, best, atol=1e-7)
+        np.testing.assert_allclose(f, fun(best, np.arange(6)), atol=1e-14)
+        # both levels of the nested solve: the support rises with x and y,
+        # so the optimum is the corner (x_hi, 1)
+        lams = np.array([0.1, 0.5, 0.9])
+        xs, ys, fs = bounds._solve(lambda x, y: (x, y, np.full_like(x, np.inf)), 0.5, lams)
+        np.testing.assert_array_equal(xs, 0.5)
+        np.testing.assert_array_equal(ys, 1.0)
+        np.testing.assert_array_equal(fs, lams * 0.5 + (1.0 - lams))
 
 
-SEED_FAMILIES = {
-    **FAMILIES,
-    "cover-leung": lambda: bounds._box_family(bounds._cl_caps, (0.25, 0.25), coarse_n=101),
-    "erasure-fb": lambda: bounds._box_family(bounds._erasure_caps, (0.25, 0.25), coarse_n=101),
-}
+class TestReductions:
+    """Each step that reduces a region family to the solver's two variables."""
+
+    def test_lower_face_point_dominates_triple(self, rng):
+        u1, u2, u = np.array(sample_triples(5000, rng)).T
+        v = np.minimum(u, 0.5)
+        span = v * (1.0 - v)
+        # span = 0 only at v = 0, where u1 = 0 too
+        y = np.divide(u1, span, out=np.zeros_like(u1), where=span > 0.0)
+        face = bounds._db_face_caps(v, y)
+        for f, t in zip(face, _old_db_caps(u1, u2, u, False)):
+            assert np.all(f >= t - 1e-12), (f - t).min()
+
+    def test_cutset_flip_keeps_caps(self, rng):
+        joint = rng.dirichlet(np.full(4, 0.5), 2000)
+        flip = joint[:, ::-1]
+        caps = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
+        caps_flip = _kernels.cutset_stats(flip, _kernels.KIND_NOISY)
+        np.testing.assert_allclose(caps_flip, caps, rtol=0.0, atol=1e-12)
+        sym = 0.5 * (joint + flip)
+        caps_sym = _kernels.cutset_stats(sym, _kernels.KIND_NOISY)
+        assert np.all(caps_sym >= 0.5 * (caps + caps_flip) - 1e-12)
+        # the symmetrized joint is the solver's joint at (s, y)
+        s = sym[:, 0]
+        y = sym[:, 1] / (1.0 - 2.0 * s)
+        np.testing.assert_allclose(bounds._cutset_joint(s, y), sym, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(np.stack(bounds._cutset_caps(s, y), axis=1), caps_sym, rtol=0.0, atol=1e-12)
+
+    def test_erasure_sum_cap_maximized_over_band(self, rng):
+        u1, u2, u = np.array(sample_triples(5000, rng)).T
+        lo = f2(2.0 * u1, 2.0 * u2)
+        assert np.all(np.maximum(1.0 / 3.0, lo) <= 1.0 - (u1 + u2))
+        a, b, c = bounds._erasure_band_caps(u1, u2)
+        assert np.all(c >= mu_fn(u) - 1e-12)
+        np.testing.assert_array_equal(a, binary_entropy(phi(2.0 * u1)))
+        np.testing.assert_array_equal(b, binary_entropy(phi(2.0 * u2)))
 
 
 def _old_db_caps(u1, u2, u, mirror):
@@ -404,9 +500,14 @@ def _old_sweep_db(grid_n, mirror):
     return np.concatenate(chunks, axis=0)
 
 
+def _dbpc1_points(grid_n):
+    """The unfiltered dbpc1 points: the sweep and the solved corners."""
+    return np.concatenate([bounds._sweep_db(grid_n, False), bounds._solved_points("dbpc1")])
+
+
 def _old_intersection_curve(grid_n):
     """The dbpc intersection with both curves filtered and one support scan per direction."""
-    pts = bounds._dbpc_points(grid_n)
+    pts = _dbpc1_points(grid_n)
     c1, c2 = pareto_filter(pts), pareto_filter(pts[:, ::-1])
     lams = SWEEP_LAMBDAS
     m = np.array([min(support_value(c1, l), support_value(c2, l)) for l in lams])
@@ -427,40 +528,13 @@ def _old_intersection_curve(grid_n):
 class TestGridPhase:
     """The grid-phase shortcuts give bitwise the arrays of the plain computations."""
 
-    @pytest.mark.parametrize("name", sorted(SEED_FAMILIES))
-    def test_seeds_match_full_argsort(self, name):
-        family = SEED_FAMILIES[name]()
-        a, b, c = family.coarse_caps
-        x_max = np.minimum(a, c)
-        y_at_x = np.clip(np.minimum(b, c - x_max), 0.0, None)
-        y_max = np.minimum(b, c)
-        x_at_y = np.clip(np.minimum(a, c - y_max), 0.0, None)
-        expected, ties = [], 0
-        for lam in SWEEP_LAMBDAS:
-            vals = np.maximum(lam * x_max + (1.0 - lam) * y_at_x, lam * x_at_y + (1.0 - lam) * y_max)
-            expected.append(np.argsort(vals)[-2:])
-            ties += bool(np.any(np.diff(np.sort(vals)[-3:]) <= 0.0))
-        np.testing.assert_array_equal(family.seeds(SWEEP_LAMBDAS, 2), np.array(expected))
-        if name == "dbpc":
-            # both the partial sort and the fallback to the full sort are exercised
-            assert 0 < ties < len(SWEEP_LAMBDAS)
-
     @pytest.mark.parametrize("mirror", [False, True])
     def test_sweep_db_matches_plain_sweep(self, mirror):
         np.testing.assert_array_equal(bounds._sweep_db(21, mirror), _old_sweep_db(21, mirror))
 
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_db_param_caps_match_plain_caps(self, rng, mirror):
-        u1, u2, w = rng.uniform(0.0, 1.0, (3, 5000)) * np.array([[0.25], [0.25], [1.0]])
-        lo = f2(2.0 * u1, 2.0 * u2)
-        got = bounds._db_param_caps(u1, u2, w, mirror)
-        expected = _old_db_caps(u1, u2, lo + w * (1.0 - (u1 + u2) - lo), mirror)
-        for g, e in zip(got, expected):
-            np.testing.assert_array_equal(g, e)
-
     def test_dbpc2_is_mirrored_dbpc1(self):
         c1, c2 = bounds._dbpc_curves(21)
-        np.testing.assert_array_equal(c2.points, pareto_filter(bounds._dbpc_points(21)[:, ::-1]).points)
+        np.testing.assert_array_equal(c2.points, pareto_filter(_dbpc1_points(21)[:, ::-1]).points)
         assert (c1.label, c2.label) == ("dbpc1", "dbpc2")
 
     def test_intersection_matches_per_direction_loop(self):

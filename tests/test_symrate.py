@@ -88,6 +88,13 @@ class TestCutsetSymmetric:
         assert value == pytest.approx(0.5 * binary_entropy(1 / 3), abs=1e-4)
         assert joint[0] == pytest.approx(joint[3], abs=1e-2)
 
+    def test_reaches_symmetric_optimum(self):
+        # both symmetries put an optimum on (a, b, b, a); the old lattice
+        # search stopped 1.05e-5 below h(1/3)/2 at an asymmetric joint
+        value, joint = cutset_symmetric_argmax()
+        assert value >= 0.5 * binary_entropy(1 / 3) - 1e-12
+        np.testing.assert_allclose(joint, [1 / 3, 1 / 6, 1 / 6, 1 / 3], atol=1e-9)
+
     def test_independent_uniform_is_suboptimal(self):
         from macfb.channel import cutset_quantities
 
