@@ -3,7 +3,12 @@
 Semantics match ``macfb.channel`` (the same entropy-difference definitions),
 computed in numpy for a whole batch at once.  ``input_stats`` and
 ``cutset_stats`` are looked up on this module at call time, so a caller may
-wrap them here.  Batches are processed in chunks to bound memory.
+wrap them here.
+
+Both kernels lay their tables out with the batch axis last and work in
+chunks of rows.  Every entropy adds its terms in a fixed order
+(:func:`_sum_rows`), so each row gets the same bits whatever batch, chunk or
+position it comes in.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import numpy as np
 
 #: rows per ``input_stats`` chunk, small enough that a chunk's tables stay in the CPU cache
 CHUNK = 1 << 12
-#: rows per ``cutset_stats`` chunk; smaller chunks measured slower over the region sweeps
+#: rows per ``cutset_stats`` chunk.  The kernel runs as fast in ``CHUNK`` rows, but
+#: freeing these larger tables raises glibc's malloc thresholds, and that made the
+#: dbpc sweep run after the cut-set sweep about 0.5 s faster at grid 201
 CUTSET_CHUNK = 1 << 16
 
 KIND_NOISY = 0
@@ -68,12 +75,33 @@ def _atoms(kind: int):
     return x1, x2, trans[x1, x2, y], _grouping(x1 * ny + y), _grouping(x2 * ny + y), _grouping(y)
 
 
+def _plogp(table: np.ndarray) -> np.ndarray:
+    """``p log2 p`` elementwise, 0 where ``p = 0``."""
+    logs = np.log2(table, out=np.zeros_like(table), where=table > 0.0)
+    logs *= table
+    return logs
+
+
+def _sum_rows(table: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum over one axis, one row after another, whatever the batch size.
+
+    With a batch axis (the last) longer than one, numpy's ``sum`` adds the
+    rows in this order.  A batch of one is a single column, which numpy sums
+    pairwise, so that a row would round differently alone than in a batch;
+    it is added row by row here instead.
+    """
+    if table.shape[-1] > 1:
+        return table.sum(axis=axis)
+    rows = np.moveaxis(table, axis, 0)
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc += row
+    return acc
+
+
 def _entropy(table: np.ndarray) -> np.ndarray:
     """Entropy over all axes but the last (batch) axis."""
-    flat = table.reshape(-1, table.shape[-1])
-    logs = np.log2(flat, out=np.zeros_like(flat), where=flat > 0.0)
-    logs *= flat
-    return -logs.sum(axis=0)
+    return -_sum_rows(_plogp(table.reshape(-1, table.shape[-1])))
 
 
 def _marginal(atoms: np.ndarray, grouping) -> np.ndarray:
@@ -110,7 +138,7 @@ def _input_stats_chunk(p, q1, q2, atoms):
     full = w[x1, x2] * value[:, None, None]  # P(t, x1, x2, y) on the nonzero atoms, (A, K, n)
     tx1y = _marginal(full, by_x1y)
     tx2y = _marginal(full, by_x2y)
-    x1x2y = full.sum(axis=1)
+    x1x2y = _sum_rows(full, axis=1)
 
     s_t = _entropy(p)
     s_tx1 = _entropy(tx1)
@@ -119,11 +147,11 @@ def _input_stats_chunk(p, q1, q2, atoms):
     s_tx1y = _entropy(tx1y)
     s_tx2y = _entropy(tx2y)
     s_x1x2y = _entropy(x1x2y)
-    s_x1x2 = _entropy(w.sum(axis=2))
-    s_x1y = _entropy(tx1y.sum(axis=1))
-    s_x2y = _entropy(tx2y.sum(axis=1))
-    s_x1 = _entropy(tx1.sum(axis=1))
-    s_x2 = _entropy(tx2.sum(axis=1))
+    s_x1x2 = _entropy(_sum_rows(w, axis=2))
+    s_x1y = _entropy(_sum_rows(tx1y, axis=1))
+    s_x2y = _entropy(_sum_rows(tx2y, axis=1))
+    s_x1 = _entropy(_sum_rows(tx1, axis=1))
+    s_x2 = _entropy(_sum_rows(tx2, axis=1))
     s_y = _entropy(_marginal(x1x2y, by_y))
 
     return (
@@ -138,44 +166,51 @@ def _input_stats_chunk(p, q1, q2, atoms):
     )
 
 
-def _entropy_rows(table: np.ndarray) -> np.ndarray:
-    """Entropy along all axes but the first (batch) axis.
+def _cell_sum(t: np.ndarray) -> np.ndarray:
+    """``t[x1, x2]`` summed over the four cells as ``(01 + 10) + 00 + 11``, an order the swap X1 <-> X2 keeps."""
+    return (t[0, 1] + t[1, 0]) + t[0, 0] + t[1, 1]
 
-    ``cutset_stats`` keeps this form: the region sweeps and their frozen
-    supports depend on its exact rounding.
+
+def _cell_entropy(table: np.ndarray) -> np.ndarray:
+    """Entropy of a table ``P(x1, x2, ...)`` with the batch axis last.
+
+    Each cell ``(x1, x2)`` is summed on its own, then the cells by
+    :func:`_cell_sum`, so the entropy of a joint and of its swap are bitwise
+    equal.
     """
-    flat = table.reshape(table.shape[0], -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(flat > 0.0, -flat * np.log2(np.where(flat > 0.0, flat, 1.0)), 0.0)
-    return terms.sum(axis=1)
+    logs = _plogp(table.reshape(2, 2, -1, table.shape[-1]))
+    return -_cell_sum(_sum_rows(logs, axis=2))
 
 
 def cutset_stats(joint: np.ndarray, kind: int = KIND_NOISY) -> np.ndarray:
     """Batch (I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y)) for 4-atom input joints.
 
-    ``joint`` has shape (n, 4) holding (P(00), P(01), P(10), P(11)).
+    ``joint`` has shape (n, 4) holding (P(00), P(01), P(10), P(11)).  Both
+    transition tables are symmetric in (x1, x2), and every sum here is taken
+    in a swap-symmetric order, so the row of (a, c, b, d) is the row of
+    (a, b, c, d) with its first two columns swapped, bit for bit.
     """
-    joint = np.ascontiguousarray(joint, dtype=float)
-    n = joint.shape[0]
-    trans = _transition(kind)
-    out = np.empty((n, 3))
+    # batch axis last and contiguous: P(x1, x2), (2, 2, n)
+    w = np.ascontiguousarray(np.transpose(joint), dtype=float).reshape(2, 2, -1)
+    n = w.shape[2]
+    trans = _transition(kind)[..., None]
+    out = np.empty((3, n))
     for start in range(0, n, CUTSET_CHUNK):
         sl = slice(start, min(start + CUTSET_CHUNK, n))
-        out[sl] = _cutset_chunk(joint[sl], trans)
-    return out
+        out[:, sl] = _cutset_chunk(w[..., sl], trans)
+    return out.T
 
 
-def _cutset_chunk(joint, trans):
-    w = joint.reshape(-1, 2, 2)
-    law = w[..., None] * trans[None, ...]  # (n, 2, 2, Y)
-    s_x1x2y = _entropy_rows(law)
-    s_x1x2 = _entropy_rows(w)
-    s_x1y = _entropy_rows(law.sum(axis=2))
-    s_x2y = _entropy_rows(law.sum(axis=1))
-    s_x1 = _entropy_rows(w.sum(axis=2))
-    s_x2 = _entropy_rows(w.sum(axis=1))
-    s_y = _entropy_rows(law.sum(axis=(1, 2)))
+def _cutset_chunk(w, trans):
+    law = w[:, :, None] * trans  # P(x1, x2, y), (2, 2, Y, n)
+    s_x1x2y = _cell_entropy(law)
+    s_x1x2 = _cell_entropy(w)
+    s_x1y = _entropy(law[:, 0] + law[:, 1])
+    s_x2y = _entropy(law[0] + law[1])
+    s_x1 = _entropy(w[:, 0] + w[:, 1])
+    s_x2 = _entropy(w[0] + w[1])
+    s_y = _entropy(_cell_sum(law))
     i1 = (s_x1x2 - s_x2) - (s_x1x2y - s_x2y)
     i2 = (s_x1x2 - s_x1) - (s_x1x2y - s_x1y)
     isum = s_y - (s_x1x2y - s_x1x2)
-    return np.stack([i1, i2, isum], axis=1)
+    return i1, i2, isum

@@ -20,7 +20,12 @@ box without losing its optimum:
 
 Maximizing over y keeps concavity in x, so a golden-section search over x,
 whose every step runs a golden-section search over y, finds the optimum.  All
-181 directions are solved together as numpy rows by :func:`_golden_max`.
+181 directions are solved together as numpy rows by :func:`_golden_max`.  It
+looks one step ahead: each call evaluates a step's new point together with
+both points the next step can ask for, so it takes two steps per call and
+visits exactly the points of plain golden section.  The outer search passes
+its three points per direction to one inner search, so a family's solve
+makes about 850 cap calls instead of about 3,200.
 
 The grid phase skips work without changing its result.  Each Pareto filter of
 a sweep-sized point set first drops the points that a point in an r1-bin
@@ -281,40 +286,37 @@ def _pareto_points(pts: np.ndarray) -> np.ndarray:
     return pareto_filter(pts).points
 
 
-def _db_fixed_caps(u1: np.ndarray, u2: np.ndarray, mirror: bool):
-    """The u-independent parts of the dependence-balance caps.
+def _db_fixed_caps(u1: np.ndarray, u2: np.ndarray):
+    """The u-independent parts of the dependence-balance caps (genie = X1).
 
-    Returns h(phi(2 u_g)) of the input the genie reveals (u1, or u2 when
-    ``mirror``) and h(phi(2 u_o)) / 2 of the other input.
+    Returns h(phi(2 u1)) of the input the genie reveals and h(phi(2 u2)) / 2
+    of the other input.
     """
-    genie, other = (u2, u1) if mirror else (u1, u2)
-    return binary_entropy(phi(2.0 * genie)), 0.5 * binary_entropy(phi(2.0 * other))
+    return binary_entropy(phi(2.0 * u1)), 0.5 * binary_entropy(phi(2.0 * u2))
 
 
-def _db_caps(fixed, u: np.ndarray, mirror: bool):
-    """Vectorized caps of the dependence-balance pentagon family at ``u``.
+def _db_caps(fixed, u: np.ndarray):
+    """Vectorized caps of the dbpc1 pentagon family at ``u``.
 
     ``fixed`` is :func:`_db_fixed_caps` of the same (u1, u2).
     """
     h_genie, half_other = fixed
     capped = np.minimum(0.5 * binary_entropy(u), h_genie)
     csum = binary_entropy((1.0 - u) / 2.0)
-    if mirror:
-        return half_other, capped, csum
     return capped, half_other, csum
 
 
-def _sweep_db(grid_n: int, mirror: bool) -> np.ndarray:
+def _sweep_db(grid_n: int) -> np.ndarray:
     check_size(grid_n**3, "dbpc sweep")
     g = np.linspace(0.0, 0.25, grid_n)
     u1, u2 = np.meshgrid(g, g, indexing="ij")
     u1, u2 = u1.ravel(), u2.ravel()
     lo = f2(2.0 * u1, 2.0 * u2)
     span = 1.0 - (u1 + u2) - lo
-    fixed = _db_fixed_caps(u1, u2, mirror)
+    fixed = _db_fixed_caps(u1, u2)
     chunks = []
     for w in np.linspace(0.0, 1.0, grid_n):
-        a, b, c = _db_caps(fixed, lo + w * span, mirror)
+        a, b, c = _db_caps(fixed, lo + w * span)
         chunks.append(_pareto_points(_corner_points(a, b, c)))
     return np.concatenate(chunks, axis=0)
 
@@ -371,36 +373,67 @@ _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _TOL = 1e-11
 
 
+def _golden_step(a, b, c, d, fc, fd, act):
+    """One golden-section update of the brackets of rows ``act``, in place.
+
+    Returns the mask of the rows, among ``act``, that moved left: their new
+    point is ``c``, the others' is ``d``.  The new point's value is not set.
+    """
+    left = fc[act] >= fd[act]
+    l, r = act[left], act[~left]
+    b[l], d[l], fd[l] = d[l], c[l], fc[l]
+    c[l] = b[l] - _GOLD * (b[l] - a[l])
+    a[r], c[r], fc[r] = c[r], d[r], fd[r]
+    d[r] = a[r] + _GOLD * (b[r] - a[r])
+    return left
+
+
+def _evaluate(fun, points, rows):
+    """``fun`` at several arrays of points in one call, split back per array."""
+    ends = np.cumsum([len(x) for x in points])[:-1]
+    return np.split(fun(np.concatenate(points), np.concatenate(rows)), ends)
+
+
 def _golden_max(fun, lo: np.ndarray, hi: np.ndarray, tol: float = _TOL) -> tuple[np.ndarray, np.ndarray]:
     """Maximum of a unimodal function over [lo, hi], one problem per row.
 
     ``fun(x, rows)`` returns the objective of problems ``rows`` at ``x``.
     Golden section shrinks each bracket to at most ``tol``; the answer is the
     best of the two last interior points and the two ends, so an optimum on
-    an end is found exactly.  Every step evaluates only the problems still
+    an end is found exactly.  Every call evaluates only the problems still
     active, each on its own row, so a problem's result does not depend on the
     rest of the batch.  Returns the maximizers and their values.
+
+    The search looks one step ahead.  A step's new point is known before its
+    value, and the step after it can only ask for ``d - G (d - a)`` (if it
+    moves left) or ``c + G (b - c)`` (if it moves right).  So each call
+    evaluates the new point together with both candidates, and two steps are
+    taken per call.  The candidates are computed by the same expressions as
+    the step, so every problem visits exactly the points, and returns exactly
+    the result, of plain golden section in about half the calls.
     """
     every = np.arange(len(lo))
     a, b = lo.copy(), hi.copy()
     c = b - _GOLD * (b - a)
     d = a + _GOLD * (b - a)
-    fc, fd = fun(c, every), fun(d, every)
+    fc, fd = _evaluate(fun, [c, d], [every, every])
     act = np.flatnonzero(b - a > tol)
+    left = _golden_step(a, b, c, d, fc, fd, act)
     while act.size:
-        left = fc[act] >= fd[act]
-        l, r = act[left], act[~left]
-        b[l], d[l], fd[l] = d[l], c[l], fc[l]
-        c[l] = b[l] - _GOLD * (b[l] - a[l])
-        a[r], c[r], fc[r] = c[r], d[r], fd[r]
-        d[r] = a[r] + _GOLD * (b[r] - a[r])
-        fv = fun(np.where(left, c[act], d[act]), act)
-        fc[l], fd[r] = fv[left], fv[~left]
-        act = act[b[act] - a[act] > tol]
-    xs = np.stack([c, d, lo, hi])
-    fs = np.stack([fc, fd, fun(lo, every), fun(hi, every)])
+        # act: the rows whose last step's point is still unevaluated
+        nxt = act[b[act] - a[act] > tol]
+        x = np.where(left, c[act], d[act])
+        to_left = d[nxt] - _GOLD * (d[nxt] - a[nxt])
+        to_right = c[nxt] + _GOLD * (b[nxt] - c[nxt])
+        fx, f_left, f_right = _evaluate(fun, [x, to_left, to_right], [act, nxt, nxt])
+        fc[act[left]], fd[act[~left]] = fx[left], fx[~left]
+        went = _golden_step(a, b, c, d, fc, fd, nxt)
+        fc[nxt[went]], fd[nxt[~went]] = f_left[went], f_right[~went]
+        act = nxt[b[nxt] - a[nxt] > tol]
+        left = _golden_step(a, b, c, d, fc, fd, act)
+    fs = np.stack([fc, fd, *_evaluate(fun, [lo, hi], [every, every])])
     k = np.argmax(fs, axis=0)
-    return xs[k, every], fs[k, every]
+    return np.stack([c, d, lo, hi])[k, every], fs[k, every]
 
 
 def _solve(caps_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,7 +471,7 @@ def _db_face_caps(u: np.ndarray, y: np.ndarray):
     # den = 0 only at u = 1/2, where u2 = 1/4
     ratio = np.divide((1.0 - 2.0 * u) ** 2, den, out=np.zeros_like(den), where=den > 0.0)
     u2 = np.clip(0.25 * (1.0 - ratio), 0.0, 0.25)
-    return _db_caps(_db_fixed_caps(u1, u2, False), u, False)
+    return _db_caps(_db_fixed_caps(u1, u2), u)
 
 
 def _cutset_joint(s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -531,7 +564,7 @@ def _dbpc_curves(grid_n: int) -> tuple[BoundaryCurve, BoundaryCurve]:
     with r1 and r2 swapped, read in reverse order.  Both are cached, so their
     points are read-only.
     """
-    pts = np.concatenate([_sweep_db(grid_n, mirror=False), _solved_points("dbpc1")], axis=0)
+    pts = np.concatenate([_sweep_db(grid_n), _solved_points("dbpc1")], axis=0)
     c1 = pareto_filter(pts, label=Region.DBPC1.value)
     c1.points.flags.writeable = False
     return c1, BoundaryCurve(points=c1.points[::-1, ::-1], label=Region.DBPC2.value)

@@ -314,6 +314,31 @@ def _solve(family, rows):
     return bounds._solve(caps_of, x_hi, SWEEP_LAMBDAS[rows])
 
 
+def _plain_golden_max(fun, lo, hi, tol=bounds._TOL):
+    """Golden section one step per call: the reference the lookahead search must reproduce bitwise."""
+    gold = bounds._GOLD
+    every = np.arange(len(lo))
+    a, b = lo.copy(), hi.copy()
+    c = b - gold * (b - a)
+    d = a + gold * (b - a)
+    fc, fd = fun(c, every), fun(d, every)
+    act = np.flatnonzero(b - a > tol)
+    while act.size:
+        left = fc[act] >= fd[act]
+        l, r = act[left], act[~left]
+        b[l], d[l], fd[l] = d[l], c[l], fc[l]
+        c[l] = b[l] - gold * (b[l] - a[l])
+        a[r], c[r], fc[r] = c[r], d[r], fd[r]
+        d[r] = a[r] + gold * (b[r] - a[r])
+        fv = fun(np.where(left, c[act], d[act]), act)
+        fc[l], fd[r] = fv[left], fv[~left]
+        act = act[b[act] - a[act] > tol]
+    xs = np.stack([c, d, lo, hi])
+    fs = np.stack([fc, fd, fun(lo, every), fun(hi, every)])
+    k = np.argmax(fs, axis=0)
+    return xs[k, every], fs[k, every]
+
+
 def _grid_supports(a, b, c):
     """Best pentagon support over grid caps (a, b, c) in each sweep direction."""
     x_max, y_max = np.minimum(a, c), np.minimum(b, c)
@@ -336,7 +361,7 @@ def _dbpc1_grid_caps():
     w = np.linspace(0.0, 1.0, 41)[:, None]
     lo = f2(2.0 * u1, 2.0 * u2)
     u = (lo + w * (1.0 - (u1 + u2) - lo)).ravel()
-    return _old_db_caps(np.tile(u1, 41), np.tile(u2, 41), u, False)
+    return _old_db_caps(np.tile(u1, 41), np.tile(u2, 41), u)
 
 
 def _cutset_grid_caps():
@@ -367,6 +392,18 @@ GRID_CAPS = {
     "cover-leung": _cover_leung_grid_caps,
     "erasure-fb": _erasure_grid_caps,
 }
+
+
+def _toy_parabolas():
+    """Concave parabolas peaking inside, on and beyond the ends of [lo, hi]."""
+    lo = np.array([0.0, 0.0, 0.0, -1.0, 0.0, 0.2, 0.0])
+    hi = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 0.2, 1e-11])
+    peak = np.array([0.3, 1.0, 1.7, -1.5, 0.0, 0.5, 0.5])
+
+    def fun(x, rows):
+        return -((x - peak[rows]) ** 2)
+
+    return lo, hi, fun, peak
 
 
 class TestRefinement:
@@ -416,21 +453,15 @@ class TestRefinement:
                 np.testing.assert_array_equal(got, full[rows])
 
     def test_toy_optimum_on_box_face(self):
-        # concave parabolas peaking inside, on and beyond the ends of [lo, hi]
-        lo = np.array([0.0, 0.0, 0.0, -1.0, 0.0, 0.2])
-        hi = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 0.2])
-        peak = np.array([0.3, 1.0, 1.7, -1.5, 0.0, 0.5])
-
-        def fun(x, rows):
-            return -((x - peak[rows]) ** 2)
-
+        lo, hi, fun, peak = _toy_parabolas()
         x, f = bounds._golden_max(fun, lo, hi)
         best = np.clip(peak, lo, hi)
         at_end = (best == lo) | (best == hi)
         np.testing.assert_array_equal(x[at_end], best[at_end])
-        np.testing.assert_array_equal(f[at_end], fun(best, np.arange(6))[at_end])
+        every = np.arange(len(lo))
+        np.testing.assert_array_equal(f[at_end], fun(best, every)[at_end])
         np.testing.assert_allclose(x, best, atol=1e-7)
-        np.testing.assert_allclose(f, fun(best, np.arange(6)), atol=1e-14)
+        np.testing.assert_allclose(f, fun(best, every), atol=1e-14)
         # both levels of the nested solve: the support rises with x and y,
         # so the optimum is the corner (x_hi, 1)
         lams = np.array([0.1, 0.5, 0.9])
@@ -438,6 +469,51 @@ class TestRefinement:
         np.testing.assert_array_equal(xs, 0.5)
         np.testing.assert_array_equal(ys, 1.0)
         np.testing.assert_array_equal(fs, lams * 0.5 + (1.0 - lams))
+
+    def test_lookahead_matches_plain_golden_section(self):
+        lo, hi, fun, _ = _toy_parabolas()
+
+        def recorded(seen):
+            def f(x, rows):
+                seen.update(zip(rows.tolist(), x.tolist()))
+                return fun(x, rows)
+
+            return f
+
+        looked, plain = set(), set()
+        got = bounds._golden_max(recorded(looked), lo, hi)
+        want = _plain_golden_max(recorded(plain), lo, hi)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        # every point plain golden section visits, bit for bit
+        assert plain <= looked, sorted(plain - looked)[:5]
+        # a looser tolerance ends the rows after other numbers of steps
+        for g, w in zip(bounds._golden_max(fun, lo, hi, 1e-3), _plain_golden_max(fun, lo, hi, 1e-3)):
+            np.testing.assert_array_equal(g, w)
+
+    def test_solution_matches_plain_golden_section(self, monkeypatch):
+        caps_of, x_hi = bounds._FAMILIES["cover-leung"]
+        monkeypatch.setattr(bounds, "_golden_max", _plain_golden_max)
+        want = bounds._solve(caps_of, x_hi, SWEEP_LAMBDAS)
+        monkeypatch.undo()
+        for got, w in zip(bounds._solution("cover-leung"), want):
+            np.testing.assert_array_equal(got, w)
+
+    @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
+    def test_solve_call_count(self, family):
+        caps_of, x_hi = bounds._FAMILIES[family]
+        calls = 0
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return caps_of(x, y)
+
+        solution = bounds._solve(counted, x_hi, SWEEP_LAMBDAS)
+        # plain golden section at both levels made 3,135-3,249 calls
+        assert calls <= 900, calls
+        for got, full in zip(solution, bounds._solution(family)):
+            np.testing.assert_array_equal(got, full)
 
 
 class TestReductions:
@@ -450,7 +526,7 @@ class TestReductions:
         # span = 0 only at v = 0, where u1 = 0 too
         y = np.divide(u1, span, out=np.zeros_like(u1), where=span > 0.0)
         face = bounds._db_face_caps(v, y)
-        for f, t in zip(face, _old_db_caps(u1, u2, u, False)):
+        for f, t in zip(face, _old_db_caps(u1, u2, u)):
             assert np.all(f >= t - 1e-12), (f - t).min()
 
     def test_cutset_flip_keeps_caps(self, rng):
@@ -478,15 +554,14 @@ class TestReductions:
         np.testing.assert_array_equal(b, binary_entropy(phi(2.0 * u2)))
 
 
-def _old_db_caps(u1, u2, u, mirror):
-    """The dependence-balance caps written out in one piece."""
-    capped = np.minimum(0.5 * binary_entropy(u), binary_entropy(phi(2.0 * (u2 if mirror else u1))))
-    half_other = 0.5 * binary_entropy(phi(2.0 * (u1 if mirror else u2)))
-    csum = binary_entropy((1.0 - u) / 2.0)
-    return (half_other, capped, csum) if mirror else (capped, half_other, csum)
+def _old_db_caps(u1, u2, u):
+    """The dbpc1 caps written out in one piece."""
+    capped = np.minimum(0.5 * binary_entropy(u), binary_entropy(phi(2.0 * u1)))
+    half_other = 0.5 * binary_entropy(phi(2.0 * u2))
+    return capped, half_other, binary_entropy((1.0 - u) / 2.0)
 
 
-def _old_sweep_db(grid_n, mirror):
+def _old_sweep_db(grid_n):
     """The dbpc sweep with the caps of every slice computed in full and a plain lexsort filter."""
     g = np.linspace(0.0, 0.25, grid_n)
     u1, u2 = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
@@ -494,7 +569,7 @@ def _old_sweep_db(grid_n, mirror):
     hi = 1.0 - (u1 + u2)
     chunks = []
     for w in np.linspace(0.0, 1.0, grid_n):
-        pts = bounds._corner_points(*_old_db_caps(u1, u2, lo + w * (hi - lo), mirror))
+        pts = bounds._corner_points(*_old_db_caps(u1, u2, lo + w * (hi - lo)))
         pts = pts[geometry._lexsort_mask(pts)]
         chunks.append(pts[np.argsort(pts[:, 0])])
     return np.concatenate(chunks, axis=0)
@@ -502,7 +577,7 @@ def _old_sweep_db(grid_n, mirror):
 
 def _dbpc1_points(grid_n):
     """The unfiltered dbpc1 points: the sweep and the solved corners."""
-    return np.concatenate([bounds._sweep_db(grid_n, False), bounds._solved_points("dbpc1")])
+    return np.concatenate([bounds._sweep_db(grid_n), bounds._solved_points("dbpc1")])
 
 
 def _old_intersection_curve(grid_n):
@@ -528,9 +603,8 @@ def _old_intersection_curve(grid_n):
 class TestGridPhase:
     """The grid-phase shortcuts give bitwise the arrays of the plain computations."""
 
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_sweep_db_matches_plain_sweep(self, mirror):
-        np.testing.assert_array_equal(bounds._sweep_db(21, mirror), _old_sweep_db(21, mirror))
+    def test_sweep_db_matches_plain_sweep(self):
+        np.testing.assert_array_equal(bounds._sweep_db(21), _old_sweep_db(21))
 
     def test_dbpc2_is_mirrored_dbpc1(self):
         c1, c2 = bounds._dbpc_curves(21)

@@ -68,9 +68,9 @@ def _db_slices(grid_n):
     g = np.linspace(0.0, 0.25, grid_n)
     u1, u2 = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
     lo = f2(2.0 * u1, 2.0 * u2)
-    fixed = bounds._db_fixed_caps(u1, u2, False)
+    fixed = bounds._db_fixed_caps(u1, u2)
     for w in np.linspace(0.0, 1.0, grid_n):
-        yield bounds._corner_points(*bounds._db_caps(fixed, lo + w * (1.0 - (u1 + u2) - lo), False))
+        yield bounds._corner_points(*bounds._db_caps(fixed, lo + w * (1.0 - (u1 + u2) - lo)))
 
 
 class TestParetoPrefilter:

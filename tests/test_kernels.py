@@ -54,7 +54,49 @@ def test_cutset_kernel_matches_reference(rng, backend):
 
 def test_chunked_equals_unchunked(monkeypatch, rng):
     p, q1, q2 = random_batch(rng, 1000, 2)
+    joint = rng.dirichlet(np.ones(4), size=1000)
     full = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)
+    full_cutset = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
     monkeypatch.setattr(_kernels, "CHUNK", 7)
+    monkeypatch.setattr(_kernels, "CUTSET_CHUNK", 7)
     chunked = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)
     np.testing.assert_array_equal(full, chunked)
+    np.testing.assert_array_equal(_kernels.cutset_stats(joint, _kernels.KIND_NOISY), full_cutset)
+
+
+def _batches(rng):
+    """(name, kernel on rows i:j, n) for both kernels and channels and 1-3 values of T.
+
+    Each batch has n = chunk + 1 rows, so its last row is a one-row chunk.
+    """
+    batches = []
+    for kind in (_kernels.KIND_NOISY, _kernels.KIND_ERASURE):
+        joint = rng.dirichlet(np.ones(4), size=_kernels.CUTSET_CHUNK + 1)
+        joint[::5, 1] = 0.0
+        batches.append((f"cutset-{kind}", lambda i, j, joint=joint, kind=kind: _kernels.cutset_stats(
+            joint[i:j], kind), len(joint)))
+        for k in (1, 2, 3):
+            p, q1, q2 = zero_atom_batch(rng, _kernels.CHUNK + 1, k)
+            batches.append((f"input-{kind}-{k}", lambda i, j, p=p, q1=q1, q2=q2, kind=kind: _kernels.input_stats(
+                p[i:j], q1[i:j], q2[i:j], kind), len(p)))
+    return batches
+
+
+def test_rows_do_not_depend_on_the_batch(rng):
+    for name, kernel, n in _batches(rng):
+        batch = kernel(0, n)
+        for i in (0, 1, 100, n - 2, n - 1):
+            np.testing.assert_array_equal(kernel(i, i + 1), batch[i : i + 1], err_msg=f"{name} row {i} alone")
+        for i in (0, 100, n - 2):
+            np.testing.assert_array_equal(kernel(i, i + 2), batch[i : i + 2], err_msg=f"{name} rows {i}, {i + 1}")
+
+
+def test_cutset_swap_equivariant(rng):
+    # swapping X1 and X2 swaps the first two columns bit for bit, so swapped
+    # joints tie exactly in the oracle's lex-min tie-break
+    joint = rng.dirichlet(np.ones(4), size=2000)
+    joint[::7, 3] = 0.0
+    swapped = joint[:, [0, 2, 1, 3]]
+    for kind in (_kernels.KIND_NOISY, _kernels.KIND_ERASURE):
+        stats = _kernels.cutset_stats(joint, kind)
+        np.testing.assert_array_equal(_kernels.cutset_stats(swapped, kind), stats[:, [1, 0, 2]])
