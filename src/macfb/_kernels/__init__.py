@@ -17,6 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..channel import Channel, transition_tensor
+from ..infofn import plogp
+
 #: rows per ``input_stats`` chunk, small enough that a chunk's tables stay in the CPU cache
 CHUNK = 1 << 12
 #: rows per ``cutset_stats`` chunk.  The kernel runs as fast in ``CHUNK`` rows, but
@@ -26,6 +29,8 @@ CUTSET_CHUNK = 1 << 16
 
 KIND_NOISY = 0
 KIND_ERASURE = 1
+#: the channel of each kind, whose ``transition_tensor`` the kernels enumerate
+_CHANNELS = (Channel.NOISY_ADDITIVE, Channel.ERASURE)
 
 STAT_COLUMNS = (
     "h_x1_given_t",
@@ -39,19 +44,6 @@ STAT_COLUMNS = (
 )
 
 __all__ = ["KIND_NOISY", "KIND_ERASURE", "STAT_COLUMNS", "input_stats", "cutset_stats"]
-
-
-def _transition(kind: int) -> np.ndarray:
-    ny = 4 if kind == KIND_NOISY else 3
-    t = np.zeros((2, 2, ny))
-    for x1 in range(2):
-        for x2 in range(2):
-            if kind == KIND_NOISY:
-                t[x1, x2, x1 + x2] = 0.5
-                t[x1, x2, x1 + x2 + 1] = 0.5
-            else:
-                t[x1, x2, x1 + x2] = 1.0
-    return t
 
 
 def _grouping(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,17 +61,10 @@ def _atoms(kind: int):
     The groupings sum the atoms over x2 (giving ``(x1, y)``), over x1 (giving
     ``(x2, y)``) and over both (giving ``y``).
     """
-    trans = _transition(kind)
+    trans = transition_tensor(_CHANNELS[kind])
     x1, x2, y = np.nonzero(trans)
     ny = trans.shape[2]
     return x1, x2, trans[x1, x2, y], _grouping(x1 * ny + y), _grouping(x2 * ny + y), _grouping(y)
-
-
-def _plogp(table: np.ndarray) -> np.ndarray:
-    """``p log2 p`` elementwise, 0 where ``p = 0``."""
-    logs = np.log2(table, out=np.zeros_like(table), where=table > 0.0)
-    logs *= table
-    return logs
 
 
 def _sum_rows(table: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -101,7 +86,7 @@ def _sum_rows(table: np.ndarray, axis: int = 0) -> np.ndarray:
 
 def _entropy(table: np.ndarray) -> np.ndarray:
     """Entropy over all axes but the last (batch) axis."""
-    return -_sum_rows(_plogp(table.reshape(-1, table.shape[-1])))
+    return -_sum_rows(plogp(table.reshape(-1, table.shape[-1])))
 
 
 def _marginal(atoms: np.ndarray, grouping) -> np.ndarray:
@@ -153,17 +138,16 @@ def _input_stats_chunk(p, q1, q2, atoms):
     s_x1 = _entropy(_sum_rows(tx1, axis=1))
     s_x2 = _entropy(_sum_rows(tx2, axis=1))
     s_y = _entropy(_marginal(x1x2y, by_y))
+    i1, i2, isum = _mutual_informations(s_x1x2y, s_x1x2, s_x1y, s_x2y, s_x1, s_x2, s_y)
+    return s_tx1 - s_t, s_tx2 - s_t, i1, i2, isum, s_y, s_full - s_tx2y, s_full - s_tx1y
 
-    return (
-        s_tx1 - s_t,
-        s_tx2 - s_t,
-        (s_x1x2 - s_x2) - (s_x1x2y - s_x2y),
-        (s_x1x2 - s_x1) - (s_x1x2y - s_x1y),
-        s_y - (s_x1x2y - s_x1x2),
-        s_y,
-        s_full - s_tx2y,
-        s_full - s_tx1y,
-    )
+
+def _mutual_informations(s_x1x2y, s_x1x2, s_x1y, s_x2y, s_x1, s_x2, s_y):
+    """(I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y)) from the joint entropies of (X1, X2, Y)."""
+    i1 = (s_x1x2 - s_x2) - (s_x1x2y - s_x2y)
+    i2 = (s_x1x2 - s_x1) - (s_x1x2y - s_x1y)
+    isum = s_y - (s_x1x2y - s_x1x2)
+    return i1, i2, isum
 
 
 def _cell_sum(t: np.ndarray) -> np.ndarray:
@@ -178,7 +162,7 @@ def _cell_entropy(table: np.ndarray) -> np.ndarray:
     :func:`_cell_sum`, so the entropy of a joint and of its swap are bitwise
     equal.
     """
-    logs = _plogp(table.reshape(2, 2, -1, table.shape[-1]))
+    logs = plogp(table.reshape(2, 2, -1, table.shape[-1]))
     return -_cell_sum(_sum_rows(logs, axis=2))
 
 
@@ -193,7 +177,7 @@ def cutset_stats(joint: np.ndarray, kind: int = KIND_NOISY) -> np.ndarray:
     # batch axis last and contiguous: P(x1, x2), (2, 2, n)
     w = np.ascontiguousarray(np.transpose(joint), dtype=float).reshape(2, 2, -1)
     n = w.shape[2]
-    trans = _transition(kind)[..., None]
+    trans = transition_tensor(_CHANNELS[kind])[..., None]
     out = np.empty((3, n))
     for start in range(0, n, CUTSET_CHUNK):
         sl = slice(start, min(start + CUTSET_CHUNK, n))
@@ -210,7 +194,4 @@ def _cutset_chunk(w, trans):
     s_x1 = _entropy(w[:, 0] + w[:, 1])
     s_x2 = _entropy(w[0] + w[1])
     s_y = _entropy(_cell_sum(law))
-    i1 = (s_x1x2 - s_x2) - (s_x1x2y - s_x2y)
-    i2 = (s_x1x2 - s_x1) - (s_x1x2y - s_x1y)
-    isum = s_y - (s_x1x2y - s_x1x2)
-    return i1, i2, isum
+    return _mutual_informations(s_x1x2y, s_x1x2, s_x1y, s_x2y, s_x1, s_x2, s_y)

@@ -6,6 +6,13 @@ quadrant); region boundaries are assembled by sweeping the parameter domain,
 collecting pentagon corners, Pareto-filtering the union, and adding the
 pentagon that is best in each of the 181 sweep directions.
 
+Every cap is defined once, vectorized, from the terms h(phi(2 ui)), h(u)/2,
+h((1-u)/2) and mu(u): dbpc1 (:func:`_db_caps`; dbpc2 is its mirror),
+Cover-Leung (:func:`_cl_caps`) and the erasure feedback caps in triple form
+(:func:`_erasure_caps`).  The scalar constraints, the region assembly,
+``symrate``, the oracle and the dominance suite call them on this module at
+call time, so the checks see the very functions that build the regions.
+
 That best pentagon is found by a direct solve.  The caps of every family are
 concave in convex coordinates, and a pentagon's support is a minimum of
 nonnegative combinations of its caps, so each direction asks for the maximum
@@ -27,6 +34,10 @@ visits exactly the points of plain golden section.  The outer search passes
 its three points per direction to one inner search, so a family's solve
 makes about 850 cap calls instead of about 3,200.
 
+Cover-Leung takes no sweep: the solved corners and the pentagon at
+(1/4, 1/4) give every vertex of its hull.  erasure-fb's sweep adds vertices
+between the solved directions, so it stays.
+
 The grid phase skips work without changing its result.  Each Pareto filter of
 a sweep-sized point set first drops the points that a point in an r1-bin
 further right already dominates.  The dbpc sweep computes the caps that do
@@ -39,7 +50,7 @@ Regions
 cutset        outer bound, arbitrary input correlation (4-atom joint sweep)
 dbpc1, dbpc2  dependence-balance outer bounds (genie = one of the inputs)
 dbpc          their intersection, taken in sweep-direction space
-cover-leung   achievable region (conditionally independent inputs, binary T)
+cover-leung   achievable region (conditionally independent inputs, binary T; no sweep)
 erasure-fb    feedback capacity region of Y = X1 + X2
 erasure-nofb  no-feedback pentagon of Y = X1 + X2
 """
@@ -56,8 +67,7 @@ from . import _kernels
 from ._budget import check_size
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P
-# support_value is unused here but stays a module attribute: perfbench/tracing.py wraps it
-from .geometry import BoundaryCurve, pareto_filter, support_value, support_values  # noqa: F401
+from .geometry import BoundaryCurve, pareto_filter, support_values
 from .infofn import CLAMP_TOL, DomainError, binary_entropy, f2, mu_fn, phi
 
 __all__ = [
@@ -127,24 +137,22 @@ class RateConstraintSet:
             inf if self.sum_max is None else self.sum_max,
         )
 
-    def corners(self) -> list[tuple[float, float]]:
-        """Vertices of the pentagon, including the axis intercepts."""
-        a, b, c = self._caps()
-        x_max = min(a, c)
-        y_max = min(b, c)
+    def _upper_corners(self) -> tuple[float, float, float, float]:
+        """:func:`_corners` of the caps, which must bound the set."""
+        with np.errstate(invalid="ignore"):  # inf - inf, when the set is unbounded
+            x_max, y_at_x, x_at_y, y_max = (float(v) for v in _corners(*self._caps()))
         if not np.isfinite(x_max) or not np.isfinite(y_max):
             raise ValueError("corners need all-finite caps")
-        pts = [
-            (x_max, 0.0),
-            (0.0, y_max),
-            (x_max, min(b, c - x_max)),
-            (min(a, c - y_max), y_max),
-        ]
-        return [(float(x), float(y)) for x, y in pts]
+        return x_max, y_at_x, x_at_y, y_max
+
+    def corners(self) -> list[tuple[float, float]]:
+        """Vertices of the pentagon, including the axis intercepts."""
+        x_max, y_at_x, x_at_y, y_max = self._upper_corners()
+        return [(x_max, 0.0), (0.0, y_max), (x_max, y_at_x), (x_at_y, y_max)]
 
     def support(self, lam: float) -> float:
         """max of lam*R1 + (1-lam)*R2 over the set."""
-        return max(lam * x + (1.0 - lam) * y for x, y in self.corners())
+        return float(_support_of_corners(self._upper_corners(), lam))
 
     def contains(self, r1: float, r2: float, tol: float = 1e-12) -> bool:
         a, b, c = self._caps()
@@ -163,37 +171,86 @@ def _require_in_S(u1: float, u2: float) -> tuple[float, float]:
     return min(max(u1, 0.0), 0.25), min(max(u2, 0.0), 0.25)
 
 
-def db_pc1_constraints(t: UTriple) -> RateConstraintSet:
-    """Genie reveals X1: R1 <= min(h(u)/2, h(phi(2u1))), R2 <= h(phi(2u2))/2."""
+def _require_in_P(t: UTriple) -> UTriple:
     if not in_P(t):
         raise InvalidTripleError(f"{t} is not in P")
-    u1, u2, u = t
-    return RateConstraintSet(
-        r1_max=min(0.5 * binary_entropy(u), binary_entropy(phi(2.0 * u1))),
-        r2_max=0.5 * binary_entropy(phi(2.0 * u2)),
-        sum_max=binary_entropy((1.0 - u) / 2.0),
-    )
+    return t
+
+
+# ---------------------------------------------------------------------------
+# Closed-form terms and the cap families built from them (see the docstring)
+# ---------------------------------------------------------------------------
+
+
+def _h_phi(x):
+    """h(phi(2 x)): the cap of H(Xi|T) at ui = x."""
+    return binary_entropy(phi(2.0 * x))
+
+
+def _half_h(u):
+    """h(u)/2: the cap of I(X1;Y|X2) and of I(X2;Y|X1) on the noisy adder."""
+    return 0.5 * binary_entropy(u)
+
+
+def _h_mid(u):
+    """h((1 - u)/2): the cap of I(X1,X2;Y) on the noisy adder; mu(u) caps H(Y) on the erasure adder."""
+    return binary_entropy((1.0 - u) / 2.0)
+
+
+def _db_fixed_caps(u1, u2):
+    """The u-independent parts of the dbpc1 caps: h(phi(2 u1)) and h(phi(2 u2)) / 2."""
+    return _h_phi(u1), 0.5 * _h_phi(u2)
+
+
+def _db_caps(fixed, u):
+    """Caps of the dbpc1 pentagon (genie = X1) at ``u``; ``fixed`` is :func:`_db_fixed_caps` of (u1, u2)."""
+    h_genie, half_other = fixed
+    return np.minimum(_half_h(u), h_genie), half_other, _h_mid(u)
+
+
+def _dbpc_caps(u1, u2, u, mirror: bool = False):
+    """dbpc1 caps at the triple (u1, u2, u); with ``mirror``, those of dbpc2 (genie = X2)."""
+    if mirror:
+        r2, r1, total = _db_caps(_db_fixed_caps(u2, u1), u)
+        return r1, r2, total
+    return _db_caps(_db_fixed_caps(u1, u2), u)
+
+
+def _cl_caps(u1, u2):
+    """Cover-Leung caps at (u1, u2)."""
+    return 0.5 * _h_phi(u1), 0.5 * _h_phi(u2), _h_mid(f2(2.0 * u1, 2.0 * u2))
+
+
+def _erasure_caps(u1, u2, u):
+    """Erasure feedback caps of the triple form: h(phi(2 u1)), h(phi(2 u2)), mu(u)."""
+    return _h_phi(u1), _h_phi(u2), mu_fn(u)
+
+
+def _erasure_pair_caps(u1, u2, floor: float = 0.0):
+    """Erasure caps at u = max(floor, f2(2 u1, 2 u2)): the pair form at floor 0.
+
+    At floor 1/3 it is the band form, the triple form with u maximized out:
+    mu is concave and peaks at 1/3, and the band's upper face is at least 1/2.
+    """
+    return _erasure_caps(u1, u2, np.maximum(floor, f2(2.0 * u1, 2.0 * u2)))
+
+
+def _pentagon(caps) -> RateConstraintSet:
+    return RateConstraintSet(*(float(c) for c in caps))
+
+
+def db_pc1_constraints(t: UTriple) -> RateConstraintSet:
+    """Genie reveals X1: R1 <= min(h(u)/2, h(phi(2u1))), R2 <= h(phi(2u2))/2, R1 + R2 <= h((1-u)/2)."""
+    return _pentagon(_dbpc_caps(*_require_in_P(t)))
 
 
 def db_pc2_constraints(t: UTriple) -> RateConstraintSet:
     """Genie reveals X2: mirror image of :func:`db_pc1_constraints`."""
-    if not in_P(t):
-        raise InvalidTripleError(f"{t} is not in P")
-    u1, u2, u = t
-    return RateConstraintSet(
-        r1_max=0.5 * binary_entropy(phi(2.0 * u1)),
-        r2_max=min(0.5 * binary_entropy(u), binary_entropy(phi(2.0 * u2))),
-        sum_max=binary_entropy((1.0 - u) / 2.0),
-    )
+    return _pentagon(_dbpc_caps(*_require_in_P(t), mirror=True))
 
 
 def cover_leung_constraints(u1: float, u2: float) -> RateConstraintSet:
-    u1, u2 = _require_in_S(u1, u2)
-    return RateConstraintSet(
-        r1_max=0.5 * binary_entropy(phi(2.0 * u1)),
-        r2_max=0.5 * binary_entropy(phi(2.0 * u2)),
-        sum_max=binary_entropy((1.0 - f2(2.0 * u1, 2.0 * u2)) / 2.0),
-    )
+    return _pentagon(_cl_caps(*_require_in_S(u1, u2)))
 
 
 def _binary_t_witness(u1: float, u2: float) -> JointInputDistribution:
@@ -208,24 +265,16 @@ def _binary_t_witness(u1: float, u2: float) -> JointInputDistribution:
 
 def cover_leung_witness(u1: float, u2: float) -> JointInputDistribution:
     """Binary uniform-T input attaining the Cover-Leung caps with equality."""
-    u1, u2 = _require_in_S(u1, u2)
-    return _binary_t_witness(u1, u2)
+    return _binary_t_witness(*_require_in_S(u1, u2))
 
 
 def erasure_fb_constraints(u1: float, u2: float) -> RateConstraintSet:
-    u1, u2 = _require_in_S(u1, u2)
-    f = f2(2.0 * u1, 2.0 * u2)
-    return RateConstraintSet(
-        r1_max=binary_entropy(phi(2.0 * u1)),
-        r2_max=binary_entropy(phi(2.0 * u2)),
-        sum_max=mu_fn(f),
-    )
+    return _pentagon(_erasure_pair_caps(*_require_in_S(u1, u2)))
 
 
 def erasure_fb_witness(u1: float, u2: float) -> JointInputDistribution:
     """Binary uniform-T input attaining the erasure feedback caps with equality."""
-    u1, u2 = _require_in_S(u1, u2)
-    return _binary_t_witness(u1, u2)
+    return _binary_t_witness(*_require_in_S(u1, u2))
 
 
 def erasure_fb_constraints_at_triple(t: UTriple) -> RateConstraintSet:
@@ -234,14 +283,7 @@ def erasure_fb_constraints_at_triple(t: UTriple) -> RateConstraintSet:
     This is the three-variable form whose projection onto the lower face
     ``u = f2(2u1, 2u2)`` is checked by the equivalence suite.
     """
-    if not in_P(t):
-        raise InvalidTripleError(f"{t} is not in P")
-    u1, u2, u = t
-    return RateConstraintSet(
-        r1_max=binary_entropy(phi(2.0 * u1)),
-        r2_max=binary_entropy(phi(2.0 * u2)),
-        sum_max=mu_fn(u),
-    )
+    return _pentagon(_erasure_caps(*_require_in_P(t)))
 
 
 def erasure_nofb_constraints() -> RateConstraintSet:
@@ -286,31 +328,15 @@ def _pareto_points(pts: np.ndarray) -> np.ndarray:
     return pareto_filter(pts).points
 
 
-def _db_fixed_caps(u1: np.ndarray, u2: np.ndarray):
-    """The u-independent parts of the dependence-balance caps (genie = X1).
-
-    Returns h(phi(2 u1)) of the input the genie reveals and h(phi(2 u2)) / 2
-    of the other input.
-    """
-    return binary_entropy(phi(2.0 * u1)), 0.5 * binary_entropy(phi(2.0 * u2))
-
-
-def _db_caps(fixed, u: np.ndarray):
-    """Vectorized caps of the dbpc1 pentagon family at ``u``.
-
-    ``fixed`` is :func:`_db_fixed_caps` of the same (u1, u2).
-    """
-    h_genie, half_other = fixed
-    capped = np.minimum(0.5 * binary_entropy(u), h_genie)
-    csum = binary_entropy((1.0 - u) / 2.0)
-    return capped, half_other, csum
+def _box_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u1, u2) of the grid_n x grid_n grid over [0, 1/4]^2, flattened."""
+    g = np.linspace(0.0, 0.25, grid_n)
+    return tuple(x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
 
 
 def _sweep_db(grid_n: int) -> np.ndarray:
     check_size(grid_n**3, "dbpc sweep")
-    g = np.linspace(0.0, 0.25, grid_n)
-    u1, u2 = np.meshgrid(g, g, indexing="ij")
-    u1, u2 = u1.ravel(), u2.ravel()
+    u1, u2 = _box_grid(grid_n)
     lo = f2(2.0 * u1, 2.0 * u2)
     span = 1.0 - (u1 + u2) - lo
     fixed = _db_fixed_caps(u1, u2)
@@ -321,25 +347,9 @@ def _sweep_db(grid_n: int) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def _sweep_product_region(grid_n: int, caps_fn) -> np.ndarray:
+def _sweep_erasure(grid_n: int) -> np.ndarray:
     check_size(grid_n**2, "(u1, u2) sweep")
-    g = np.linspace(0.0, 0.25, grid_n)
-    u1, u2 = np.meshgrid(g, g, indexing="ij")
-    a, b, c = caps_fn(u1.ravel(), u2.ravel())
-    return _corner_points(a, b, c)
-
-
-def _cl_caps(u1: np.ndarray, u2: np.ndarray):
-    return (
-        0.5 * binary_entropy(phi(2.0 * u1)),
-        0.5 * binary_entropy(phi(2.0 * u2)),
-        binary_entropy((1.0 - f2(2.0 * u1, 2.0 * u2)) / 2.0),
-    )
-
-
-def _erasure_caps(u1: np.ndarray, u2: np.ndarray):
-    f = f2(2.0 * u1, 2.0 * u2)
-    return binary_entropy(phi(2.0 * u1)), binary_entropy(phi(2.0 * u2)), mu_fn(f)
+    return _corner_points(*_erasure_pair_caps(*_box_grid(grid_n)))
 
 
 def _simplex_grid(grid_n: int):
@@ -491,22 +501,12 @@ def _cutset_caps(s: np.ndarray, y: np.ndarray):
     return stats[:, 0], stats[:, 1], stats[:, 2]
 
 
-def _erasure_band_caps(u1: np.ndarray, u2: np.ndarray):
-    """Erasure caps of the triple form with u maximized out.
-
-    mu is concave and peaks at 1/3, and the band's upper face 1 - u1 - u2 is
-    at least 1/2, so the best sum cap over the band is mu(max(1/3, f2)).
-    """
-    f = f2(2.0 * u1, 2.0 * u2)
-    return binary_entropy(phi(2.0 * u1)), binary_entropy(phi(2.0 * u2)), mu_fn(np.maximum(1.0 / 3.0, f))
-
-
 #: (caps of (x, y), upper end of x) for each pentagon family
 _FAMILIES = {
     "dbpc1": (_db_face_caps, 0.5),
     "cutset": (_cutset_caps, 0.5),
     "cover-leung": (lambda u1, y: _cl_caps(u1, 0.25 * y), 0.25),
-    "erasure-fb": (lambda u1, y: _erasure_band_caps(u1, 0.25 * y), 0.25),
+    "erasure-fb": (lambda u1, y: _erasure_pair_caps(u1, 0.25 * y, 1.0 / 3.0), 0.25),
 }
 
 
@@ -594,15 +594,25 @@ def _intersection_curve(grid_n: int) -> BoundaryCurve:
     return pareto_filter(cand[feas], label=Region.DBPC.value)
 
 
+def _hull_curve(pts: np.ndarray, label: str) -> BoundaryCurve:
+    return BoundaryCurve(points=_concave_upper_hull(pareto_filter(pts).points), label=label)
+
+
+def _cover_leung_curve() -> BoundaryCurve:
+    """Hull of the solved corners and of the pentagon at (1/4, 1/4); it does not depend on grid_n.
+
+    At lambda = 0 and 1 the optimum is not unique and the solved corner has
+    the other rate near 7e-11, so that pentagon gives the end vertices
+    (0.3113, 0.5) and (0.5, 0.3113).
+    """
+    quarter = np.array([0.25])
+    pts = np.concatenate([_corner_points(*_cl_caps(quarter, quarter)), _solved_points("cover-leung")])
+    return _hull_curve(pts, Region.COVER_LEUNG.value)
+
+
 @lru_cache(maxsize=4)
-def _product_points(grid_n: int, family: str) -> np.ndarray:
-    pts = _sweep_product_region(grid_n, _cl_caps if family == "cover-leung" else _erasure_caps)
-    return np.concatenate([pts, _solved_points(family)], axis=0)
-
-
-def _product_curve(grid_n: int, family: str) -> BoundaryCurve:
-    curve = pareto_filter(_product_points(grid_n, family))
-    return BoundaryCurve(points=_concave_upper_hull(curve.points), label=family)
+def _erasure_points(grid_n: int) -> np.ndarray:
+    return np.concatenate([_sweep_erasure(grid_n), _solved_points("erasure-fb")], axis=0)
 
 
 def region_boundary(spec: RegionSpec) -> BoundaryCurve:
@@ -616,8 +626,10 @@ def region_boundary(spec: RegionSpec) -> BoundaryCurve:
         return _dbpc_curves(g)[1]
     if which is Region.DBPC:
         return _intersection_curve(g)
-    if which in (Region.COVER_LEUNG, Region.ERASURE_FB):
-        return _product_curve(g, which.value)
+    if which is Region.COVER_LEUNG:
+        return _cover_leung_curve()
+    if which is Region.ERASURE_FB:
+        return _hull_curve(_erasure_points(g), which.value)
     if which is Region.ERASURE_NOFB:
         corners = np.asarray(erasure_nofb_constraints().corners())
         return pareto_filter(corners, label=which.value)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infofn import InvalidDistributionError, as_probability_vector
+from .infofn import InvalidDistributionError, as_probability_vector, plogp
 
 __all__ = [
     "Channel",
@@ -32,7 +32,6 @@ __all__ = [
     "output_distribution",
     "info_quantities",
     "verify_half_entropy_identity",
-    "correlated_joint_law",
     "cutset_quantities",
 ]
 
@@ -117,8 +116,7 @@ class InfoQuantities:
 def _entropy(table: np.ndarray) -> float:
     """Entropy in bits of an unnormalized-looking (but valid) joint table."""
     flat = table.reshape(-1)
-    pos = flat[flat > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    return float(-plogp(flat[flat > 0.0]).sum())
 
 
 def joint_law(channel: Channel, d: JointInputDistribution) -> np.ndarray:
@@ -173,27 +171,18 @@ def verify_half_entropy_identity(d: JointInputDistribution) -> tuple[float, floa
     return q.h_x1_given_y_x2_t, 0.5 * q.h_x1_given_t
 
 
-def correlated_joint_law(channel: Channel, joint: np.ndarray) -> np.ndarray:
-    """Joint P(x1, x2, y) for an arbitrary 4-atom input joint p(x1, x2).
-
-    ``joint`` is (a, b, c, d) = P(00), P(01), P(10), P(11); this is the one
-    place arbitrary input correlation is allowed (the cut-set bound).
-    """
-    p = as_probability_vector(joint).reshape(2, 2)
-    return p[..., None] * transition_tensor(channel)
+#: T = (X1, X2): P(X1 = 0 | T) and P(X2 = 0 | T) for T = 00, 01, 10, 11
+_PAIR_Q1 = np.array([1.0, 1.0, 0.0, 0.0])
+_PAIR_Q2 = np.array([1.0, 0.0, 1.0, 0.0])
 
 
 def cutset_quantities(channel: Channel, joint: np.ndarray) -> tuple[float, float, float]:
-    """(I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y)) for a 4-atom input joint."""
-    law = correlated_joint_law(channel, joint)  # (2, 2, Y)
-    s_x1x2y = _entropy(law)
-    s_x1x2 = _entropy(law.sum(axis=2))
-    s_x1y = _entropy(law.sum(axis=1))
-    s_x2y = _entropy(law.sum(axis=0))
-    s_x1 = _entropy(law.sum(axis=(1, 2)))
-    s_x2 = _entropy(law.sum(axis=(0, 2)))
-    s_y = _entropy(law.sum(axis=(0, 1)))
-    i1 = (s_x1x2 - s_x2) - (s_x1x2y - s_x2y)
-    i2 = (s_x1x2 - s_x1) - (s_x1x2y - s_x1y)
-    isum = s_y - (s_x1x2y - s_x1x2)
-    return max(i1, 0.0), max(i2, 0.0), max(isum, 0.0)
+    """(I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y)) for a 4-atom input joint.
+
+    ``joint`` is (P(00), P(01), P(10), P(11)).  With T = (X1, X2) the inputs
+    are deterministic given T, so any joint is conditionally independent
+    given T and :func:`info_quantities` applies; this is the one place
+    arbitrary input correlation is allowed (the cut-set bound).
+    """
+    q = info_quantities(channel, JointInputDistribution(p_t=joint, q1=_PAIR_Q1, q2=_PAIR_Q2))
+    return q.i_x1_y_given_x2, q.i_x2_y_given_x1, q.i_x1x2_y

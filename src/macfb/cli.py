@@ -121,18 +121,21 @@ def _cmd_symrate(args, out) -> int:
     return 0
 
 
+#: the ``verify`` option behind each keyword of :func:`macfb.verify.run_suite`
+_VERIFY_FLAGS = {"samples": "--samples", "t_cards": "--t-card", "steps": "--steps", "grid_n": "--grid-n"}
+
+
 def _cmd_verify(args, out) -> int:
-    kwargs = {"seed": args.seed}
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    if args.suite in ("characterization", "all"):
-        kwargs["t_cards"] = tuple(args.t_card) if args.t_card else None
-        kwargs["steps"] = args.steps
-    if args.suite in ("dominance", "all"):
-        kwargs["grid_n"] = args.grid_n
-    report = verify.run_suite(args.suite, **kwargs)
+    t_cards = tuple(args.t_card) if args.t_card else None
+    options = {"seed": args.seed, "samples": args.samples, "t_cards": t_cards, "steps": args.steps, "grid_n": args.grid_n}
+    kwargs = {k: v for k, v in options.items() if v is not None}
+    try:
+        report = verify.run_suite(args.suite, **kwargs)
+    except verify.SuiteOptionError as exc:
+        print(f"macfb verify: error: {_VERIFY_FLAGS[exc.option]} is not an option of suite {exc.suite}", file=sys.stderr)
+        return 2
     if args.format == "json":
-        _print_json(_record("verify", {"suite": args.suite, **{k: v for k, v in kwargs.items() if v is not None}}, report), out)
+        _print_json(_record("verify", {"suite": args.suite, **kwargs}, report), out)
     else:
         for check in report["checks"]:
             status = "pass" if check["passed"] else "FAIL"

@@ -21,7 +21,7 @@ import numpy as np
 from .channel import JointInputDistribution
 from .infofn import f2
 
-__all__ = ["UTriple", "InvalidTripleError", "u_triple_of", "in_P", "project_to_lower_face", "sample_triples"]
+__all__ = ["UTriple", "InvalidTripleError", "u_triples", "u_triple_of", "in_P", "project_to_lower_face", "sample_triples"]
 
 _TOL = 1e-12
 
@@ -36,12 +36,17 @@ class UTriple(NamedTuple):
     u: float
 
 
+def u_triples(p: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u1, u2, u) of each row of ``p``, ``q1``, ``q2``, which hold p_t, q1t and q2t over their last axis."""
+    u1 = np.sum(p * q1 * (1.0 - q1), axis=-1)
+    u2 = np.sum(p * q2 * (1.0 - q2), axis=-1)
+    u = np.sum(p * (q1 + q2 - 2.0 * q1 * q2), axis=-1)
+    return u1, u2, u
+
+
 def u_triple_of(d: JointInputDistribution) -> UTriple:
     """Summary statistics (u1, u2, u) of a conditionally independent input."""
-    u1 = float(np.dot(d.p_t, d.q1 * (1.0 - d.q1)))
-    u2 = float(np.dot(d.p_t, d.q2 * (1.0 - d.q2)))
-    u = float(np.dot(d.p_t, d.q1 + d.q2 - 2.0 * d.q1 * d.q2))
-    return UTriple(u1, u2, u)
+    return UTriple(*(float(x) for x in u_triples(d.p_t, d.q1, d.q2)))
 
 
 def in_P(t: UTriple, tol: float = _TOL) -> bool:

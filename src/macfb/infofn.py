@@ -15,6 +15,7 @@ __all__ = [
     "DomainError",
     "InvalidDistributionError",
     "as_probability_vector",
+    "plogp",
     "entropy_k",
     "binary_entropy",
     "phi",
@@ -38,16 +39,8 @@ class InvalidDistributionError(ValueError):
     """Vector is not a probability distribution within tolerance."""
 
 
-def _clamp_unit(s, name: str):
-    """Clamp ``s`` into [0, 1], raising if it is out by more than CLAMP_TOL."""
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr < -CLAMP_TOL) or np.any(arr > 1.0 + CLAMP_TOL):
-        raise DomainError(f"{name} must lie in [0, 1], got {s!r}")
-    clipped = np.clip(arr, 0.0, 1.0)
-    return clipped if arr.shape else float(clipped)
-
-
 def _clamp_interval(s, hi: float, name: str):
+    """Clamp ``s`` into [0, hi], raising if it is out by more than CLAMP_TOL."""
     arr = np.asarray(s, dtype=float)
     if np.any(arr < -CLAMP_TOL) or np.any(arr > hi + CLAMP_TOL):
         raise DomainError(f"{name} must lie in [0, {hi}], got {s!r}")
@@ -71,25 +64,28 @@ def as_probability_vector(entries, tol: float = CLAMP_TOL) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def _nlog2n(p: np.ndarray) -> np.ndarray:
-    """Elementwise -p*log2(p) with the 0*log0 = 0 convention."""
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = -p[mask] * np.log2(p[mask])
-    return out
+def plogp(p: np.ndarray) -> np.ndarray:
+    """``p log2 p`` elementwise for a float array, 0 where ``p = 0``; every entropy here sums these."""
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    logs *= p
+    return logs
 
 
 def entropy_k(p) -> float:
     """Entropy in bits of a finite distribution."""
     vec = as_probability_vector(p)
-    return float(_nlog2n(vec).sum())
+    return float(0.0 - plogp(vec).sum())
 
 
 def binary_entropy(s):
     """h(s) = -s log2 s - (1-s) log2 (1-s); symmetric about 1/2."""
-    s = _clamp_unit(s, "s")
+    s = _clamp_interval(s, 1, "s")
     arr = np.asarray(s, dtype=float)
-    out = _nlog2n(arr) + _nlog2n(1.0 - arr)
+    # 0 - (p log p) - ((1-p) log (1-p)) in place: subtracting from +0.0
+    # keeps h(0) = h(1) = +0.0, and one table fewer keeps the heap smaller
+    out = plogp(arr)
+    np.subtract(0.0, out, out=out)
+    out -= plogp(1.0 - arr)
     return out if arr.shape else float(out)
 
 
@@ -99,7 +95,7 @@ def phi(s):
     phi(s) = (1 - sqrt(1-2s))/2 on [0, 1/2] and (1 - sqrt(2s-1))/2 on
     (1/2, 1]; both branches meet at phi(1/2) = 1/2 and the range is [0, 1/2].
     """
-    s = _clamp_unit(s, "s")
+    s = _clamp_interval(s, 1, "s")
     arr = np.asarray(s, dtype=float)
     inner = np.where(arr <= 0.5, 1.0 - 2.0 * arr, 2.0 * arr - 1.0)
     out = (1.0 - np.sqrt(np.maximum(inner, 0.0))) / 2.0
@@ -169,7 +165,7 @@ def g_fn(u1, u2):
 
 def mu_fn(s):
     """mu(s) = h(s) + 1 - s; concave on [0, 1], maximized at s = 1/3."""
-    s = _clamp_unit(s, "s")
+    s = _clamp_interval(s, 1, "s")
     arr = np.asarray(s, dtype=float)
     out = np.asarray(binary_entropy(arr)) + 1.0 - arr
     return out if arr.shape else float(out)

@@ -3,7 +3,9 @@
 The oracles evaluate the bounds' original information-theoretic expressions by
 exact enumeration (through the kernel layer, whose semantics match
 ``macfb.channel``) over lattices of conditionally independent inputs, never
-the closed-form (u1, u2, u) characterizations they are checking.
+the closed-form (u1, u2, u) characterizations they are checking.  Those are
+taken from ``macfb.bounds``, the functions that build the regions, only to
+be compared with the enumeration.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, bounds
 from ._budget import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceededError, check_size, env_budget
 from .channel import JointInputDistribution
-from .infofn import binary_entropy, mu_fn, phi
+from .feasible import u_triples
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -207,12 +209,10 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
 
 
 def _cutset_oracle_max(cfg: OracleConfig) -> OracleResult:
-    from .bounds import _simplex_grid
-
     best_val = -np.inf
     best_key = None
     n_eval = 0
-    for joint in _simplex_grid(cfg.steps):
+    for joint in bounds._simplex_grid(cfg.steps):
         s = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
         vals = np.minimum(np.minimum(s[:, 0], s[:, 1]), 0.5 * s[:, 2])
         n_eval += len(vals)
@@ -277,16 +277,17 @@ def verify_characterization(cfg: OracleConfig, equality_tol: float = 1e-9) -> Ch
     for p, q1, q2 in iter_input_grid(cfg):
         noisy = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)
         erased = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE)
-        u1 = np.sum(p * q1 * (1.0 - q1), axis=1)
-        u2 = np.sum(p * q2 * (1.0 - q2), axis=1)
-        u = np.sum(p * (q1 + q2 - 2.0 * q1 * q2), axis=1)
+        u1, u2, u = u_triples(p, q1, q2)
+        # the erasure triple form is the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
+        h1, h2, mu = bounds._erasure_caps(u1, u2, u)
+        half_h = bounds._half_h(u)
         caps = {
-            "h_x1_given_t": (noisy[:, 0], binary_entropy(phi(2.0 * u1))),
-            "h_x2_given_t": (noisy[:, 1], binary_entropy(phi(2.0 * u2))),
-            "i_x1_y_given_x2": (noisy[:, 2], 0.5 * binary_entropy(u)),
-            "i_x2_y_given_x1": (noisy[:, 3], 0.5 * binary_entropy(u)),
-            "i_x1x2_y": (noisy[:, 4], binary_entropy((1.0 - u) / 2.0)),
-            "h_y_erasure": (erased[:, 5], mu_fn(u)),
+            "h_x1_given_t": (noisy[:, 0], h1),
+            "h_x2_given_t": (noisy[:, 1], h2),
+            "i_x1_y_given_x2": (noisy[:, 2], half_h),
+            "i_x2_y_given_x1": (noisy[:, 3], half_h),
+            "i_x1x2_y": (noisy[:, 4], bounds._h_mid(u)),
+            "h_y_erasure": (erased[:, 5], mu),
         }
         for name, (value, cap) in caps.items():
             gap = value - cap

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, bounds
 from .bounds import _binary_t_witness, _cutset_joint, _golden_max
 from .channel import JointInputDistribution
 from .infofn import binary_entropy, f2, phi, phi_inv
@@ -84,21 +84,13 @@ def solve_db_symmetric() -> SymmetricRateSolution:
     p1 = phi(s)
     p2 = (1.0 - p1) / (3.0 - 2.0 * p1)
     u2 = phi_inv(p2) / 2.0
-    rate = binary_entropy(p1)
+    rate = bounds._h_phi(u1)
     return SymmetricRateSolution(
         rate=rate,
         u1_star=u1,
         u2_star=u2,
         u_star=f2(2.0 * u1, 2.0 * u2),
         witness=_binary_t_witness(u1, u2),
-    )
-
-
-def _cl_symmetric_value(u1, u2):
-    """min of the three Cover-Leung caps in the symmetric direction."""
-    return np.minimum(
-        np.minimum(0.5 * binary_entropy(phi(2.0 * u1)), 0.5 * binary_entropy(phi(2.0 * u2))),
-        0.5 * binary_entropy((1.0 - f2(2.0 * u1, 2.0 * u2)) / 2.0),
     )
 
 
@@ -110,13 +102,13 @@ def solve_cl_symmetric(grid_check_n: int = 201) -> SymmetricRateSolution:
     (decreasing); a 2-D grid over [0, 1/4]^2 confirms the symmetric
     restriction is optimal to within 1e-6.
     """
-    diag = lambda u: binary_entropy(phi(2.0 * u)) - binary_entropy((1.0 - 2.0 * u) / 2.0)
-    u = _bisect(diag, 0.0, 0.25)
-    rate = 0.5 * binary_entropy(phi(2.0 * u))
+    # on the diagonal f2(2u, 2u) = 2u
+    u = _bisect(lambda u: bounds._h_phi(u) - bounds._h_mid(2.0 * u), 0.0, 0.25)
+    rate = 0.5 * bounds._h_phi(u)
     if grid_check_n:
-        g = np.linspace(0.0, 0.25, grid_check_n)
-        g1, g2 = np.meshgrid(g, g, indexing="ij")
-        grid_max = float(_cl_symmetric_value(g1, g2).max())
+        r1, r2, total = bounds._cl_caps(*bounds._box_grid(grid_check_n))
+        # the largest symmetric rate of each pentagon
+        grid_max = float(np.minimum(np.minimum(r1, r2), 0.5 * total).max())
         if grid_max > rate + 1e-6:
             raise RuntimeError(
                 f"asymmetric grid point beats the symmetric optimum: {grid_max} > {rate}"

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import bounds, feasible, geometry, oracle, symrate
+from . import _kernels, bounds, feasible, geometry, oracle, symrate
 from .channel import Channel, JointInputDistribution, info_quantities, verify_half_entropy_identity
 from .infofn import binary_entropy, f2, f2_hessian, g_fn, mu_fn, phi
 
-__all__ = ["SUITES", "run_suite", "lemma_suite", "characterization_suite", "dominance_suite", "equivalence_suite"]
+__all__ = ["SUITES", "SuiteOptionError", "run_suite", "lemma_suite", "characterization_suite", "dominance_suite", "equivalence_suite"]
 
 DEFAULT_SEED = 0
 
@@ -115,9 +115,9 @@ def characterization_suite(
     checks = []
     for t_card in t_cards:
         rep = oracle.verify_characterization(oracle.OracleConfig(t_card=t_card, steps=steps, seed=seed))
-        for name in ("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y", "h_y_erasure"):
+        for name in oracle._INEQUALITIES:
             checks.append(_check(f"cap-{name}-tcard{t_card}", rep.n_evaluated, rep.max_violation[name], 1e-10))
-        for name in ("half_h_x1", "half_h_x2"):
+        for name in oracle._IDENTITIES:
             checks.append(_check(f"identity-{name}-tcard{t_card}", rep.n_evaluated, rep.max_violation[name], 1e-12))
         # violation = 1 - min(count): nonpositive iff every cap is tight somewhere
         checks.append(
@@ -152,9 +152,9 @@ def characterization_suite(
     sol = symrate.solve_db_symmetric()
     qd = info_quantities(Channel.NOISY_ADDITIVE, sol.witness)
     worst_db = max(
-        abs(qd.h_x1_given_t - binary_entropy(phi(2.0 * sol.u1_star))),
-        abs(0.5 * qd.h_x2_given_t - 0.5 * binary_entropy(phi(2.0 * sol.u2_star))),
-        abs(0.5 * qd.i_x1x2_y - g_fn(sol.u1_star, sol.u2_star)),
+        abs(qd.h_x1_given_t - bounds._h_phi(sol.u1_star)),
+        abs(0.5 * qd.h_x2_given_t - 0.5 * bounds._h_phi(sol.u2_star)),
+        abs(0.5 * qd.i_x1x2_y - 0.5 * bounds._h_mid(sol.u_star)),
     )
     checks.append(_check("witness-attains-balance-point-caps", 1, worst_db, 1e-10))
 
@@ -165,6 +165,23 @@ def characterization_suite(
     checks.append(_check("half-entropy-identity-random", witness_samples, worst_half, 1e-12))
 
     return _suite("characterization", checks)
+
+
+def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
+    """Exact pentagon of random inputs against the family caps at their (u1, u2, u)."""
+    inputs = list(_random_inputs(rng, samples, 2))
+    p, q1, q2 = (np.array([getattr(d, name) for d in inputs]) for name in ("p_t", "q1", "q2"))
+    h1, h2, i1, i2, isum = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)[:, :5].T
+    erased = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE)
+    u1, u2, u = feasible.u_triples(p, q1, q2)
+    pairs = (
+        ((np.minimum(i1, h1), 0.5 * h2, isum), bounds._dbpc_caps(u1, u2, u)),
+        ((0.5 * h1, np.minimum(i2, h2), isum), bounds._dbpc_caps(u1, u2, u, mirror=True)),
+        ((0.5 * h1, 0.5 * h2, isum), bounds._cl_caps(u1, u2)),
+        ((erased[:, 0], erased[:, 1], erased[:, 5]), bounds._erasure_caps(u1, u2, u)),
+    )
+    worst = max(float((exact - cap).max()) for exact_caps, caps in pairs for exact, cap in zip(exact_caps, caps))
+    return _check("true-pentagons-inside-closed-form", samples, worst, 1e-10)
 
 
 def dominance_suite(
@@ -187,23 +204,7 @@ def dominance_suite(
     sym_gap = geometry.support_value(cs, 0.5) - geometry.support_value(db, 0.5)
     checks.append(_check("cutset-strictly-above-dbpc-at-symmetric", 1, 1e-6 - sym_gap, 0.0))
 
-    worst = -np.inf
-    for d in _random_inputs(rng, soundness_samples, 2):
-        t = feasible.u_triple_of(d)
-        qn = info_quantities(Channel.NOISY_ADDITIVE, d)
-        qe = info_quantities(Channel.ERASURE, d)
-        true_db1 = (min(qn.i_x1_y_given_x2, qn.h_x1_given_t), 0.5 * qn.h_x2_given_t, qn.i_x1x2_y)
-        db1 = bounds.db_pc1_constraints(t)
-        true_db2 = (0.5 * qn.h_x1_given_t, min(qn.i_x2_y_given_x1, qn.h_x2_given_t), qn.i_x1x2_y)
-        db2 = bounds.db_pc2_constraints(t)
-        true_cl = (0.5 * qn.h_x1_given_t, 0.5 * qn.h_x2_given_t, qn.i_x1x2_y)
-        clc = bounds.cover_leung_constraints(t.u1, t.u2)
-        true_er = (qe.h_x1_given_t, qe.h_x2_given_t, qe.h_y)
-        erc = bounds.erasure_fb_constraints_at_triple(t)
-        for true_caps, closed in ((true_db1, db1), (true_db2, db2), (true_cl, clc), (true_er, erc)):
-            closed_caps = closed._caps()
-            worst = max(worst, max(tv - cv for tv, cv in zip(true_caps, closed_caps)))
-    checks.append(_check("true-pentagons-inside-closed-form", soundness_samples, worst, 1e-10))
+    checks.append(_soundness_check(rng, soundness_samples))
 
     return _suite("dominance", checks)
 
@@ -252,6 +253,14 @@ _SUITE_DEFAULTS = {
 }
 
 
+class SuiteOptionError(ValueError):
+    """An option given to a suite that does not take it."""
+
+    def __init__(self, option: str, suite: str):
+        super().__init__(f"suite {suite!r} does not take option {option!r}")
+        self.option, self.suite = option, suite
+
+
 def _run_one(name: str, kwargs: dict) -> dict:
     args = {"seed": DEFAULT_SEED, **_SUITE_DEFAULTS[name]}
     args.update({k: kwargs[k] for k in args if kwargs.get(k) is not None})
@@ -261,11 +270,19 @@ def _run_one(name: str, kwargs: dict) -> dict:
 
 
 def run_suite(name: str, **kwargs) -> dict:
-    """Run one suite, or ``"all"``; an option that is absent or None takes the default."""
-    if name == "all":
-        reports = [_run_one(n, kwargs) for n in SUITES]
-        checks = [c for r in reports for c in r["checks"]]
-        return {"suite": "all", "checks": checks, "passed": all(r["passed"] for r in reports)}
-    if name not in SUITES:
+    """Run one suite, or ``"all"``; an option that is absent or None takes the default.
+
+    An option no suite run takes raises :class:`SuiteOptionError` before any runs.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return _run_one(name, kwargs)
+    names = list(SUITES) if name == "all" else [name]
+    taken = {"seed"}.union(*(_SUITE_DEFAULTS[n] for n in names))
+    for option, value in kwargs.items():
+        if value is not None and option not in taken:
+            raise SuiteOptionError(option, name)
+    reports = [_run_one(n, kwargs) for n in names]
+    if name != "all":
+        return reports[0]
+    checks = [c for r in reports for c in r["checks"]]
+    return {"suite": "all", "checks": checks, "passed": all(r["passed"] for r in reports)}

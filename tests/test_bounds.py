@@ -548,7 +548,7 @@ class TestReductions:
         u1, u2, u = np.array(sample_triples(5000, rng)).T
         lo = f2(2.0 * u1, 2.0 * u2)
         assert np.all(np.maximum(1.0 / 3.0, lo) <= 1.0 - (u1 + u2))
-        a, b, c = bounds._erasure_band_caps(u1, u2)
+        a, b, c = bounds._erasure_pair_caps(u1, u2, 1.0 / 3.0)
         assert np.all(c >= mu_fn(u) - 1e-12)
         np.testing.assert_array_equal(a, binary_entropy(phi(2.0 * u1)))
         np.testing.assert_array_equal(b, binary_entropy(phi(2.0 * u2)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from macfb import verify
 
 CMD = [sys.executable, "-m", "macfb"]
 
@@ -56,6 +59,15 @@ class TestRegion:
         assert len(csv_rows) == len(json_rows)
         np.testing.assert_allclose(np.array(csv_rows), np.array(json_rows), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("grid_n", ["21", "201"])
+    def test_cover_leung_csv_bytes_frozen(self, grid_n):
+        # frozen from the curve built with a (u1, u2) sweep: the solved corners
+        # and the pentagon at (1/4, 1/4) must give the same bytes
+        out = run("region", "cover-leung", "--grid-n", grid_n)
+        assert out.returncode == 0
+        digest = hashlib.sha256(out.stdout.encode()).hexdigest()
+        assert digest == "340bc6eb57d461537ca462bf8e03302204d7c86731ba6558688b25f5054694ac"
+
     def test_unknown_region_exits_2(self):
         assert run("region", "bogus").returncode == 2
 
@@ -88,6 +100,49 @@ class TestVerify:
         out = run("verify", "characterization", "--t-card", "1", "--steps", "7")
         assert out.returncode == 0
         assert "equality-cases-missing-tcard1" in out.stdout
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("characterization", "--samples", "3"), "--samples"),
+            (("lemmas", "--steps", "3", "--t-card", "2", "--grid-n", "5"), "--t-card"),
+            (("equivalence", "--grid-n", "5"), "--grid-n"),
+            (("dominance", "--steps", "3"), "--steps"),
+        ],
+    )
+    def test_option_the_suite_does_not_take_exits_2(self, args, flag):
+        # rejected before any check runs, never silently ignored
+        out = run("verify", *args)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert f"{flag} is not an option of suite {args[0]}" in out.stderr
+
+    def test_run_suite_passes_each_suite_its_options(self, monkeypatch):
+        seen = {}
+
+        def stub(name):
+            def suite(**kwargs):
+                seen[name] = kwargs
+                return {"suite": name, "checks": [], "passed": True}
+
+            return suite
+
+        for name in list(verify.SUITES):
+            monkeypatch.setitem(verify.SUITES, name, stub(name))
+        # "all" takes any option that some suite takes
+        verify.run_suite("all", samples=5, t_cards=[1], steps=3, grid_n=4)
+        assert seen == {
+            "lemmas": {"seed": 0, "samples": 5},
+            "characterization": {"seed": 0, "t_cards": (1,), "steps": 3},
+            "dominance": {"seed": 0, "grid_n": 4},
+            "equivalence": {"seed": 0, "samples": 5},
+        }
+        seen.clear()
+        with pytest.raises(verify.SuiteOptionError, match="'steps'"):
+            verify.run_suite("lemmas", samples=5, steps=3)
+        with pytest.raises(verify.SuiteOptionError, match="'bogus'"):
+            verify.run_suite("all", bogus=1)
+        assert seen == {}
 
     def test_bad_suite_exits_2(self):
         assert run("verify", "nope").returncode == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import macfb.oracle as oracle_mod
+from macfb import bounds, verify
 from macfb.oracle import (
     BudgetExceededError,
     OracleConfig,
@@ -159,3 +160,47 @@ class TestCharacterization:
         rep = verify_characterization(OracleConfig(t_card=1, steps=5))
         blob = json.dumps(rep.to_dict())
         assert "max_violation" in json.loads(blob)
+
+
+def _lowered(fn):
+    """``fn`` with every returned cap lowered by 1e-6."""
+
+    def low(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return tuple(np.asarray(x) - 1e-6 for x in out) if isinstance(out, tuple) else out - 1e-6
+
+    return low
+
+
+def _soundness_check():
+    return verify._soundness_check(np.random.default_rng(verify.DEFAULT_SEED), 200)
+
+
+class TestChecksSeeRegionFunctions:
+    """The soundness check and the oracle call the functions that build the regions.
+
+    Each function is lowered by 1e-6 on ``macfb.bounds``, where its callers
+    look it up, so the checks must see it move.
+    """
+
+    def test_unpatched_checks_pass(self):
+        check = _soundness_check()
+        assert check["name"] == "true-pentagons-inside-closed-form" and check["passed"]
+        assert verify_characterization(OracleConfig(t_card=1, steps=7)).worst_violation <= 1e-10
+
+    @pytest.mark.parametrize("family", ["_db_caps", "_cl_caps", "_erasure_caps"])
+    def test_family_caps(self, monkeypatch, family):
+        monkeypatch.setattr(bounds, family, _lowered(getattr(bounds, family)))
+        check = _soundness_check()
+        assert not check["passed"] and check["max_violation"] > 1e-7
+
+    # the sum caps h((1-u)/2) and mu(u) are never within 1e-6 of tight on the
+    # soundness samples, so only the oracle's lattice sees those two lowered
+    @pytest.mark.parametrize("term, soundness_sees_it", [
+        ("_h_phi", True), ("_half_h", True), ("_h_mid", False), ("mu_fn", False),
+    ])
+    def test_raw_terms(self, monkeypatch, term, soundness_sees_it):
+        monkeypatch.setattr(bounds, term, _lowered(getattr(bounds, term)))
+        rep = verify_characterization(OracleConfig(t_card=1, steps=7))
+        assert rep.worst_violation > 1e-10
+        assert _soundness_check()["passed"] is not soundness_sees_it
