@@ -2,9 +2,7 @@
 
 Each bound maps its parameters to a :class:`RateConstraintSet` (a pentagon
 ``R1 <= r1_max``, ``R2 <= r2_max``, ``R1 + R2 <= sum_max`` in the nonnegative
-quadrant); region boundaries are assembled by sweeping the parameter domain,
-collecting pentagon corners, Pareto-filtering the union, and adding the
-pentagon that is best in each of the 181 sweep directions.
+quadrant), and a region is the union of its family's pentagons.
 
 Every cap is defined once, vectorized, from the terms h(phi(2 ui)), h(u)/2,
 h((1-u)/2) and mu(u): dbpc1 (:func:`_db_caps`; dbpc2 is its mirror),
@@ -13,11 +11,11 @@ Cover-Leung (:func:`_cl_caps`) and the erasure feedback caps in triple form
 ``symrate``, the oracle and the dominance suite call them on this module at
 call time, so the checks see the very functions that build the regions.
 
-That best pentagon is found by a direct solve.  The caps of every family are
-concave in convex coordinates, and a pentagon's support is a minimum of
-nonnegative combinations of its caps, so each direction asks for the maximum
-of a concave function.  Each family is reduced to two variables (x, y) over a
-box without losing its optimum:
+The best pentagon in each of the 181 sweep directions is found by a direct
+solve.  The caps of every family are concave in convex coordinates, and a
+pentagon's support is a minimum of nonnegative combinations of its caps, so
+each direction asks for the maximum of a concave function.  Each family is
+reduced to two variables (x, y) over a box without losing its optimum:
 
 - dbpc1: u in [0, 1/2] and a point of P's lower face u = f2(2u1, 2u2);
 - cutset: the flip-symmetric joints (s, y(1-2s), (1-y)(1-2s), s);
@@ -34,23 +32,25 @@ visits exactly the points of plain golden section.  The outer search passes
 its three points per direction to one inner search, so a family's solve
 makes about 850 cap calls instead of about 3,200.
 
-Cover-Leung takes no sweep: the solved corners and the pentagon at
-(1/4, 1/4) give every vertex of its hull.  erasure-fb's sweep adds vertices
-between the solved directions, so it stays.
+Since every region is convex, it is fixed by its support values, and no
+region sweeps a parameter grid except erasure-fb:
 
-The grid phase skips work without changing its result.  Each Pareto filter of
-a sweep-sized point set first drops the points that a point in an r1-bin
-further right already dominates.  The dbpc sweep computes the caps that do
-not depend on ``u`` once.  dbpc2 is dbpc1 mirrored, and the dbpc intersection
-takes the support values of both curves in all sweep directions in one pass
-over each curve (:func:`macfb.geometry.support_values`).
+- The outer bounds are the polygons of their solved support lines
+  (:func:`_support_polygon`): cut-set, dbpc1, dbpc2 (dbpc1 mirrored) and
+  dbpc, whose support in each direction is the smaller of dbpc1's and
+  dbpc2's.  Such a polygon contains every solved pentagon.
+- The inner regions are hulls of attained pentagon corners, so they claim
+  only what some input reaches.  Cover-Leung is the hull of the solved
+  corners and of the pentagon at (1/4, 1/4).  erasure-fb also hulls a
+  grid_n x grid_n sweep of the (u1, u2) box, whose corners add area between
+  the solved directions; grid_n matters to no other region.
 
 Regions
 -------
-cutset        outer bound, arbitrary input correlation (4-atom joint sweep)
+cutset        outer bound, arbitrary input correlation
 dbpc1, dbpc2  dependence-balance outer bounds (genie = one of the inputs)
 dbpc          their intersection, taken in sweep-direction space
-cover-leung   achievable region (conditionally independent inputs, binary T; no sweep)
+cover-leung   achievable region (conditionally independent inputs, binary T)
 erasure-fb    feedback capacity region of Y = X1 + X2
 erasure-nofb  no-feedback pentagon of Y = X1 + X2
 """
@@ -66,8 +66,8 @@ import numpy as np
 from . import _kernels
 from ._budget import check_size
 from .channel import JointInputDistribution
-from .feasible import InvalidTripleError, UTriple, in_P
-from .geometry import BoundaryCurve, pareto_filter, support_values
+from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2
+from .geometry import BoundaryCurve, pareto_filter
 from .infofn import CLAMP_TOL, DomainError, binary_entropy, f2, mu_fn, phi
 
 __all__ = [
@@ -197,23 +197,17 @@ def _h_mid(u):
     return binary_entropy((1.0 - u) / 2.0)
 
 
-def _db_fixed_caps(u1, u2):
-    """The u-independent parts of the dbpc1 caps: h(phi(2 u1)) and h(phi(2 u2)) / 2."""
-    return _h_phi(u1), 0.5 * _h_phi(u2)
-
-
-def _db_caps(fixed, u):
-    """Caps of the dbpc1 pentagon (genie = X1) at ``u``; ``fixed`` is :func:`_db_fixed_caps` of (u1, u2)."""
-    h_genie, half_other = fixed
-    return np.minimum(_half_h(u), h_genie), half_other, _h_mid(u)
+def _db_caps(u1, u2, u):
+    """Caps of the dbpc1 pentagon (genie = X1) at the triple (u1, u2, u)."""
+    return np.minimum(_half_h(u), _h_phi(u1)), 0.5 * _h_phi(u2), _h_mid(u)
 
 
 def _dbpc_caps(u1, u2, u, mirror: bool = False):
     """dbpc1 caps at the triple (u1, u2, u); with ``mirror``, those of dbpc2 (genie = X2)."""
     if mirror:
-        r2, r1, total = _db_caps(_db_fixed_caps(u2, u1), u)
+        r2, r1, total = _db_caps(u2, u1, u)
         return r1, r2, total
-    return _db_caps(_db_fixed_caps(u1, u2), u)
+    return _db_caps(u1, u2, u)
 
 
 def _cl_caps(u1, u2):
@@ -324,55 +318,15 @@ def _support_of_corners(corners, lam):
     )
 
 
-def _pareto_points(pts: np.ndarray) -> np.ndarray:
-    return pareto_filter(pts).points
-
-
 def _box_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """(u1, u2) of the grid_n x grid_n grid over [0, 1/4]^2, flattened."""
     g = np.linspace(0.0, 0.25, grid_n)
     return tuple(x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
 
 
-def _sweep_db(grid_n: int) -> np.ndarray:
-    check_size(grid_n**3, "dbpc sweep")
-    u1, u2 = _box_grid(grid_n)
-    lo = f2(2.0 * u1, 2.0 * u2)
-    span = 1.0 - (u1 + u2) - lo
-    fixed = _db_fixed_caps(u1, u2)
-    chunks = []
-    for w in np.linspace(0.0, 1.0, grid_n):
-        a, b, c = _db_caps(fixed, lo + w * span)
-        chunks.append(_pareto_points(_corner_points(a, b, c)))
-    return np.concatenate(chunks, axis=0)
-
-
 def _sweep_erasure(grid_n: int) -> np.ndarray:
     check_size(grid_n**2, "(u1, u2) sweep")
     return _corner_points(*_erasure_pair_caps(*_box_grid(grid_n)))
-
-
-def _simplex_grid(grid_n: int):
-    """Yield (n, 4) chunks covering the 3-simplex lattice with grid_n per axis."""
-    g = np.linspace(0.0, 1.0, grid_n)
-    for a in g:
-        b = g[g <= 1.0 - a + 1e-15]
-        bb, cc = np.meshgrid(b, g, indexing="ij")
-        mask = cc <= 1.0 - a - bb + 1e-15
-        bb, cc = bb[mask], cc[mask]
-        dd = np.clip(1.0 - a - bb - cc, 0.0, None)
-        yield np.stack([np.full_like(bb, a), bb, cc, dd], axis=1)
-
-
-def _sweep_cutset(grid_n: int) -> np.ndarray:
-    # points of the 3-simplex lattice: C(grid_n + 2, 3)
-    check_size(grid_n * (grid_n + 1) * (grid_n + 2) // 6, "cutset sweep")
-    chunks = []
-    for joint in _simplex_grid(grid_n):
-        stats = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
-        pts = _corner_points(stats[:, 0], stats[:, 1], stats[:, 2])
-        chunks.append(_pareto_points(pts))
-    return np.concatenate(chunks, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +431,7 @@ def _db_face_caps(u: np.ndarray, y: np.ndarray):
     so the optimum over P lies on this face.
     """
     u1 = y * u * (1.0 - u)
-    den = 1.0 - 4.0 * u1
-    # den = 0 only at u = 1/2, where u2 = 1/4
-    ratio = np.divide((1.0 - 2.0 * u) ** 2, den, out=np.zeros_like(den), where=den > 0.0)
-    u2 = np.clip(0.25 * (1.0 - ratio), 0.0, 0.25)
-    return _db_caps(_db_fixed_caps(u1, u2), u)
+    return _db_caps(u1, lower_face_u2(u1, u), u)
 
 
 def _cutset_joint(s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -530,7 +480,10 @@ def _solved_points(family: str) -> np.ndarray:
 
 
 def _concave_upper_hull(pts: np.ndarray) -> np.ndarray:
-    """Upper concave envelope of Pareto-sorted points (time-sharing hull)."""
+    """Upper concave envelope of points sorted by their first coordinate.
+
+    Of Pareto-sorted rate pairs, it is the time-sharing hull.
+    """
     hull: list[np.ndarray] = []
     for p in pts:
         while len(hull) >= 2:
@@ -544,54 +497,29 @@ def _concave_upper_hull(pts: np.ndarray) -> np.ndarray:
     return np.asarray(hull)
 
 
-@lru_cache(maxsize=4)
-def _cutset_points(grid_n: int) -> np.ndarray:
-    return np.concatenate([_sweep_cutset(grid_n), _solved_points("cutset")], axis=0)
+def _support_polygon(m: np.ndarray, label: str) -> BoundaryCurve:
+    """The polygon {r >= 0 : lam r1 + (1 - lam) r2 <= m in every sweep direction lam}.
 
-
-def cutset_region_noisy(grid_n: int = 201) -> BoundaryCurve:
-    """Cut-set boundary: sweep of all 4-atom input joints plus the solved corners."""
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    return pareto_filter(_cutset_points(grid_n), label=Region.CUTSET.value)
-
-
-@lru_cache(maxsize=4)
-def _dbpc_curves(grid_n: int) -> tuple[BoundaryCurve, BoundaryCurve]:
-    """The dbpc1 and dbpc2 boundaries.
-
-    The two genie choices give exact mirror-image regions, so dbpc2 is dbpc1
-    with r1 and r2 swapped, read in reverse order.  Both are cached, so their
-    points are read-only.
+    A line is redundant exactly when its point (lam, m) lies on or above the
+    lower convex hull of the points of the others, so the kept lines are the
+    vertices of that hull, and each vertex of the polygon is where two
+    consecutive kept lines meet.  The lines at lam = 0 and 1 bound r2 and r1,
+    so the first and last vertex lie on them.  Rounding can keep lines
+    through one vertex of the true polygon; their meeting points lie within
+    rounding of each other, and the Pareto filter drops any of them that
+    rounding puts out of order.
     """
-    pts = np.concatenate([_sweep_db(grid_n), _solved_points("dbpc1")], axis=0)
-    c1 = pareto_filter(pts, label=Region.DBPC1.value)
-    c1.points.flags.writeable = False
-    return c1, BoundaryCurve(points=c1.points[::-1, ::-1], label=Region.DBPC2.value)
-
-
-def _intersection_curve(grid_n: int) -> BoundaryCurve:
-    """Direction-space intersection: pointwise min of the two support functions."""
-    c1, c2 = _dbpc_curves(grid_n)
-    lams = SWEEP_LAMBDAS
-    m = np.minimum(support_values(c1, lams), support_values(c2, lams))
-    # candidate vertices: intersections of every pair of support lines (some
-    # lines are redundant, so binding pairs need not be adjacent in lambda),
-    # plus the axis anchors
-    i, j = np.triu_indices(len(lams), k=1)
-    l1, l2 = lams[i], lams[j]
+    lam, neg_m = _concave_upper_hull(np.column_stack([SWEEP_LAMBDAS, -m])).T
+    l1, l2, m1, m2 = lam[:-1], lam[1:], -neg_m[:-1], -neg_m[1:]
     det = l1 - l2
-    x = (m[i] * (1.0 - l2) - m[j] * (1.0 - l1)) / det
-    y = (l1 * m[j] - l2 * m[i]) / det
-    ok = (x >= -1e-12) & (y >= -1e-12)
-    cand = np.concatenate(
-        [np.stack([x[ok], y[ok]], axis=1), [(m[-1], 0.0), (0.0, m[0])]], axis=0
-    )
-    cand = np.clip(cand, 0.0, None)
-    feas = np.ones(len(cand), dtype=bool)
-    for l, mv in zip(lams, m):
-        feas &= l * cand[:, 0] + (1.0 - l) * cand[:, 1] <= mv + 1e-9
-    return pareto_filter(cand[feas], label=Region.DBPC.value)
+    r1 = (m1 * (1.0 - l2) - m2 * (1.0 - l1)) / det
+    r2 = (l1 * m2 - l2 * m1) / det
+    return pareto_filter(np.column_stack([r1, r2]), label=label)
+
+
+def cutset_region_noisy() -> BoundaryCurve:
+    """Cut-set boundary: the polygon of the solved support lines."""
+    return _support_polygon(_solution("cutset")[2], Region.CUTSET.value)
 
 
 def _hull_curve(pts: np.ndarray, label: str) -> BoundaryCurve:
@@ -616,20 +544,24 @@ def _erasure_points(grid_n: int) -> np.ndarray:
 
 
 def region_boundary(spec: RegionSpec) -> BoundaryCurve:
-    """Boundary curve of the requested region at the requested grid size."""
-    which, g = spec.which, spec.grid_n
+    """Boundary curve of the requested region; ``grid_n`` matters only to erasure-fb."""
+    which = spec.which
     if which is Region.CUTSET:
-        return cutset_region_noisy(g)
-    if which is Region.DBPC1:
-        return _dbpc_curves(g)[0]
-    if which is Region.DBPC2:
-        return _dbpc_curves(g)[1]
+        return cutset_region_noisy()
+    if which in (Region.DBPC1, Region.DBPC2):
+        # the two genie choices give mirror-image regions
+        c1 = _support_polygon(_solution("dbpc1")[2], Region.DBPC1.value)
+        if which is Region.DBPC1:
+            return c1
+        return BoundaryCurve(points=c1.points[::-1, ::-1], label=which.value)
     if which is Region.DBPC:
-        return _intersection_curve(g)
+        m = _solution("dbpc1")[2]
+        # dbpc2's support in direction lam is dbpc1's in direction 1 - lam
+        return _support_polygon(np.minimum(m, m[::-1]), which.value)
     if which is Region.COVER_LEUNG:
         return _cover_leung_curve()
     if which is Region.ERASURE_FB:
-        return _hull_curve(_erasure_points(g), which.value)
+        return _hull_curve(_erasure_points(spec.grid_n), which.value)
     if which is Region.ERASURE_NOFB:
         corners = np.asarray(erasure_nofb_constraints().corners())
         return pareto_filter(corners, label=which.value)

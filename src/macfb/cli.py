@@ -122,12 +122,12 @@ def _cmd_symrate(args, out) -> int:
 
 
 #: the ``verify`` option behind each keyword of :func:`macfb.verify.run_suite`
-_VERIFY_FLAGS = {"samples": "--samples", "t_cards": "--t-card", "steps": "--steps", "grid_n": "--grid-n"}
+_VERIFY_FLAGS = {"samples": "--samples", "t_cards": "--t-card", "steps": "--steps"}
 
 
 def _cmd_verify(args, out) -> int:
     t_cards = tuple(args.t_card) if args.t_card else None
-    options = {"seed": args.seed, "samples": args.samples, "t_cards": t_cards, "steps": args.steps, "grid_n": args.grid_n}
+    options = {"seed": args.seed, "samples": args.samples, "t_cards": t_cards, "steps": args.steps}
     kwargs = {k: v for k, v in options.items() if v is not None}
     try:
         report = verify.run_suite(args.suite, **kwargs)
@@ -160,7 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_region = sub.add_parser("region", help="emit a region boundary curve")
     p_region.add_argument("which", choices=_REGION_NAMES)
-    p_region.add_argument("--grid-n", type=_int_at_least(2), default=201, help="grid points per parameter axis")
+    p_region.add_argument(
+        "--grid-n",
+        type=_int_at_least(2),
+        default=201,
+        help="grid points per axis of the erasure-fb (u1, u2) sweep; no other region reads it",
+    )
     p_region.add_argument("--format", choices=["csv", "json"], default="csv")
     p_region.set_defaults(func=_cmd_region)
 
@@ -175,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=_int_at_least(1), default=None)
     p_ver.add_argument("--t-card", type=int, action="append", choices=[1, 2, 3], default=None)
     p_ver.add_argument("--steps", type=_int_at_least(2), default=None)
-    p_ver.add_argument("--grid-n", type=_int_at_least(2), default=None)
     p_ver.add_argument("--format", choices=["text", "json"], default="text")
     p_ver.set_defaults(func=_cmd_verify)
 

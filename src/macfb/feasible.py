@@ -21,7 +21,16 @@ import numpy as np
 from .channel import JointInputDistribution
 from .infofn import f2
 
-__all__ = ["UTriple", "InvalidTripleError", "u_triples", "u_triple_of", "in_P", "project_to_lower_face", "sample_triples"]
+__all__ = [
+    "UTriple",
+    "InvalidTripleError",
+    "u_triples",
+    "u_triple_of",
+    "in_P",
+    "lower_face_u2",
+    "project_to_lower_face",
+    "sample_triples",
+]
 
 _TOL = 1e-12
 
@@ -58,24 +67,30 @@ def in_P(t: UTriple, tol: float = _TOL) -> bool:
     return lo - tol <= u <= 1.0 - (u1 + u2) + tol
 
 
+def lower_face_u2(u1, u):
+    """The u2 in [0, 1/4] with f2(2 u1, 2 u2) = u: (1 - (1 - 2u)^2 / (1 - 4 u1)) / 4, for u <= 1/2.
+
+    At u1 = 1/4 (and beyond it, within tolerance) the only face point is
+    u = 1/2, where the formula's 0/0 resolves to 1/4, so u2 = 1/4 there.
+    """
+    den = np.asarray(1.0 - 4.0 * u1, dtype=float)
+    ratio = np.divide((1.0 - 2.0 * u) ** 2, den, out=np.zeros_like(den), where=den > 0.0)
+    return np.clip(0.25 * (1.0 - ratio), 0.0, 0.25)
+
+
 def project_to_lower_face(t: UTriple) -> tuple[float, float]:
     """Map a feasible triple to a pair on the face u = f2(2 u1bar, 2 u2bar).
 
-    For u <= 1/2 the first coordinate is kept and u2bar solves
-    f2(2 u1, 2 u2bar) = u, i.e. u2bar = (1 - (1-2u)^2 / (1-4u1)) / 4, which
-    dominates (u1, u2) componentwise.  For u > 1/2 no pair reaches u, and
-    (1/4, 1/4) (where f2 = 1/2) dominates instead.
+    For u <= 1/2 the first coordinate is kept and u2bar = :func:`lower_face_u2`,
+    which dominates u2.  For u > 1/2 no pair reaches u, and (1/4, 1/4) (where
+    f2 = 1/2) dominates instead.
     """
     if not in_P(t):
         raise InvalidTripleError(f"{t} is not in P")
     u1, u2, u = t
     if u > 0.5:
         return 0.25, 0.25
-    if 1.0 - 4.0 * u1 <= _TOL:
-        # u1 = 1/4 forces f2 = 1/2 = u; the formula's 0/0 resolves to 1/4.
-        return 0.25, 0.25
-    u2bar = 0.25 * (1.0 - (1.0 - 2.0 * u) ** 2 / (1.0 - 4.0 * u1))
-    return float(u1), float(min(max(u2bar, u2), 0.25))
+    return float(u1), float(min(max(lower_face_u2(u1, u), u2), 0.25))
 
 
 def sample_triples(n: int, rng: np.random.Generator) -> list[UTriple]:

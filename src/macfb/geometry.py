@@ -58,57 +58,12 @@ def _lexsort_mask(pts: np.ndarray) -> np.ndarray:
     return mask
 
 
-#: inputs of more rows than this skip the bin prefilter: the large final
-#: filters keep most of their rows, so it would only add memory there
-_PREFILTER_MAX_ROWS = 200_000
-#: average rows per r1-bin of the prefilter
-_PREFILTER_BIN_ROWS = 16
-
-
-def _prefilter(pts: np.ndarray) -> np.ndarray:
-    """Indices of the rows of a finite (n, 2) array that no bin to their right dominates.
-
-    Rows are binned by r1 into equal-width bins.  The bin index never
-    decreases with r1, so every row of a bin strictly to the right has a
-    strictly larger r1, and a row whose r2 is at most the largest r2 of such
-    a bin is dominated.  Dropping those rows leaves the lexsort mask of the
-    others unchanged: each dropped row has a kept row that sorts before it
-    with an r2 at least as large.
-    """
-    r1, r2 = pts[:, 0], pts[:, 1]
-    lo = r1.min()
-    span = r1.max() - lo
-    n_bins = len(pts) // _PREFILTER_BIN_ROWS
-    if span == 0.0 or n_bins < 2:
-        return np.arange(len(pts))
-    bins = ((r1 - lo) * ((n_bins - 1) / span)).astype(np.intp)
-    top = np.full(n_bins, -np.inf)
-    np.maximum.at(top, bins, r2)
-    # best r2 over the bins strictly to the right of each bin
-    beyond = np.append(np.maximum.accumulate(top[::-1])[-2::-1], -np.inf)
-    return np.flatnonzero(r2 > beyond[bins])
-
-
-def _pareto_mask(pts: np.ndarray) -> np.ndarray:
-    """Boolean mask of componentwise non-dominated rows of an (n, 2) array.
-
-    Equal to :func:`_lexsort_mask`; inputs of at most ``_PREFILTER_MAX_ROWS``
-    finite rows are first thinned by :func:`_prefilter`.
-    """
-    if len(pts) > _PREFILTER_MAX_ROWS or not np.isfinite(pts).all():
-        return _lexsort_mask(pts)
-    keep = _prefilter(pts)
-    mask = np.zeros(len(pts), dtype=bool)
-    mask[keep] = _lexsort_mask(pts[keep])
-    return mask
-
-
 def pareto_filter(points: Iterable | np.ndarray, label: str = "") -> BoundaryCurve:
     """Retain exactly the componentwise non-dominated points, sorted by r1."""
     pts = np.atleast_2d(np.asarray(list(points) if not isinstance(points, np.ndarray) else points, dtype=float))
     if pts.size == 0:
         raise EmptyInputError("cannot Pareto-filter an empty point set")
-    kept = pts[_pareto_mask(pts)]
+    kept = pts[_lexsort_mask(pts)]
     kept = kept[np.argsort(kept[:, 0])]
     return BoundaryCurve(points=kept, label=label)
 

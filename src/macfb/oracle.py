@@ -208,11 +208,23 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
     )
 
 
+def _simplex_grid(grid_n: int):
+    """Yield (n, 4) chunks covering the 3-simplex lattice with grid_n per axis."""
+    g = np.linspace(0.0, 1.0, grid_n)
+    for a in g:
+        b = g[g <= 1.0 - a + 1e-15]
+        bb, cc = np.meshgrid(b, g, indexing="ij")
+        mask = cc <= 1.0 - a - bb + 1e-15
+        bb, cc = bb[mask], cc[mask]
+        dd = np.clip(1.0 - a - bb - cc, 0.0, None)
+        yield np.stack([np.full_like(bb, a), bb, cc, dd], axis=1)
+
+
 def _cutset_oracle_max(cfg: OracleConfig) -> OracleResult:
     best_val = -np.inf
     best_key = None
     n_eval = 0
-    for joint in bounds._simplex_grid(cfg.steps):
+    for joint in _simplex_grid(cfg.steps):
         s = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
         vals = np.minimum(np.minimum(s[:, 0], s[:, 1]), 0.5 * s[:, 2])
         n_eval += len(vals)

@@ -168,8 +168,14 @@ def characterization_suite(
 
 
 def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
-    """Exact pentagon of random inputs against the family caps at their (u1, u2, u)."""
+    """Exact pentagon of inputs against the family caps at their (u1, u2, u).
+
+    The inputs are ``samples`` random ones and ``samples`` binary uniform-T
+    witnesses, which attain I(X1,X2;Y) = h((1-u)/2) on the noisy adder and
+    H(Y) = mu(u) on the erasure adder, so a lowered sum cap shows too.
+    """
     inputs = list(_random_inputs(rng, samples, 2))
+    inputs += [bounds._binary_t_witness(u1, u2) for u1, u2 in rng.uniform(0.0, 0.25, (samples, 2))]
     p, q1, q2 = (np.array([getattr(d, name) for d in inputs]) for name in ("p_t", "q1", "q2"))
     h1, h2, i1, i2, isum = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)[:, :5].T
     erased = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE)
@@ -181,21 +187,17 @@ def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
         ((erased[:, 0], erased[:, 1], erased[:, 5]), bounds._erasure_caps(u1, u2, u)),
     )
     worst = max(float((exact - cap).max()) for exact_caps, caps in pairs for exact, cap in zip(exact_caps, caps))
-    return _check("true-pentagons-inside-closed-form", samples, worst, 1e-10)
+    return _check("true-pentagons-inside-closed-form", len(inputs), worst, 1e-10)
 
 
-def dominance_suite(
-    seed: int = DEFAULT_SEED,
-    grid_n: int = 201,
-    soundness_samples: int = 200,
-) -> dict:
+def dominance_suite(seed: int = DEFAULT_SEED, soundness_samples: int = 200) -> dict:
     """Region orderings at the sweep directions, plus pentagon soundness."""
     rng = np.random.default_rng(seed)
     checks = []
 
-    cl = bounds.region_boundary(bounds.RegionSpec(bounds.Region.COVER_LEUNG, grid_n))
-    db = bounds.region_boundary(bounds.RegionSpec(bounds.Region.DBPC, grid_n))
-    cs = bounds.region_boundary(bounds.RegionSpec(bounds.Region.CUTSET, grid_n))
+    cl = bounds.region_boundary(bounds.RegionSpec(bounds.Region.COVER_LEUNG))
+    db = bounds.region_boundary(bounds.RegionSpec(bounds.Region.DBPC))
+    cs = bounds.region_boundary(bounds.RegionSpec(bounds.Region.CUTSET))
     gap_db_cl = geometry.curve_gap(db, cl)
     gap_cs_db = geometry.curve_gap(cs, db)
     checks.append(_check("cover-leung-inside-dbpc", len(bounds.SWEEP_LAMBDAS), -gap_db_cl[0], 1e-3))
@@ -248,7 +250,7 @@ SUITES = {
 _SUITE_DEFAULTS = {
     "lemmas": {"samples": 100_000},
     "characterization": {"t_cards": (1, 2), "steps": 11},
-    "dominance": {"grid_n": 201},
+    "dominance": {},
     "equivalence": {"samples": 1000},
 }
 

@@ -27,8 +27,8 @@ from macfb.bounds import (
 from macfb._budget import BudgetExceededError
 from macfb.channel import Channel, info_quantities
 from macfb.feasible import InvalidTripleError, UTriple, sample_triples, u_triple_of
-from macfb import _kernels, geometry
-from macfb.geometry import pareto_filter, support_value
+from macfb import _kernels, oracle
+from macfb.geometry import pareto_filter, support_value, support_values
 from macfb.infofn import DomainError, binary_entropy, f2, mu_fn, phi
 
 LOG2_3 = math.log2(3.0)
@@ -204,6 +204,12 @@ class TestRegionBoundaries:
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert support_value(c1, lam) == pytest.approx(support_value(c2, 1 - lam), abs=1e-12)
 
+    def test_dbpc2_is_mirrored_dbpc1(self):
+        c1 = region_boundary(RegionSpec(Region.DBPC1))
+        c2 = region_boundary(RegionSpec(Region.DBPC2))
+        np.testing.assert_array_equal(c2.points, c1.points[::-1, ::-1])
+        assert (c1.label, c2.label) == ("dbpc1", "dbpc2")
+
     def test_cover_leung_curve_is_hulled(self, cl_curve):
         pts = cl_curve.points
         # concavity of the frontier: each interior point on or above its chord
@@ -366,7 +372,7 @@ def _dbpc1_grid_caps():
 
 def _cutset_grid_caps():
     """Cut-set caps on the 31-lattice of full 4-atom joints."""
-    stats = _kernels.cutset_stats(np.concatenate(list(bounds._simplex_grid(31))), _kernels.KIND_NOISY)
+    stats = _kernels.cutset_stats(np.concatenate(list(oracle._simplex_grid(31))), _kernels.KIND_NOISY)
     return stats[:, 0], stats[:, 1], stats[:, 2]
 
 
@@ -561,55 +567,43 @@ def _old_db_caps(u1, u2, u):
     return capped, half_other, binary_entropy((1.0 - u) / 2.0)
 
 
-def _old_sweep_db(grid_n):
-    """The dbpc sweep with the caps of every slice computed in full and a plain lexsort filter."""
-    g = np.linspace(0.0, 0.25, grid_n)
-    u1, u2 = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
-    lo = f2(2.0 * u1, 2.0 * u2)
-    hi = 1.0 - (u1 + u2)
-    chunks = []
-    for w in np.linspace(0.0, 1.0, grid_n):
-        pts = bounds._corner_points(*_old_db_caps(u1, u2, lo + w * (hi - lo)))
-        pts = pts[geometry._lexsort_mask(pts)]
-        chunks.append(pts[np.argsort(pts[:, 0])])
-    return np.concatenate(chunks, axis=0)
+DENSE_LAMBDAS = np.linspace(0.0, 1.0, 3601)
 
 
-def _dbpc1_points(grid_n):
-    """The unfiltered dbpc1 points: the sweep and the solved corners."""
-    return np.concatenate([bounds._sweep_db(grid_n), bounds._solved_points("dbpc1")])
+class TestSupportPolygon:
+    """The outer regions are the polygons of their solved support lines."""
 
+    @pytest.mark.parametrize("caps", [(1.0, 1.0, 1.5), (0.3, 0.4, 5.0), (0.95, 0.38, 1.11), (0.5606, 0.9554, 1.0362)])
+    def test_pentagon_from_its_supports(self, caps):
+        # rounding keeps some of the lines through a pentagon corner, which
+        # meet within rounding of it
+        pentagon = RateConstraintSet(*caps)
+        m = np.array([pentagon.support(lam) for lam in SWEEP_LAMBDAS])
+        got = bounds._support_polygon(m, "toy")
+        want = pareto_filter(pentagon.corners())
+        np.testing.assert_allclose(
+            support_values(got, DENSE_LAMBDAS), support_values(want, DENSE_LAMBDAS), rtol=0.0, atol=1e-12
+        )
 
-def _old_intersection_curve(grid_n):
-    """The dbpc intersection with both curves filtered and one support scan per direction."""
-    pts = _dbpc1_points(grid_n)
-    c1, c2 = pareto_filter(pts), pareto_filter(pts[:, ::-1])
-    lams = SWEEP_LAMBDAS
-    m = np.array([min(support_value(c1, l), support_value(c2, l)) for l in lams])
-    i, j = np.triu_indices(len(lams), k=1)
-    l1, l2 = lams[i], lams[j]
-    det = l1 - l2
-    x = (m[i] * (1.0 - l2) - m[j] * (1.0 - l1)) / det
-    y = (l1 * m[j] - l2 * m[i]) / det
-    ok = (x >= -1e-12) & (y >= -1e-12)
-    cand = np.concatenate([np.stack([x[ok], y[ok]], axis=1), [(m[-1], 0.0), (0.0, m[0])]], axis=0)
-    cand = np.clip(cand, 0.0, None)
-    feas = np.ones(len(cand), dtype=bool)
-    for l, mv in zip(lams, m):
-        feas &= l * cand[:, 0] + (1.0 - l) * cand[:, 1] <= mv + 1e-9
-    return pareto_filter(cand[feas])
+    @pytest.mark.parametrize("region, family", [("cutset", "cutset"), ("dbpc1", "dbpc1"), ("dbpc2", "dbpc1")])
+    def test_between_hull_of_solved_corners_and_gap(self, region, family):
+        corners = bounds._solved_points(family)
+        if region == "dbpc2":
+            corners = corners[:, ::-1]
+        inner = support_values(pareto_filter(corners), DENSE_LAMBDAS)
+        outer = support_values(region_boundary(RegionSpec(Region(region))), DENSE_LAMBDAS)
+        # the polygon contains every solved pentagon, and between the solved
+        # directions it stands at most 1.2e-5 above their hull
+        assert np.all(outer >= inner - 1e-12), (outer - inner).min()
+        assert np.all(outer <= inner + 2e-5), (outer - inner).max()
 
-
-class TestGridPhase:
-    """The grid-phase shortcuts give bitwise the arrays of the plain computations."""
-
-    def test_sweep_db_matches_plain_sweep(self):
-        np.testing.assert_array_equal(bounds._sweep_db(21), _old_sweep_db(21))
-
-    def test_dbpc2_is_mirrored_dbpc1(self):
-        c1, c2 = bounds._dbpc_curves(21)
-        np.testing.assert_array_equal(c2.points, pareto_filter(_dbpc1_points(21)[:, ::-1]).points)
-        assert (c1.label, c2.label) == ("dbpc1", "dbpc2")
-
-    def test_intersection_matches_per_direction_loop(self):
-        np.testing.assert_array_equal(bounds._intersection_curve(21).points, _old_intersection_curve(21).points)
+    def test_dbpc_is_the_intersection(self):
+        c1, c2, both = (region_boundary(RegionSpec(Region(r))) for r in ("dbpc1", "dbpc2", "dbpc"))
+        s1, s2, s = (support_values(c, DENSE_LAMBDAS) for c in (c1, c2, both))
+        assert np.all(s <= np.minimum(s1, s2) + 1e-12)
+        # a vertex of one polygon inside the other lies in the intersection
+        for a, b in ((c1, c2), (c2, c1)):
+            lines = np.column_stack([SWEEP_LAMBDAS, 1.0 - SWEEP_LAMBDAS])
+            inside = np.all(a.points @ lines.T <= support_values(b, SWEEP_LAMBDAS) + 1e-12, axis=1)
+            assert inside.any()
+            assert np.all(support_values(pareto_filter(a.points[inside]), DENSE_LAMBDAS) <= s + 1e-12)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from macfb import verify
+from macfb import cli, verify
 
 CMD = [sys.executable, "-m", "macfb"]
 
@@ -68,6 +68,25 @@ class TestRegion:
         digest = hashlib.sha256(out.stdout.encode()).hexdigest()
         assert digest == "340bc6eb57d461537ca462bf8e03302204d7c86731ba6558688b25f5054694ac"
 
+    @pytest.mark.parametrize("which, digest", [
+        ("cutset", "5691bffc0b8ec62dcbe6dbae55ae8100176c4bc85dda0da87bc863a2bcecc2bd"),
+        ("dbpc1", "0f3387db839c97a95421ced7a2be4b0270ef814db0b887ed048293eb950c3db5"),
+        ("dbpc2", "259d38e649e1a7f32e93c9e91733a20c050bc55d94113e7389eb4a37cd9977d8"),
+        ("dbpc", "0ba599d5d171ba23e15ccbf01789babcf9a0165d21d32241a98fcfa6a7e537d3"),
+    ])
+    def test_outer_region_csv_is_its_support_polygon(self, which, digest, capsys, monkeypatch):
+        # one vertex per pair of consecutive kept support lines of the 181:
+        # no grid is swept, so the bytes do not depend on --grid-n and no
+        # budget is needed
+        monkeypatch.setenv("MACFB_BUDGET", "1")
+        outs = []
+        for grid_n in ("2", "21", "201"):
+            assert cli.main(["region", which, "--grid-n", grid_n]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0].startswith("r1,r2\n") and len(outs[0].splitlines()) <= 183
+        assert hashlib.sha256(outs[0].encode()).hexdigest() == digest
+
     def test_unknown_region_exits_2(self):
         assert run("region", "bogus").returncode == 2
 
@@ -105,8 +124,8 @@ class TestVerify:
         "args, flag",
         [
             (("characterization", "--samples", "3"), "--samples"),
-            (("lemmas", "--steps", "3", "--t-card", "2", "--grid-n", "5"), "--t-card"),
-            (("equivalence", "--grid-n", "5"), "--grid-n"),
+            (("lemmas", "--steps", "3", "--t-card", "2"), "--t-card"),
+            (("equivalence", "--t-card", "1"), "--t-card"),
             (("dominance", "--steps", "3"), "--steps"),
         ],
     )
@@ -130,19 +149,29 @@ class TestVerify:
         for name in list(verify.SUITES):
             monkeypatch.setitem(verify.SUITES, name, stub(name))
         # "all" takes any option that some suite takes
-        verify.run_suite("all", samples=5, t_cards=[1], steps=3, grid_n=4)
+        verify.run_suite("all", samples=5, t_cards=[1], steps=3)
         assert seen == {
             "lemmas": {"seed": 0, "samples": 5},
             "characterization": {"seed": 0, "t_cards": (1,), "steps": 3},
-            "dominance": {"seed": 0, "grid_n": 4},
+            "dominance": {"seed": 0},
             "equivalence": {"seed": 0, "samples": 5},
         }
         seen.clear()
         with pytest.raises(verify.SuiteOptionError, match="'steps'"):
             verify.run_suite("lemmas", samples=5, steps=3)
+        # no suite reads a grid-dependent region
+        with pytest.raises(verify.SuiteOptionError, match="'grid_n'"):
+            verify.run_suite("all", grid_n=201)
         with pytest.raises(verify.SuiteOptionError, match="'bogus'"):
             verify.run_suite("all", bogus=1)
         assert seen == {}
+
+    @pytest.mark.parametrize("suite", ["dominance", "all"])
+    def test_grid_n_is_not_a_verify_option(self, suite):
+        out = run("verify", suite, "--grid-n", "201")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "unrecognized arguments: --grid-n 201" in out.stderr
 
     def test_bad_suite_exits_2(self):
         assert run("verify", "nope").returncode == 2
@@ -175,14 +204,12 @@ class TestBudget:
         assert out.stdout == ""
 
     def test_oversized_region_sweep_fails_fast(self):
-        out = run("region", "dbpc1", "--grid-n", "2001", timeout=60)
+        out = run("region", "erasure-fb", "--grid-n", "10001", timeout=60)
         assert out.returncode == 2
-        assert "dbpc sweep of 8012006001 evaluations exceeds budget 100000000" in out.stderr
+        assert "(u1, u2) sweep of 100020001 evaluations exceeds budget 100000000" in out.stderr
 
-    @pytest.mark.parametrize(
-        "which, grid_n, size",
-        [("dbpc1", 11, 11**3), ("dbpc", 11, 11**3), ("cutset", 21, 21 * 22 * 23 // 6), ("erasure-fb", 32, 32**2)],
-    )
+    # erasure-fb is the one region that sweeps a grid
+    @pytest.mark.parametrize("which, grid_n, size", [("erasure-fb", 32, 32**2)])
     def test_region_sweep_checked_against_budget(self, which, grid_n, size):
         out = run("region", which, "--grid-n", str(grid_n), env={"MACFB_BUDGET": "1000"}, timeout=60)
         assert out.returncode == 2

@@ -6,6 +6,7 @@ from macfb.feasible import (
     InvalidTripleError,
     UTriple,
     in_P,
+    lower_face_u2,
     project_to_lower_face,
     sample_triples,
     u_triple_of,
@@ -77,6 +78,16 @@ class TestProjection:
 
     def test_u1_at_quarter(self):
         assert project_to_lower_face(UTriple(0.25, 0.25, 0.5)) == (0.25, 0.25)
+
+    def test_lower_face_u2_one_map_for_arrays_and_scalars(self, rng):
+        u1, u2 = rng.uniform(0.0, 0.25, (2, 1000))
+        u = f2(2.0 * u1, 2.0 * u2)
+        got = lower_face_u2(u1, u)
+        np.testing.assert_allclose(got, u2, rtol=0.0, atol=1e-9)
+        assert [float(lower_face_u2(a, b)) for a, b in zip(u1, u)] == got.tolist()
+        # the u1 = 1/4 edge, and beyond it within tolerance: u = 1/2 and u2 = 1/4
+        np.testing.assert_array_equal(lower_face_u2(np.array([0.25, 0.25 + 1e-13]), 0.5), [0.25, 0.25])
+        assert project_to_lower_face(UTriple(0.25 + 1e-13, 0.1, 0.5))[1] == 0.25
 
     def test_invalid_triple(self):
         with pytest.raises(InvalidTripleError):

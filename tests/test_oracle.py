@@ -194,10 +194,10 @@ class TestChecksSeeRegionFunctions:
         check = _soundness_check()
         assert not check["passed"] and check["max_violation"] > 1e-7
 
-    # the sum caps h((1-u)/2) and mu(u) are never within 1e-6 of tight on the
-    # soundness samples, so only the oracle's lattice sees those two lowered
+    # the sum caps h((1-u)/2) and mu(u) are tight only at the soundness
+    # check's binary uniform-T witnesses
     @pytest.mark.parametrize("term, soundness_sees_it", [
-        ("_h_phi", True), ("_half_h", True), ("_h_mid", False), ("mu_fn", False),
+        ("_h_phi", True), ("_half_h", True), ("_h_mid", True), ("mu_fn", True),
     ])
     def test_raw_terms(self, monkeypatch, term, soundness_sees_it):
         monkeypatch.setattr(bounds, term, _lowered(getattr(bounds, term)))
