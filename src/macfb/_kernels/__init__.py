@@ -7,8 +7,9 @@ wrap them here.
 
 Both kernels lay their tables out with the batch axis last and work in
 chunks of rows.  Every entropy adds its terms in a fixed order
-(:func:`_sum_rows`), so each row gets the same bits whatever batch, chunk or
-position it comes in.
+(:func:`_sum_rows`), and ``input_stats`` builds its marginals from fixed
+per-row index plans (:func:`_atoms`, :func:`_marginal`), so each row gets the
+same bits whatever batch, chunk or position it comes in.
 """
 
 from __future__ import annotations
@@ -20,12 +21,8 @@ import numpy as np
 from ..channel import Channel, transition_tensor
 from ..infofn import plogp
 
-#: rows per ``input_stats`` chunk, small enough that a chunk's tables stay in the CPU cache
+#: rows per kernel chunk, small enough that a chunk's tables stay in the CPU cache
 CHUNK = 1 << 12
-#: rows per ``cutset_stats`` chunk.  The kernel runs as fast in ``CHUNK`` rows, but
-#: freeing these larger tables raises glibc's malloc thresholds, and that made the
-#: dbpc sweep run after the cut-set sweep about 0.5 s faster at grid 201
-CUTSET_CHUNK = 1 << 16
 
 KIND_NOISY = 0
 KIND_ERASURE = 1
@@ -46,11 +43,12 @@ STAT_COLUMNS = (
 __all__ = ["KIND_NOISY", "KIND_ERASURE", "STAT_COLUMNS", "input_stats", "cutset_stats"]
 
 
-def _grouping(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, starts)``: ``np.add.reduceat(a[order], starts)`` sums the rows of ``a`` sharing a key."""
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    return order, starts
+def _plan(keys: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The atoms of each output row: one row per key in increasing order, holding that key's atom indices in order."""
+    groups: dict[int, list[int]] = {}
+    for atom, key in enumerate(keys.tolist()):
+        groups.setdefault(key, []).append(atom)
+    return tuple(tuple(groups[key]) for key in sorted(groups))
 
 
 @lru_cache(maxsize=None)
@@ -58,13 +56,16 @@ def _atoms(kind: int):
     """The nonzero entries ``(x1, x2, value)`` of the transition table, and how to marginalize them.
 
     Each entry is one atom ``(x1, x2, y)`` of the joint law per value of T.
-    The groupings sum the atoms over x2 (giving ``(x1, y)``), over x1 (giving
-    ``(x2, y)``) and over both (giving ``y``).
+    The three plans sum the atoms over x2 (giving ``(x1, y)``), over x1
+    (giving ``(x2, y)``) and over both (giving ``y``).  A plan lists, for each
+    output row in increasing key, the indices of the atoms that add up to it;
+    :func:`_marginal` adds them in a fixed order.  A group has 1-3 atoms: the
+    noisy adder's ``y`` groups have three.
     """
     trans = transition_tensor(_CHANNELS[kind])
     x1, x2, y = np.nonzero(trans)
     ny = trans.shape[2]
-    return x1, x2, trans[x1, x2, y], _grouping(x1 * ny + y), _grouping(x2 * ny + y), _grouping(y)
+    return x1, x2, trans[x1, x2, y], _plan(x1 * ny + y), _plan(x2 * ny + y), _plan(y)
 
 
 def _sum_rows(table: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -89,9 +90,24 @@ def _entropy(table: np.ndarray) -> np.ndarray:
     return -_sum_rows(plogp(table.reshape(-1, table.shape[-1])))
 
 
-def _marginal(atoms: np.ndarray, grouping) -> np.ndarray:
-    order, starts = grouping
-    return np.add.reduceat(atoms[order], starts, axis=0)
+def _marginal(atoms: np.ndarray, plan) -> np.ndarray:
+    """Sum the atoms of each row of ``plan`` as ``a0 + (a1 + a2 + ...)``.
+
+    That is the order in which numpy's grouped add reduction sums a group
+    (copy the first atom, add the sum of the rest), done as whole-row adds.
+    The rest is summed in place and ``a0`` added last, which gives the same
+    bits because floating-point addition commutes.
+    """
+    out = np.empty((len(plan),) + atoms.shape[1:])
+    for row, (first, *rest) in zip(out, plan):
+        if not rest:
+            row[...] = atoms[first]
+            continue
+        row[...] = atoms[rest[0]]
+        for i in rest[1:]:
+            row += atoms[i]
+        row += atoms[first]
+    return out
 
 
 def input_stats(p: np.ndarray, q1: np.ndarray, q2: np.ndarray, kind: int) -> np.ndarray:
@@ -179,8 +195,8 @@ def cutset_stats(joint: np.ndarray, kind: int = KIND_NOISY) -> np.ndarray:
     n = w.shape[2]
     trans = transition_tensor(_CHANNELS[kind])[..., None]
     out = np.empty((3, n))
-    for start in range(0, n, CUTSET_CHUNK):
-        sl = slice(start, min(start + CUTSET_CHUNK, n))
+    for start in range(0, n, CHUNK):
+        sl = slice(start, min(start + CHUNK, n))
         out[:, sl] = _cutset_chunk(w[..., sl], trans)
     return out.T
 

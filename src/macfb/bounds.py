@@ -497,6 +497,10 @@ def _concave_upper_hull(pts: np.ndarray) -> np.ndarray:
     return np.asarray(hull)
 
 
+#: consecutive polygon vertices closer than this are one vertex split by rounding
+_VERTEX_TOL = 1e-13
+
+
 def _support_polygon(m: np.ndarray, label: str) -> BoundaryCurve:
     """The polygon {r >= 0 : lam r1 + (1 - lam) r2 <= m in every sweep direction lam}.
 
@@ -504,17 +508,26 @@ def _support_polygon(m: np.ndarray, label: str) -> BoundaryCurve:
     lower convex hull of the points of the others, so the kept lines are the
     vertices of that hull, and each vertex of the polygon is where two
     consecutive kept lines meet.  The lines at lam = 0 and 1 bound r2 and r1,
-    so the first and last vertex lie on them.  Rounding can keep lines
-    through one vertex of the true polygon; their meeting points lie within
-    rounding of each other, and the Pareto filter drops any of them that
-    rounding puts out of order.
+    so the first and last vertex lie on them.  Rounding can make collinear
+    points (lam, m) look strictly convex and so keep lines through one vertex
+    of the true polygon; their meeting points then lie within rounding of
+    each other.  A run of vertices each within ``_VERTEX_TOL`` of the last is
+    merged into its componentwise maximum: that drops the lines between them
+    and, since the merged vertex dominates the run, lowers no support.  The
+    Pareto filter drops any vertex that rounding puts out of order.
     """
     lam, neg_m = _concave_upper_hull(np.column_stack([SWEEP_LAMBDAS, -m])).T
     l1, l2, m1, m2 = lam[:-1], lam[1:], -neg_m[:-1], -neg_m[1:]
     det = l1 - l2
     r1 = (m1 * (1.0 - l2) - m2 * (1.0 - l1)) / det
     r2 = (l1 * m2 - l2 * m1) / det
-    return pareto_filter(np.column_stack([r1, r2]), label=label)
+    vertices = [np.array([r1[0], r2[0]])]
+    for v in np.column_stack([r1[1:], r2[1:]]):
+        if np.hypot(*(v - vertices[-1])) < _VERTEX_TOL:
+            vertices[-1] = np.maximum(vertices[-1], v)
+        else:
+            vertices.append(v)
+    return pareto_filter(np.array(vertices), label=label)
 
 
 def cutset_region_noisy() -> BoundaryCurve:

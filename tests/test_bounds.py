@@ -585,6 +585,18 @@ class TestSupportPolygon:
             support_values(got, DENSE_LAMBDAS), support_values(want, DENSE_LAMBDAS), rtol=0.0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("family", ["cutset", "dbpc1"])
+    def test_near_duplicate_vertices_merged(self, family, monkeypatch):
+        m = bounds._solution(family)[2]
+        got = bounds._support_polygon(m, family)
+        assert np.hypot(*np.diff(got.points, axis=0).T).min() >= bounds._VERTEX_TOL
+        monkeypatch.setattr(bounds, "_VERTEX_TOL", 0.0)
+        unmerged = bounds._support_polygon(m, family)
+        assert len(got.points) < len(unmerged.points)
+        # the merged vertex dominates the ones it replaces, so no support drops
+        rise = support_values(got, DENSE_LAMBDAS) - support_values(unmerged, DENSE_LAMBDAS)
+        assert rise.min() >= 0.0 and rise.max() <= 1e-13
+
     @pytest.mark.parametrize("region, family", [("cutset", "cutset"), ("dbpc1", "dbpc1"), ("dbpc2", "dbpc1")])
     def test_between_hull_of_solved_corners_and_gap(self, region, family):
         corners = bounds._solved_points(family)

@@ -69,9 +69,9 @@ class TestRegion:
         assert digest == "340bc6eb57d461537ca462bf8e03302204d7c86731ba6558688b25f5054694ac"
 
     @pytest.mark.parametrize("which, digest", [
-        ("cutset", "5691bffc0b8ec62dcbe6dbae55ae8100176c4bc85dda0da87bc863a2bcecc2bd"),
-        ("dbpc1", "0f3387db839c97a95421ced7a2be4b0270ef814db0b887ed048293eb950c3db5"),
-        ("dbpc2", "259d38e649e1a7f32e93c9e91733a20c050bc55d94113e7389eb4a37cd9977d8"),
+        ("cutset", "df38b1bbce3e209321a7e615e7f9856615661d1d81d72fb3c362b4a697c1b4fa"),
+        ("dbpc1", "66434e5c0f0a49e7ca68a41684ee06b54330893c8ca1b6965d549b46f9214cec"),
+        ("dbpc2", "0eedc90740c8afd0d2eb6c4bdae893bc42c47600865ad012f7e7f2ca40f4a7b5"),
         ("dbpc", "0ba599d5d171ba23e15ccbf01789babcf9a0165d21d32241a98fcfa6a7e537d3"),
     ])
     def test_outer_region_csv_is_its_support_polygon(self, which, digest, capsys, monkeypatch):

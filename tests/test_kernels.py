@@ -3,7 +3,10 @@ import pytest
 
 import macfb
 from macfb import _kernels
-from macfb.channel import Channel, JointInputDistribution, cutset_quantities, info_quantities
+from macfb.channel import Channel, JointInputDistribution, cutset_quantities, info_quantities, transition_tensor
+
+
+KINDS = (_kernels.KIND_NOISY, _kernels.KIND_ERASURE)
 
 
 def random_batch(rng, n, k):
@@ -53,15 +56,59 @@ def test_cutset_kernel_matches_reference(rng, backend):
 
 
 def test_chunked_equals_unchunked(monkeypatch, rng):
-    p, q1, q2 = random_batch(rng, 1000, 2)
+    # each kind has its own plans, and each K its own table shapes
+    cases = [(kind, random_batch(rng, 1000, k)) for kind in KINDS for k in (1, 2, 3)]
     joint = rng.dirichlet(np.ones(4), size=1000)
-    full = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)
-    full_cutset = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
+    full = [_kernels.input_stats(*batch, kind) for kind, batch in cases]
+    full_cutset = [_kernels.cutset_stats(joint, kind) for kind in KINDS]
     monkeypatch.setattr(_kernels, "CHUNK", 7)
-    monkeypatch.setattr(_kernels, "CUTSET_CHUNK", 7)
-    chunked = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)
-    np.testing.assert_array_equal(full, chunked)
-    np.testing.assert_array_equal(_kernels.cutset_stats(joint, _kernels.KIND_NOISY), full_cutset)
+    for (kind, batch), stats in zip(cases, full):
+        np.testing.assert_array_equal(_kernels.input_stats(*batch, kind), stats)
+    for kind, stats in zip(KINDS, full_cutset):
+        np.testing.assert_array_equal(_kernels.cutset_stats(joint, kind), stats)
+
+
+def _reduceat_marginal(atoms, plan):
+    """The marginal as ``np.add.reduceat`` sums the groups of ``plan``."""
+    order = np.concatenate(plan)
+    starts = np.cumsum([0] + [len(group) for group in plan[:-1]])
+    return np.add.reduceat(atoms[order], starts, axis=0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_plans_group_the_atoms_by_key(kind):
+    trans = transition_tensor(_kernels._CHANNELS[kind])
+    x1, x2, y = np.nonzero(trans)
+    ny = trans.shape[2]
+    plans = _kernels._atoms(kind)[3:]
+    for keys, plan in zip((x1 * ny + y, x2 * ny + y, y), plans):
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        assert plan == tuple(tuple(group.tolist()) for group in np.split(order, starts[1:]))
+    # the noisy adder's y marginal sums groups of three atoms
+    assert max(len(group) for group in plans[2]) == (3 if kind == _kernels.KIND_NOISY else 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_marginals_equal_reduceat_bitwise(monkeypatch, rng, kind):
+    marginal = _kernels._marginal
+    seen = set()
+
+    def checked(atoms, plan):
+        got = marginal(atoms, plan)
+        np.testing.assert_array_equal(got, _reduceat_marginal(atoms, plan))
+        seen.add(plan)
+        return got
+
+    batches = [zero_atom_batch(rng, n, k) for k in (1, 2, 3) for n in (1, 2, _kernels.CHUNK + 1)]
+    stats = []
+    monkeypatch.setattr(_kernels, "_marginal", checked)
+    for p, q1, q2 in batches:
+        stats.append(_kernels.input_stats(p, q1, q2, kind))
+    assert seen == set(_kernels._atoms(kind)[3:])
+    monkeypatch.setattr(_kernels, "_marginal", _reduceat_marginal)
+    for (p, q1, q2), got in zip(batches, stats):
+        np.testing.assert_array_equal(_kernels.input_stats(p, q1, q2, kind), got)
 
 
 def _batches(rng):
@@ -70,8 +117,8 @@ def _batches(rng):
     Each batch has n = chunk + 1 rows, so its last row is a one-row chunk.
     """
     batches = []
-    for kind in (_kernels.KIND_NOISY, _kernels.KIND_ERASURE):
-        joint = rng.dirichlet(np.ones(4), size=_kernels.CUTSET_CHUNK + 1)
+    for kind in KINDS:
+        joint = rng.dirichlet(np.ones(4), size=_kernels.CHUNK + 1)
         joint[::5, 1] = 0.0
         batches.append((f"cutset-{kind}", lambda i, j, joint=joint, kind=kind: _kernels.cutset_stats(
             joint[i:j], kind), len(joint)))
