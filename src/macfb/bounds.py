@@ -23,22 +23,17 @@ reduced to two variables (x, y) over a box without losing its optimum:
 - erasure-fb: the (u1, u2) box with the sum cap mu(max(1/3, f2)), the
   triple form with u maximized out.
 
-Maximizing over y keeps concavity in x, so a golden-section search over x,
-whose every step runs a golden-section search over y, finds the optimum.  All
-181 directions are solved together as numpy rows by :func:`_golden_max`.  It
-looks one step ahead: each call evaluates a step's new point together with
-both points the next step can ask for, so it takes two steps per call and
-visits exactly the points of plain golden section.  The outer search passes
-its three points per direction to one inner search, so a family's solve
-makes about 850 cap calls instead of about 3,200.
+Maximizing over y keeps concavity in x, so the nested golden-section search
+of :func:`macfb._search._solve` finds the optimum of all 181 directions at
+once.
 
 Since every region is convex, it is fixed by its support values, and no
 region sweeps a parameter grid except erasure-fb:
 
 - The outer bounds are the polygons of their solved support lines
-  (:func:`_support_polygon`): cut-set, dbpc1, dbpc2 (dbpc1 mirrored) and
-  dbpc, whose support in each direction is the smaller of dbpc1's and
-  dbpc2's.  Such a polygon contains every solved pentagon.
+  (:func:`macfb.geometry._support_polygon`): cut-set, dbpc1, dbpc2 (dbpc1
+  mirrored) and dbpc, whose support in each direction is the smaller of
+  dbpc1's and dbpc2's.  Such a polygon contains every solved pentagon.
 - The inner regions are hulls of attained pentagon corners, so they claim
   only what some input reaches.  Cover-Leung is the hull of the solved
   corners and of the pentagon at (1/4, 1/4).  erasure-fb also hulls a
@@ -65,9 +60,10 @@ import numpy as np
 
 from . import _kernels
 from ._budget import check_size
+from ._search import _solve
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2
-from .geometry import BoundaryCurve, pareto_filter
+from .geometry import SWEEP_LAMBDAS, BoundaryCurve, _concave_upper_hull, _support_polygon, pareto_filter
 from .infofn import CLAMP_TOL, DomainError, binary_entropy, f2, mu_fn, phi
 
 __all__ = [
@@ -86,10 +82,6 @@ __all__ = [
     "cutset_region_noisy",
     "region_boundary",
 ]
-
-#: default sweep directions (1-degree resolution over the quarter turn)
-SWEEP_LAMBDAS = np.linspace(0.0, 1.0, 181)
-
 
 class Region(enum.Enum):
     CUTSET = "cutset"
@@ -333,93 +325,10 @@ def _sweep_erasure(grid_n: int) -> np.ndarray:
 # Per-direction solve
 # ---------------------------------------------------------------------------
 
-_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
-_TOL = 1e-11
 
-
-def _golden_step(a, b, c, d, fc, fd, act):
-    """One golden-section update of the brackets of rows ``act``, in place.
-
-    Returns the mask of the rows, among ``act``, that moved left: their new
-    point is ``c``, the others' is ``d``.  The new point's value is not set.
-    """
-    left = fc[act] >= fd[act]
-    l, r = act[left], act[~left]
-    b[l], d[l], fd[l] = d[l], c[l], fc[l]
-    c[l] = b[l] - _GOLD * (b[l] - a[l])
-    a[r], c[r], fc[r] = c[r], d[r], fd[r]
-    d[r] = a[r] + _GOLD * (b[r] - a[r])
-    return left
-
-
-def _evaluate(fun, points, rows):
-    """``fun`` at several arrays of points in one call, split back per array."""
-    ends = np.cumsum([len(x) for x in points])[:-1]
-    return np.split(fun(np.concatenate(points), np.concatenate(rows)), ends)
-
-
-def _golden_max(fun, lo: np.ndarray, hi: np.ndarray, tol: float = _TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum of a unimodal function over [lo, hi], one problem per row.
-
-    ``fun(x, rows)`` returns the objective of problems ``rows`` at ``x``.
-    Golden section shrinks each bracket to at most ``tol``; the answer is the
-    best of the two last interior points and the two ends, so an optimum on
-    an end is found exactly.  Every call evaluates only the problems still
-    active, each on its own row, so a problem's result does not depend on the
-    rest of the batch.  Returns the maximizers and their values.
-
-    The search looks one step ahead.  A step's new point is known before its
-    value, and the step after it can only ask for ``d - G (d - a)`` (if it
-    moves left) or ``c + G (b - c)`` (if it moves right).  So each call
-    evaluates the new point together with both candidates, and two steps are
-    taken per call.  The candidates are computed by the same expressions as
-    the step, so every problem visits exactly the points, and returns exactly
-    the result, of plain golden section in about half the calls.
-    """
-    every = np.arange(len(lo))
-    a, b = lo.copy(), hi.copy()
-    c = b - _GOLD * (b - a)
-    d = a + _GOLD * (b - a)
-    fc, fd = _evaluate(fun, [c, d], [every, every])
-    act = np.flatnonzero(b - a > tol)
-    left = _golden_step(a, b, c, d, fc, fd, act)
-    while act.size:
-        # act: the rows whose last step's point is still unevaluated
-        nxt = act[b[act] - a[act] > tol]
-        x = np.where(left, c[act], d[act])
-        to_left = d[nxt] - _GOLD * (d[nxt] - a[nxt])
-        to_right = c[nxt] + _GOLD * (b[nxt] - c[nxt])
-        fx, f_left, f_right = _evaluate(fun, [x, to_left, to_right], [act, nxt, nxt])
-        fc[act[left]], fd[act[~left]] = fx[left], fx[~left]
-        went = _golden_step(a, b, c, d, fc, fd, nxt)
-        fc[nxt[went]], fd[nxt[~went]] = f_left[went], f_right[~went]
-        act = nxt[b[nxt] - a[nxt] > tol]
-        left = _golden_step(a, b, c, d, fc, fd, act)
-    fs = np.stack([fc, fd, *_evaluate(fun, [lo, hi], [every, every])])
-    k = np.argmax(fs, axis=0)
-    return np.stack([c, d, lo, hi])[k, every], fs[k, every]
-
-
-def _solve(caps_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize the pentagon support over (x, y) in [0, x_hi] x [0, 1] in each direction.
-
-    ``caps_of(x, y)`` gives the caps of the family; its support must be
-    concave in (x, y) in every direction.  Then the best support over y is
-    concave in x, so both golden-section levels search a unimodal function:
-    the outer one over x, the inner one over y for every direction at once.
-    Returns the maximizers x and y and the support there.
-    """
-
-    def best_y(x, rows):
-        def support(y, k):
-            return _support_of_corners(_corners(*caps_of(x[k], y)), lams[rows[k]])
-
-        return _golden_max(support, np.zeros(len(rows)), np.ones(len(rows)))
-
-    n = len(lams)
-    x, _ = _golden_max(lambda x, rows: best_y(x, rows)[1], np.zeros(n), np.full(n, x_hi))
-    y, f = best_y(x, np.arange(n))
-    return x, y, f
+def _pentagon_support(caps_of, lams: np.ndarray):
+    """A family's pentagon support as the ``fun(x, y, rows)`` of :func:`_solve`; problem k is direction ``lams[k]``."""
+    return lambda x, y, rows: _support_of_corners(_corners(*caps_of(x, y)), lams[rows])
 
 
 def _db_face_caps(u: np.ndarray, y: np.ndarray):
@@ -451,6 +360,12 @@ def _cutset_caps(s: np.ndarray, y: np.ndarray):
     return stats[:, 0], stats[:, 1], stats[:, 2]
 
 
+def _cutset_symmetric_values(joint: np.ndarray) -> np.ndarray:
+    """Direct cut-set symmetric objective of (n, 4) joints: min(I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y) / 2)."""
+    s = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
+    return np.minimum(np.minimum(s[:, 0], s[:, 1]), 0.5 * s[:, 2])
+
+
 #: (caps of (x, y), upper end of x) for each pentagon family
 _FAMILIES = {
     "dbpc1": (_db_face_caps, 0.5),
@@ -467,7 +382,7 @@ def _solution(family: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     It does not depend on grid_n.
     """
     caps_of, x_hi = _FAMILIES[family]
-    solution = _solve(caps_of, x_hi, SWEEP_LAMBDAS)
+    solution = _solve(_pentagon_support(caps_of, SWEEP_LAMBDAS), x_hi, len(SWEEP_LAMBDAS))
     for a in solution:
         a.flags.writeable = False
     return solution
@@ -477,57 +392,6 @@ def _solved_points(family: str) -> np.ndarray:
     """Pentagon corners at the optimum of each sweep direction."""
     x, y, _ = _solution(family)
     return _corner_points(*_FAMILIES[family][0](x, y))
-
-
-def _concave_upper_hull(pts: np.ndarray) -> np.ndarray:
-    """Upper concave envelope of points sorted by their first coordinate.
-
-    Of Pareto-sorted rate pairs, it is the time-sharing hull.
-    """
-    hull: list[np.ndarray] = []
-    for p in pts:
-        while len(hull) >= 2:
-            o, q = hull[-2], hull[-1]
-            cross = (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0])
-            if cross >= 0.0:  # q below or on chord o-p: not a hull vertex
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return np.asarray(hull)
-
-
-#: consecutive polygon vertices closer than this are one vertex split by rounding
-_VERTEX_TOL = 1e-13
-
-
-def _support_polygon(m: np.ndarray, label: str) -> BoundaryCurve:
-    """The polygon {r >= 0 : lam r1 + (1 - lam) r2 <= m in every sweep direction lam}.
-
-    A line is redundant exactly when its point (lam, m) lies on or above the
-    lower convex hull of the points of the others, so the kept lines are the
-    vertices of that hull, and each vertex of the polygon is where two
-    consecutive kept lines meet.  The lines at lam = 0 and 1 bound r2 and r1,
-    so the first and last vertex lie on them.  Rounding can make collinear
-    points (lam, m) look strictly convex and so keep lines through one vertex
-    of the true polygon; their meeting points then lie within rounding of
-    each other.  A run of vertices each within ``_VERTEX_TOL`` of the last is
-    merged into its componentwise maximum: that drops the lines between them
-    and, since the merged vertex dominates the run, lowers no support.  The
-    Pareto filter drops any vertex that rounding puts out of order.
-    """
-    lam, neg_m = _concave_upper_hull(np.column_stack([SWEEP_LAMBDAS, -m])).T
-    l1, l2, m1, m2 = lam[:-1], lam[1:], -neg_m[:-1], -neg_m[1:]
-    det = l1 - l2
-    r1 = (m1 * (1.0 - l2) - m2 * (1.0 - l1)) / det
-    r2 = (l1 * m2 - l2 * m1) / det
-    vertices = [np.array([r1[0], r2[0]])]
-    for v in np.column_stack([r1[1:], r2[1:]]):
-        if np.hypot(*(v - vertices[-1])) < _VERTEX_TOL:
-            vertices[-1] = np.maximum(vertices[-1], v)
-        else:
-            vertices.append(v)
-    return pareto_filter(np.array(vertices), label=label)
 
 
 def cutset_region_noisy() -> BoundaryCurve:

@@ -7,7 +7,7 @@ ERASURE        : Y = X1 + X2; output {0, 1, 2}.
 
 Inputs are described either by a :class:`JointInputDistribution` (conditionally
 independent given an auxiliary T, the only form the dependence-balance bounds
-admit) or, for the cut-set sweep, by a raw 4-atom joint over (X1, X2).
+admit) or, for the cut-set bound, by a raw 4-atom joint over (X1, X2).
 
 Everything is computed by exact enumeration of the finite joint law; conditional
 entropies are differences of joint entropies of materialized marginals, which

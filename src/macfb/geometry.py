@@ -1,4 +1,9 @@
-"""Rate-region geometry: Pareto frontiers, support values, curve gaps."""
+"""Rate-region geometry: Pareto frontiers, support values, curve gaps, and support polygons.
+
+A convex region is fixed by its support values: :func:`support_value` reads
+them off a boundary curve, and :func:`_support_polygon` builds the curve back
+from them.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,13 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-__all__ = ["RatePair", "BoundaryCurve", "EmptyInputError", "pareto_filter", "support_value", "support_values", "curve_gap"]
+__all__ = [
+    "RatePair", "BoundaryCurve", "EmptyInputError", "SWEEP_LAMBDAS",
+    "pareto_filter", "support_value", "support_values", "curve_gap",
+]
+
+#: default sweep directions (1-degree resolution over the quarter turn)
+SWEEP_LAMBDAS = np.linspace(0.0, 1.0, 181)
 
 
 class EmptyInputError(ValueError):
@@ -81,59 +92,73 @@ def support_value(curve: BoundaryCurve, lam: float) -> float:
 
 
 def support_values(curve: BoundaryCurve, lams) -> np.ndarray:
-    """:func:`support_value` of ``curve`` in each direction of ``lams``, in one pass.
-
-    On a Pareto-sorted curve the maximizing vertex moves right as lambda
-    grows, so the directions are solved by divide and conquer: the median
-    direction scans its vertex range, and the directions below and above it
-    scan only the vertices left and right of its maximizer.  In floating
-    point that move holds only up to rounding: a vertex that wins a smaller
-    direction comes within four rounding errors of ``lam * r1 + (1 - lam) *
-    r2`` (each at most 2 eps times the largest coordinate) of the maximum of
-    the median direction.  So the split keeps every vertex within ``tol`` of
-    that maximum, eight times this bound, and each value is the very float
-    :func:`support_value` returns.
-    """
+    """:func:`support_value` of ``curve`` in each direction of ``lams``."""
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1:
         raise ValueError("lambdas must be a 1-D sequence")
-    if not np.all((lams >= 0.0) & (lams <= 1.0)):
-        raise ValueError("lambda must lie in [0, 1]")
-    r1, r2 = curve.points[:, 0], curve.points[:, 1]
-    tol = 64.0 * np.finfo(float).eps * np.abs(curve.points).max()
-    order = np.argsort(lams, kind="stable")
-    out = np.empty(len(lams))
-
-    def solve(a: int, b: int, lo: int, hi: int) -> None:
-        # directions order[a:b] have their maximizers among vertices lo..hi
-        if a >= b:
-            return
-        k = (a + b) // 2
-        lam = lams[order[k]]
-        vals = lam * r1[lo : hi + 1] + (1.0 - lam) * r2[lo : hi + 1]
-        best = vals.max()
-        out[order[k]] = best
-        near = np.flatnonzero(vals >= best - tol)
-        solve(a, k, lo, lo + near[-1])
-        solve(k + 1, b, lo + near[0], hi)
-
-    solve(0, len(lams), 0, len(r1) - 1)
-    return out
+    return np.array([support_value(curve, lam) for lam in lams])
 
 
-def curve_gap(
-    outer: BoundaryCurve,
-    inner: BoundaryCurve,
-    n_lambdas: int = 181,
-) -> tuple[float, float, float]:
-    """Support-value differences outer - inner over lam in {0, 1/(n-1), ..., 1}.
+def curve_gap(outer: BoundaryCurve, inner: BoundaryCurve) -> tuple[float, float, float]:
+    """Support-value differences outer - inner over the sweep directions.
 
     Returns (min_gap, max_gap, at_lambda) where ``at_lambda`` is the sweep
     direction attaining ``min_gap`` (the containment-critical direction);
     min_gap >= -1e-9 certifies that ``inner`` lies inside ``outer`` at the
     swept directions.
     """
-    lams = np.linspace(0.0, 1.0, n_lambdas)
-    gaps = support_values(outer, lams) - support_values(inner, lams)
+    gaps = support_values(outer, SWEEP_LAMBDAS) - support_values(inner, SWEEP_LAMBDAS)
     i_min = int(np.argmin(gaps))
-    return float(gaps[i_min]), float(gaps.max()), float(lams[i_min])
+    return float(gaps[i_min]), float(gaps.max()), float(SWEEP_LAMBDAS[i_min])
+
+
+def _concave_upper_hull(pts: np.ndarray) -> np.ndarray:
+    """Upper concave envelope of points sorted by their first coordinate.
+
+    Of Pareto-sorted rate pairs, it is the time-sharing hull.
+    """
+    hull: list[np.ndarray] = []
+    for p in pts:
+        while len(hull) >= 2:
+            o, q = hull[-2], hull[-1]
+            cross = (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0])
+            if cross >= 0.0:  # q below or on chord o-p: not a hull vertex
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return np.asarray(hull)
+
+
+#: consecutive polygon vertices closer than this are one vertex split by rounding
+_VERTEX_TOL = 1e-13
+
+
+def _support_polygon(m: np.ndarray, label: str) -> BoundaryCurve:
+    """The polygon {r >= 0 : lam r1 + (1 - lam) r2 <= m in every direction of ``SWEEP_LAMBDAS``}.
+
+    A line is redundant exactly when its
+    point (lam, m) lies on or above the lower convex hull of the points of
+    the others, so the kept lines are the vertices of that hull, and each
+    vertex of the polygon is where two consecutive kept lines meet.  The
+    lines at lam = 0 and 1 bound r2 and r1, so the first and last vertex lie
+    on them.  Rounding can make collinear points (lam, m) look strictly
+    convex and so keep lines through one vertex of the true polygon; their
+    meeting points then lie within rounding of each other.  A run of
+    vertices each within ``_VERTEX_TOL`` of the last is merged into its
+    componentwise maximum: that drops the lines between them and, since the
+    merged vertex dominates the run, lowers no support.  The Pareto filter
+    drops any vertex that rounding puts out of order.
+    """
+    lam, neg_m = _concave_upper_hull(np.column_stack([SWEEP_LAMBDAS, -m])).T
+    l1, l2, m1, m2 = lam[:-1], lam[1:], -neg_m[:-1], -neg_m[1:]
+    det = l1 - l2
+    r1 = (m1 * (1.0 - l2) - m2 * (1.0 - l1)) / det
+    r2 = (l1 * m2 - l2 * m1) / det
+    vertices = [np.array([r1[0], r2[0]])]
+    for v in np.column_stack([r1[1:], r2[1:]]):
+        if np.hypot(*(v - vertices[-1])) < _VERTEX_TOL:
+            vertices[-1] = np.maximum(vertices[-1], v)
+        else:
+            vertices.append(v)
+    return pareto_filter(np.array(vertices), label=label)

@@ -166,48 +166,6 @@ def _objective_values(name: str, p, q1, q2) -> np.ndarray:
     raise ValueError(f"unknown objective {name!r}")
 
 
-def _lex_min_rows(rows: np.ndarray) -> np.ndarray:
-    order = np.lexsort(rows.T[::-1])
-    return rows[order[0]]
-
-
-def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
-    """Maximize a direct (non-closed-form) objective over the configured grid.
-
-    Ties on the maximum value resolve to the lexicographically smallest
-    parameter vector, so parallel or re-chunked sweeps reproduce the result.
-    """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    cfg.check_budget()
-    if objective == "cutset_symmetric_direct":
-        return _cutset_oracle_max(cfg)
-
-    best_val = -np.inf
-    best_key: np.ndarray | None = None
-    n_eval = 0
-    for p, q1, q2 in iter_input_grid(cfg):
-        vals = _objective_values(objective, p, q1, q2)
-        n_eval += len(vals)
-        m = float(vals.max())
-        if m < best_val:
-            continue
-        rows = np.concatenate([p, q1, q2], axis=1)[vals == m]
-        key = _lex_min_rows(rows)
-        if m > best_val or tuple(key) < tuple(best_key):
-            best_val, best_key = m, key
-    k = cfg.t_card
-    arg = JointInputDistribution(p_t=best_key[:k], q1=best_key[k : 2 * k], q2=best_key[2 * k :])
-    return OracleResult(
-        objective=objective,
-        value=best_val,
-        argmax_params=tuple(float(v) for v in best_key),
-        argmax=arg,
-        n_evaluated=n_eval,
-        config=cfg,
-    )
-
-
 def _simplex_grid(grid_n: int):
     """Yield (n, 4) chunks covering the 3-simplex lattice with grid_n per axis."""
     g = np.linspace(0.0, 1.0, grid_n)
@@ -220,25 +178,52 @@ def _simplex_grid(grid_n: int):
         yield np.stack([np.full_like(bb, a), bb, cc, dd], axis=1)
 
 
-def _cutset_oracle_max(cfg: OracleConfig) -> OracleResult:
-    best_val = -np.inf
-    best_key = None
-    n_eval = 0
-    for joint in _simplex_grid(cfg.steps):
-        s = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
-        vals = np.minimum(np.minimum(s[:, 0], s[:, 1]), 0.5 * s[:, 2])
+def _lattice_max(chunks) -> tuple[float, np.ndarray, int]:
+    """The best value over ``(parts, values)`` chunks, its parameter row, and the number of rows.
+
+    A chunk's parameter rows are its ``parts`` side by side; they are joined
+    only for the rows where the chunk reaches the best value so far.  Ties
+    resolve to the lexicographically smallest row, so re-chunked sweeps
+    reproduce the result.
+    """
+    best_val, best_key, n_eval = -np.inf, None, 0
+    for parts, vals in chunks:
         n_eval += len(vals)
         m = float(vals.max())
         if m < best_val:
             continue
-        key = _lex_min_rows(joint[vals == m])
+        hit = vals == m
+        rows = np.concatenate([x[hit] for x in parts], axis=1)
+        key = rows[np.lexsort(rows.T[::-1])[0]]
         if m > best_val or tuple(key) < tuple(best_key):
             best_val, best_key = m, key
+    return best_val, best_key, n_eval
+
+
+def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
+    """Maximize a direct (non-closed-form) objective over the configured grid.
+
+    Ties on the maximum value resolve to the lexicographically smallest
+    parameter vector, so parallel or re-chunked sweeps reproduce the result.
+    The cut-set objective sweeps the 3-simplex lattice of 4-atom joints.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    cfg.check_budget()
+    if objective == "cutset_symmetric_direct":
+        value, key, n_eval = _lattice_max(((j,), bounds._cutset_symmetric_values(j)) for j in _simplex_grid(cfg.steps))
+        arg = np.asarray(key)
+    else:
+        value, key, n_eval = _lattice_max(
+            ((p, q1, q2), _objective_values(objective, p, q1, q2)) for p, q1, q2 in iter_input_grid(cfg)
+        )
+        k = cfg.t_card
+        arg = JointInputDistribution(p_t=key[:k], q1=key[k : 2 * k], q2=key[2 * k :])
     return OracleResult(
-        objective="cutset_symmetric_direct",
-        value=best_val,
-        argmax_params=tuple(float(v) for v in best_key),
-        argmax=np.asarray(best_key),
+        objective=objective,
+        value=value,
+        argmax_params=tuple(float(v) for v in key),
+        argmax=arg,
         n_evaluated=n_eval,
         config=cfg,
     )

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, bounds
-from .bounds import _binary_t_witness, _cutset_joint, _golden_max
+from . import bounds
+from ._search import _golden_max
+from .bounds import _binary_t_witness, _cutset_joint, _cutset_symmetric_values
 from .channel import JointInputDistribution
 from .infofn import binary_entropy, f2, phi, phi_inv
 
@@ -46,7 +47,11 @@ class SymmetricRateSolution:
             raise ValueError("u_star must equal f2(2 u1*, 2 u2*)")
 
 
-def _bisect(fn, lo: float, hi: float, xtol: float = 1e-12, max_iter: int = 200) -> float:
+_XTOL = 1e-12
+_MAX_ITER = 200
+
+
+def _bisect(fn, lo: float, hi: float) -> float:
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -54,10 +59,10 @@ def _bisect(fn, lo: float, hi: float, xtol: float = 1e-12, max_iter: int = 200) 
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) / 2.0 <= xtol:
+        if fmid == 0.0 or (hi - lo) / 2.0 <= _XTOL:
             return mid
         if np.sign(fmid) == np.sign(flo):
             lo, flo = mid, fmid
@@ -94,25 +99,22 @@ def solve_db_symmetric() -> SymmetricRateSolution:
     )
 
 
-def solve_cl_symmetric(grid_check_n: int = 201) -> SymmetricRateSolution:
+def solve_cl_symmetric() -> SymmetricRateSolution:
     """Cover-Leung symmetric rate.
 
     By symmetry the optimum has u1 = u2 = u, where the per-user cap
     h(phi(2u))/2 (increasing) crosses the halved sum cap h((1-2u)/2)/2
-    (decreasing); a 2-D grid over [0, 1/4]^2 confirms the symmetric
+    (decreasing); a 201 x 201 grid over [0, 1/4]^2 confirms the symmetric
     restriction is optimal to within 1e-6.
     """
     # on the diagonal f2(2u, 2u) = 2u
     u = _bisect(lambda u: bounds._h_phi(u) - bounds._h_mid(2.0 * u), 0.0, 0.25)
     rate = 0.5 * bounds._h_phi(u)
-    if grid_check_n:
-        r1, r2, total = bounds._cl_caps(*bounds._box_grid(grid_check_n))
-        # the largest symmetric rate of each pentagon
-        grid_max = float(np.minimum(np.minimum(r1, r2), 0.5 * total).max())
-        if grid_max > rate + 1e-6:
-            raise RuntimeError(
-                f"asymmetric grid point beats the symmetric optimum: {grid_max} > {rate}"
-            )
+    r1, r2, total = bounds._cl_caps(*bounds._box_grid(201))
+    # the largest symmetric rate of each pentagon
+    grid_max = float(np.minimum(np.minimum(r1, r2), 0.5 * total).max())
+    if grid_max > rate + 1e-6:
+        raise RuntimeError(f"asymmetric grid point beats the symmetric optimum: {grid_max} > {rate}")
     return SymmetricRateSolution(
         rate=rate,
         u1_star=u,
@@ -120,11 +122,6 @@ def solve_cl_symmetric(grid_check_n: int = 201) -> SymmetricRateSolution:
         u_star=f2(2.0 * u, 2.0 * u),
         witness=_binary_t_witness(u, u),
     )
-
-
-def _cutset_symmetric_value(joint: np.ndarray) -> np.ndarray:
-    stats = _kernels.cutset_stats(np.atleast_2d(joint), _kernels.KIND_NOISY)
-    return np.minimum(np.minimum(stats[:, 0], stats[:, 1]), 0.5 * stats[:, 2])
 
 
 def solve_cutset_symmetric() -> float:
@@ -141,6 +138,6 @@ def cutset_symmetric_argmax() -> tuple[float, np.ndarray]:
     section searches a in [0, 1/2].
     """
     a, value = _golden_max(
-        lambda a, rows: _cutset_symmetric_value(_cutset_joint(a, 0.5)), np.zeros(1), np.full(1, 0.5)
+        lambda a, rows: _cutset_symmetric_values(_cutset_joint(a, 0.5)), np.zeros(1), np.full(1, 0.5)
     )
     return float(value[0]), _cutset_joint(a, 0.5)[0]

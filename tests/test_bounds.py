@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import macfb
-from macfb import bounds
+from macfb import _search, bounds, geometry
 from macfb.bounds import (
     SWEEP_LAMBDAS,
     RateConstraintSet,
@@ -314,15 +315,20 @@ FROZEN_SUPPORTS_21 = {
 BATCH_FAMILIES = {"cutset": "cutset", "dbpc": "dbpc1"}
 
 
+def _solve_caps(caps_of, x_hi, lams):
+    """The solve of the pentagon family ``caps_of`` in the directions ``lams``."""
+    return _search._solve(bounds._pentagon_support(caps_of, lams), x_hi, len(lams))
+
+
 def _solve(family, rows):
     """Solve the sweep directions ``rows`` of a family on their own."""
     caps_of, x_hi = bounds._FAMILIES[family]
-    return bounds._solve(caps_of, x_hi, SWEEP_LAMBDAS[rows])
+    return _solve_caps(caps_of, x_hi, SWEEP_LAMBDAS[rows])
 
 
-def _plain_golden_max(fun, lo, hi, tol=bounds._TOL):
+def _plain_golden_max(fun, lo, hi, tol=_search._TOL):
     """Golden section one step per call: the reference the lookahead search must reproduce bitwise."""
-    gold = bounds._GOLD
+    gold = _search._GOLD
     every = np.arange(len(lo))
     a, b = lo.copy(), hi.copy()
     c = b - gold * (b - a)
@@ -420,6 +426,16 @@ class TestRefinement:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
 
+    def test_search_imports_nothing_from_macfb(self):
+        # the solver knows nothing of caps, regions or the rest of the package
+        tree = ast.parse(Path(_search.__file__).read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        imported += [
+            "." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        ]
+        assert imported, "no imports found"
+        assert not [m for m in imported if m.startswith(".") or m.split(".")[0] == "macfb"], imported
+
     @pytest.mark.parametrize("region", sorted(FROZEN_SUPPORTS_21))
     def test_supports_match_frozen_values(self, region):
         curve = region_boundary(RegionSpec(Region(region), 21))
@@ -460,7 +476,7 @@ class TestRefinement:
 
     def test_toy_optimum_on_box_face(self):
         lo, hi, fun, peak = _toy_parabolas()
-        x, f = bounds._golden_max(fun, lo, hi)
+        x, f = _search._golden_max(fun, lo, hi)
         best = np.clip(peak, lo, hi)
         at_end = (best == lo) | (best == hi)
         np.testing.assert_array_equal(x[at_end], best[at_end])
@@ -471,7 +487,7 @@ class TestRefinement:
         # both levels of the nested solve: the support rises with x and y,
         # so the optimum is the corner (x_hi, 1)
         lams = np.array([0.1, 0.5, 0.9])
-        xs, ys, fs = bounds._solve(lambda x, y: (x, y, np.full_like(x, np.inf)), 0.5, lams)
+        xs, ys, fs = _search._solve(lambda x, y, rows: lams[rows] * x + (1.0 - lams[rows]) * y, 0.5, len(lams))
         np.testing.assert_array_equal(xs, 0.5)
         np.testing.assert_array_equal(ys, 1.0)
         np.testing.assert_array_equal(fs, lams * 0.5 + (1.0 - lams))
@@ -487,20 +503,20 @@ class TestRefinement:
             return f
 
         looked, plain = set(), set()
-        got = bounds._golden_max(recorded(looked), lo, hi)
+        got = _search._golden_max(recorded(looked), lo, hi)
         want = _plain_golden_max(recorded(plain), lo, hi)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
         # every point plain golden section visits, bit for bit
         assert plain <= looked, sorted(plain - looked)[:5]
         # a looser tolerance ends the rows after other numbers of steps
-        for g, w in zip(bounds._golden_max(fun, lo, hi, 1e-3), _plain_golden_max(fun, lo, hi, 1e-3)):
+        for g, w in zip(_search._golden_max(fun, lo, hi, 1e-3), _plain_golden_max(fun, lo, hi, 1e-3)):
             np.testing.assert_array_equal(g, w)
 
     def test_solution_matches_plain_golden_section(self, monkeypatch):
         caps_of, x_hi = bounds._FAMILIES["cover-leung"]
-        monkeypatch.setattr(bounds, "_golden_max", _plain_golden_max)
-        want = bounds._solve(caps_of, x_hi, SWEEP_LAMBDAS)
+        monkeypatch.setattr(_search, "_golden_max", _plain_golden_max)
+        want = _solve_caps(caps_of, x_hi, SWEEP_LAMBDAS)
         monkeypatch.undo()
         for got, w in zip(bounds._solution("cover-leung"), want):
             np.testing.assert_array_equal(got, w)
@@ -515,7 +531,7 @@ class TestRefinement:
             calls += 1
             return caps_of(x, y)
 
-        solution = bounds._solve(counted, x_hi, SWEEP_LAMBDAS)
+        solution = _solve_caps(counted, x_hi, SWEEP_LAMBDAS)
         # plain golden section at both levels made 3,135-3,249 calls
         assert calls <= 900, calls
         for got, full in zip(solution, bounds._solution(family)):
@@ -579,7 +595,7 @@ class TestSupportPolygon:
         # meet within rounding of it
         pentagon = RateConstraintSet(*caps)
         m = np.array([pentagon.support(lam) for lam in SWEEP_LAMBDAS])
-        got = bounds._support_polygon(m, "toy")
+        got = geometry._support_polygon(m, "toy")
         want = pareto_filter(pentagon.corners())
         np.testing.assert_allclose(
             support_values(got, DENSE_LAMBDAS), support_values(want, DENSE_LAMBDAS), rtol=0.0, atol=1e-12
@@ -588,10 +604,10 @@ class TestSupportPolygon:
     @pytest.mark.parametrize("family", ["cutset", "dbpc1"])
     def test_near_duplicate_vertices_merged(self, family, monkeypatch):
         m = bounds._solution(family)[2]
-        got = bounds._support_polygon(m, family)
-        assert np.hypot(*np.diff(got.points, axis=0).T).min() >= bounds._VERTEX_TOL
-        monkeypatch.setattr(bounds, "_VERTEX_TOL", 0.0)
-        unmerged = bounds._support_polygon(m, family)
+        got = geometry._support_polygon(m, family)
+        assert np.hypot(*np.diff(got.points, axis=0).T).min() >= geometry._VERTEX_TOL
+        monkeypatch.setattr(geometry, "_VERTEX_TOL", 0.0)
+        unmerged = geometry._support_polygon(m, family)
         assert len(got.points) < len(unmerged.points)
         # the merged vertex dominates the ones it replaces, so no support drops
         rise = support_values(got, DENSE_LAMBDAS) - support_values(unmerged, DENSE_LAMBDAS)

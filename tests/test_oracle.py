@@ -99,7 +99,7 @@ class TestOracleMax:
         hi = oracle_max("db1_symmetric_direct", OracleConfig(t_card=2, steps=9))
         assert lo.value <= hi.value + 1e-15
 
-    def test_lexicographic_tie_break(self):
+    def test_lexicographic_tie_break(self, monkeypatch):
         # tiny grid where mirrored distributions tie: the reported argmax must
         # be the lexicographically smallest (p, q1, q2) vector among maximizers
         cfg = OracleConfig(t_card=1, steps=3)
@@ -117,6 +117,26 @@ class TestOracleMax:
                 if val == best:
                     candidates.append((1.0, a, b))
         assert r.argmax_params == min(candidates)
+        # the cut-set sweep: at these steps the maximizing joints lie in more
+        # than one chunk of the simplex lattice, and the argmax must be the
+        # lexicographically smallest of the whole lattice whichever chunk
+        # comes first
+        grid = oracle_mod._simplex_grid
+        for steps in (6, 9):
+            lattice = np.concatenate(list(grid(steps)))
+            s = _kernels.cutset_stats(lattice, _kernels.KIND_NOISY)
+            vals = np.minimum(np.minimum(s[:, 0], s[:, 1]), 0.5 * s[:, 2])
+            candidates = [tuple(float(v) for v in row) for row in lattice[vals == vals.max()]]
+            assert len({c[0] for c in candidates}) > 1
+            cfg = OracleConfig(t_card=1, steps=steps)
+            r = oracle_max("cutset_symmetric_direct", cfg)
+            assert r.value == vals.max()
+            assert r.argmax_params == min(candidates)
+            assert r.n_evaluated == len(lattice)
+            with monkeypatch.context() as m:
+                m.setattr(oracle_mod, "_simplex_grid", lambda n: reversed(list(grid(n))))
+                reordered = oracle_max("cutset_symmetric_direct", cfg)
+            assert (reordered.value, reordered.argmax_params) == (r.value, r.argmax_params)
 
     def test_chunking_invariance(self, monkeypatch):
         cfg = OracleConfig(t_card=2, steps=5)
