@@ -10,10 +10,17 @@ chunks of rows.  Every entropy adds its terms in a fixed order
 (:func:`_sum_rows`), and ``input_stats`` builds its marginals from fixed
 per-row index plans (:func:`_atoms`, :func:`_marginal`), so each row gets the
 same bits whatever batch, chunk or position it comes in.
+
+``input_stats(p, q1, q2, kind, columns)`` returns an ``(n, len(columns))``
+array, one column per name of ``STAT_COLUMNS`` in ``columns``, in that order.
+It builds, and takes the entropies of, only the tables those columns read
+(``_COLUMNS`` names them, ``_TABLES`` says how each is built), and each
+column has the same bits whichever other columns are requested with it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -29,18 +36,48 @@ KIND_ERASURE = 1
 #: the channel of each kind, whose ``transition_tensor`` the kernels enumerate
 _CHANNELS = (Channel.NOISY_ADDITIVE, Channel.ERASURE)
 
-STAT_COLUMNS = (
-    "h_x1_given_t",
-    "h_x2_given_t",
-    "i_x1_y_given_x2",
-    "i_x2_y_given_x1",
-    "i_x1x2_y",
-    "h_y",
-    "h_x1_given_y_x2_t",
-    "h_x2_given_y_x1_t",
-)
+#: the tables of the joint law of (T, X1, X2, Y), with the batch axis last:
+#: name -> (the tables it is built from, how).  Each comes after its sources.
+#: The inputs are ``t`` = P(t), ``q1``, ``q2`` and ``atoms`` (:func:`_atoms`);
+#: ``b1`` is P(x1 | t), ``tx1`` P(t, x1), ``w`` P(x1, x2, t) and ``full``
+#: P(t, x1, x2, y) on the nonzero atoms; the rest are named by the variables
+#: they keep.
+_TABLES = {
+    "b1": (("q1",), lambda q1: np.stack([q1, 1.0 - q1])),  # (2, K, n)
+    "b2": (("q2",), lambda q2: np.stack([q2, 1.0 - q2])),
+    "tx1": (("t", "b1"), lambda p, b1: p * b1),
+    "tx2": (("t", "b2"), lambda p, b2: p * b2),
+    "w": (("tx1", "b2"), lambda tx1, b2: tx1[:, None] * b2[None]),  # (2, 2, K, n)
+    "full": (("w", "atoms"), lambda w, a: w[a.x1, a.x2] * a.value[:, None, None]),  # (A, K, n)
+    "tx1y": (("full", "atoms"), lambda full, a: _marginal(full, a.by_x1y)),
+    "tx2y": (("full", "atoms"), lambda full, a: _marginal(full, a.by_x2y)),
+    "x1x2y": (("full",), lambda full: _sum_rows(full, axis=1)),
+    "x1x2": (("w",), lambda w: _sum_rows(w, axis=2)),
+    "x1y": (("tx1y",), lambda tx1y: _sum_rows(tx1y, axis=1)),
+    "x2y": (("tx2y",), lambda tx2y: _sum_rows(tx2y, axis=1)),
+    "x1": (("tx1",), lambda tx1: _sum_rows(tx1, axis=1)),
+    "x2": (("tx2",), lambda tx2: _sum_rows(tx2, axis=1)),
+    "y": (("x1x2y", "atoms"), lambda x1x2y, a: _marginal(x1x2y, a.by_y)),
+}
+
+#: each column: the tables whose entropies it reads, and its value from the
+#: entropies ``s``, keyed by table
+_COLUMNS = {
+    "h_x1_given_t": (("tx1", "t"), lambda s: s["tx1"] - s["t"]),
+    "h_x2_given_t": (("tx2", "t"), lambda s: s["tx2"] - s["t"]),
+    "i_x1_y_given_x2": (("x1x2", "x2", "x1x2y", "x2y"), lambda s: (s["x1x2"] - s["x2"]) - (s["x1x2y"] - s["x2y"])),
+    "i_x2_y_given_x1": (("x1x2", "x1", "x1x2y", "x1y"), lambda s: (s["x1x2"] - s["x1"]) - (s["x1x2y"] - s["x1y"])),
+    "i_x1x2_y": (("y", "x1x2y", "x1x2"), lambda s: s["y"] - (s["x1x2y"] - s["x1x2"])),
+    "h_y": (("y",), lambda s: s["y"]),
+    "h_x1_given_y_x2_t": (("full", "tx2y"), lambda s: s["full"] - s["tx2y"]),
+    "h_x2_given_y_x1_t": (("full", "tx1y"), lambda s: s["full"] - s["tx1y"]),
+}
+STAT_COLUMNS = tuple(_COLUMNS)
 
 __all__ = ["KIND_NOISY", "KIND_ERASURE", "STAT_COLUMNS", "input_stats", "cutset_stats"]
+
+
+_Atoms = namedtuple("_Atoms", "x1 x2 value by_x1y by_x2y by_y")
 
 
 def _plan(keys: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -65,7 +102,7 @@ def _atoms(kind: int):
     trans = transition_tensor(_CHANNELS[kind])
     x1, x2, y = np.nonzero(trans)
     ny = trans.shape[2]
-    return x1, x2, trans[x1, x2, y], _plan(x1 * ny + y), _plan(x2 * ny + y), _plan(y)
+    return _Atoms(x1, x2, trans[x1, x2, y], _plan(x1 * ny + y), _plan(x2 * ny + y), _plan(y))
 
 
 def _sum_rows(table: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -110,60 +147,49 @@ def _marginal(atoms: np.ndarray, plan) -> np.ndarray:
     return out
 
 
-def input_stats(p: np.ndarray, q1: np.ndarray, q2: np.ndarray, kind: int) -> np.ndarray:
+def input_stats(p: np.ndarray, q1: np.ndarray, q2: np.ndarray, kind: int, columns: tuple[str, ...]) -> np.ndarray:
     """Batch information quantities for conditionally independent inputs.
 
-    ``p``, ``q1``, ``q2`` have shape (n, K).  Returns (n, 8) with columns
-    ``STAT_COLUMNS``.
+    ``p``, ``q1``, ``q2`` have shape (n, K) and ``columns`` names columns of
+    ``STAT_COLUMNS``.  Returns (n, len(columns)), one column per name in that
+    order.  Only the tables and entropies those columns read are built, and a
+    column's bits do not depend on which other columns are requested.
     """
     # batch axis last and contiguous: (K, n)
     p = np.ascontiguousarray(np.transpose(p), dtype=float)
     q1 = np.ascontiguousarray(np.transpose(q1), dtype=float)
     q2 = np.ascontiguousarray(np.transpose(q2), dtype=float)
     n = p.shape[1]
+    forms = [_COLUMNS[name] for name in columns]
+    entropies = dict.fromkeys(table for terms, _ in forms for table in terms)
+    build = _tables_for(entropies)
     atoms = _atoms(kind)
-    out = np.empty((8, n))
+    out = np.empty((len(forms), n))
     for start in range(0, n, CHUNK):
         sl = slice(start, min(start + CHUNK, n))
-        out[:, sl] = _input_stats_chunk(p[:, sl], q1[:, sl], q2[:, sl], atoms)
+        tables = _build_tables(build, p[:, sl], q1[:, sl], q2[:, sl], atoms)
+        s = {name: _entropy(tables[name]) for name in entropies}
+        for row, (_, value) in zip(out, forms):
+            row[sl] = value(s)
     return out.T
 
 
-def _input_stats_chunk(p, q1, q2, atoms):
-    x1, x2, value, by_x1y, by_x2y, by_y = atoms
-    b1 = np.stack([q1, 1.0 - q1])  # P(x1 | t), (2, K, n)
-    b2 = np.stack([q2, 1.0 - q2])
-    tx1 = p * b1
-    tx2 = p * b2
-    w = tx1[:, None] * b2[None]  # P(x1, x2, t), (2, 2, K, n)
-    full = w[x1, x2] * value[:, None, None]  # P(t, x1, x2, y) on the nonzero atoms, (A, K, n)
-    tx1y = _marginal(full, by_x1y)
-    tx2y = _marginal(full, by_x2y)
-    x1x2y = _sum_rows(full, axis=1)
-
-    s_t = _entropy(p)
-    s_tx1 = _entropy(tx1)
-    s_tx2 = _entropy(tx2)
-    s_full = _entropy(full)
-    s_tx1y = _entropy(tx1y)
-    s_tx2y = _entropy(tx2y)
-    s_x1x2y = _entropy(x1x2y)
-    s_x1x2 = _entropy(_sum_rows(w, axis=2))
-    s_x1y = _entropy(_sum_rows(tx1y, axis=1))
-    s_x2y = _entropy(_sum_rows(tx2y, axis=1))
-    s_x1 = _entropy(_sum_rows(tx1, axis=1))
-    s_x2 = _entropy(_sum_rows(tx2, axis=1))
-    s_y = _entropy(_marginal(x1x2y, by_y))
-    i1, i2, isum = _mutual_informations(s_x1x2y, s_x1x2, s_x1y, s_x2y, s_x1, s_x2, s_y)
-    return s_tx1 - s_t, s_tx2 - s_t, i1, i2, isum, s_y, s_full - s_tx2y, s_full - s_tx1y
+def _tables_for(entropies) -> tuple[str, ...]:
+    """The tables to build, in build order, for the entropies of ``entropies``."""
+    need = set(entropies)
+    for name in reversed(_TABLES):
+        if name in need:
+            need.update(_TABLES[name][0])
+    return tuple(name for name in _TABLES if name in need)
 
 
-def _mutual_informations(s_x1x2y, s_x1x2, s_x1y, s_x2y, s_x1, s_x2, s_y):
-    """(I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y)) from the joint entropies of (X1, X2, Y)."""
-    i1 = (s_x1x2 - s_x2) - (s_x1x2y - s_x2y)
-    i2 = (s_x1x2 - s_x1) - (s_x1x2y - s_x1y)
-    isum = s_y - (s_x1x2y - s_x1x2)
-    return i1, i2, isum
+def _build_tables(build, p, q1, q2, atoms) -> dict:
+    """The inputs of one chunk and the tables ``build`` names, built in that order."""
+    tables = {"t": p, "q1": q1, "q2": q2, "atoms": atoms}
+    for name in build:
+        sources, make = _TABLES[name]
+        tables[name] = make(*(tables[source] for source in sources))
+    return tables
 
 
 def _cell_sum(t: np.ndarray) -> np.ndarray:
@@ -201,13 +227,19 @@ def cutset_stats(joint: np.ndarray, kind: int = KIND_NOISY) -> np.ndarray:
     return out.T
 
 
+#: the columns of ``cutset_stats``, whose forms it shares with ``input_stats``
+_CUTSET_COLUMNS = ("i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y")
+
+
 def _cutset_chunk(w, trans):
     law = w[:, :, None] * trans  # P(x1, x2, y), (2, 2, Y, n)
-    s_x1x2y = _cell_entropy(law)
-    s_x1x2 = _cell_entropy(w)
-    s_x1y = _entropy(law[:, 0] + law[:, 1])
-    s_x2y = _entropy(law[0] + law[1])
-    s_x1 = _entropy(w[:, 0] + w[:, 1])
-    s_x2 = _entropy(w[0] + w[1])
-    s_y = _entropy(_cell_sum(law))
-    return _mutual_informations(s_x1x2y, s_x1x2, s_x1y, s_x2y, s_x1, s_x2, s_y)
+    s = {
+        "x1x2y": _cell_entropy(law),
+        "x1x2": _cell_entropy(w),
+        "x1y": _entropy(law[:, 0] + law[:, 1]),
+        "x2y": _entropy(law[0] + law[1]),
+        "x1": _entropy(w[:, 0] + w[:, 1]),
+        "x2": _entropy(w[0] + w[1]),
+        "y": _entropy(_cell_sum(law)),
+    }
+    return [_COLUMNS[name][1](s) for name in _CUTSET_COLUMNS]

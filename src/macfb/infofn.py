@@ -66,7 +66,9 @@ def as_probability_vector(entries, tol: float = CLAMP_TOL) -> np.ndarray:
 
 def plogp(p: np.ndarray) -> np.ndarray:
     """``p log2 p`` elementwise for a float array, 0 where ``p = 0``; every entropy here sums these."""
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    # log2(1) = 0 stands in for p = 0; multiplying by p keeps the sign of a zero and NaN
+    logs = np.where(p > 0.0, p, 1.0)
+    np.log2(logs, out=logs)
     logs *= p
     return logs
 

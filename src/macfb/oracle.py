@@ -151,19 +151,27 @@ class OracleResult:
         }
 
 
+#: each lattice objective: its channel, the ``input_stats`` columns it reads, and its value from them
+_OBJECTIVE_FORMS = {
+    "db1_symmetric_direct": (
+        _kernels.KIND_NOISY,
+        ("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x1x2_y"),
+        lambda h1, h2, i1, isum: np.minimum(np.minimum(i1, h1), np.minimum(0.5 * h2, 0.5 * isum)),
+    ),
+    "cl_symmetric_direct": (
+        _kernels.KIND_NOISY,
+        ("h_x1_given_t", "h_x2_given_t", "i_x1x2_y"),
+        lambda h1, h2, isum: np.minimum(np.minimum(0.5 * h1, 0.5 * h2), 0.5 * isum),
+    ),
+    "erasure_sum_direct": (_kernels.KIND_ERASURE, ("h_y",), lambda h_y: h_y),
+}
+
+
 def _objective_values(name: str, p, q1, q2) -> np.ndarray:
-    if name == "db1_symmetric_direct":
-        s = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)
-        return np.minimum(
-            np.minimum(s[:, 2], s[:, 0]), np.minimum(0.5 * s[:, 1], 0.5 * s[:, 4])
-        )
-    if name == "cl_symmetric_direct":
-        s = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)
-        return np.minimum(np.minimum(0.5 * s[:, 0], 0.5 * s[:, 1]), 0.5 * s[:, 4])
-    if name == "erasure_sum_direct":
-        s = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE)
-        return s[:, 5]
-    raise ValueError(f"unknown objective {name!r}")
+    if name not in _OBJECTIVE_FORMS:
+        raise ValueError(f"unknown objective {name!r}")
+    kind, columns, value = _OBJECTIVE_FORMS[name]
+    return value(*_kernels.input_stats(p, q1, q2, kind, columns).T)
 
 
 def _simplex_grid(grid_n: int):
@@ -272,8 +280,8 @@ def verify_characterization(cfg: OracleConfig, equality_tol: float = 1e-9) -> Ch
     eq = {name: 0 for name in _INEQUALITIES}
     n = 0
     for p, q1, q2 in iter_input_grid(cfg):
-        noisy = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)
-        erased = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE)
+        noisy = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY, _kernels.STAT_COLUMNS)
+        (h_y_erasure,) = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE, ("h_y",)).T
         u1, u2, u = u_triples(p, q1, q2)
         # the erasure triple form is the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
         h1, h2, mu = bounds._erasure_caps(u1, u2, u)
@@ -284,7 +292,7 @@ def verify_characterization(cfg: OracleConfig, equality_tol: float = 1e-9) -> Ch
             "i_x1_y_given_x2": (noisy[:, 2], half_h),
             "i_x2_y_given_x1": (noisy[:, 3], half_h),
             "i_x1x2_y": (noisy[:, 4], bounds._h_mid(u)),
-            "h_y_erasure": (erased[:, 5], mu),
+            "h_y_erasure": (h_y_erasure, mu),
         }
         for name, (value, cap) in caps.items():
             gap = value - cap

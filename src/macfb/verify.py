@@ -177,14 +177,14 @@ def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
     inputs = list(_random_inputs(rng, samples, 2))
     inputs += [bounds._binary_t_witness(u1, u2) for u1, u2 in rng.uniform(0.0, 0.25, (samples, 2))]
     p, q1, q2 = (np.array([getattr(d, name) for d in inputs]) for name in ("p_t", "q1", "q2"))
-    h1, h2, i1, i2, isum = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY)[:, :5].T
-    erased = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE)
+    h1, h2, i1, i2, isum = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY, _kernels.STAT_COLUMNS[:5]).T
+    erased = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE, ("h_x1_given_t", "h_x2_given_t", "h_y")).T
     u1, u2, u = feasible.u_triples(p, q1, q2)
     pairs = (
         ((np.minimum(i1, h1), 0.5 * h2, isum), bounds._dbpc_caps(u1, u2, u)),
         ((0.5 * h1, np.minimum(i2, h2), isum), bounds._dbpc_caps(u1, u2, u, mirror=True)),
         ((0.5 * h1, 0.5 * h2, isum), bounds._cl_caps(u1, u2)),
-        ((erased[:, 0], erased[:, 1], erased[:, 5]), bounds._erasure_caps(u1, u2, u)),
+        (erased, bounds._erasure_caps(u1, u2, u)),
     )
     worst = max(float((exact - cap).max()) for exact_caps, caps in pairs for exact, cap in zip(exact_caps, caps))
     return _check("true-pentagons-inside-closed-form", len(inputs), worst, 1e-10)

@@ -16,6 +16,7 @@ from macfb.infofn import (
     mu_fn,
     phi,
     phi_inv,
+    plogp,
     xi,
 )
 
@@ -24,6 +25,14 @@ LOG2_3 = math.log2(3.0)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 half = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
 quarter = st.floats(min_value=0.0, max_value=0.25, allow_nan=False)
+
+
+def test_plogp_bits_equal_the_zero_filled_log(rng):
+    # the zero-filled masked log that plogp replaced: p log p keeps its bits
+    values = np.concatenate([[0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, np.nan], rng.uniform(size=1000)])
+    old = np.log2(values, out=np.zeros_like(values), where=values > 0.0)
+    old *= values
+    np.testing.assert_array_equal(plogp(values).view(np.uint64), old.view(np.uint64))
 
 
 class TestEntropyK:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import macfb
-from macfb import _kernels
+from macfb import _kernels, oracle
 from macfb.channel import Channel, JointInputDistribution, cutset_quantities, info_quantities, transition_tensor
+from macfb.infofn import plogp
 
 
 KINDS = (_kernels.KIND_NOISY, _kernels.KIND_ERASURE)
@@ -37,7 +38,7 @@ def test_kernels_match_reference_channel_module(rng, backend):
         for k in (1, 2, 3):
             for batch in (random_batch, zero_atom_batch):
                 p, q1, q2 = batch(rng, 32, k)
-                stats = _kernels.input_stats(p, q1, q2, kind)
+                stats = _kernels.input_stats(p, q1, q2, kind, _kernels.STAT_COLUMNS)
                 assert stats.shape == (32, len(_kernels.STAT_COLUMNS))
                 for i in range(stats.shape[0]):
                     q = info_quantities(channel, JointInputDistribution(p[i], q1[i], q2[i]))
@@ -59,13 +60,60 @@ def test_chunked_equals_unchunked(monkeypatch, rng):
     # each kind has its own plans, and each K its own table shapes
     cases = [(kind, random_batch(rng, 1000, k)) for kind in KINDS for k in (1, 2, 3)]
     joint = rng.dirichlet(np.ones(4), size=1000)
-    full = [_kernels.input_stats(*batch, kind) for kind, batch in cases]
+    full = [_kernels.input_stats(*batch, kind, _kernels.STAT_COLUMNS) for kind, batch in cases]
     full_cutset = [_kernels.cutset_stats(joint, kind) for kind in KINDS]
     monkeypatch.setattr(_kernels, "CHUNK", 7)
     for (kind, batch), stats in zip(cases, full):
-        np.testing.assert_array_equal(_kernels.input_stats(*batch, kind), stats)
+        np.testing.assert_array_equal(_kernels.input_stats(*batch, kind, _kernels.STAT_COLUMNS), stats)
     for kind, stats in zip(KINDS, full_cutset):
         np.testing.assert_array_equal(_kernels.cutset_stats(joint, kind), stats)
+
+
+#: the column tuples that the oracle objectives, ``verify_characterization``
+#: and the soundness check request
+CALLER_COLUMNS = (
+    *(columns for _, columns, _ in oracle._OBJECTIVE_FORMS.values()),
+    _kernels.STAT_COLUMNS,
+    ("h_y",),
+    _kernels.STAT_COLUMNS[:5],
+    ("h_x1_given_t", "h_x2_given_t", "h_y"),
+)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_column_subsets_equal_the_all_column_call_bitwise(rng, kind):
+    subsets = [(name,) for name in _kernels.STAT_COLUMNS]
+    subsets += [*CALLER_COLUMNS, _kernels.STAT_COLUMNS[::-1]]
+    for k in (1, 2, 3):
+        for n in (1, 7, _kernels.CHUNK + 1):
+            p, q1, q2 = zero_atom_batch(rng, n, k)
+            full = _kernels.input_stats(p, q1, q2, kind, _kernels.STAT_COLUMNS)
+            for columns in subsets:
+                got = _kernels.input_stats(p, q1, q2, kind, columns)
+                index = [_kernels.STAT_COLUMNS.index(name) for name in columns]
+                np.testing.assert_array_equal(got, full[:, index], err_msg=f"K = {k}, n = {n}, {columns}")
+
+
+def test_only_the_requested_tables_are_logged(monkeypatch, rng):
+    # the rows of all the tables whose entropies one K = 2 chunk takes
+    rows = []
+
+    def counted(table):
+        rows.append(table.shape[0])
+        return plogp(table)
+
+    monkeypatch.setattr(_kernels, "plogp", counted)
+    p, q1, q2 = random_batch(rng, 16, 2)
+    pins = [
+        (_kernels.KIND_NOISY, _kernels.STAT_COLUMNS, 82),
+        (_kernels.KIND_NOISY, oracle._OBJECTIVE_FORMS["db1_symmetric_direct"][1], 34),
+        (_kernels.KIND_NOISY, oracle._OBJECTIVE_FORMS["cl_symmetric_direct"][1], 26),
+        (_kernels.KIND_ERASURE, ("h_y",), 3),
+    ]
+    for kind, columns, logged in pins:
+        rows.clear()
+        _kernels.input_stats(p, q1, q2, kind, columns)
+        assert sum(rows) == logged, columns
 
 
 def _reduceat_marginal(atoms, plan):
@@ -104,11 +152,11 @@ def test_marginals_equal_reduceat_bitwise(monkeypatch, rng, kind):
     stats = []
     monkeypatch.setattr(_kernels, "_marginal", checked)
     for p, q1, q2 in batches:
-        stats.append(_kernels.input_stats(p, q1, q2, kind))
+        stats.append(_kernels.input_stats(p, q1, q2, kind, _kernels.STAT_COLUMNS))
     assert seen == set(_kernels._atoms(kind)[3:])
     monkeypatch.setattr(_kernels, "_marginal", _reduceat_marginal)
     for (p, q1, q2), got in zip(batches, stats):
-        np.testing.assert_array_equal(_kernels.input_stats(p, q1, q2, kind), got)
+        np.testing.assert_array_equal(_kernels.input_stats(p, q1, q2, kind, _kernels.STAT_COLUMNS), got)
 
 
 def _batches(rng):
@@ -125,7 +173,7 @@ def _batches(rng):
         for k in (1, 2, 3):
             p, q1, q2 = zero_atom_batch(rng, _kernels.CHUNK + 1, k)
             batches.append((f"input-{kind}-{k}", lambda i, j, p=p, q1=q1, q2=q2, kind=kind: _kernels.input_stats(
-                p[i:j], q1[i:j], q2[i:j], kind), len(p)))
+                p[i:j], q1[i:j], q2[i:j], kind, _kernels.STAT_COLUMNS), len(p)))
     return batches
 
 

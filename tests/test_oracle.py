@@ -112,7 +112,7 @@ class TestOracleMax:
         for a in q:
             for b in q:
                 p = np.array([[1.0]])
-                s = _kernels.input_stats(p, np.array([[a]]), np.array([[b]]), 0)
+                s = _kernels.input_stats(p, np.array([[a]]), np.array([[b]]), 0, _kernels.STAT_COLUMNS)
                 val = min(0.5 * s[0, 0], 0.5 * s[0, 1], 0.5 * s[0, 4])
                 if val == best:
                     candidates.append((1.0, a, b))
