@@ -1,4 +1,4 @@
-"""The evaluation budget that bounds every grid sweep.
+"""The evaluation budget that bounds every grid, curve and sample count.
 
 Sweeps compare their size with the budget before they allocate anything and
 raise :class:`BudgetExceededError` when it is larger.  ``MACFB_BUDGET`` (a

@@ -28,17 +28,18 @@ of :func:`macfb._search._solve` finds the optimum of all 181 directions at
 once.
 
 Since every region is convex, it is fixed by its support values, and no
-region sweeps a parameter grid except erasure-fb:
+region sweeps a parameter grid:
 
 - The outer bounds are the polygons of their solved support lines
   (:func:`macfb.geometry._support_polygon`): cut-set, dbpc1, dbpc2 (dbpc1
   mirrored) and dbpc, whose support in each direction is the smaller of
   dbpc1's and dbpc2's.  Such a polygon contains every solved pentagon.
-- The inner regions are hulls of attained pentagon corners, so they claim
-  only what some input reaches.  Cover-Leung is the hull of the solved
-  corners and of the pentagon at (1/4, 1/4).  erasure-fb also hulls a
-  grid_n x grid_n sweep of the (u1, u2) box, whose corners add area between
-  the solved directions; grid_n matters to no other region.
+- The inner regions, Cover-Leung and erasure-fb, are hulls of attained
+  pentagon corners, so they claim only what some input reaches
+  (:func:`_inner_curve`).  They hull the solved corners and the exact
+  boundary curve of the union: the top corner at grid_n values of u1, each
+  solved by a one-variable search over u2, and its mirror.  grid_n matters
+  to no other region.
 
 Regions
 -------
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import _kernels
 from ._budget import check_size
-from ._search import _solve
+from ._search import _golden_max, _solve
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2
 from .geometry import SWEEP_LAMBDAS, BoundaryCurve, _concave_upper_hull, _support_polygon, pareto_filter
@@ -316,11 +317,6 @@ def _box_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
 
 
-def _sweep_erasure(grid_n: int) -> np.ndarray:
-    check_size(grid_n**2, "(u1, u2) sweep")
-    return _corner_points(*_erasure_pair_caps(*_box_grid(grid_n)))
-
-
 # ---------------------------------------------------------------------------
 # Per-direction solve
 # ---------------------------------------------------------------------------
@@ -399,29 +395,31 @@ def cutset_region_noisy() -> BoundaryCurve:
     return _support_polygon(_solution("cutset")[2], Region.CUTSET.value)
 
 
-def _hull_curve(pts: np.ndarray, label: str) -> BoundaryCurve:
-    return BoundaryCurve(points=_concave_upper_hull(pareto_filter(pts).points), label=label)
+def _inner_curve(family: str, grid_n: int) -> BoundaryCurve:
+    """Hull of an inner region's face curve at grid_n values of u1, its mirror and the solved corners.
 
-
-def _cover_leung_curve() -> BoundaryCurve:
-    """Hull of the solved corners and of the pentagon at (1/4, 1/4); it does not depend on grid_n.
-
-    At lambda = 0 and 1 the optimum is not unique and the solved corner has
-    the other rate near 7e-11, so that pentagon gives the end vertices
-    (0.3113, 0.5) and (0.5, 0.3113).
+    In cover-leung and erasure-fb the r1 cap a rises with u1, the r2 cap b
+    with u2, and the sum cap c rises in neither.  So at each u1 the union's
+    top corner at r1 = a(u1) is the maximum over u2 of min(b, c - a), a
+    unimodal problem; both families are symmetric, so the mirror gives the
+    other face.  Every point is an attained pentagon corner.
     """
-    quarter = np.array([0.25])
-    pts = np.concatenate([_corner_points(*_cl_caps(quarter, quarter)), _solved_points("cover-leung")])
-    return _hull_curve(pts, Region.COVER_LEUNG.value)
+    check_size(grid_n, "inner face curve")
+    caps_of, x_hi = _FAMILIES[family]
+    u1 = np.linspace(0.0, x_hi, grid_n)
 
+    def top(y, rows):
+        a, b, c = caps_of(u1[rows], y)
+        return np.minimum(b, c - a)
 
-@lru_cache(maxsize=4)
-def _erasure_points(grid_n: int) -> np.ndarray:
-    return np.concatenate([_sweep_erasure(grid_n), _solved_points("erasure-fb")], axis=0)
+    y, _ = _golden_max(top, np.zeros(grid_n), np.ones(grid_n))
+    face = _corner_points(*caps_of(u1, y))
+    pts = pareto_filter(np.concatenate([face, face[:, ::-1], _solved_points(family)])).points
+    return BoundaryCurve(points=_concave_upper_hull(pts), label=family)
 
 
 def region_boundary(spec: RegionSpec) -> BoundaryCurve:
-    """Boundary curve of the requested region; ``grid_n`` matters only to erasure-fb."""
+    """Boundary curve of the requested region; ``grid_n`` matters only to cover-leung and erasure-fb."""
     which = spec.which
     if which is Region.CUTSET:
         return cutset_region_noisy()
@@ -435,10 +433,8 @@ def region_boundary(spec: RegionSpec) -> BoundaryCurve:
         m = _solution("dbpc1")[2]
         # dbpc2's support in direction lam is dbpc1's in direction 1 - lam
         return _support_polygon(np.minimum(m, m[::-1]), which.value)
-    if which is Region.COVER_LEUNG:
-        return _cover_leung_curve()
-    if which is Region.ERASURE_FB:
-        return _hull_curve(_erasure_points(spec.grid_n), which.value)
+    if which in (Region.COVER_LEUNG, Region.ERASURE_FB):
+        return _inner_curve(which.value, spec.grid_n)
     if which is Region.ERASURE_NOFB:
         corners = np.asarray(erasure_nofb_constraints().corners())
         return pareto_filter(corners, label=which.value)

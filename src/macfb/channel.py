@@ -79,7 +79,7 @@ class JointInputDistribution:
         if q1.shape != p.shape or q2.shape != p.shape:
             raise InvalidDistributionError("q1/q2 must have one entry per value of T")
         for name, q in (("q1", q1), ("q2", q2)):
-            if np.any(q < -1e-12) or np.any(q > 1 + 1e-12):
+            if not (np.all(q >= -1e-12) and np.all(q <= 1 + 1e-12)):
                 raise InvalidDistributionError(f"{name} entries must lie in [0, 1]")
         object.__setattr__(self, "p_t", p)
         object.__setattr__(self, "q1", np.clip(q1, 0.0, 1.0))

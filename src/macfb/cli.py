@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="macfb",
         description="Feedback-capacity bounds for binary additive multiple-access channels.",
         epilog="Set MACFB_BUDGET to a positive integer to override the evaluation budget"
-        " of grid sweeps (default 1e8).",
+        " (default 1e8) that --grid-n and --samples are checked against.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-n",
         type=_int_at_least(2),
         default=201,
-        help="grid points per axis of the erasure-fb (u1, u2) sweep; no other region reads it",
+        help="u1 samples per face of cover-leung and erasure-fb; no other region reads it",
     )
     p_region.add_argument("--format", choices=["csv", "json"], default="csv")
     p_region.set_defaults(func=_cmd_region)
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=["lemmas", "characterization", "dominance", "equivalence", "all"])
-    p_ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=_int_at_least(0), default=verify.DEFAULT_SEED)
     p_ver.add_argument("--samples", type=_int_at_least(1), default=None)
     p_ver.add_argument("--t-card", type=int, action="append", choices=[1, 2, 3], default=None)
     p_ver.add_argument("--steps", type=_int_at_least(2), default=None)

@@ -42,7 +42,8 @@ class InvalidDistributionError(ValueError):
 def _clamp_interval(s, hi: float, name: str):
     """Clamp ``s`` into [0, hi], raising if it is out by more than CLAMP_TOL."""
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < -CLAMP_TOL) or np.any(arr > hi + CLAMP_TOL):
+    # asked as "all inside", so NaN, which fails every comparison, is rejected
+    if not (np.all(arr >= -CLAMP_TOL) and np.all(arr <= hi + CLAMP_TOL)):
         raise DomainError(f"{name} must lie in [0, {hi}], got {s!r}")
     clipped = np.clip(arr, 0.0, hi)
     return clipped if arr.shape else float(clipped)
@@ -56,7 +57,7 @@ def as_probability_vector(entries, tol: float = CLAMP_TOL) -> np.ndarray:
     p = np.asarray(entries, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistributionError("probability vector must be a nonempty 1-D array")
-    if np.any(p < -tol) or np.any(p > 1.0 + tol):
+    if not (np.all(p >= -tol) and np.all(p <= 1.0 + tol)):
         raise InvalidDistributionError(f"entries outside [0, 1]: {entries!r}")
     total = float(p.sum())
     if abs(total - 1.0) > 1e-12:

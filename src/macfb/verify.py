@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels, bounds, feasible, geometry, oracle, symrate
+from ._budget import check_size
 from .channel import Channel, JointInputDistribution, info_quantities, verify_half_entropy_identity
 from .infofn import binary_entropy, f2, f2_hessian, g_fn, mu_fn, phi
 
@@ -30,6 +31,7 @@ def _check(name: str, samples: int, violation: float, tol: float) -> dict:
 
 def lemma_suite(seed: int = DEFAULT_SEED, samples: int = 100_000) -> dict:
     """Analytic properties of the composite functions, by seeded sampling."""
+    check_size(samples, "lemma sampling")
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -213,6 +215,7 @@ def dominance_suite(seed: int = DEFAULT_SEED, soundness_samples: int = 200) -> d
 
 def equivalence_suite(seed: int = DEFAULT_SEED, samples: int = 1000) -> dict:
     """Projection onto the lower feasibility face dominates cap by cap."""
+    check_size(samples, "equivalence sampling")
     rng = np.random.default_rng(seed)
     triples = feasible.sample_triples(samples, rng)
     worst_r1 = worst_r2 = worst_sum = worst_face = -np.inf

@@ -230,11 +230,21 @@ class TestRegionBoundaries:
         assert support_value(curve, 0.5) == pytest.approx(0.791132, abs=1e-3)
 
     def test_sweep_budget_is_inclusive(self, monkeypatch):
-        # a grid no other test builds, so the sweep is not served from the cache
-        monkeypatch.setenv("MACFB_BUDGET", str(23**2))
+        monkeypatch.setenv("MACFB_BUDGET", "23")
         assert len(region_boundary(RegionSpec(Region.ERASURE_FB, 23)).points) > 0
-        with pytest.raises(BudgetExceededError, match="sweep of 576 evaluations exceeds budget 529"):
+        with pytest.raises(BudgetExceededError, match="curve of 24 evaluations exceeds budget 23"):
             region_boundary(RegionSpec(Region.ERASURE_FB, 24))
+
+    @pytest.mark.parametrize("grid_n", [21, 201])
+    @pytest.mark.parametrize("which", ["cover-leung", "erasure-fb"])
+    def test_inner_curve_reaches_its_grid(self, which, grid_n):
+        # the region contains the best corner of the family's own
+        # grid_n x grid_n grid in every direction, between the 181 too
+        caps_of, x_hi = bounds._FAMILIES[which]
+        u1, y = (v.ravel() for v in np.meshgrid(np.linspace(0.0, x_hi, grid_n), np.linspace(0.0, 1.0, grid_n)))
+        lams = np.linspace(0.0, 1.0, 3601)
+        curve = region_boundary(RegionSpec(Region(which), grid_n))
+        assert (support_values(curve, lams) - _grid_supports(*caps_of(u1, y), lams)).min() >= -1e-12
 
 
 # Support of every region at grid 21, at every 10th of the 181 sweep
@@ -351,15 +361,19 @@ def _plain_golden_max(fun, lo, hi, tol=_search._TOL):
     return xs[k, every], fs[k, every]
 
 
-def _grid_supports(a, b, c):
-    """Best pentagon support over grid caps (a, b, c) in each sweep direction."""
+def _grid_supports(a, b, c, lams=SWEEP_LAMBDAS):
+    """Best pentagon support over grid caps (a, b, c) in each direction of ``lams``."""
     x_max, y_max = np.minimum(a, c), np.minimum(b, c)
     y_at_x = np.maximum(np.minimum(b, c - x_max), 0.0)
     x_at_y = np.maximum(np.minimum(a, c - y_max), 0.0)
-    return np.array([
-        max((lam * x_max + (1.0 - lam) * y_at_x).max(), (lam * x_at_y + (1.0 - lam) * y_max).max())
-        for lam in SWEEP_LAMBDAS
-    ])
+    r1, r2 = np.concatenate([x_max, x_at_y]), np.concatenate([y_at_x, y_max])
+    # a corner that an earlier one (larger r1, then larger r2) dominates is
+    # never the only best, and rounding keeps that order, so drop it
+    order = np.lexsort((-r2, -r1))
+    r1, r2 = r1[order], r2[order]
+    front = r2 > np.maximum.accumulate(np.concatenate([[-np.inf], r2[:-1]]))
+    r1, r2 = r1[front], r2[front]
+    return np.array([np.max(lam * r1 + (1.0 - lam) * r2) for lam in lams])
 
 
 def _box(n, hi):

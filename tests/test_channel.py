@@ -228,6 +228,8 @@ class TestCutsetQuantities:
     def test_invalid_joint(self):
         with pytest.raises(InvalidDistributionError):
             cutset_quantities(Channel.NOISY_ADDITIVE, [0.5, 0.5, 0.5, -0.5])
+        with pytest.raises(InvalidDistributionError):
+            cutset_quantities(Channel.NOISY_ADDITIVE, [0.5, 0.5, np.nan, 0.0])
 
 
 class TestJointInputDistribution:
@@ -238,6 +240,11 @@ class TestJointInputDistribution:
     def test_q_out_of_range(self):
         with pytest.raises(InvalidDistributionError):
             JointInputDistribution([1.0], [1.5], [0.5])
+        # NaN fails every comparison, so it must not pass the range check
+        with pytest.raises(InvalidDistributionError):
+            JointInputDistribution([1.0], [np.nan], [0.5])
+        with pytest.raises(InvalidDistributionError):
+            JointInputDistribution([1.0], [0.5], [np.nan])
 
     def test_p_not_normalized(self):
         with pytest.raises(InvalidDistributionError):

@@ -11,6 +11,14 @@ from macfb import cli, verify
 
 CMD = [sys.executable, "-m", "macfb"]
 
+#: sha256 of ``macfb region <which> --grid-n <grid_n>`` for the inner regions
+INNER_CSV_SHA256 = {
+    ("cover-leung", "21"): "6d2fda350349d619e9c2d173d28ef4be9319e329885055f1813ba9e4e39085e4",
+    ("cover-leung", "201"): "3de392f2c837d2d650c47d529e44d6d5bb9b82c488ba94dd9bc66e43ef4f9589",
+    ("erasure-fb", "21"): "cdad3116496b71a7ff9c94f29fbc59a1c1d58abe90c94a7e81bfcb29788bbafa",
+    ("erasure-fb", "201"): "bd1e1ea000faae736c2b08e7da512337dffb977dfb917eb5977ea5dfda6b6eb3",
+}
+
 
 def run(*args, env=None, timeout=None):
     child_env = {**os.environ, **env} if env else None
@@ -61,12 +69,19 @@ class TestRegion:
 
     @pytest.mark.parametrize("grid_n", ["21", "201"])
     def test_cover_leung_csv_bytes_frozen(self, grid_n):
-        # frozen from the curve built with a (u1, u2) sweep: the solved corners
-        # and the pentagon at (1/4, 1/4) must give the same bytes
-        out = run("region", "cover-leung", "--grid-n", grid_n)
+        self._check_inner_csv("cover-leung", grid_n)
+
+    @pytest.mark.parametrize("grid_n", ["21", "201"])
+    def test_erasure_fb_csv_bytes_frozen(self, grid_n):
+        self._check_inner_csv("erasure-fb", grid_n)
+
+    @staticmethod
+    def _check_inner_csv(which, grid_n):
+        # frozen from the hull of the face curve at grid_n values of u1, its
+        # mirror and the solved corners; the bytes depend on grid_n
+        out = run("region", which, "--grid-n", grid_n)
         assert out.returncode == 0
-        digest = hashlib.sha256(out.stdout.encode()).hexdigest()
-        assert digest == "340bc6eb57d461537ca462bf8e03302204d7c86731ba6558688b25f5054694ac"
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == INNER_CSV_SHA256[which, grid_n]
 
     @pytest.mark.parametrize("which, digest", [
         ("cutset", "df38b1bbce3e209321a7e615e7f9856615661d1d81d72fb3c362b4a697c1b4fa"),
@@ -185,6 +200,7 @@ class TestVerify:
             ("characterization", "--steps", "1"),
             ("dominance", "--grid-n", "0"),
             ("dominance", "--grid-n", "1"),
+            ("lemmas", "--seed", "-1"),
         ],
     )
     def test_bad_count_exits_2(self, args):
@@ -204,17 +220,27 @@ class TestBudget:
         assert out.stdout == ""
 
     def test_oversized_region_sweep_fails_fast(self):
-        out = run("region", "erasure-fb", "--grid-n", "10001", timeout=60)
-        assert out.returncode == 2
-        assert "(u1, u2) sweep of 100020001 evaluations exceeds budget 100000000" in out.stderr
+        for which in ("cover-leung", "erasure-fb"):
+            out = run("region", which, "--grid-n", "100000001", timeout=60)
+            assert out.returncode == 2
+            assert "inner face curve of 100000001 evaluations exceeds budget 100000000" in out.stderr
 
-    # erasure-fb is the one region that sweeps a grid
-    @pytest.mark.parametrize("which, grid_n, size", [("erasure-fb", 32, 32**2)])
-    def test_region_sweep_checked_against_budget(self, which, grid_n, size):
-        out = run("region", which, "--grid-n", str(grid_n), env={"MACFB_BUDGET": "1000"}, timeout=60)
+    # the inner regions are the ones that sample grid_n values of u1
+    @pytest.mark.parametrize("which", ["cover-leung", "erasure-fb"])
+    def test_region_sweep_checked_against_budget(self, which):
+        out = run("region", which, "--grid-n", "1001", env={"MACFB_BUDGET": "1000"}, timeout=60)
         assert out.returncode == 2
-        assert f"sweep of {size} evaluations exceeds budget 1000" in out.stderr
+        assert "inner face curve of 1001 evaluations exceeds budget 1000" in out.stderr
         assert out.stdout == ""
+
+    @pytest.mark.parametrize("suite", ["lemmas", "equivalence"])
+    def test_samples_checked_against_budget(self, suite):
+        env = {"MACFB_BUDGET": "999"}
+        out = run("verify", suite, "--samples", "1000", env=env, timeout=60)
+        assert out.returncode == 2
+        assert "sampling of 1000 evaluations exceeds budget 999" in out.stderr
+        assert out.stdout == ""
+        assert run("verify", suite, "--samples", "999", env=env, timeout=60).returncode == 0
 
 
 class TestMisc:

@@ -46,7 +46,7 @@ class TestEntropyK:
         assert entropy_k([1 / 3, 1 / 3, 1 / 3]) == pytest.approx(LOG2_3, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "bad", [[0.5, 0.4], [0.5, 0.6], [-0.1, 1.1], [2.0, -1.0], []]
+        "bad", [[0.5, 0.4], [0.5, 0.6], [-0.1, 1.1], [2.0, -1.0], [], [float("nan"), 1.0]]
     )
     def test_invalid_distributions(self, bad):
         with pytest.raises(InvalidDistributionError):
@@ -78,6 +78,9 @@ class TestBinaryEntropy:
             binary_entropy(1.1)
         with pytest.raises(DomainError):
             binary_entropy(-0.1)
+        # NaN fails every comparison, so it must not pass the range check
+        with pytest.raises(DomainError):
+            binary_entropy(float("nan"))
 
     def test_clamps_small_drift(self):
         assert binary_entropy(-1e-13) == 0.0
@@ -131,6 +134,8 @@ class TestPhi:
             phi(-0.2)
         with pytest.raises(DomainError):
             phi_inv(0.7)
+        with pytest.raises(DomainError):
+            phi(float("nan"))
 
 
 class TestF2:
@@ -182,6 +187,12 @@ class TestF2:
         with pytest.raises(DomainError):
             f2_hessian(0.5, 0.1)
 
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            f2(0.6, 0.1)
+        with pytest.raises(DomainError):
+            f2(0.1, np.array([0.1, np.nan]))
+
 
 class TestG:
     def test_origin(self):
@@ -232,3 +243,5 @@ class TestMu:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             mu_fn(1.5)
+        with pytest.raises(DomainError):
+            mu_fn(float("nan"))
