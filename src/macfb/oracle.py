@@ -10,6 +10,7 @@ be compared with the enumeration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -46,9 +47,10 @@ _CHUNK = 200_000
 class OracleConfig:
     """Grid configuration for the brute-force sweeps.
 
-    ``steps`` is the number of lattice points per probability axis; for
-    ``t_card == 3`` a full lattice is out of reach and a seeded
-    Latin-hypercube sample of matching size stands in for the q-coordinates.
+    ``steps`` is the number of lattice points per probability axis.  Each
+    point of the P(t) simplex lattice is swept with the full q lattice of
+    ``2 * t_card`` axes, or, for ``t_card == 3``, with ``steps**3`` points of
+    a Latin hypercube drawn from ``seed``.  ``budget`` only bounds the size.
     """
 
     t_card: int = 2
@@ -66,51 +68,49 @@ class OracleConfig:
 
     @property
     def grid_size(self) -> int:
-        if self.t_card == 1:
-            return self.steps**2
-        if self.t_card == 2:
-            return self.steps**5
-        n_p = self.steps * (self.steps + 1) // 2  # 2-simplex lattice for p
-        return n_p * min(self.steps**3, max(self.budget // max(n_p, 1), 1))
-
-    def check_budget(self) -> None:
-        check_size(self.grid_size, "grid", self.budget)
+        """The rows :func:`iter_input_grid` yields: the P(t) lattice times the q set."""
+        n_q = self.steps**3 if self.t_card == 3 else self.steps ** (2 * self.t_card)
+        return _lattice_size(self.t_card, self.steps) * n_q
 
 
-def _axis(steps: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, steps)
+def _lattice_size(parts: int, steps: int) -> int:
+    """The number of rows :func:`_simplex_lattice` yields."""
+    return math.comb(steps + parts - 2, parts - 1)
+
+
+def _simplex_lattice(parts: int, steps: int) -> Iterator[np.ndarray]:
+    """Yield the points of ``{k/(steps-1)}^parts`` that sum to 1, one (n, parts) chunk per first entry.
+
+    Rows are in lexicographic order.  The last entry is 1 minus the others,
+    subtracted left to right and floored at 0.
+    """
+    g = np.linspace(0.0, 1.0, steps)
+    if parts == 1:
+        yield np.ones((1, 1))
+        return
+    free = parts - 2  # entries between the first and the last
+    for i, first in enumerate(g):
+        left = steps - 1 - i  # lattice steps the free entries may share
+        idx = np.indices((left + 1,) * free).reshape(free, (left + 1) ** free)
+        mid = g[idx[:, idx.sum(axis=0) <= left]]
+        last = np.full(mid.shape[1], 1.0 - first)
+        for col in mid:
+            last = last - col
+        yield np.column_stack([np.full_like(last, first), *mid, np.maximum(last, 0.0)])
 
 
 def iter_input_grid(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (p, q1, q2) chunks of shape (n, t_card) covering the sweep."""
-    g = _axis(cfg.steps)
-    if cfg.t_card == 1:
-        q1, q2 = np.meshgrid(g, g, indexing="ij")
-        q1, q2 = q1.ravel()[:, None], q2.ravel()[:, None]
-        yield np.ones_like(q1), q1, q2
-        return
-    if cfg.t_card == 2:
-        q = np.stack([x.ravel() for x in np.meshgrid(g, g, g, g, indexing="ij")], axis=1)
-        for w in g:
-            p = np.full((len(q), 2), (w, 1.0 - w))
+    """Yield (p, q1, q2) chunks of shape (n, t_card): the q set at every point of the P(t) lattice."""
+    k, g = cfg.t_card, np.linspace(0.0, 1.0, cfg.steps)
+    if k == 3:  # a full lattice of six q axes is out of reach
+        q = _latin_hypercube(np.random.default_rng(cfg.seed), cfg.steps**3, 6)
+    else:
+        q = np.stack([x.ravel() for x in np.meshgrid(*[g] * (2 * k), indexing="ij")], axis=1)
+    for p_rows in _simplex_lattice(k, cfg.steps):
+        for p in p_rows:
             for start in range(0, len(q), _CHUNK):
-                sl = slice(start, min(start + _CHUNK, len(q)))
-                yield p[sl], q[sl, :2], q[sl, 2:]
-        return
-    # t_card == 3: simplex lattice for p, Latin-hypercube for the six q's
-    rng = np.random.default_rng(cfg.seed)
-    p_pts = []
-    for i, a in enumerate(g):
-        for b in g[: cfg.steps - i]:
-            p_pts.append((a, b, max(1.0 - a - b, 0.0)))
-    p_pts = np.asarray(p_pts)
-    n_q = min(cfg.steps**3, max(cfg.budget // max(len(p_pts), 1), 1))
-    qs = _latin_hypercube(rng, n_q, 6)
-    for p in p_pts:
-        for start in range(0, n_q, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, n_q))
-            block = qs[sl]
-            yield np.broadcast_to(p, (len(block), 3)).copy(), block[:, :3], block[:, 3:]
+                block = q[start : start + _CHUNK]
+                yield np.broadcast_to(p, (len(block), k)), block[:, :k], block[:, k:]
 
 
 def _latin_hypercube(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -174,18 +174,6 @@ def _objective_values(name: str, p, q1, q2) -> np.ndarray:
     return value(*_kernels.input_stats(p, q1, q2, kind, columns).T)
 
 
-def _simplex_grid(grid_n: int):
-    """Yield (n, 4) chunks covering the 3-simplex lattice with grid_n per axis."""
-    g = np.linspace(0.0, 1.0, grid_n)
-    for a in g:
-        b = g[g <= 1.0 - a + 1e-15]
-        bb, cc = np.meshgrid(b, g, indexing="ij")
-        mask = cc <= 1.0 - a - bb + 1e-15
-        bb, cc = bb[mask], cc[mask]
-        dd = np.clip(1.0 - a - bb - cc, 0.0, None)
-        yield np.stack([np.full_like(bb, a), bb, cc, dd], axis=1)
-
-
 def _lattice_max(chunks) -> tuple[float, np.ndarray, int]:
     """The best value over ``(parts, values)`` chunks, its parameter row, and the number of rows.
 
@@ -217,11 +205,14 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    cfg.check_budget()
     if objective == "cutset_symmetric_direct":
-        value, key, n_eval = _lattice_max(((j,), bounds._cutset_symmetric_values(j)) for j in _simplex_grid(cfg.steps))
+        check_size(_lattice_size(4, cfg.steps), "grid", cfg.budget)
+        value, key, n_eval = _lattice_max(
+            ((j,), bounds._cutset_symmetric_values(j)) for j in _simplex_lattice(4, cfg.steps)
+        )
         arg = np.asarray(key)
     else:
+        check_size(cfg.grid_size, "grid", cfg.budget)
         value, key, n_eval = _lattice_max(
             ((p, q1, q2), _objective_values(objective, p, q1, q2)) for p, q1, q2 in iter_input_grid(cfg)
         )
@@ -239,6 +230,8 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
 
 _INEQUALITIES = ("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y", "h_y_erasure")
 _IDENTITIES = ("half_h_x1", "half_h_x2")
+#: a cap counts as tight at a lattice point when the exact value is within this of it
+_EQUALITY_TOL = 1e-9
 
 
 @dataclass
@@ -267,14 +260,14 @@ class CharacterizationReport:
         return max(self.max_violation.values())
 
 
-def verify_characterization(cfg: OracleConfig, equality_tol: float = 1e-9) -> CharacterizationReport:
+def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     """Check every closed-form cap and identity over the configured lattice.
 
     For each lattice distribution the exact information quantities (both
     channels) are compared against the (u1, u2, u) caps; the report carries
     the largest violation of each inequality and how often it is tight.
     """
-    cfg.check_budget()
+    check_size(cfg.grid_size, "grid", cfg.budget)
     report = CharacterizationReport(config=cfg)
     viol = {name: -np.inf for name in _INEQUALITIES + _IDENTITIES}
     eq = {name: 0 for name in _INEQUALITIES}
@@ -297,7 +290,7 @@ def verify_characterization(cfg: OracleConfig, equality_tol: float = 1e-9) -> Ch
         for name, (value, cap) in caps.items():
             gap = value - cap
             viol[name] = max(viol[name], float(gap.max()))
-            eq[name] += int(np.count_nonzero(gap >= -equality_tol))
+            eq[name] += int(np.count_nonzero(gap >= -_EQUALITY_TOL))
         viol["half_h_x1"] = max(viol["half_h_x1"], float(np.abs(noisy[:, 6] - 0.5 * noisy[:, 0]).max()))
         viol["half_h_x2"] = max(viol["half_h_x2"], float(np.abs(noisy[:, 7] - 0.5 * noisy[:, 1]).max()))
         n += len(u)

@@ -17,6 +17,10 @@ from .infofn import binary_entropy, f2, f2_hessian, g_fn, mu_fn, phi
 __all__ = ["SUITES", "SuiteOptionError", "run_suite", "lemma_suite", "characterization_suite", "dominance_suite", "equivalence_suite"]
 
 DEFAULT_SEED = 0
+#: random inputs the characterization suite checks its witnesses and the half-entropy identity on
+_WITNESS_SAMPLES = 100
+#: random inputs, and as many binary uniform-T witnesses, in the dominance suite's soundness check
+_SOUNDNESS_SAMPLES = 200
 
 
 def _check(name: str, samples: int, violation: float, tol: float) -> dict:
@@ -110,7 +114,6 @@ def characterization_suite(
     seed: int = DEFAULT_SEED,
     t_cards: tuple[int, ...] = (1, 2),
     steps: int = 21,
-    witness_samples: int = 100,
 ) -> dict:
     """Closed-form caps vs exact quantities: lattice sweep plus witnesses."""
     rng = np.random.default_rng(seed)
@@ -129,7 +132,7 @@ def characterization_suite(
 
     # witness attainment: the binary uniform-T constructions meet their caps
     worst_cl = worst_er = -np.inf
-    pairs = rng.uniform(0.0, 0.25, (witness_samples, 2))
+    pairs = rng.uniform(0.0, 0.25, (_WITNESS_SAMPLES, 2))
     for u1, u2 in pairs:
         d = bounds.cover_leung_witness(u1, u2)
         q = info_quantities(Channel.NOISY_ADDITIVE, d)
@@ -148,8 +151,8 @@ def characterization_suite(
             abs(qe.h_x2_given_t - ecaps.r2_max),
             abs(qe.h_y - ecaps.sum_max),
         )
-    checks.append(_check("witness-attains-cover-leung-caps", witness_samples, worst_cl, 1e-10))
-    checks.append(_check("witness-attains-erasure-caps", witness_samples, worst_er, 1e-10))
+    checks.append(_check("witness-attains-cover-leung-caps", _WITNESS_SAMPLES, worst_cl, 1e-10))
+    checks.append(_check("witness-attains-erasure-caps", _WITNESS_SAMPLES, worst_er, 1e-10))
 
     sol = symrate.solve_db_symmetric()
     qd = info_quantities(Channel.NOISY_ADDITIVE, sol.witness)
@@ -161,10 +164,10 @@ def characterization_suite(
     checks.append(_check("witness-attains-balance-point-caps", 1, worst_db, 1e-10))
 
     worst_half = -np.inf
-    for d in _random_inputs(rng, witness_samples, 2):
+    for d in _random_inputs(rng, _WITNESS_SAMPLES, 2):
         lhs, rhs = verify_half_entropy_identity(d)
         worst_half = max(worst_half, abs(lhs - rhs))
-    checks.append(_check("half-entropy-identity-random", witness_samples, worst_half, 1e-12))
+    checks.append(_check("half-entropy-identity-random", _WITNESS_SAMPLES, worst_half, 1e-12))
 
     return _suite("characterization", checks)
 
@@ -192,7 +195,7 @@ def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
     return _check("true-pentagons-inside-closed-form", len(inputs), worst, 1e-10)
 
 
-def dominance_suite(seed: int = DEFAULT_SEED, soundness_samples: int = 200) -> dict:
+def dominance_suite(seed: int = DEFAULT_SEED) -> dict:
     """Region orderings at the sweep directions, plus pentagon soundness."""
     rng = np.random.default_rng(seed)
     checks = []
@@ -208,7 +211,7 @@ def dominance_suite(seed: int = DEFAULT_SEED, soundness_samples: int = 200) -> d
     sym_gap = geometry.support_value(cs, 0.5) - geometry.support_value(db, 0.5)
     checks.append(_check("cutset-strictly-above-dbpc-at-symmetric", 1, 1e-6 - sym_gap, 0.0))
 
-    checks.append(_soundness_check(rng, soundness_samples))
+    checks.append(_soundness_check(rng, _SOUNDNESS_SAMPLES))
 
     return _suite("dominance", checks)
 

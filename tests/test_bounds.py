@@ -392,7 +392,7 @@ def _dbpc1_grid_caps():
 
 def _cutset_grid_caps():
     """Cut-set caps on the 31-lattice of full 4-atom joints."""
-    stats = _kernels.cutset_stats(np.concatenate(list(oracle._simplex_grid(31))), _kernels.KIND_NOISY)
+    stats = _kernels.cutset_stats(np.concatenate(list(oracle._simplex_lattice(4, 31))), _kernels.KIND_NOISY)
     return stats[:, 0], stats[:, 1], stats[:, 2]
 
 

@@ -233,6 +233,14 @@ class TestBudget:
         assert "inner face curve of 1001 evaluations exceeds budget 1000" in out.stderr
         assert out.stdout == ""
 
+    def test_t3_lattice_checked_against_budget(self):
+        # 28 P(t) points times 7**3 Latin-hypercube q-points; the budget never shrinks the sample
+        env = {"MACFB_BUDGET": "1000"}
+        out = run("verify", "characterization", "--t-card", "3", "--steps", "7", env=env, timeout=60)
+        assert out.returncode == 2
+        assert "grid of 9604 evaluations exceeds budget 1000" in out.stderr
+        assert out.stdout == ""
+
     @pytest.mark.parametrize("suite", ["lemmas", "equivalence"])
     def test_samples_checked_against_budget(self, suite):
         env = {"MACFB_BUDGET": "999"}

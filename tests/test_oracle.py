@@ -50,6 +50,77 @@ class TestConfig:
     def test_grid_sizes(self):
         assert OracleConfig(t_card=1, steps=11).grid_size == 121
         assert OracleConfig(t_card=2, steps=11).grid_size == 11**5
+        assert OracleConfig(t_card=3, steps=11).grid_size == 66 * 11**3
+
+    def test_cutset_checked_against_its_own_lattice(self):
+        # the 4-atom lattice at steps 30 has C(32, 3) = 4,960 joints
+        with pytest.raises(BudgetExceededError, match="grid of 4960 evaluations"):
+            oracle_max("cutset_symmetric_direct", OracleConfig(t_card=1, steps=30, budget=1000))
+        # and at steps 41 C(43, 3) = 12,341, far below t_card 2's 41**5 input lattice
+        r = oracle_max("cutset_symmetric_direct", OracleConfig(t_card=2, steps=41, budget=1_000_000))
+        assert r.n_evaluated == 12341
+
+    def test_t3_budget_bounds_and_never_sizes(self):
+        # 28 p-points times 7**3 q-points: 9,604 rows, never a smaller sample
+        cfg = OracleConfig(t_card=3, steps=7, budget=1000)
+        with pytest.raises(BudgetExceededError, match="grid of 9604 evaluations"):
+            oracle_max("cl_symmetric_direct", cfg)
+        with pytest.raises(BudgetExceededError, match="grid of 9604 evaluations"):
+            verify_characterization(cfg)
+        assert verify_characterization(OracleConfig(t_card=3, steps=7, budget=9604)).n_evaluated == 9604
+
+
+def _old_simplex_grid(grid_n):
+    """The 3-simplex lattice as the cut-set oracle used to build it, by tolerance masks."""
+    g = np.linspace(0.0, 1.0, grid_n)
+    for a in g:
+        b = g[g <= 1.0 - a + 1e-15]
+        bb, cc = np.meshgrid(b, g, indexing="ij")
+        mask = cc <= 1.0 - a - bb + 1e-15
+        bb, cc = bb[mask], cc[mask]
+        dd = np.clip(1.0 - a - bb - cc, 0.0, None)
+        yield np.stack([np.full_like(bb, a), bb, cc, dd], axis=1)
+
+
+def _old_t3_p_lattice(steps):
+    """The t_card-3 P(t) lattice as the input grid used to build it, by a Python double loop."""
+    g = np.linspace(0.0, 1.0, steps)
+    p_pts = []
+    for i, a in enumerate(g):
+        for b in g[: steps - i]:
+            p_pts.append((a, b, max(1.0 - a - b, 0.0)))
+    return np.asarray(p_pts)
+
+
+class TestSimplexLattice:
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_size(self, parts):
+        for steps in (2, 3, 7, 21):
+            rows = np.concatenate(list(oracle_mod._simplex_lattice(parts, steps)))
+            assert rows.shape == (math.comb(steps + parts - 2, parts - 1), parts)
+            assert len(rows) == oracle_mod._lattice_size(parts, steps)
+            assert np.all(rows >= 0.0) and np.allclose(rows.sum(axis=1), 1.0, atol=1e-14)
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            np.testing.assert_array_equal(rows, rows[np.lexsort(rows.T[::-1])])
+
+    def test_matches_the_lattices_it_replaced(self):
+        for steps in range(2, 41):
+            new4 = list(oracle_mod._simplex_lattice(4, steps))
+            old4 = list(_old_simplex_grid(steps))
+            assert len(new4) == len(old4) == steps  # one chunk per first entry
+            for new, old in zip(new4, old4):
+                np.testing.assert_array_equal(new, old)
+            np.testing.assert_array_equal(
+                np.concatenate(list(oracle_mod._simplex_lattice(3, steps))), _old_t3_p_lattice(steps)
+            )
+
+    @pytest.mark.parametrize("t_card, steps", [(1, 2), (1, 9), (2, 2), (2, 5), (3, 2), (3, 5)])
+    def test_grid_size_counts_the_rows_yielded(self, monkeypatch, t_card, steps):
+        monkeypatch.setattr(oracle_mod, "_CHUNK", 7)
+        cfg = OracleConfig(t_card=t_card, steps=steps, seed=1)
+        chunks = list(oracle_mod.iter_input_grid(cfg))
+        assert sum(len(p) for p, _, _ in chunks) == cfg.grid_size
+        assert all(p.shape == q1.shape == q2.shape == (len(p), t_card) for p, q1, q2 in chunks)
 
 
 class TestOracleMax:
@@ -121,9 +192,9 @@ class TestOracleMax:
         # than one chunk of the simplex lattice, and the argmax must be the
         # lexicographically smallest of the whole lattice whichever chunk
         # comes first
-        grid = oracle_mod._simplex_grid
+        lattice_of = oracle_mod._simplex_lattice
         for steps in (6, 9):
-            lattice = np.concatenate(list(grid(steps)))
+            lattice = np.concatenate(list(lattice_of(4, steps)))
             s = _kernels.cutset_stats(lattice, _kernels.KIND_NOISY)
             vals = np.minimum(np.minimum(s[:, 0], s[:, 1]), 0.5 * s[:, 2])
             candidates = [tuple(float(v) for v in row) for row in lattice[vals == vals.max()]]
@@ -134,7 +205,7 @@ class TestOracleMax:
             assert r.argmax_params == min(candidates)
             assert r.n_evaluated == len(lattice)
             with monkeypatch.context() as m:
-                m.setattr(oracle_mod, "_simplex_grid", lambda n: reversed(list(grid(n))))
+                m.setattr(oracle_mod, "_simplex_lattice", lambda parts, n: reversed(list(lattice_of(parts, n))))
                 reordered = oracle_max("cutset_symmetric_direct", cfg)
             assert (reordered.value, reordered.argmax_params) == (r.value, r.argmax_params)
 
@@ -152,7 +223,7 @@ class TestOracleMax:
         again = oracle_max("cl_symmetric_direct", cfg)
         assert r.value == again.value
         assert r.value <= 0.436215 + 1e-9
-        assert r.n_evaluated <= 10_000
+        assert r.n_evaluated == cfg.grid_size == 15 * 5**3
 
     def test_report_round_trips_through_json(self):
         r = oracle_max("cl_symmetric_direct", OracleConfig(t_card=1, steps=5))
