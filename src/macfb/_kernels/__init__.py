@@ -208,18 +208,18 @@ def _cell_entropy(table: np.ndarray) -> np.ndarray:
     return -_cell_sum(_sum_rows(logs, axis=2))
 
 
-def cutset_stats(joint: np.ndarray, kind: int = KIND_NOISY) -> np.ndarray:
-    """Batch (I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y)) for 4-atom input joints.
+def cutset_stats(joint: np.ndarray) -> np.ndarray:
+    """Batch (I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y)) on the noisy adder for 4-atom input joints.
 
-    ``joint`` has shape (n, 4) holding (P(00), P(01), P(10), P(11)).  Both
-    transition tables are symmetric in (x1, x2), and every sum here is taken
+    ``joint`` has shape (n, 4) holding (P(00), P(01), P(10), P(11)).  The
+    transition table is symmetric in (x1, x2), and every sum here is taken
     in a swap-symmetric order, so the row of (a, c, b, d) is the row of
     (a, b, c, d) with its first two columns swapped, bit for bit.
     """
     # batch axis last and contiguous: P(x1, x2), (2, 2, n)
     w = np.ascontiguousarray(np.transpose(joint), dtype=float).reshape(2, 2, -1)
     n = w.shape[2]
-    trans = transition_tensor(_CHANNELS[kind])[..., None]
+    trans = transition_tensor(_CHANNELS[KIND_NOISY])[..., None]
     out = np.empty((3, n))
     for start in range(0, n, CHUNK):
         sl = slice(start, min(start + CHUNK, n))

@@ -41,11 +41,11 @@ def _evaluate(fun, points, rows):
     return np.split(fun(np.concatenate(points), np.concatenate(rows)), ends)
 
 
-def _golden_max(fun, lo: np.ndarray, hi: np.ndarray, tol: float = _TOL) -> tuple[np.ndarray, np.ndarray]:
+def _golden_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximum of a unimodal function over [lo, hi], one problem per row.
 
     ``fun(x, rows)`` returns the objective of problems ``rows`` at ``x``.
-    Golden section shrinks each bracket to at most ``tol``; the answer is the
+    Golden section shrinks each bracket to at most ``_TOL``; the answer is the
     best of the two last interior points and the two ends, so an optimum on
     an end is found exactly.  Every call evaluates only the problems still
     active, each on its own row, so a problem's result does not depend on the
@@ -63,11 +63,11 @@ def _golden_max(fun, lo: np.ndarray, hi: np.ndarray, tol: float = _TOL) -> tuple
     c = b - _GOLD * (b - a)
     d = a + _GOLD * (b - a)
     fc, fd = _evaluate(fun, [c, d], [every, every])
-    act = np.flatnonzero(b - a > tol)
+    act = np.flatnonzero(b - a > _TOL)
     left = _golden_step(a, b, c, d, fc, fd, act)
     while act.size:
         # act: the rows whose last step's point is still unevaluated
-        nxt = act[b[act] - a[act] > tol]
+        nxt = act[b[act] - a[act] > _TOL]
         x = np.where(left, c[act], d[act])
         to_left = d[nxt] - _GOLD * (d[nxt] - a[nxt])
         to_right = c[nxt] + _GOLD * (b[nxt] - c[nxt])
@@ -75,7 +75,7 @@ def _golden_max(fun, lo: np.ndarray, hi: np.ndarray, tol: float = _TOL) -> tuple
         fc[act[left]], fd[act[~left]] = fx[left], fx[~left]
         went = _golden_step(a, b, c, d, fc, fd, nxt)
         fc[nxt[went]], fd[nxt[~went]] = f_left[went], f_right[~went]
-        act = nxt[b[nxt] - a[nxt] > tol]
+        act = nxt[b[nxt] - a[nxt] > _TOL]
         left = _golden_step(a, b, c, d, fc, fd, act)
     fs = np.stack([fc, fd, *_evaluate(fun, [lo, hi], [every, every])])
     k = np.argmax(fs, axis=0)

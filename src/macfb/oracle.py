@@ -156,22 +156,15 @@ _OBJECTIVE_FORMS = {
     "db1_symmetric_direct": (
         _kernels.KIND_NOISY,
         ("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x1x2_y"),
-        lambda h1, h2, i1, isum: np.minimum(np.minimum(i1, h1), np.minimum(0.5 * h2, 0.5 * isum)),
+        lambda h1, h2, i1, isum: bounds._symmetric(np.minimum(i1, h1), 0.5 * h2, isum),
     ),
     "cl_symmetric_direct": (
         _kernels.KIND_NOISY,
         ("h_x1_given_t", "h_x2_given_t", "i_x1x2_y"),
-        lambda h1, h2, isum: np.minimum(np.minimum(0.5 * h1, 0.5 * h2), 0.5 * isum),
+        lambda h1, h2, isum: bounds._symmetric(0.5 * h1, 0.5 * h2, isum),
     ),
     "erasure_sum_direct": (_kernels.KIND_ERASURE, ("h_y",), lambda h_y: h_y),
 }
-
-
-def _objective_values(name: str, p, q1, q2) -> np.ndarray:
-    if name not in _OBJECTIVE_FORMS:
-        raise ValueError(f"unknown objective {name!r}")
-    kind, columns, value = _OBJECTIVE_FORMS[name]
-    return value(*_kernels.input_stats(p, q1, q2, kind, columns).T)
 
 
 def _lattice_max(chunks) -> tuple[float, np.ndarray, int]:
@@ -208,13 +201,15 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
     if objective == "cutset_symmetric_direct":
         check_size(_lattice_size(4, cfg.steps), "grid", cfg.budget)
         value, key, n_eval = _lattice_max(
-            ((j,), bounds._cutset_symmetric_values(j)) for j in _simplex_lattice(4, cfg.steps)
+            ((j,), bounds._symmetric(*_kernels.cutset_stats(j).T)) for j in _simplex_lattice(4, cfg.steps)
         )
         arg = np.asarray(key)
     else:
         check_size(cfg.grid_size, "grid", cfg.budget)
+        kind, columns, form = _OBJECTIVE_FORMS[objective]
         value, key, n_eval = _lattice_max(
-            ((p, q1, q2), _objective_values(objective, p, q1, q2)) for p, q1, q2 in iter_input_grid(cfg)
+            ((p, q1, q2), form(*_kernels.input_stats(p, q1, q2, kind, columns).T))
+            for p, q1, q2 in iter_input_grid(cfg)
         )
         k = cfg.t_card
         arg = JointInputDistribution(p_t=key[:k], q1=key[k : 2 * k], q2=key[2 * k :])

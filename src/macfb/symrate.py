@@ -1,9 +1,13 @@
 """Symmetric-rate solvers: the largest R with (R, R) in each region.
 
-The dependence-balance and Cover-Leung problems reduce to scalar fixed-point
-equations solved by bisection.  The cut-set problem is a concave max-min over
-the 4-atom input joints; its symmetries reduce it to a one-parameter family,
-searched by golden section.
+Each region's symmetric rate is the largest ``bounds._symmetric`` of its
+family's caps.  Symmetry and the structure of each family reduce that to a
+path t -> caps(t) on which the symmetric rate is unimodal, and
+:func:`_symmetric_max` finds its peak by golden section:
+
+- cut-set: the flip- and swap-symmetric joints (a, 1/2 - a, 1/2 - a, a);
+- Cover-Leung: the diagonal u1 = u2;
+- dependence balance: the balance path of :func:`_balance_path`.
 """
 
 from __future__ import annotations
@@ -14,22 +18,17 @@ import numpy as np
 
 from . import bounds
 from ._search import _golden_max
-from .bounds import _binary_t_witness, _cutset_joint, _cutset_symmetric_values
+from .bounds import _binary_t_witness
 from .channel import JointInputDistribution
-from .infofn import binary_entropy, f2, phi, phi_inv
+from .infofn import f2, phi, phi_inv
 
 __all__ = [
-    "BracketError",
     "SymmetricRateSolution",
     "solve_db_symmetric",
     "solve_cl_symmetric",
     "solve_cutset_symmetric",
     "cutset_symmetric_argmax",
 ]
-
-
-class BracketError(RuntimeError):
-    """Bisection bracket does not change sign."""
 
 
 @dataclass(frozen=True)
@@ -47,56 +46,45 @@ class SymmetricRateSolution:
             raise ValueError("u_star must equal f2(2 u1*, 2 u2*)")
 
 
-_XTOL = 1e-12
-_MAX_ITER = 200
+def _solution(rate: float, u1: float, u2: float) -> SymmetricRateSolution:
+    """The solution at (u1, u2) on P's lower face, with its binary uniform-T witness."""
+    return SymmetricRateSolution(rate, u1, u2, f2(2.0 * u1, 2.0 * u2), _binary_t_witness(u1, u2))
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) / 2.0 <= _XTOL:
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _symmetric_max(caps_of, hi: float) -> tuple[float, float]:
+    """The t in [0, hi] of the largest symmetric rate of the caps ``caps_of(t)``, and that rate.
+
+    ``caps_of`` maps an array of t to the arrays (r1, r2, total); the rate
+    must be unimodal in t.
+    """
+    t, rate = _golden_max(lambda t, rows: bounds._symmetric(*caps_of(t)), np.zeros(1), np.full(1, hi))
+    return float(t[0]), float(rate[0])
 
 
-def _db_gap(s: float) -> float:
-    """h(phi(s)) - h((1 - phi(s)) / (3 - 2 phi(s))) / 2; increasing through zero."""
-    p = phi(s)
-    return binary_entropy(p) - 0.5 * binary_entropy((1.0 - p) / (3.0 - 2.0 * p))
+def _balance_path(s):
+    """The triples (u1, u2, u) of the dependence-balance path, for s in [0, 1/2].
+
+    u1 = s/2, phi(2 u2) = (1 - phi(s)) / (3 - 2 phi(s)) on the increasing
+    branch of phi, and u = f2(2 u1, 2 u2), on P's lower face.  Along it the
+    dbpc1 r2 cap h(phi(2 u2))/2 equals half the sum cap h((1 - u)/2) and
+    falls, while the r1 cap h(phi(s)) rises, so the symmetric rate peaks
+    where all three meet: the paper's balance point.
+    """
+    p1 = phi(s)
+    u1 = s / 2.0
+    u2 = phi_inv((1.0 - p1) / (3.0 - 2.0 * p1)) / 2.0
+    return u1, u2, f2(2.0 * u1, 2.0 * u2)
 
 
 def solve_db_symmetric() -> SymmetricRateSolution:
     """Balance point of the dependence-balance symmetric-rate bound.
 
-    Finds the unique s in [0, 1/2] with h(phi(s)) = h((1-phi(s))/(3-2phi(s)))/2,
-    sets u1* = s/2, recovers u2* through the increasing branch of phi, and
-    returns the binary uniform-T witness that attains all three caps.
+    The peak of the dbpc1 symmetric rate along :func:`_balance_path`, with
+    the binary uniform-T witness that attains all three caps.
     """
-    s = _bisect(_db_gap, 0.0, 0.5)
-    u1 = s / 2.0
-    p1 = phi(s)
-    p2 = (1.0 - p1) / (3.0 - 2.0 * p1)
-    u2 = phi_inv(p2) / 2.0
-    rate = bounds._h_phi(u1)
-    return SymmetricRateSolution(
-        rate=rate,
-        u1_star=u1,
-        u2_star=u2,
-        u_star=f2(2.0 * u1, 2.0 * u2),
-        witness=_binary_t_witness(u1, u2),
-    )
+    s, rate = _symmetric_max(lambda s: bounds._db_caps(*_balance_path(s)), 0.5)
+    u1, u2, _ = _balance_path(s)
+    return _solution(rate, u1, u2)
 
 
 def solve_cl_symmetric() -> SymmetricRateSolution:
@@ -107,21 +95,12 @@ def solve_cl_symmetric() -> SymmetricRateSolution:
     (decreasing); a 201 x 201 grid over [0, 1/4]^2 confirms the symmetric
     restriction is optimal to within 1e-6.
     """
-    # on the diagonal f2(2u, 2u) = 2u
-    u = _bisect(lambda u: bounds._h_phi(u) - bounds._h_mid(2.0 * u), 0.0, 0.25)
-    rate = 0.5 * bounds._h_phi(u)
-    r1, r2, total = bounds._cl_caps(*bounds._box_grid(201))
-    # the largest symmetric rate of each pentagon
-    grid_max = float(np.minimum(np.minimum(r1, r2), 0.5 * total).max())
+    u, rate = _symmetric_max(lambda u: bounds._cl_caps(u, u), 0.25)
+    g = np.linspace(0.0, 0.25, 201)
+    grid_max = float(bounds._symmetric(*bounds._cl_caps(*np.meshgrid(g, g))).max())
     if grid_max > rate + 1e-6:
         raise RuntimeError(f"asymmetric grid point beats the symmetric optimum: {grid_max} > {rate}")
-    return SymmetricRateSolution(
-        rate=rate,
-        u1_star=u,
-        u2_star=u,
-        u_star=f2(2.0 * u, 2.0 * u),
-        witness=_binary_t_witness(u, u),
-    )
+    return _solution(rate, u, u)
 
 
 def solve_cutset_symmetric() -> float:
@@ -137,7 +116,5 @@ def cutset_symmetric_argmax() -> tuple[float, np.ndarray]:
     optimal joint over both gives an optimal joint (a, b, b, a).  Golden
     section searches a in [0, 1/2].
     """
-    a, value = _golden_max(
-        lambda a, rows: _cutset_symmetric_values(_cutset_joint(a, 0.5)), np.zeros(1), np.full(1, 0.5)
-    )
-    return float(value[0]), _cutset_joint(a, 0.5)[0]
+    a, value = _symmetric_max(lambda a: bounds._cutset_caps(a, 0.5), 0.5)
+    return value, bounds._cutset_joint(np.array([a]), 0.5)[0]

@@ -7,6 +7,8 @@ is driven by a single seeded generator so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from . import _kernels, bounds, feasible, geometry, oracle, symrate
@@ -113,7 +115,7 @@ def _random_inputs(rng: np.random.Generator, n: int, t_card: int):
 def characterization_suite(
     seed: int = DEFAULT_SEED,
     t_cards: tuple[int, ...] = (1, 2),
-    steps: int = 21,
+    steps: int = 11,
 ) -> dict:
     """Closed-form caps vs exact quantities: lattice sweep plus witnesses."""
     rng = np.random.default_rng(seed)
@@ -156,10 +158,11 @@ def characterization_suite(
 
     sol = symrate.solve_db_symmetric()
     qd = info_quantities(Channel.NOISY_ADDITIVE, sol.witness)
+    r1, r2, total = bounds._db_caps(sol.u1_star, sol.u2_star, sol.u_star)
     worst_db = max(
-        abs(qd.h_x1_given_t - bounds._h_phi(sol.u1_star)),
-        abs(0.5 * qd.h_x2_given_t - 0.5 * bounds._h_phi(sol.u2_star)),
-        abs(0.5 * qd.i_x1x2_y - 0.5 * bounds._h_mid(sol.u_star)),
+        abs(qd.h_x1_given_t - r1),
+        abs(0.5 * qd.h_x2_given_t - r2),
+        abs(0.5 * qd.i_x1x2_y - 0.5 * total),
     )
     checks.append(_check("witness-attains-balance-point-caps", 1, worst_db, 1e-10))
 
@@ -252,15 +255,6 @@ SUITES = {
 }
 
 
-#: keyword arguments run_suite passes to each suite, with their defaults
-_SUITE_DEFAULTS = {
-    "lemmas": {"samples": 100_000},
-    "characterization": {"t_cards": (1, 2), "steps": 11},
-    "dominance": {},
-    "equivalence": {"samples": 1000},
-}
-
-
 class SuiteOptionError(ValueError):
     """An option given to a suite that does not take it."""
 
@@ -269,8 +263,14 @@ class SuiteOptionError(ValueError):
         self.option, self.suite = option, suite
 
 
+#: each suite's keyword options with their defaults, read from its signature
+_OPTIONS = {
+    name: {k: p.default for k, p in inspect.signature(suite).parameters.items()} for name, suite in SUITES.items()
+}
+
+
 def _run_one(name: str, kwargs: dict) -> dict:
-    args = {"seed": DEFAULT_SEED, **_SUITE_DEFAULTS[name]}
+    args = dict(_OPTIONS[name])
     args.update({k: kwargs[k] for k in args if kwargs.get(k) is not None})
     if "t_cards" in args:
         args["t_cards"] = tuple(args["t_cards"])
@@ -278,14 +278,14 @@ def _run_one(name: str, kwargs: dict) -> dict:
 
 
 def run_suite(name: str, **kwargs) -> dict:
-    """Run one suite, or ``"all"``; an option that is absent or None takes the default.
+    """Run one suite, or ``"all"``; an option that is absent or None takes the suite's default.
 
     An option no suite run takes raises :class:`SuiteOptionError` before any runs.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     names = list(SUITES) if name == "all" else [name]
-    taken = {"seed"}.union(*(_SUITE_DEFAULTS[n] for n in names))
+    taken = set().union(*(_OPTIONS[n] for n in names))
     for option, value in kwargs.items():
         if value is not None and option not in taken:
             raise SuiteOptionError(option, name)

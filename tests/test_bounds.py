@@ -392,7 +392,7 @@ def _dbpc1_grid_caps():
 
 def _cutset_grid_caps():
     """Cut-set caps on the 31-lattice of full 4-atom joints."""
-    stats = _kernels.cutset_stats(np.concatenate(list(oracle._simplex_lattice(4, 31))), _kernels.KIND_NOISY)
+    stats = _kernels.cutset_stats(np.concatenate(list(oracle._simplex_lattice(4, 31))))
     return stats[:, 0], stats[:, 1], stats[:, 2]
 
 
@@ -506,7 +506,7 @@ class TestRefinement:
         np.testing.assert_array_equal(ys, 1.0)
         np.testing.assert_array_equal(fs, lams * 0.5 + (1.0 - lams))
 
-    def test_lookahead_matches_plain_golden_section(self):
+    def test_lookahead_matches_plain_golden_section(self, monkeypatch):
         lo, hi, fun, _ = _toy_parabolas()
 
         def recorded(seen):
@@ -524,7 +524,8 @@ class TestRefinement:
         # every point plain golden section visits, bit for bit
         assert plain <= looked, sorted(plain - looked)[:5]
         # a looser tolerance ends the rows after other numbers of steps
-        for g, w in zip(_search._golden_max(fun, lo, hi, 1e-3), _plain_golden_max(fun, lo, hi, 1e-3)):
+        monkeypatch.setattr(_search, "_TOL", 1e-3)
+        for g, w in zip(_search._golden_max(fun, lo, hi), _plain_golden_max(fun, lo, hi, 1e-3)):
             np.testing.assert_array_equal(g, w)
 
     def test_solution_matches_plain_golden_section(self, monkeypatch):
@@ -568,11 +569,11 @@ class TestReductions:
     def test_cutset_flip_keeps_caps(self, rng):
         joint = rng.dirichlet(np.full(4, 0.5), 2000)
         flip = joint[:, ::-1]
-        caps = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
-        caps_flip = _kernels.cutset_stats(flip, _kernels.KIND_NOISY)
+        caps = _kernels.cutset_stats(joint)
+        caps_flip = _kernels.cutset_stats(flip)
         np.testing.assert_allclose(caps_flip, caps, rtol=0.0, atol=1e-12)
         sym = 0.5 * (joint + flip)
-        caps_sym = _kernels.cutset_stats(sym, _kernels.KIND_NOISY)
+        caps_sym = _kernels.cutset_stats(sym)
         assert np.all(caps_sym >= 0.5 * (caps + caps_flip) - 1e-12)
         # the symmetrized joint is the solver's joint at (s, y)
         s = sym[:, 0]

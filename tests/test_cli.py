@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from macfb import cli, verify
+from macfb import cli, oracle, verify
 
 CMD = [sys.executable, "-m", "macfb"]
 
@@ -134,6 +134,30 @@ class TestVerify:
         out = run("verify", "characterization", "--t-card", "1", "--steps", "7")
         assert out.returncode == 0
         assert "equality-cases-missing-tcard1" in out.stdout
+
+    def test_characterization_t3_passes_from_nine_steps(self):
+        # below 9 steps the Latin-hypercube q-points rarely land where the
+        # caps are tight, and equality-cases-missing-tcard3 fails
+        out = run("verify", "characterization", "--t-card", "3", "--steps", "9", "--seed", "0")
+        assert out.returncode == 0, out.stdout
+        assert "[pass] equality-cases-missing-tcard3" in out.stdout
+
+    def test_suite_and_run_suite_share_each_default(self, monkeypatch):
+        steps = []
+
+        class Swept(Exception):
+            pass
+
+        def recorded(cfg):
+            steps.append(cfg.steps)
+            raise Swept
+
+        monkeypatch.setattr(oracle, "verify_characterization", recorded)
+        with pytest.raises(Swept):
+            verify.characterization_suite()
+        with pytest.raises(Swept):
+            verify.run_suite("characterization")
+        assert steps == [11, 11]
 
     @pytest.mark.parametrize(
         "args, flag",

@@ -31,9 +31,8 @@ def zero_atom_batch(rng, n, k):
     return p, q1, q2
 
 
-@pytest.mark.parametrize("backend", ["numpy"])
-def test_kernels_match_reference_channel_module(rng, backend):
-    assert macfb.KERNEL_BACKEND == backend
+def test_kernels_match_reference_channel_module(rng):
+    assert macfb.KERNEL_BACKEND == "numpy"
     for kind, channel in ((_kernels.KIND_NOISY, Channel.NOISY_ADDITIVE), (_kernels.KIND_ERASURE, Channel.ERASURE)):
         for k in (1, 2, 3):
             for batch in (random_batch, zero_atom_batch):
@@ -46,11 +45,10 @@ def test_kernels_match_reference_channel_module(rng, backend):
                     np.testing.assert_allclose(stats[i], ref, atol=1e-13, rtol=0)
 
 
-@pytest.mark.parametrize("backend", ["numpy"])
-def test_cutset_kernel_matches_reference(rng, backend):
-    assert macfb.KERNEL_BACKEND == backend
+def test_cutset_kernel_matches_reference(rng):
+    assert macfb.KERNEL_BACKEND == "numpy"
     joint = rng.dirichlet(np.ones(4), size=64)
-    stats = _kernels.cutset_stats(joint, _kernels.KIND_NOISY)
+    stats = _kernels.cutset_stats(joint)
     for i in range(64):
         ref = cutset_quantities(Channel.NOISY_ADDITIVE, joint[i])
         np.testing.assert_allclose(stats[i], ref, atol=1e-12, rtol=0)
@@ -61,12 +59,11 @@ def test_chunked_equals_unchunked(monkeypatch, rng):
     cases = [(kind, random_batch(rng, 1000, k)) for kind in KINDS for k in (1, 2, 3)]
     joint = rng.dirichlet(np.ones(4), size=1000)
     full = [_kernels.input_stats(*batch, kind, _kernels.STAT_COLUMNS) for kind, batch in cases]
-    full_cutset = [_kernels.cutset_stats(joint, kind) for kind in KINDS]
+    full_cutset = _kernels.cutset_stats(joint)
     monkeypatch.setattr(_kernels, "CHUNK", 7)
     for (kind, batch), stats in zip(cases, full):
         np.testing.assert_array_equal(_kernels.input_stats(*batch, kind, _kernels.STAT_COLUMNS), stats)
-    for kind, stats in zip(KINDS, full_cutset):
-        np.testing.assert_array_equal(_kernels.cutset_stats(joint, kind), stats)
+    np.testing.assert_array_equal(_kernels.cutset_stats(joint), full_cutset)
 
 
 #: the column tuples that the oracle objectives, ``verify_characterization``
@@ -160,16 +157,15 @@ def test_marginals_equal_reduceat_bitwise(monkeypatch, rng, kind):
 
 
 def _batches(rng):
-    """(name, kernel on rows i:j, n) for both kernels and channels and 1-3 values of T.
+    """(name, kernel on rows i:j, n) for the cut-set kernel, and the input kernel on both channels and 1-3 values of T.
 
     Each batch has n = chunk + 1 rows, so its last row is a one-row chunk.
     """
     batches = []
+    joint = rng.dirichlet(np.ones(4), size=_kernels.CHUNK + 1)
+    joint[::5, 1] = 0.0
+    batches.append(("cutset", lambda i, j: _kernels.cutset_stats(joint[i:j]), len(joint)))
     for kind in KINDS:
-        joint = rng.dirichlet(np.ones(4), size=_kernels.CHUNK + 1)
-        joint[::5, 1] = 0.0
-        batches.append((f"cutset-{kind}", lambda i, j, joint=joint, kind=kind: _kernels.cutset_stats(
-            joint[i:j], kind), len(joint)))
         for k in (1, 2, 3):
             p, q1, q2 = zero_atom_batch(rng, _kernels.CHUNK + 1, k)
             batches.append((f"input-{kind}-{k}", lambda i, j, p=p, q1=q1, q2=q2, kind=kind: _kernels.input_stats(
@@ -192,6 +188,5 @@ def test_cutset_swap_equivariant(rng):
     joint = rng.dirichlet(np.ones(4), size=2000)
     joint[::7, 3] = 0.0
     swapped = joint[:, [0, 2, 1, 3]]
-    for kind in (_kernels.KIND_NOISY, _kernels.KIND_ERASURE):
-        stats = _kernels.cutset_stats(joint, kind)
-        np.testing.assert_array_equal(_kernels.cutset_stats(swapped, kind), stats[:, [1, 0, 2]])
+    stats = _kernels.cutset_stats(joint)
+    np.testing.assert_array_equal(_kernels.cutset_stats(swapped), stats[:, [1, 0, 2]])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import macfb.oracle as oracle_mod
-from macfb import bounds, verify
+from macfb import bounds, symrate, verify
 from macfb.oracle import (
     BudgetExceededError,
     OracleConfig,
@@ -195,7 +195,7 @@ class TestOracleMax:
         lattice_of = oracle_mod._simplex_lattice
         for steps in (6, 9):
             lattice = np.concatenate(list(lattice_of(4, steps)))
-            s = _kernels.cutset_stats(lattice, _kernels.KIND_NOISY)
+            s = _kernels.cutset_stats(lattice)
             vals = np.minimum(np.minimum(s[:, 0], s[:, 1]), 0.5 * s[:, 2])
             candidates = [tuple(float(v) for v in row) for row in lattice[vals == vals.max()]]
             assert len({c[0] for c in candidates}) > 1
@@ -267,11 +267,19 @@ def _soundness_check():
     return verify._soundness_check(np.random.default_rng(verify.DEFAULT_SEED), 200)
 
 
+#: the symmetric rate each family's caps give
+_SYMMETRIC_RATES = {
+    "_db_caps": lambda: symrate.solve_db_symmetric().rate,
+    "_cl_caps": lambda: symrate.solve_cl_symmetric().rate,
+    "_cutset_caps": symrate.solve_cutset_symmetric,
+}
+
+
 class TestChecksSeeRegionFunctions:
-    """The soundness check and the oracle call the functions that build the regions.
+    """The soundness check, the oracle and the symmetric rates call the functions that build the regions.
 
     Each function is lowered by 1e-6 on ``macfb.bounds``, where its callers
-    look it up, so the checks must see it move.
+    look it up, so the checks and the rates must see it move.
     """
 
     def test_unpatched_checks_pass(self):
@@ -284,6 +292,12 @@ class TestChecksSeeRegionFunctions:
         monkeypatch.setattr(bounds, family, _lowered(getattr(bounds, family)))
         check = _soundness_check()
         assert not check["passed"] and check["max_violation"] > 1e-7
+
+    @pytest.mark.parametrize("family", sorted(_SYMMETRIC_RATES))
+    def test_symmetric_rate_sees_family_caps(self, monkeypatch, family):
+        rate = _SYMMETRIC_RATES[family]()
+        monkeypatch.setattr(bounds, family, _lowered(getattr(bounds, family)))
+        assert _SYMMETRIC_RATES[family]() < rate - 1e-7
 
     # the sum caps h((1-u)/2) and mu(u) are tight only at the soundness
     # check's binary uniform-T witnesses

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+from macfb import bounds
 from macfb.channel import Channel, info_quantities
 from macfb.infofn import binary_entropy, f2, g_fn, phi
-from macfb.symrate import (
-    BracketError,
-    _bisect,
-    _db_gap,
-    cutset_symmetric_argmax,
-    solve_cutset_symmetric,
-)
+from macfb.symrate import _balance_path, cutset_symmetric_argmax, solve_cutset_symmetric
+
+
+def _symmetric_rates(caps_of, hi):
+    """The symmetric rate of ``caps_of(t)`` at 200,001 points of [0, hi]."""
+    return bounds._symmetric(*caps_of(np.linspace(0.0, hi, 200_001)))
+
+
+def _local_maxima(values):
+    """The number of interior points at least as high as both neighbours."""
+    mid = values[1:-1]
+    return int(np.count_nonzero((mid >= values[:-2]) & (mid >= values[2:])))
 
 
 class TestBalancePoint:
@@ -34,9 +40,16 @@ class TestBalancePoint:
         assert 0.5 * binary_entropy(s.u_star) >= s.rate
         assert phi(2 * s.u2_star) < s.u_star < 0.5
 
-    def test_unique_sign_change(self):
-        vals = np.array([_db_gap(s) for s in np.linspace(1e-9, 0.5, 10_000)])
-        assert int((np.sign(vals[1:]) != np.sign(vals[:-1])).sum()) == 1
+    def test_one_local_maximum_on_the_balance_path(self, db_solution):
+        # the golden-section search needs a unimodal rate along the path
+        rates = _symmetric_rates(lambda s: bounds._db_caps(*_balance_path(s)), 0.5)
+        assert _local_maxima(rates) == 1
+        # the search's peak is at least as high as the grid's
+        assert db_solution.rate - 1e-6 < float(rates.max()) <= db_solution.rate
+
+    def test_r2_cap_is_half_the_sum_cap_on_the_balance_path(self):
+        _, r2, total = bounds._db_caps(*_balance_path(np.linspace(0.0, 0.5, 1001)))
+        np.testing.assert_allclose(r2, total / 2.0, rtol=0.0, atol=1e-15)
 
     def test_witness_attains_all_three_caps(self, db_solution):
         s = db_solution
@@ -71,6 +84,12 @@ class TestCoverLeungSymmetric:
         per_user = 0.5 * binary_entropy(phi(2 * s.u1_star))
         half_sum = 0.5 * binary_entropy((1 - f2(2 * s.u1_star, 2 * s.u2_star)) / 2)
         assert per_user == pytest.approx(half_sum, abs=1e-9)
+
+    def test_one_local_maximum_on_the_diagonal(self, cl_solution):
+        rates = _symmetric_rates(lambda u: bounds._cl_caps(u, u), 0.25)
+        assert _local_maxima(rates) == 1
+        # the search's peak is at least as high as the grid's
+        assert cl_solution.rate - 1e-6 < float(rates.max()) <= cl_solution.rate
 
     def test_witness_is_binary_uniform(self, cl_solution):
         w = cl_solution.witness
@@ -112,15 +131,3 @@ class TestOrdering:
     def test_strict_bound_ordering(self, db_solution, cl_solution):
         cutset = solve_cutset_symmetric()
         assert cl_solution.rate < db_solution.rate < cutset
-
-
-class TestBisection:
-    def test_finds_root(self):
-        assert _bisect(lambda x: x - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-11)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            _bisect(lambda x: 1.0 + x, 0.0, 1.0)
-
-    def test_endpoint_root(self):
-        assert _bisect(lambda x: x, 0.0, 1.0) == 0.0
