@@ -196,14 +196,6 @@ def _db_caps(u1, u2, u):
     return np.minimum(_half_h(u), _h_phi(u1)), 0.5 * _h_phi(u2), _h_mid(u)
 
 
-def _dbpc_caps(u1, u2, u, mirror: bool = False):
-    """dbpc1 caps at the triple (u1, u2, u); with ``mirror``, those of dbpc2 (genie = X2)."""
-    if mirror:
-        r2, r1, total = _db_caps(u2, u1, u)
-        return r1, r2, total
-    return _db_caps(u1, u2, u)
-
-
 def _cl_caps(u1, u2):
     """Cover-Leung caps at (u1, u2)."""
     return 0.5 * _h_phi(u1), 0.5 * _h_phi(u2), _h_mid(f2(2.0 * u1, 2.0 * u2))
@@ -239,12 +231,14 @@ def _pentagon(caps) -> RateConstraintSet:
 
 def db_pc1_constraints(t: UTriple) -> RateConstraintSet:
     """Genie reveals X1: R1 <= min(h(u)/2, h(phi(2u1))), R2 <= h(phi(2u2))/2, R1 + R2 <= h((1-u)/2)."""
-    return _pentagon(_dbpc_caps(*_require_in_P(t)))
+    return _pentagon(_db_caps(*_require_in_P(t)))
 
 
 def db_pc2_constraints(t: UTriple) -> RateConstraintSet:
     """Genie reveals X2: mirror image of :func:`db_pc1_constraints`."""
-    return _pentagon(_dbpc_caps(*_require_in_P(t), mirror=True))
+    u1, u2, u = _require_in_P(t)
+    r2, r1, total = _db_caps(u2, u1, u)
+    return _pentagon((r1, r2, total))
 
 
 def cover_leung_constraints(u1: float, u2: float) -> RateConstraintSet:

@@ -79,24 +79,33 @@ def pareto_filter(points: Iterable | np.ndarray, label: str = "") -> BoundaryCur
     return BoundaryCurve(points=kept, label=label)
 
 
+#: directions x curve points in one block of :func:`support_values`, which bounds its temporaries
+_SUPPORT_BLOCK = 1 << 20
+
+
 def support_value(curve: BoundaryCurve, lam: float) -> float:
-    """max over the curve of lam * r1 + (1 - lam) * r2.
+    """max over the curve of lam * r1 + (1 - lam) * r2: :func:`support_values` at one direction."""
+    return float(support_values(curve, [lam])[0])
+
+
+def support_values(curve: BoundaryCurve, lams) -> np.ndarray:
+    """max over the curve of lam * r1 + (1 - lam) * r2, for each lam of ``lams`` in [0, 1].
 
     The maximum of a linear functional over the piecewise-linear frontier is
     attained at a vertex, so segment interpolants never add anything.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    vals = lam * curve.points[:, 0] + (1.0 - lam) * curve.points[:, 1]
-    return float(vals.max())
-
-
-def support_values(curve: BoundaryCurve, lams) -> np.ndarray:
-    """:func:`support_value` of ``curve`` in each direction of ``lams``."""
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1:
         raise ValueError("lambdas must be a 1-D sequence")
-    return np.array([support_value(curve, lam) for lam in lams])
+    if not np.all((lams >= 0.0) & (lams <= 1.0)):
+        raise ValueError("lambda must lie in [0, 1]")
+    r1, r2 = curve.points.T
+    out = np.empty(len(lams))
+    step = max(1, _SUPPORT_BLOCK // len(r1))
+    for start in range(0, len(lams), step):
+        lam = lams[start : start + step, None]
+        out[start : start + step] = (lam * r1 + (1.0 - lam) * r2).max(axis=1)
+    return out
 
 
 def curve_gap(outer: BoundaryCurve, inner: BoundaryCurve) -> tuple[float, float, float]:

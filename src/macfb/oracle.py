@@ -151,19 +151,17 @@ class OracleResult:
         }
 
 
-#: each lattice objective: its channel, the ``input_stats`` columns it reads, and its value from them
+#: each lattice objective: the ``input_stats`` columns it reads, and its value from them
 _OBJECTIVE_FORMS = {
     "db1_symmetric_direct": (
-        _kernels.KIND_NOISY,
         ("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x1x2_y"),
         lambda h1, h2, i1, isum: bounds._symmetric(np.minimum(i1, h1), 0.5 * h2, isum),
     ),
     "cl_symmetric_direct": (
-        _kernels.KIND_NOISY,
         ("h_x1_given_t", "h_x2_given_t", "i_x1x2_y"),
         lambda h1, h2, isum: bounds._symmetric(0.5 * h1, 0.5 * h2, isum),
     ),
-    "erasure_sum_direct": (_kernels.KIND_ERASURE, ("h_y",), lambda h_y: h_y),
+    "erasure_sum_direct": (("h_y_erasure",), lambda h_y: h_y),
 }
 
 
@@ -206,9 +204,9 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
         arg = np.asarray(key)
     else:
         check_size(cfg.grid_size, "grid", cfg.budget)
-        kind, columns, form = _OBJECTIVE_FORMS[objective]
+        columns, form = _OBJECTIVE_FORMS[objective]
         value, key, n_eval = _lattice_max(
-            ((p, q1, q2), form(*_kernels.input_stats(p, q1, q2, kind, columns).T))
+            ((p, q1, q2), form(*_kernels.input_stats(p, q1, q2, columns).T))
             for p, q1, q2 in iter_input_grid(cfg)
         )
         k = cfg.t_card
@@ -268,26 +266,27 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     eq = {name: 0 for name in _INEQUALITIES}
     n = 0
     for p, q1, q2 in iter_input_grid(cfg):
-        noisy = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY, _kernels.STAT_COLUMNS)
-        (h_y_erasure,) = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE, ("h_y",)).T
+        s = dict(zip(_kernels.STAT_COLUMNS, _kernels.input_stats(p, q1, q2, _kernels.STAT_COLUMNS).T))
         u1, u2, u = u_triples(p, q1, q2)
         # the erasure triple form is the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
         h1, h2, mu = bounds._erasure_caps(u1, u2, u)
         half_h = bounds._half_h(u)
         caps = {
-            "h_x1_given_t": (noisy[:, 0], h1),
-            "h_x2_given_t": (noisy[:, 1], h2),
-            "i_x1_y_given_x2": (noisy[:, 2], half_h),
-            "i_x2_y_given_x1": (noisy[:, 3], half_h),
-            "i_x1x2_y": (noisy[:, 4], bounds._h_mid(u)),
-            "h_y_erasure": (h_y_erasure, mu),
+            "h_x1_given_t": h1,
+            "h_x2_given_t": h2,
+            "i_x1_y_given_x2": half_h,
+            "i_x2_y_given_x1": half_h,
+            "i_x1x2_y": bounds._h_mid(u),
+            "h_y_erasure": mu,
         }
-        for name, (value, cap) in caps.items():
-            gap = value - cap
+        for name, cap in caps.items():
+            gap = s[name] - cap
             viol[name] = max(viol[name], float(gap.max()))
             eq[name] += int(np.count_nonzero(gap >= -_EQUALITY_TOL))
-        viol["half_h_x1"] = max(viol["half_h_x1"], float(np.abs(noisy[:, 6] - 0.5 * noisy[:, 0]).max()))
-        viol["half_h_x2"] = max(viol["half_h_x2"], float(np.abs(noisy[:, 7] - 0.5 * noisy[:, 1]).max()))
+        half_x1 = np.abs(s["h_x1_given_y_x2_t"] - 0.5 * s["h_x1_given_t"])
+        half_x2 = np.abs(s["h_x2_given_y_x1_t"] - 0.5 * s["h_x2_given_t"])
+        viol["half_h_x1"] = max(viol["half_h_x1"], float(half_x1.max()))
+        viol["half_h_x2"] = max(viol["half_h_x2"], float(half_x2.max()))
         n += len(u)
     report.n_evaluated = n
     report.max_violation = viol

@@ -185,14 +185,15 @@ def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
     inputs = list(_random_inputs(rng, samples, 2))
     inputs += [bounds._binary_t_witness(u1, u2) for u1, u2 in rng.uniform(0.0, 0.25, (samples, 2))]
     p, q1, q2 = (np.array([getattr(d, name) for d in inputs]) for name in ("p_t", "q1", "q2"))
-    h1, h2, i1, i2, isum = _kernels.input_stats(p, q1, q2, _kernels.KIND_NOISY, _kernels.STAT_COLUMNS[:5]).T
-    erased = _kernels.input_stats(p, q1, q2, _kernels.KIND_ERASURE, ("h_x1_given_t", "h_x2_given_t", "h_y")).T
+    columns = ("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y", "h_y_erasure")
+    h1, h2, i1, i2, isum, h_y = _kernels.input_stats(p, q1, q2, columns).T
     u1, u2, u = feasible.u_triples(p, q1, q2)
+    r2, r1, total = bounds._db_caps(u2, u1, u)  # dbpc2: dbpc1 with the users swapped
     pairs = (
-        ((np.minimum(i1, h1), 0.5 * h2, isum), bounds._dbpc_caps(u1, u2, u)),
-        ((0.5 * h1, np.minimum(i2, h2), isum), bounds._dbpc_caps(u1, u2, u, mirror=True)),
+        ((np.minimum(i1, h1), 0.5 * h2, isum), bounds._db_caps(u1, u2, u)),
+        ((0.5 * h1, np.minimum(i2, h2), isum), (r1, r2, total)),
         ((0.5 * h1, 0.5 * h2, isum), bounds._cl_caps(u1, u2)),
-        (erased, bounds._erasure_caps(u1, u2, u)),
+        ((h1, h2, h_y), bounds._erasure_caps(u1, u2, u)),
     )
     worst = max(float((exact - cap).max()) for exact_caps, caps in pairs for exact, cap in zip(exact_caps, caps))
     return _check("true-pentagons-inside-closed-form", len(inputs), worst, 1e-10)

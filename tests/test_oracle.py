@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import macfb.oracle as oracle_mod
-from macfb import bounds, symrate, verify
+from macfb import _kernels, bounds, symrate, verify
 from macfb.oracle import (
     BudgetExceededError,
     OracleConfig,
@@ -178,12 +178,10 @@ class TestOracleMax:
         q = np.linspace(0.0, 1.0, 3)
         best = r.value
         candidates = []
-        from macfb import _kernels
-
         for a in q:
             for b in q:
                 p = np.array([[1.0]])
-                s = _kernels.input_stats(p, np.array([[a]]), np.array([[b]]), 0, _kernels.STAT_COLUMNS)
+                s = _kernels.input_stats(p, np.array([[a]]), np.array([[b]]), _kernels.STAT_COLUMNS)
                 val = min(0.5 * s[0, 0], 0.5 * s[0, 1], 0.5 * s[0, 4])
                 if val == best:
                     candidates.append((1.0, a, b))
@@ -246,6 +244,21 @@ class TestCharacterization:
             assert rep.max_violation[name] <= 1e-10
         for name in ("half_h_x1", "half_h_x2"):
             assert rep.max_violation[name] <= 1e-12
+
+    def test_one_kernel_call_per_chunk(self, monkeypatch):
+        rows = []
+        input_stats = _kernels.input_stats
+
+        def counted(p, *rest):
+            rows.append(len(p))
+            return input_stats(p, *rest)
+
+        monkeypatch.setattr(_kernels, "input_stats", counted)
+        monkeypatch.setattr(oracle_mod, "_CHUNK", 500)  # two chunks at each point of the P(t) lattice
+        cfg = OracleConfig(t_card=2, steps=5)
+        chunks = [len(p) for p, _, _ in oracle_mod.iter_input_grid(cfg)]
+        verify_characterization(cfg)
+        assert rows == chunks
 
     def test_report_serializes(self):
         rep = verify_characterization(OracleConfig(t_card=1, steps=5))

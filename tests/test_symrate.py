@@ -91,6 +91,11 @@ class TestCoverLeungSymmetric:
         # the search's peak is at least as high as the grid's
         assert cl_solution.rate - 1e-6 < float(rates.max()) <= cl_solution.rate
 
+    def test_no_asymmetric_grid_point_beats_it(self, cl_solution):
+        g = np.linspace(0.0, 0.25, 201)
+        grid_max = float(bounds._symmetric(*bounds._cl_caps(*np.meshgrid(g, g))).max())
+        assert grid_max <= cl_solution.rate + 1e-6
+
     def test_witness_is_binary_uniform(self, cl_solution):
         w = cl_solution.witness
         assert w.t_card == 2
