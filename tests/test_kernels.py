@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import macfb
 from macfb import _kernels, oracle
@@ -94,16 +95,34 @@ CALLER_COLUMNS = (
 )
 
 
-def test_column_subsets_equal_the_all_column_call_bitwise(rng):
-    subsets = [(name,) for name in _kernels.STAT_COLUMNS]
-    subsets += [*CALLER_COLUMNS, _kernels.STAT_COLUMNS[::-1]]
+#: the columns of each seeding of the table graph: ``input_stats`` seeds it
+#: with P(t) and the input laws, ``cutset_stats`` at P(x1, x2)
+SEEDED_COLUMNS = (
+    _kernels.STAT_COLUMNS,
+    ("i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y", "h_y", "h_y_erasure"),
+)
+
+
+def _seeded_stats(seeding, p, q1, q2, columns):
+    if seeding == 0:
+        return _kernels.input_stats(p, q1, q2, columns)
+    x1x2 = np.ascontiguousarray(np.transpose(_t_marginal(p, q1, q2))).reshape(2, 2, -1)
+    return _kernels._stats({"x1x2": x1x2}, columns)
+
+
+@pytest.mark.parametrize("seeding", range(len(SEEDED_COLUMNS)))
+def test_column_subsets_equal_the_all_column_call_bitwise(rng, seeding):
+    all_columns = SEEDED_COLUMNS[seeding]
+    subsets = [(name,) for name in all_columns]
+    subsets += [columns for columns in CALLER_COLUMNS if set(columns) <= set(all_columns)]
+    subsets += [SEEDED_COLUMNS[1][:3], all_columns[::-1]]  # the cutset_stats columns, and all reversed
     for k in (1, 2, 3):
         for n in (1, 7, _kernels.CHUNK + 1):
             p, q1, q2 = zero_atom_batch(rng, n, k)
-            full = _kernels.input_stats(p, q1, q2, _kernels.STAT_COLUMNS)
+            full = _seeded_stats(seeding, p, q1, q2, all_columns)
             for columns in subsets:
-                got = _kernels.input_stats(p, q1, q2, columns)
-                index = [_kernels.STAT_COLUMNS.index(name) for name in columns]
+                got = _seeded_stats(seeding, p, q1, q2, columns)
+                index = [all_columns.index(name) for name in columns]
                 np.testing.assert_array_equal(got, full[:, index], err_msg=f"K = {k}, n = {n}, {columns}")
 
 
