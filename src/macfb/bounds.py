@@ -245,14 +245,15 @@ def cover_leung_constraints(u1: float, u2: float) -> RateConstraintSet:
     return _pentagon(_cl_caps(*_require_in_S(u1, u2)))
 
 
+def _binary_t_witness_rows(u1, u2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q1, q2), each (n, 2), of the binary uniform-T inputs Pr(Xi = 0 | T) = (phi(2 ui), 1 - phi(2 ui))."""
+    p1, p2 = (phi(2.0 * np.asarray(x, dtype=float)) for x in (u1, u2))
+    return np.full((len(p1), 2), 0.5), np.stack([p1, 1.0 - p1], axis=1), np.stack([p2, 1.0 - p2], axis=1)
+
+
 def _binary_t_witness(u1: float, u2: float) -> JointInputDistribution:
-    p1 = phi(2.0 * u1)
-    p2 = phi(2.0 * u2)
-    return JointInputDistribution(
-        p_t=np.array([0.5, 0.5]),
-        q1=np.array([p1, 1.0 - p1]),
-        q2=np.array([p2, 1.0 - p2]),
-    )
+    p, q1, q2 = _binary_t_witness_rows([u1], [u2])
+    return JointInputDistribution(p_t=p[0], q1=q1[0], q2=q2[0])
 
 
 def cover_leung_witness(u1: float, u2: float) -> JointInputDistribution:

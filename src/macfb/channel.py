@@ -11,7 +11,9 @@ admit) or, for the cut-set bound, by a raw 4-atom joint over (X1, X2).
 
 Everything is computed by exact enumeration of the finite joint law; conditional
 entropies are differences of joint entropies of materialized marginals, which
-avoids 0/0 in conditional probabilities.
+avoids 0/0 in conditional probabilities.  One input at a time, this is the
+scalar reference the tests check ``macfb._kernels`` against; the ``verify``
+suites and the oracle call only ``_kernels``.
 """
 
 from __future__ import annotations

@@ -189,6 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t_cards = getattr(args, "t_card", None) or []
+    if len(set(t_cards)) < len(t_cards):
+        parser.error(f"argument --t-card: a value is given more than once: {t_cards}")
     try:
         env_budget()
     except InvalidBudgetError as exc:

@@ -27,7 +27,9 @@ __all__ = [
     "u_triples",
     "u_triple_of",
     "in_P",
+    "in_P_rows",
     "lower_face_u2",
+    "lower_face_projections",
     "project_to_lower_face",
     "sample_triples",
 ]
@@ -58,13 +60,17 @@ def u_triple_of(d: JointInputDistribution) -> UTriple:
     return UTriple(*(float(x) for x in u_triples(d.p_t, d.q1, d.q2)))
 
 
+def in_P_rows(u1, u2, u, tol: float = _TOL) -> np.ndarray:
+    """Membership in the feasible set P of each row of the arrays (u1, u2, u), with ``tol`` slack on each face."""
+    box = (-tol <= u1) & (u1 <= 0.25 + tol) & (-tol <= u2) & (u2 <= 0.25 + tol)
+    # NaN fails the box; a row outside it takes its lower face at 0
+    lo = f2(*(2.0 * np.clip(np.where(box, x, 0.0), 0.0, 0.25) for x in (u1, u2)))
+    return box & (lo - tol <= u) & (u <= 1.0 - (u1 + u2) + tol)
+
+
 def in_P(t: UTriple, tol: float = _TOL) -> bool:
     """Membership in the feasible set P, with ``tol`` slack on each face."""
-    u1, u2, u = t
-    if not (-tol <= u1 <= 0.25 + tol and -tol <= u2 <= 0.25 + tol):
-        return False
-    lo = f2(2.0 * min(max(u1, 0.0), 0.25), 2.0 * min(max(u2, 0.0), 0.25))
-    return lo - tol <= u <= 1.0 - (u1 + u2) + tol
+    return bool(in_P_rows(*t, tol))
 
 
 def lower_face_u2(u1, u):
@@ -78,19 +84,25 @@ def lower_face_u2(u1, u):
     return np.clip(0.25 * (1.0 - ratio), 0.0, 0.25)
 
 
-def project_to_lower_face(t: UTriple) -> tuple[float, float]:
-    """Map a feasible triple to a pair on the face u = f2(2 u1bar, 2 u2bar).
+def lower_face_projections(u1, u2, u) -> tuple[np.ndarray, np.ndarray]:
+    """Map each row of the arrays (u1, u2, u), all in P, to a pair on the face u = f2(2 u1bar, 2 u2bar).
 
     For u <= 1/2 the first coordinate is kept and u2bar = :func:`lower_face_u2`,
     which dominates u2.  For u > 1/2 no pair reaches u, and (1/4, 1/4) (where
     f2 = 1/2) dominates instead.
     """
-    if not in_P(t):
-        raise InvalidTripleError(f"{t} is not in P")
-    u1, u2, u = t
-    if u > 0.5:
-        return 0.25, 0.25
-    return float(u1), float(min(max(lower_face_u2(u1, u), u2), 0.25))
+    inside = in_P_rows(u1, u2, u)
+    if not inside.all():
+        i = np.argmin(inside)
+        raise InvalidTripleError(f"{UTriple(float(u1[i]), float(u2[i]), float(u[i]))} is not in P")
+    high = u > 0.5
+    return np.where(high, 0.25, u1), np.where(high, 0.25, np.minimum(np.maximum(lower_face_u2(u1, u), u2), 0.25))
+
+
+def project_to_lower_face(t: UTriple) -> tuple[float, float]:
+    """:func:`lower_face_projections` of one feasible triple."""
+    u1, u2 = lower_face_projections(*(np.array([x], dtype=float) for x in t))
+    return float(u1[0]), float(u2[0])
 
 
 def sample_triples(n: int, rng: np.random.Generator) -> list[UTriple]:

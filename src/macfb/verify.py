@@ -1,8 +1,11 @@
 """Named verification suites behind ``macfb verify`` (and reused by tests).
 
 Each suite returns a plain dict: {"suite", "checks": [...], "passed"}; a check
-is {"name", "samples", "max_violation", "tolerance", "passed"}.  All sampling
-is driven by a single seeded generator so runs are reproducible bit for bit.
+is {"name", "samples", "max_violation", "tolerance", "passed"}.  The checks are
+array expressions over one enumeration, :func:`macfb._kernels.input_stats`,
+and the vectorized caps of :mod:`macfb.bounds`.  All sampling is driven by a
+single seeded generator, and random inputs keep their per-sample draw order
+(P(t), q1, q2), so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import numpy as np
 
 from . import _kernels, bounds, feasible, geometry, oracle, symrate
 from ._budget import check_size
-from .channel import Channel, JointInputDistribution, info_quantities, verify_half_entropy_identity
 from .infofn import binary_entropy, f2, f2_hessian, g_fn, mu_fn, phi
 
 __all__ = ["SUITES", "SuiteOptionError", "run_suite", "lemma_suite", "characterization_suite", "dominance_suite", "equivalence_suite"]
@@ -62,10 +64,8 @@ def lemma_suite(seed: int = DEFAULT_SEED, samples: int = 100_000) -> dict:
     checks.append(_check("f2-midpoint-convexity", samples, float((mid - avg).max()), 1e-12))
 
     n_h = min(samples, 2000)
-    worst = -np.inf
-    for hx, hy in zip(rng.uniform(0.0, 0.49, n_h), rng.uniform(0.0, 0.49, n_h)):
-        eig = np.linalg.eigvalsh(f2_hessian(hx, hy))
-        worst = max(worst, -eig[0], abs(min(eig, key=abs)))
+    eig = np.linalg.eigvalsh([f2_hessian(x, y) for x, y in zip(rng.uniform(0.0, 0.49, n_h), rng.uniform(0.0, 0.49, n_h))])
+    worst = max((-eig[:, 0]).max(), np.abs(eig).min(axis=1).max())
     checks.append(_check("f2-hessian-psd-rank1", n_h, float(worst), 1e-6))
 
     a1, a2, b2 = rng.uniform(0.0, 0.25, (3, samples))
@@ -106,10 +106,15 @@ def lemma_suite(seed: int = DEFAULT_SEED, samples: int = 100_000) -> dict:
     return _suite("lemmas", checks)
 
 
-def _random_inputs(rng: np.random.Generator, n: int, t_card: int):
-    for _ in range(n):
-        p = rng.dirichlet(np.ones(t_card))
-        yield JointInputDistribution(p_t=p, q1=rng.uniform(size=t_card), q2=rng.uniform(size=t_card))
+def _random_inputs(rng: np.random.Generator, n: int, t_card: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q1, q2), each (n, t_card): P(t) ~ Dirichlet(1, ..., 1), q1 and q2 uniform, drawn input by input."""
+    draws = [(rng.dirichlet(np.ones(t_card)), rng.uniform(size=t_card), rng.uniform(size=t_card)) for _ in range(n)]
+    return tuple(np.array(draws).reshape(n, 3, t_card).transpose(1, 0, 2))
+
+
+def _worst_gap(exact, caps) -> float:
+    """The largest |exact - cap| over the matching entries of two tuples of arrays."""
+    return float(np.abs(np.subtract(exact, caps)).max())
 
 
 def characterization_suite(
@@ -118,6 +123,8 @@ def characterization_suite(
     steps: int = 11,
 ) -> dict:
     """Closed-form caps vs exact quantities: lattice sweep plus witnesses."""
+    if len(set(t_cards)) < len(t_cards):
+        raise ValueError(f"t_cards repeats a value: {t_cards}")
     rng = np.random.default_rng(seed)
     checks = []
     for t_card in t_cards:
@@ -132,45 +139,24 @@ def characterization_suite(
                    1.0 - min(rep.equality_count.values()), 0.0)
         )
 
-    # witness attainment: the binary uniform-T constructions meet their caps
-    worst_cl = worst_er = -np.inf
-    pairs = rng.uniform(0.0, 0.25, (_WITNESS_SAMPLES, 2))
-    for u1, u2 in pairs:
-        d = bounds.cover_leung_witness(u1, u2)
-        q = info_quantities(Channel.NOISY_ADDITIVE, d)
-        caps = bounds.cover_leung_constraints(u1, u2)
-        worst_cl = max(
-            worst_cl,
-            abs(0.5 * q.h_x1_given_t - caps.r1_max),
-            abs(0.5 * q.h_x2_given_t - caps.r2_max),
-            abs(q.i_x1x2_y - caps.sum_max),
-        )
-        qe = info_quantities(Channel.ERASURE, bounds.erasure_fb_witness(u1, u2))
-        ecaps = bounds.erasure_fb_constraints(u1, u2)
-        worst_er = max(
-            worst_er,
-            abs(qe.h_x1_given_t - ecaps.r1_max),
-            abs(qe.h_x2_given_t - ecaps.r2_max),
-            abs(qe.h_y - ecaps.sum_max),
-        )
-    checks.append(_check("witness-attains-cover-leung-caps", _WITNESS_SAMPLES, worst_cl, 1e-10))
-    checks.append(_check("witness-attains-erasure-caps", _WITNESS_SAMPLES, worst_er, 1e-10))
-
+    # one kernel call: binary uniform-T witnesses at (u1, u2) and (u1*, u2*), then random inputs
+    n = _WITNESS_SAMPLES
+    u1, u2 = rng.uniform(0.0, 0.25, (n, 2)).T
     sol = symrate.solve_db_symmetric()
-    qd = info_quantities(Channel.NOISY_ADDITIVE, sol.witness)
-    r1, r2, total = bounds._db_caps(sol.u1_star, sol.u2_star, sol.u_star)
-    worst_db = max(
-        abs(qd.h_x1_given_t - r1),
-        abs(0.5 * qd.h_x2_given_t - r2),
-        abs(0.5 * qd.i_x1x2_y - 0.5 * total),
-    )
-    checks.append(_check("witness-attains-balance-point-caps", 1, worst_db, 1e-10))
+    witnesses = bounds._binary_t_witness_rows(np.append(u1, sol.u1_star), np.append(u2, sol.u2_star))
+    p, q1, q2 = (np.concatenate(rows) for rows in zip(witnesses, _random_inputs(rng, n, 2)))
+    columns = ("h_x1_given_t", "h_x2_given_t", "i_x1x2_y", "h_y_erasure", "h_x1_given_y_x2_t")
+    h1, h2, isum, h_y, h1_given_yx2t = _kernels.input_stats(p, q1, q2, columns).T
 
-    worst_half = -np.inf
-    for d in _random_inputs(rng, _WITNESS_SAMPLES, 2):
-        lhs, rhs = verify_half_entropy_identity(d)
-        worst_half = max(worst_half, abs(lhs - rhs))
-    checks.append(_check("half-entropy-identity-random", _WITNESS_SAMPLES, worst_half, 1e-12))
+    worst_cl = _worst_gap((0.5 * h1[:n], 0.5 * h2[:n], isum[:n]), bounds._cl_caps(u1, u2))
+    checks.append(_check("witness-attains-cover-leung-caps", n, worst_cl, 1e-10))
+    worst_er = _worst_gap((h1[:n], h2[:n], h_y[:n]), bounds._erasure_pair_caps(u1, u2))
+    checks.append(_check("witness-attains-erasure-caps", n, worst_er, 1e-10))
+    r1, r2, total = bounds._db_caps(sol.u1_star, sol.u2_star, sol.u_star)
+    worst_db = _worst_gap((h1[n], 0.5 * h2[n], 0.5 * isum[n]), (r1, r2, 0.5 * total))
+    checks.append(_check("witness-attains-balance-point-caps", 1, worst_db, 1e-10))
+    worst_half = _worst_gap(h1_given_yx2t[n + 1:], 0.5 * h1[n + 1:])
+    checks.append(_check("half-entropy-identity-random", n, worst_half, 1e-12))
 
     return _suite("characterization", checks)
 
@@ -182,9 +168,9 @@ def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
     witnesses, which attain I(X1,X2;Y) = h((1-u)/2) on the noisy adder and
     H(Y) = mu(u) on the erasure adder, so a lowered sum cap shows too.
     """
-    inputs = list(_random_inputs(rng, samples, 2))
-    inputs += [bounds._binary_t_witness(u1, u2) for u1, u2 in rng.uniform(0.0, 0.25, (samples, 2))]
-    p, q1, q2 = (np.array([getattr(d, name) for d in inputs]) for name in ("p_t", "q1", "q2"))
+    drawn = _random_inputs(rng, samples, 2)
+    witnesses = bounds._binary_t_witness_rows(*rng.uniform(0.0, 0.25, (samples, 2)).T)
+    p, q1, q2 = (np.concatenate(rows) for rows in zip(drawn, witnesses))
     columns = ("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y", "h_y_erasure")
     h1, h2, i1, i2, isum, h_y = _kernels.input_stats(p, q1, q2, columns).T
     u1, u2, u = feasible.u_triples(p, q1, q2)
@@ -196,7 +182,7 @@ def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
         ((h1, h2, h_y), bounds._erasure_caps(u1, u2, u)),
     )
     worst = max(float((exact - cap).max()) for exact_caps, caps in pairs for exact, cap in zip(exact_caps, caps))
-    return _check("true-pentagons-inside-closed-form", len(inputs), worst, 1e-10)
+    return _check("true-pentagons-inside-closed-form", len(p), worst, 1e-10)
 
 
 def dominance_suite(seed: int = DEFAULT_SEED) -> dict:
@@ -224,17 +210,12 @@ def equivalence_suite(seed: int = DEFAULT_SEED, samples: int = 1000) -> dict:
     """Projection onto the lower feasibility face dominates cap by cap."""
     check_size(samples, "equivalence sampling")
     rng = np.random.default_rng(seed)
-    triples = feasible.sample_triples(samples, rng)
-    worst_r1 = worst_r2 = worst_sum = worst_face = -np.inf
-    for t in triples:
-        at_t = bounds.erasure_fb_constraints_at_triple(t)
-        u1b, u2b = feasible.project_to_lower_face(t)
-        proj = bounds.erasure_fb_constraints(u1b, u2b)
-        worst_r1 = max(worst_r1, at_t.r1_max - proj.r1_max)
-        worst_r2 = max(worst_r2, at_t.r2_max - proj.r2_max)
-        worst_sum = max(worst_sum, at_t.sum_max - proj.sum_max)
-        if t.u <= 0.5:
-            worst_face = max(worst_face, abs(f2(2.0 * u1b, 2.0 * u2b) - t.u))
+    u1, u2, u = np.array(feasible.sample_triples(samples, rng)).T
+    u1b, u2b = feasible.lower_face_projections(u1, u2, u)
+    at_t, proj = bounds._erasure_caps(u1, u2, u), bounds._erasure_pair_caps(u1b, u2b)
+    worst_r1, worst_r2, worst_sum = (float((a - b).max()) for a, b in zip(at_t, proj))
+    face = u <= 0.5
+    worst_face = float(np.abs(f2(2.0 * u1b[face], 2.0 * u2b[face]) - u[face]).max(initial=-np.inf))
     checks = [
         _check("projection-r1-cap-dominates", samples, worst_r1, 1e-9),
         _check("projection-r2-cap-dominates", samples, worst_r2, 1e-9),

@@ -162,6 +162,15 @@ class TestErasure:
         b = cover_leung_witness(0.11, 0.07)
         assert np.allclose(a.q1, b.q1) and np.allclose(a.q2, b.q2)
 
+    def test_witness_rows_are_the_scalar_witnesses(self, rng):
+        pairs = np.concatenate([[[0.0, 0.0], [0.25, 0.25], [0.25, 0.0]], rng.uniform(0.0, 0.25, (997, 2))])
+        rows = bounds._binary_t_witness_rows(*pairs.T)
+        assert all(a.shape == (1000, 2) for a in rows)
+        for i, (u1, u2) in enumerate(pairs):
+            d = bounds._binary_t_witness(u1, u2)
+            for name, a in zip(("p_t", "q1", "q2"), rows):
+                np.testing.assert_array_equal(a[i], getattr(d, name), strict=True)
+
 
 class TestSoundness:
     def test_true_pentagons_inside_closed_form(self, rng):

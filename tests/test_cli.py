@@ -142,6 +142,15 @@ class TestVerify:
         assert out.returncode == 0, out.stdout
         assert "[pass] equality-cases-missing-tcard3" in out.stdout
 
+    def test_repeated_t_card_exits_2(self):
+        # a lattice asked for twice is refused, never swept and printed twice
+        out = run("verify", "characterization", "--t-card", "1", "--t-card", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "--t-card: a value is given more than once" in out.stderr
+        with pytest.raises(ValueError, match="repeats a value"):
+            verify.characterization_suite(t_cards=(2, 1, 2))
+
     def test_suite_and_run_suite_share_each_default(self, monkeypatch):
         steps = []
 

@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+from macfb import bounds, verify
 from macfb.channel import JointInputDistribution
 from macfb.feasible import (
     InvalidTripleError,
     UTriple,
     in_P,
+    in_P_rows,
+    lower_face_projections,
     lower_face_u2,
     project_to_lower_face,
     sample_triples,
@@ -100,6 +105,91 @@ class TestProjection:
             assert t.u2 - 1e-12 <= b2 <= 0.25 + 1e-12
             if t.u <= 0.5:
                 assert f2(2 * b1, 2 * b2) == pytest.approx(t.u, abs=1e-10)
+
+
+def _in_P_one(t: UTriple, tol: float = 1e-12) -> bool:
+    """Membership in P of one triple, written out with scalars."""
+    u1, u2, u = t
+    if not (-tol <= u1 <= 0.25 + tol and -tol <= u2 <= 0.25 + tol):
+        return False
+    lo = f2(2.0 * min(max(u1, 0.0), 0.25), 2.0 * min(max(u2, 0.0), 0.25))
+    return lo - tol <= u <= 1.0 - (u1 + u2) + tol
+
+
+def _project_one(t: UTriple) -> tuple[float, float]:
+    """The lower-face projection of one feasible triple, written out with scalars."""
+    u1, u2, u = t
+    if u > 0.5:
+        return 0.25, 0.25
+    return float(u1), float(min(max(lower_face_u2(u1, u), u2), 0.25))
+
+
+#: triples at the edges of the projection: u > 1/2, u = 1/2, and u1 = 1/4 -+ 1e-13
+EDGE_TRIPLES = [
+    UTriple(0.1, 0.1, 0.7),
+    UTriple(0.25, 0.25, 0.5),
+    UTriple(0.0, 0.0, 0.5),
+    UTriple(0.1, 0.2, 0.5),
+    UTriple(0.25 - 1e-13, 0.1, 0.5),
+    UTriple(0.25 + 1e-13, 0.1, 0.5),
+    UTriple(0.25 - 1e-13, 0.0, 0.5),
+    UTriple(0.25 + 1e-13, 0.25, 0.5),
+]
+#: triples outside P, by a box face, the lower face, the upper face, or NaN
+OUTSIDE_TRIPLES = [
+    UTriple(0.3, 0.0, 0.0),
+    UTriple(0.1, -1e-9, 0.3),
+    UTriple(0.25, 0.25, 0.4),
+    UTriple(0.2, 0.2, 0.7),
+    UTriple(float("nan"), 0.1, 0.3),
+    UTriple(0.1, 0.1, float("nan")),
+]
+
+
+class TestRowForms:
+    """The row forms give each triple the bits of the scalar functions and of the scalar code they replace."""
+
+    def test_in_P_rows(self, rng):
+        triples = sample_triples(2000, rng) + EDGE_TRIPLES + OUTSIDE_TRIPLES
+        got = in_P_rows(*np.array(triples).T)
+        assert got.dtype == bool
+        assert got.tolist() == [in_P(t) for t in triples] == [_in_P_one(t) for t in triples]
+        assert got.tolist() == [True] * (len(triples) - len(OUTSIDE_TRIPLES)) + [False] * len(OUTSIDE_TRIPLES)
+
+    def test_lower_face_projections(self, rng):
+        triples = sample_triples(2000, rng) + EDGE_TRIPLES
+        u1b, u2b = lower_face_projections(*np.array(triples).T)
+        rows = list(zip(u1b.tolist(), u2b.tolist()))
+        assert rows == [project_to_lower_face(t) for t in triples] == [_project_one(t) for t in triples]
+        assert rows[-len(EDGE_TRIPLES):][:2] == [(0.25, 0.25), (0.25, 0.25)]
+
+    @pytest.mark.parametrize("bad", OUTSIDE_TRIPLES[:4])
+    def test_lower_face_projections_reject_a_row_outside_P(self, rng, bad):
+        u1, u2, u = np.array(sample_triples(10, rng)[:5] + [bad] + EDGE_TRIPLES).T
+        with pytest.raises(InvalidTripleError, match=re.escape(f"{bad} is not in P")):
+            lower_face_projections(u1, u2, u)
+
+
+def _equivalence_by_triple(seed: int, samples: int) -> list[float]:
+    """The equivalence suite's four violations, one sampled triple at a time through the scalar API."""
+    triples = sample_triples(samples, np.random.default_rng(seed))
+    worst_r1 = worst_r2 = worst_sum = worst_face = -np.inf
+    for t in triples:
+        at_t = bounds.erasure_fb_constraints_at_triple(t)
+        u1b, u2b = project_to_lower_face(t)
+        proj = bounds.erasure_fb_constraints(u1b, u2b)
+        worst_r1 = max(worst_r1, at_t.r1_max - proj.r1_max)
+        worst_r2 = max(worst_r2, at_t.r2_max - proj.r2_max)
+        worst_sum = max(worst_sum, at_t.sum_max - proj.sum_max)
+        if t.u <= 0.5:
+            worst_face = max(worst_face, abs(f2(2.0 * u1b, 2.0 * u2b) - t.u))
+    return [worst_r1, worst_r2, worst_sum, worst_face]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_equivalence_suite_matches_the_per_triple_loop(seed):
+    report = verify.equivalence_suite(seed, 1000)
+    assert [c["max_violation"] for c in report["checks"]] == _equivalence_by_triple(seed, 1000)
 
 
 class TestSampling:

@@ -306,6 +306,22 @@ class TestChecksSeeRegionFunctions:
         check = _soundness_check()
         assert not check["passed"] and check["max_violation"] > 1e-7
 
+    @pytest.mark.parametrize("family, check", [
+        ("_cl_caps", "witness-attains-cover-leung-caps"),
+        ("_erasure_caps", "witness-attains-erasure-caps"),
+        ("_db_caps", "witness-attains-balance-point-caps"),
+    ])
+    def test_witness_checks_see_family_caps(self, monkeypatch, family, check):
+        def witness_checks():
+            report = verify.characterization_suite(t_cards=(1,), steps=7)
+            return {c["name"]: c for c in report["checks"] if c["name"].startswith("witness-")}
+
+        assert all(c["passed"] for c in witness_checks().values())
+        monkeypatch.setattr(bounds, family, _lowered(getattr(bounds, family)))
+        lowered = witness_checks()
+        assert not lowered[check]["passed"] and lowered[check]["max_violation"] > 1e-7
+        assert [name for name, c in lowered.items() if not c["passed"]] == [check]
+
     @pytest.mark.parametrize("family", sorted(_SYMMETRIC_RATES))
     def test_symmetric_rate_sees_family_caps(self, monkeypatch, family):
         rate = _SYMMETRIC_RATES[family]()
