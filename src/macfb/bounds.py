@@ -66,7 +66,7 @@ from ._search import _golden_max, _solve
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2
 from .geometry import SWEEP_LAMBDAS, BoundaryCurve, _concave_upper_hull, _support_polygon, pareto_filter
-from .infofn import CLAMP_TOL, DomainError, binary_entropy, f2, mu_fn, phi
+from .infofn import CLAMP_TOL, _clamp_interval, binary_entropy, f2, mu_fn, phi
 
 __all__ = [
     "Region",
@@ -148,21 +148,20 @@ class RateConstraintSet:
         """max of lam*R1 + (1-lam)*R2 over the set."""
         return float(_support_of_corners(self._upper_corners(), lam))
 
-    def contains(self, r1: float, r2: float, tol: float = 1e-12) -> bool:
+    def contains(self, r1: float, r2: float) -> bool:
         a, b, c = self._caps()
+        tol = CLAMP_TOL
         return r1 >= -tol and r2 >= -tol and r1 <= a + tol and r2 <= b + tol and r1 + r2 <= c + tol
 
-    def dominates(self, other: "RateConstraintSet", tol: float = 1e-12) -> bool:
-        """True if every cap of ``other`` is at most the matching cap here."""
+    def dominates(self, other: "RateConstraintSet") -> bool:
+        """True if every cap of ``other`` is at most the matching cap here, within ``CLAMP_TOL``."""
         sa, sb, sc = self._caps()
         oa, ob, oc = other._caps()
-        return oa <= sa + tol and ob <= sb + tol and oc <= sc + tol
+        return oa <= sa + CLAMP_TOL and ob <= sb + CLAMP_TOL and oc <= sc + CLAMP_TOL
 
 
 def _require_in_S(u1: float, u2: float) -> tuple[float, float]:
-    if not (-CLAMP_TOL <= u1 <= 0.25 + CLAMP_TOL and -CLAMP_TOL <= u2 <= 0.25 + CLAMP_TOL):
-        raise DomainError(f"(u1, u2) = ({u1}, {u2}) outside [0, 1/4]^2")
-    return min(max(u1, 0.0), 0.25), min(max(u2, 0.0), 0.25)
+    return _clamp_interval(u1, 0.25, "u1"), _clamp_interval(u2, 0.25, "u2")
 
 
 def _require_in_P(t: UTriple) -> UTriple:
@@ -177,8 +176,8 @@ def _require_in_P(t: UTriple) -> UTriple:
 
 
 def _h_phi(x):
-    """h(phi(2 x)): the cap of H(Xi|T) at ui = x."""
-    return binary_entropy(phi(2.0 * x))
+    """h(phi(2 x)): the cap of H(Xi|T) at ui = x; phi's range [0, 1/2] needs no second check."""
+    return binary_entropy.unchecked(phi(2.0 * x))
 
 
 def _half_h(u):

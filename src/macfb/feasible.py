@@ -31,6 +31,7 @@ __all__ = [
     "lower_face_u2",
     "lower_face_projections",
     "project_to_lower_face",
+    "sample_triple_rows",
     "sample_triples",
 ]
 
@@ -60,17 +61,17 @@ def u_triple_of(d: JointInputDistribution) -> UTriple:
     return UTriple(*(float(x) for x in u_triples(d.p_t, d.q1, d.q2)))
 
 
-def in_P_rows(u1, u2, u, tol: float = _TOL) -> np.ndarray:
-    """Membership in the feasible set P of each row of the arrays (u1, u2, u), with ``tol`` slack on each face."""
-    box = (-tol <= u1) & (u1 <= 0.25 + tol) & (-tol <= u2) & (u2 <= 0.25 + tol)
+def in_P_rows(u1, u2, u) -> np.ndarray:
+    """Membership in the feasible set P of each row of the arrays (u1, u2, u), with ``_TOL`` slack on each face."""
+    box = (-_TOL <= u1) & (u1 <= 0.25 + _TOL) & (-_TOL <= u2) & (u2 <= 0.25 + _TOL)
     # NaN fails the box; a row outside it takes its lower face at 0
     lo = f2(*(2.0 * np.clip(np.where(box, x, 0.0), 0.0, 0.25) for x in (u1, u2)))
-    return box & (lo - tol <= u) & (u <= 1.0 - (u1 + u2) + tol)
+    return box & (lo - _TOL <= u) & (u <= 1.0 - (u1 + u2) + _TOL)
 
 
-def in_P(t: UTriple, tol: float = _TOL) -> bool:
-    """Membership in the feasible set P, with ``tol`` slack on each face."""
-    return bool(in_P_rows(*t, tol))
+def in_P(t: UTriple) -> bool:
+    """Membership in the feasible set P, with ``_TOL`` slack on each face."""
+    return bool(in_P_rows(*t))
 
 
 def lower_face_u2(u1, u):
@@ -105,11 +106,16 @@ def project_to_lower_face(t: UTriple) -> tuple[float, float]:
     return float(u1[0]), float(u2[0])
 
 
-def sample_triples(n: int, rng: np.random.Generator) -> list[UTriple]:
-    """Draw ``n`` triples uniformly inside P (u1, u2 uniform, u uniform in its band)."""
+def sample_triple_rows(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``n`` triples uniformly inside P (u1, u2 uniform, u uniform in its band), as arrays (u1, u2, u)."""
     u1 = rng.uniform(0.0, 0.25, size=n)
     u2 = rng.uniform(0.0, 0.25, size=n)
     lo = f2(2.0 * u1, 2.0 * u2)
     hi = 1.0 - (u1 + u2)
     u = lo + rng.uniform(0.0, 1.0, size=n) * (hi - lo)
-    return [UTriple(float(a), float(b), float(c)) for a, b, c in zip(u1, u2, u)]
+    return u1, u2, u
+
+
+def sample_triples(n: int, rng: np.random.Generator) -> list[UTriple]:
+    """:func:`sample_triple_rows` as a list of triples."""
+    return [UTriple(float(a), float(b), float(c)) for a, b, c in zip(*sample_triple_rows(n, rng))]

@@ -1,12 +1,17 @@
 """Entropy and composite functions used by every bound in the package.
 
-All logarithms are base 2 and ``0 * log 0 == 0`` throughout.  Every function
-accepts scalars or numpy arrays and is pure; inputs that stray outside their
-domain by at most ``CLAMP_TOL`` are clamped (float drift at simplex corners),
-anything further out raises :class:`DomainError`.
+All logarithms are base 2 and ``0 * log 0 == 0`` throughout.  The closed
+forms share one contract, kept by :func:`_closed_form`: an argument within
+``CLAMP_TOL`` of its interval [0, hi] is clamped into it (float drift at
+simplex corners), and one further out, or NaN, raises :class:`DomainError`
+naming it; the result is a ``float`` when every argument is a scalar or 0-d
+array, else an array of the broadcast shape.  A form's array body, its
+``unchecked`` attribute, takes only values that a checked function produced.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -40,24 +45,37 @@ class InvalidDistributionError(ValueError):
 
 
 def _clamp_interval(s, hi: float, name: str):
-    """Clamp ``s`` into [0, hi], raising if it is out by more than CLAMP_TOL."""
+    """Clamp ``s`` into [0, hi], raising if it is out by more than CLAMP_TOL; a scalar comes back as ``np.float64``."""
     arr = np.asarray(s, dtype=float)
     # asked as "all inside", so NaN, which fails every comparison, is rejected
     if not (np.all(arr >= -CLAMP_TOL) and np.all(arr <= hi + CLAMP_TOL)):
         raise DomainError(f"{name} must lie in [0, {hi}], got {s!r}")
-    clipped = np.clip(arr, 0.0, hi)
-    return clipped if arr.shape else float(clipped)
+    return np.clip(arr, 0.0, hi)
 
 
-def as_probability_vector(entries, tol: float = CLAMP_TOL) -> np.ndarray:
+def _closed_form(**domains):
+    """Give an array body this module's contract; ``domains`` maps each argument, in order, to its ``hi``."""
+    def wrap(body):
+        @functools.wraps(body)
+        def checked(*args):
+            clamped = [_clamp_interval(a, hi, name) for a, (name, hi) in zip(args, domains.items())]
+            # a missing or surplus argument reaches the body, which raises TypeError
+            out = body(*clamped, *args[len(domains):])
+            return out if any(isinstance(c, np.ndarray) for c in clamped) else float(out)
+        checked.unchecked = body
+        return checked
+    return wrap
+
+
+def as_probability_vector(entries) -> np.ndarray:
     """Validate and return ``entries`` as a probability vector.
 
-    Entries must lie in [0, 1] (within ``tol``) and sum to 1 within 1e-12.
+    Entries must lie in [0, 1] (within ``CLAMP_TOL``) and sum to 1 within 1e-12.
     """
     p = np.asarray(entries, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistributionError("probability vector must be a nonempty 1-D array")
-    if not (np.all(p >= -tol) and np.all(p <= 1.0 + tol)):
+    if not (np.all(p >= -CLAMP_TOL) and np.all(p <= 1.0 + CLAMP_TOL)):
         raise InvalidDistributionError(f"entries outside [0, 1]: {entries!r}")
     total = float(p.sum())
     if abs(total - 1.0) > 1e-12:
@@ -80,50 +98,40 @@ def entropy_k(p) -> float:
     return float(0.0 - plogp(vec).sum())
 
 
+@_closed_form(s=1)
 def binary_entropy(s):
     """h(s) = -s log2 s - (1-s) log2 (1-s); symmetric about 1/2."""
-    s = _clamp_interval(s, 1, "s")
-    arr = np.asarray(s, dtype=float)
     # 0 - (p log p) - ((1-p) log (1-p)) in place: subtracting from +0.0
     # keeps h(0) = h(1) = +0.0, and one table fewer keeps the heap smaller
-    out = plogp(arr)
+    out = plogp(s)
     np.subtract(0.0, out, out=out)
-    out -= plogp(1.0 - arr)
-    return out if arr.shape else float(out)
+    out -= plogp(1.0 - s)
+    return out
 
 
+@_closed_form(s=1)
 def phi(s):
     """Lower-branch inverse of s -> 2s(1-s), extended symmetrically past 1/2.
 
     phi(s) = (1 - sqrt(1-2s))/2 on [0, 1/2] and (1 - sqrt(2s-1))/2 on
     (1/2, 1]; both branches meet at phi(1/2) = 1/2 and the range is [0, 1/2].
     """
-    s = _clamp_interval(s, 1, "s")
-    arr = np.asarray(s, dtype=float)
-    inner = np.where(arr <= 0.5, 1.0 - 2.0 * arr, 2.0 * arr - 1.0)
-    out = (1.0 - np.sqrt(np.maximum(inner, 0.0))) / 2.0
-    return out if arr.shape else float(out)
+    return (1.0 - np.sqrt(np.abs(1.0 - 2.0 * s))) / 2.0
 
 
+@_closed_form(y=0.5)
 def phi_inv(y):
     """Inverse of phi on its increasing branch: y -> 2y(1-y) for y in [0, 1/2]."""
-    y = _clamp_interval(y, 0.5, "y")
-    arr = np.asarray(y, dtype=float)
-    out = 2.0 * arr * (1.0 - arr)
-    return out if arr.shape else float(out)
+    return 2.0 * y * (1.0 - y)
 
 
+@_closed_form(x=0.5, y=0.5)
 def f2(x, y):
     """f(x, y) = phi(x) + phi(y) - 2 phi(x) phi(y) = (1 - sqrt((1-2x)(1-2y)))/2.
 
     Defined for x, y in [0, 1/2]; symmetric, jointly convex, range [0, 1/2].
     """
-    x = _clamp_interval(x, 0.5, "x")
-    y = _clamp_interval(y, 0.5, "y")
-    ax, ay = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    prod = np.maximum((1.0 - 2.0 * ax) * (1.0 - 2.0 * ay), 0.0)
-    out = (1.0 - np.sqrt(prod)) / 2.0
-    return out if (ax.shape or ay.shape) else float(out)
+    return (1.0 - np.sqrt((1.0 - 2.0 * x) * (1.0 - 2.0 * y))) / 2.0
 
 
 def f2_hessian(x: float, y: float) -> np.ndarray:
@@ -146,29 +154,22 @@ def f2_hessian(x: float, y: float) -> np.ndarray:
     )
 
 
+@_closed_form(u1=0.25, u2=0.25)
 def xi(u1, u2):
     """xi(u1, u2) = (1 - f2(2 u1, 2 u2)) / 2, jointly concave on [0, 1/4]^2."""
-    u1 = _clamp_interval(u1, 0.25, "u1")
-    u2 = _clamp_interval(u2, 0.25, "u2")
-    a1, a2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
-    out = (1.0 - np.asarray(f2(2.0 * a1, 2.0 * a2))) / 2.0
-    return out if (a1.shape or a2.shape) else float(out)
+    return (1.0 - f2.unchecked(2.0 * u1, 2.0 * u2)) / 2.0
 
 
+@_closed_form(u1=0.25, u2=0.25)
 def g_fn(u1, u2):
     """g(u1, u2) = h((1 - f2(2 u1, 2 u2)) / 2) / 2.
 
     Monotone decreasing and jointly concave on [0, 1/4]^2.
     """
-    val = binary_entropy(xi(u1, u2))
-    arr = np.asarray(val)
-    out = arr / 2.0
-    return out if arr.shape else float(out)
+    return binary_entropy.unchecked(xi.unchecked(u1, u2)) / 2.0
 
 
+@_closed_form(s=1)
 def mu_fn(s):
     """mu(s) = h(s) + 1 - s; concave on [0, 1], maximized at s = 1/3."""
-    s = _clamp_interval(s, 1, "s")
-    arr = np.asarray(s, dtype=float)
-    out = np.asarray(binary_entropy(arr)) + 1.0 - arr
-    return out if arr.shape else float(out)
+    return binary_entropy.unchecked(s) + 1.0 - s

@@ -265,8 +265,9 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     viol = {name: -np.inf for name in _INEQUALITIES + _IDENTITIES}
     eq = {name: 0 for name in _INEQUALITIES}
     n = 0
+    columns = _INEQUALITIES + ("h_x1_given_y_x2_t", "h_x2_given_y_x1_t")
     for p, q1, q2 in iter_input_grid(cfg):
-        s = dict(zip(_kernels.STAT_COLUMNS, _kernels.input_stats(p, q1, q2, _kernels.STAT_COLUMNS).T))
+        s = dict(zip(columns, _kernels.input_stats(p, q1, q2, columns).T))
         u1, u2, u = u_triples(p, q1, q2)
         # the erasure triple form is the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
         h1, h2, mu = bounds._erasure_caps(u1, u2, u)

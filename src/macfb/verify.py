@@ -210,7 +210,7 @@ def equivalence_suite(seed: int = DEFAULT_SEED, samples: int = 1000) -> dict:
     """Projection onto the lower feasibility face dominates cap by cap."""
     check_size(samples, "equivalence sampling")
     rng = np.random.default_rng(seed)
-    u1, u2, u = np.array(feasible.sample_triples(samples, rng)).T
+    u1, u2, u = feasible.sample_triple_rows(samples, rng)
     u1b, u2b = feasible.lower_face_projections(u1, u2, u)
     at_t, proj = bounds._erasure_caps(u1, u2, u), bounds._erasure_pair_caps(u1b, u2b)
     worst_r1, worst_r2, worst_sum = (float((a - b).max()) for a, b in zip(at_t, proj))

@@ -27,7 +27,7 @@ from macfb.bounds import (
 )
 from macfb._budget import BudgetExceededError
 from macfb.channel import Channel, info_quantities
-from macfb.feasible import InvalidTripleError, UTriple, sample_triples, u_triple_of
+from macfb.feasible import InvalidTripleError, UTriple, sample_triple_rows, sample_triples, u_triple_of
 from macfb import _kernels, oracle
 from macfb.geometry import pareto_filter, support_value, support_values
 from macfb.infofn import DomainError, binary_entropy, f2, mu_fn, phi
@@ -566,7 +566,7 @@ class TestReductions:
     """Each step that reduces a region family to the solver's two variables."""
 
     def test_lower_face_point_dominates_triple(self, rng):
-        u1, u2, u = np.array(sample_triples(5000, rng)).T
+        u1, u2, u = sample_triple_rows(5000, rng)
         v = np.minimum(u, 0.5)
         span = v * (1.0 - v)
         # span = 0 only at v = 0, where u1 = 0 too
@@ -591,7 +591,7 @@ class TestReductions:
         np.testing.assert_allclose(np.stack(bounds._cutset_caps(s, y), axis=1), caps_sym, rtol=0.0, atol=1e-12)
 
     def test_erasure_sum_cap_maximized_over_band(self, rng):
-        u1, u2, u = np.array(sample_triples(5000, rng)).T
+        u1, u2, u = sample_triple_rows(5000, rng)
         lo = f2(2.0 * u1, 2.0 * u2)
         assert np.all(np.maximum(1.0 / 3.0, lo) <= 1.0 - (u1 + u2))
         a, b, c = bounds._erasure_pair_caps(u1, u2, 1.0 / 3.0)

@@ -13,6 +13,7 @@ from macfb.feasible import (
     lower_face_projections,
     lower_face_u2,
     project_to_lower_face,
+    sample_triple_rows,
     sample_triples,
     u_triple_of,
 )
@@ -200,3 +201,9 @@ class TestSampling:
         a = sample_triples(10, np.random.default_rng(5))
         b = sample_triples(10, np.random.default_rng(5))
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_rows_are_the_triples_bit_for_bit(self, seed):
+        rows = np.stack(sample_triple_rows(500, np.random.default_rng(seed)))
+        triples = np.array(sample_triples(500, np.random.default_rng(seed))).T
+        np.testing.assert_array_equal(rows.view(np.uint64), triples.view(np.uint64))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macfb import bounds, infofn
 from macfb.infofn import (
+    CLAMP_TOL,
     DomainError,
     InvalidDistributionError,
     binary_entropy,
@@ -245,3 +247,88 @@ class TestMu:
             mu_fn(1.5)
         with pytest.raises(DomainError):
             mu_fn(float("nan"))
+
+
+#: each closed form with the upper end of each argument's interval [0, hi]
+CLOSED_FORMS = [
+    (binary_entropy, {"s": 1.0}),
+    (phi, {"s": 1.0}),
+    (phi_inv, {"y": 0.5}),
+    (f2, {"x": 0.5, "y": 0.5}),
+    (xi, {"u1": 0.25, "u2": 0.25}),
+    (g_fn, {"u1": 0.25, "u2": 0.25}),
+    (mu_fn, {"s": 1.0}),
+]
+
+
+@pytest.mark.parametrize("fn, domains", CLOSED_FORMS, ids=[fn.__name__ for fn, _ in CLOSED_FORMS])
+class TestClosedFormContract:
+    """Every closed form checks, clamps and shapes its arguments the same way."""
+
+    def test_scalars_give_a_float(self, fn, domains):
+        for kind in (float, np.float64, np.array):
+            assert type(fn(*(kind(hi / 3.0) for hi in domains.values()))) is float
+
+    def test_sequences_give_an_array(self, fn, domains):
+        for kind in (list, np.array):
+            out = fn(*(kind([hi / 3.0, hi / 2.0]) for hi in domains.values()))
+            assert isinstance(out, np.ndarray) and out.shape == (2,)
+
+    def test_drift_within_tolerance_is_clamped(self, fn, domains):
+        for i, hi in enumerate(domains.values()):
+            for edge, drift in ((0.0, -0.5 * CLAMP_TOL), (hi, 0.5 * CLAMP_TOL)):
+                args = [h / 3.0 for h in domains.values()]
+                args[i] = edge
+                exact = fn(*args)
+                args[i] = edge + drift
+                assert fn(*args) == exact
+                args[i] = np.array([edge + drift, edge])
+                assert fn(*args).tolist() == [exact, exact]
+
+    def test_a_wrong_number_of_arguments_raises_type_error(self, fn, domains):
+        for args in ((), (0.1,) * (len(domains) + 1)):
+            with pytest.raises(TypeError):
+                fn(*args)
+
+    def test_outside_the_domain_raises_naming_the_argument(self, fn, domains):
+        for i, (name, hi) in enumerate(domains.items()):
+            for bad in (float("nan"), -2.0 * CLAMP_TOL, hi + 2.0 * CLAMP_TOL):
+                for arg in (bad, np.array([hi / 3.0, bad])):
+                    args = [h / 3.0 for h in domains.values()]
+                    args[i] = arg
+                    with pytest.raises(DomainError, match=f"^{name} must lie in"):
+                        fn(*args)
+
+
+@pytest.mark.parametrize("fn", [f2, xi, g_fn], ids=lambda fn: fn.__name__)
+def test_two_arguments_broadcast(fn):
+    a, b, c = 0.05, 0.1, 0.2
+    out = fn(a, [b, c])
+    assert isinstance(out, np.ndarray) and out.tolist() == [fn(a, b), fn(a, c)]
+    assert fn(np.full((2, 1), a), np.full(3, b)).shape == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, limit",
+    [
+        (mu_fn, 1),
+        (lambda a: g_fn(a, a), 2),
+        (lambda a: xi(a, a), 2),
+        (lambda a: bounds._erasure_caps(a, a, 2.0 * a), 3),
+        (lambda a: bounds._cl_caps(a, a), 5),
+        (lambda a: bounds._db_caps(a, a, 2.0 * a), 4),
+    ],
+    ids=["mu_fn", "g_fn", "xi", "erasure_caps", "cl_caps", "db_caps"],
+)
+def test_each_input_is_checked_once(monkeypatch, call, limit):
+    # a composite passes a value it has checked, or a checked function made, to the unchecked forms
+    checks = []
+    clamp = infofn._clamp_interval
+
+    def counting(s, hi, name):
+        checks.append(name)
+        return clamp(s, hi, name)
+
+    monkeypatch.setattr(infofn, "_clamp_interval", counting)
+    call(np.linspace(0.0, 0.25, 11))
+    assert len(checks) <= limit, checks
