@@ -118,7 +118,7 @@ class RateConstraintSet:
 
     def __post_init__(self):
         for name, cap in (("r1_max", self.r1_max), ("r2_max", self.r2_max), ("sum_max", self.sum_max)):
-            if cap is not None and (not np.isfinite(cap) or cap < -1e-12):
+            if cap is not None and (not np.isfinite(cap) or cap < -CLAMP_TOL):
                 raise ValueError(f"{name} must be finite and nonnegative, got {cap}")
             if cap is not None and cap < 0.0:
                 object.__setattr__(self, name, 0.0)
@@ -250,23 +250,19 @@ def _binary_t_witness_rows(u1, u2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.full((len(p1), 2), 0.5), np.stack([p1, 1.0 - p1], axis=1), np.stack([p2, 1.0 - p2], axis=1)
 
 
-def _binary_t_witness(u1: float, u2: float) -> JointInputDistribution:
+def cover_leung_witness(u1: float, u2: float) -> JointInputDistribution:
+    """Binary uniform-T input attaining the Cover-Leung caps, and the erasure feedback caps, with equality."""
+    u1, u2 = _require_in_S(u1, u2)
     p, q1, q2 = _binary_t_witness_rows([u1], [u2])
     return JointInputDistribution(p_t=p[0], q1=q1[0], q2=q2[0])
-
-
-def cover_leung_witness(u1: float, u2: float) -> JointInputDistribution:
-    """Binary uniform-T input attaining the Cover-Leung caps with equality."""
-    return _binary_t_witness(*_require_in_S(u1, u2))
 
 
 def erasure_fb_constraints(u1: float, u2: float) -> RateConstraintSet:
     return _pentagon(_erasure_pair_caps(*_require_in_S(u1, u2)))
 
 
-def erasure_fb_witness(u1: float, u2: float) -> JointInputDistribution:
-    """Binary uniform-T input attaining the erasure feedback caps with equality."""
-    return _binary_t_witness(*_require_in_S(u1, u2))
+#: the Cover-Leung construction attains the erasure feedback caps too
+erasure_fb_witness = cover_leung_witness
 
 
 def erasure_fb_constraints_at_triple(t: UTriple) -> RateConstraintSet:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infofn import InvalidDistributionError, as_probability_vector, plogp
+from .infofn import CLAMP_TOL, InvalidDistributionError, as_probability_vector, plogp
 
 __all__ = [
     "Channel",
@@ -81,7 +81,7 @@ class JointInputDistribution:
         if q1.shape != p.shape or q2.shape != p.shape:
             raise InvalidDistributionError("q1/q2 must have one entry per value of T")
         for name, q in (("q1", q1), ("q2", q2)):
-            if not (np.all(q >= -1e-12) and np.all(q <= 1 + 1e-12)):
+            if not (np.all(q >= -CLAMP_TOL) and np.all(q <= 1 + CLAMP_TOL)):
                 raise InvalidDistributionError(f"{name} entries must lie in [0, 1]")
         object.__setattr__(self, "p_t", p)
         object.__setattr__(self, "q1", np.clip(q1, 0.0, 1.0))
@@ -90,6 +90,10 @@ class JointInputDistribution:
     @property
     def t_card(self) -> int:
         return self.p_t.size
+
+    def to_dict(self) -> dict:
+        """The JSON form of the input: ``p_t``, ``q1`` and ``q2`` as lists of floats."""
+        return {"p_t": self.p_t.tolist(), "q1": self.q1.tolist(), "q2": self.q2.tolist()}
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import sys
 from . import __version__, symrate, verify
 from ._budget import BudgetExceededError, InvalidBudgetError, env_budget
 from .bounds import Region, RegionSpec, region_boundary
-from .channel import JointInputDistribution
 
 SCHEMA_VERSION = "1.0"
 
@@ -58,10 +57,6 @@ def _print_json(record: dict, out) -> None:
     out.write("\n")
 
 
-def _witness_dict(d: JointInputDistribution) -> dict:
-    return {"p_t": list(d.p_t), "q1": list(d.q1), "q2": list(d.q2)}
-
-
 def _cmd_region(args, out) -> int:
     spec = RegionSpec(Region(args.which), args.grid_n)
     curve = region_boundary(spec)
@@ -92,7 +87,7 @@ def _symrate_payload(which: str) -> dict:
         "u1": sol.u1_star,
         "u2": sol.u2_star,
         "u": sol.u_star,
-        "witness": _witness_dict(sol.witness),
+        "witness": sol.witness.to_dict(),
     }
 
 

@@ -64,8 +64,9 @@ def u_triple_of(d: JointInputDistribution) -> UTriple:
 def in_P_rows(u1, u2, u) -> np.ndarray:
     """Membership in the feasible set P of each row of the arrays (u1, u2, u), with ``_TOL`` slack on each face."""
     box = (-_TOL <= u1) & (u1 <= 0.25 + _TOL) & (-_TOL <= u2) & (u2 <= 0.25 + _TOL)
-    # NaN fails the box; a row outside it takes its lower face at 0
-    lo = f2(*(2.0 * np.clip(np.where(box, x, 0.0), 0.0, 0.25) for x in (u1, u2)))
+    # NaN fails the box; a row outside it takes its lower face at 0.  The
+    # clip puts both coordinates in f2's domain, so no second check is needed.
+    lo = f2.unchecked(*(2.0 * np.clip(np.where(box, x, 0.0), 0.0, 0.25) for x in (u1, u2)))
     return box & (lo - _TOL <= u) & (u <= 1.0 - (u1 + u2) + _TOL)
 
 

@@ -12,6 +12,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .infofn import CLAMP_TOL
+
 __all__ = [
     "RatePair", "BoundaryCurve", "EmptyInputError", "SWEEP_LAMBDAS",
     "pareto_filter", "support_value", "support_values", "curve_gap",
@@ -46,7 +48,7 @@ class BoundaryCurve:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0 or pts.shape[1] != 2:
             raise EmptyInputError("boundary curve needs at least one (r1, r2) point")
-        if np.any(~np.isfinite(pts)) or np.any(pts < -1e-12):
+        if np.any(~np.isfinite(pts)) or np.any(pts < -CLAMP_TOL):
             raise ValueError("rate pairs must be finite and nonnegative")
         if np.any(np.diff(pts[:, 0]) <= 0) or np.any(np.diff(pts[:, 1]) >= 0):
             raise ValueError("points must be sorted with increasing r1 and decreasing r2")

@@ -11,7 +11,7 @@ be compared with the enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -125,23 +125,24 @@ class OracleResult:
     objective: str
     value: float
     argmax_params: tuple[float, ...]
-    argmax: object  # JointInputDistribution, or a 4-atom joint for the cut-set
     n_evaluated: int
     config: OracleConfig
 
+    @property
+    def argmax(self):
+        """The maximizing input: the 4-atom joint for the cut-set objective, else a JointInputDistribution."""
+        x = self.argmax_params
+        if self.objective == "cutset_symmetric_direct":
+            return np.array(x)
+        k = self.config.t_card
+        return JointInputDistribution(p_t=x[:k], q1=x[k : 2 * k], q2=x[2 * k :])
+
     def to_dict(self) -> dict:
-        if isinstance(self.argmax, JointInputDistribution):
-            arg = {
-                "p_t": [float(v) for v in self.argmax.p_t],
-                "q1": [float(v) for v in self.argmax.q1],
-                "q2": [float(v) for v in self.argmax.q2],
-            }
-        else:
-            arg = {"joint_x1x2": [float(v) for v in np.asarray(self.argmax).ravel()]}
+        arg = self.argmax
         return {
             "objective": self.objective,
             "value": float(self.value),
-            "argmax": arg,
+            "argmax": arg.to_dict() if isinstance(arg, JointInputDistribution) else {"joint_x1x2": arg.tolist()},
             "grid": {
                 "t_card": self.config.t_card,
                 "steps": self.config.steps,
@@ -201,7 +202,6 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
         value, key, n_eval = _lattice_max(
             ((j,), bounds._symmetric(*_kernels.cutset_stats(j).T)) for j in _simplex_lattice(4, cfg.steps)
         )
-        arg = np.asarray(key)
     else:
         check_size(cfg.grid_size, "grid", cfg.budget)
         columns, form = _OBJECTIVE_FORMS[objective]
@@ -209,13 +209,10 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
             ((p, q1, q2), form(*_kernels.input_stats(p, q1, q2, columns).T))
             for p, q1, q2 in iter_input_grid(cfg)
         )
-        k = cfg.t_card
-        arg = JointInputDistribution(p_t=key[:k], q1=key[k : 2 * k], q2=key[2 * k :])
     return OracleResult(
         objective=objective,
         value=value,
         argmax_params=tuple(float(v) for v in key),
-        argmax=arg,
         n_evaluated=n_eval,
         config=cfg,
     )
@@ -227,14 +224,14 @@ _IDENTITIES = ("half_h_x1", "half_h_x2")
 _EQUALITY_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharacterizationReport:
     """Max violations of the closed-form caps over an input lattice."""
 
     config: OracleConfig
-    n_evaluated: int = 0
-    max_violation: dict = field(default_factory=dict)
-    equality_count: dict = field(default_factory=dict)
+    n_evaluated: int
+    max_violation: dict
+    equality_count: dict
 
     def to_dict(self) -> dict:
         return {
@@ -261,7 +258,6 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     the largest violation of each inequality and how often it is tight.
     """
     check_size(cfg.grid_size, "grid", cfg.budget)
-    report = CharacterizationReport(config=cfg)
     viol = {name: -np.inf for name in _INEQUALITIES + _IDENTITIES}
     eq = {name: 0 for name in _INEQUALITIES}
     n = 0
@@ -289,7 +285,4 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
         viol["half_h_x1"] = max(viol["half_h_x1"], float(half_x1.max()))
         viol["half_h_x2"] = max(viol["half_h_x2"], float(half_x2.max()))
         n += len(u)
-    report.n_evaluated = n
-    report.max_violation = viol
-    report.equality_count = eq
-    return report
+    return CharacterizationReport(config=cfg, n_evaluated=n, max_violation=viol, equality_count=eq)

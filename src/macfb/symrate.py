@@ -18,7 +18,6 @@ import numpy as np
 
 from . import bounds
 from ._search import _golden_max
-from .bounds import _binary_t_witness
 from .channel import JointInputDistribution
 from .infofn import f2, phi, phi_inv
 
@@ -33,22 +32,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymmetricRateSolution:
-    """Optimal symmetric rate with its (u1*, u2*, u*) and witness input."""
+    """Optimal symmetric rate at the point (u1*, u2*) of P's lower face.
+
+    u* and the witness input are functions of (u1*, u2*), so they are
+    derived, not stored.
+    """
 
     rate: float
     u1_star: float
     u2_star: float
-    u_star: float
-    witness: JointInputDistribution
 
-    def __post_init__(self):
-        if abs(self.u_star - f2(2.0 * self.u1_star, 2.0 * self.u2_star)) > 1e-9:
-            raise ValueError("u_star must equal f2(2 u1*, 2 u2*)")
+    @property
+    def u_star(self) -> float:
+        """u* = f2(2 u1*, 2 u2*), on P's lower face."""
+        return f2(2.0 * self.u1_star, 2.0 * self.u2_star)
 
-
-def _solution(rate: float, u1: float, u2: float) -> SymmetricRateSolution:
-    """The solution at (u1, u2) on P's lower face, with its binary uniform-T witness."""
-    return SymmetricRateSolution(rate, u1, u2, f2(2.0 * u1, 2.0 * u2), _binary_t_witness(u1, u2))
+    @property
+    def witness(self) -> JointInputDistribution:
+        """The binary uniform-T input at (u1*, u2*), which attains the caps there."""
+        return bounds.cover_leung_witness(self.u1_star, self.u2_star)
 
 
 def _symmetric_max(caps_of, hi: float) -> tuple[float, float]:
@@ -84,7 +86,7 @@ def solve_db_symmetric() -> SymmetricRateSolution:
     """
     s, rate = _symmetric_max(lambda s: bounds._db_caps(*_balance_path(s)), 0.5)
     u1, u2, _ = _balance_path(s)
-    return _solution(rate, u1, u2)
+    return SymmetricRateSolution(rate, u1, u2)
 
 
 def solve_cl_symmetric() -> SymmetricRateSolution:
@@ -96,7 +98,7 @@ def solve_cl_symmetric() -> SymmetricRateSolution:
     symmetric optimum by more than 1e-6.
     """
     u, rate = _symmetric_max(lambda u: bounds._cl_caps(u, u), 0.25)
-    return _solution(rate, u, u)
+    return SymmetricRateSolution(rate, u, u)
 
 
 def solve_cutset_symmetric() -> float:

@@ -158,16 +158,22 @@ class TestErasure:
         assert (caps.r1_max, caps.r2_max, caps.sum_max) == (1.0, 1.0, 1.5)
 
     def test_witness_matches_cover_leung_construction(self):
-        a = erasure_fb_witness(0.11, 0.07)
-        b = cover_leung_witness(0.11, 0.07)
-        assert np.allclose(a.q1, b.q1) and np.allclose(a.q2, b.q2)
+        assert erasure_fb_witness is cover_leung_witness
+
+    @pytest.mark.parametrize("bad", [0.3, -0.1, float("nan")])
+    def test_witness_rejects_a_pair_outside_S(self, bad):
+        for witness in (cover_leung_witness, erasure_fb_witness):
+            with pytest.raises(DomainError, match="^u1 "):
+                witness(bad, 0.1)
+            with pytest.raises(DomainError, match="^u2 "):
+                witness(0.1, bad)
 
     def test_witness_rows_are_the_scalar_witnesses(self, rng):
         pairs = np.concatenate([[[0.0, 0.0], [0.25, 0.25], [0.25, 0.0]], rng.uniform(0.0, 0.25, (997, 2))])
         rows = bounds._binary_t_witness_rows(*pairs.T)
         assert all(a.shape == (1000, 2) for a in rows)
         for i, (u1, u2) in enumerate(pairs):
-            d = bounds._binary_t_witness(u1, u2)
+            d = bounds.cover_leung_witness(u1, u2)
             for name, a in zip(("p_t", "q1", "q2"), rows):
                 np.testing.assert_array_equal(a[i], getattr(d, name), strict=True)
 

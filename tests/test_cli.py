@@ -18,6 +18,8 @@ INNER_CSV_SHA256 = {
     ("erasure-fb", "21"): "cdad3116496b71a7ff9c94f29fbc59a1c1d58abe90c94a7e81bfcb29788bbafa",
     ("erasure-fb", "201"): "bd1e1ea000faae736c2b08e7da512337dffb977dfb917eb5977ea5dfda6b6eb3",
 }
+#: sha256 of ``macfb symrate all --format json``
+SYMRATE_JSON_SHA256 = "ffeb5477c55b86a0df017cb4fcae7c77b37a5eec538a88af0e870036f807a349"
 
 
 def run(*args, env=None, timeout=None):
@@ -38,6 +40,10 @@ class TestSymrate:
         assert res["u"] == pytest.approx(0.355899, abs=1e-5)
         assert res["witness"]["q1"][0] == pytest.approx(0.095109, abs=1e-5)
         assert res["witness"]["q2"][0] == pytest.approx(0.322050, abs=1e-5)
+
+    def test_all_json_bytes_frozen(self, capsys):
+        assert cli.main(["symrate", "all", "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SYMRATE_JSON_SHA256
 
     def test_human_output_six_decimals(self):
         out = run("symrate", "cover-leung")

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from macfb import bounds, verify
+from macfb import bounds, infofn, verify
 from macfb.channel import JointInputDistribution
 from macfb.feasible import (
     InvalidTripleError,
@@ -156,6 +156,33 @@ class TestRowForms:
         assert got.dtype == bool
         assert got.tolist() == [in_P(t) for t in triples] == [_in_P_one(t) for t in triples]
         assert got.tolist() == [True] * (len(triples) - len(OUTSIDE_TRIPLES)) + [False] * len(OUTSIDE_TRIPLES)
+
+    def test_in_P_rows_checks_no_coordinate_again(self, monkeypatch, rng):
+        # in_P_rows clips each coordinate into f2's domain itself, so f2 runs unchecked;
+        # the rows straddle every face of P, and the reference is the checked-f2 scalar form
+        u1, u2 = rng.uniform(-0.01, 0.26, (2, 10_000))
+        u = rng.uniform(-0.01, 1.01, 10_000)
+        a, b = rng.uniform(0.0, 0.25, (2, 100))
+        nan = float("nan")
+        edges = [(x, y, f2(2.0 * x, 2.0 * y)) for x, y in zip(a, b)] + [
+            (0.25 - 1e-13, 0.1, 0.5), (0.25 + 1e-13, 0.1, 0.5), (0.25 + 1e-13, 0.0, 0.5), (0.25 - 1e-13, 0.25, 0.5),
+            (nan, 0.1, 0.3), (0.1, nan, 0.3), (0.1, 0.1, nan),
+        ]
+        rows = [np.concatenate([c, e]) for c, e in zip((u1, u2, u), np.array(edges).T)]
+        checks = []
+        clamp = infofn._clamp_interval
+
+        def counting(s, hi, name):
+            checks.append(name)
+            return clamp(s, hi, name)
+
+        monkeypatch.setattr(infofn, "_clamp_interval", counting)
+        got = in_P_rows(*rows)
+        assert checks == []
+        monkeypatch.undo()
+        want = [_in_P_one(UTriple(*t)) for t in zip(*rows)]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want) and all(want[10_000 : 10_100])
 
     def test_lower_face_projections(self, rng):
         triples = sample_triples(2000, rng) + EDGE_TRIPLES

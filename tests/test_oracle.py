@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -23,6 +24,20 @@ FROZEN = {
     ("erasure_sum_direct", 2, 11): 1.5849263727797276,
     ("cutset_symmetric_direct", 1, 21): 0.45383973865154614,
 }
+
+#: sha256 of ``json.dumps(oracle_max(objective, OracleConfig(t_card=2, steps=5)).to_dict())``
+ORACLE_JSON_SHA256 = {
+    "db1_symmetric_direct": "df75f9c6472089fd593b5f4d031b525b7ba8cd05541a3825afda5acfe05af62d",
+    "cl_symmetric_direct": "3e07214b362ac83dc9c9b250a7f18e5eeff7d97fd874705b2b2608a041c7faf8",
+    "erasure_sum_direct": "ee270a877d4769805a044b10f62853f64a0a99483b7471393c8cda0e409037b5",
+    "cutset_symmetric_direct": "3f36d745d47d6be2044bacf741abbb27b88045e33723f007bbe92ce2b08238a9",
+}
+#: sha256 of ``json.dumps(verify_characterization(OracleConfig(t_card=1, steps=9)).to_dict())``
+CHARACTERIZATION_JSON_SHA256 = "94df042dc9bbf57adfa50d0796a746cf54fc41862a58c47b36544ce5ba7a6377"
+
+
+def _sha256_of_json(record: dict) -> str:
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
 class TestConfig:
@@ -230,8 +245,17 @@ class TestOracleMax:
         r = oracle_max("cutset_symmetric_direct", OracleConfig(t_card=1, steps=5))
         assert "joint_x1x2" in json.loads(json.dumps(r.to_dict()))["argmax"]
 
+    @pytest.mark.parametrize("objective", oracle_mod.OBJECTIVES)
+    def test_report_bytes_frozen(self, objective):
+        r = oracle_max(objective, OracleConfig(t_card=2, steps=5))
+        assert _sha256_of_json(r.to_dict()) == ORACLE_JSON_SHA256[objective]
+
 
 class TestCharacterization:
+    def test_report_bytes_frozen(self):
+        rep = verify_characterization(OracleConfig(t_card=1, steps=9))
+        assert _sha256_of_json(rep.to_dict()) == CHARACTERIZATION_JSON_SHA256
+
     def test_small_lattice_clean(self):
         rep = verify_characterization(OracleConfig(t_card=1, steps=11))
         assert rep.worst_violation <= 1e-12

@@ -102,6 +102,15 @@ class TestCoverLeungSymmetric:
         assert np.allclose(w.p_t, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("solution", ["db_solution", "cl_solution"])
+def test_solution_derives_its_witness_from_u_star(request, solution):
+    s = request.getfixturevalue(solution)
+    want = bounds.cover_leung_witness(s.u1_star, s.u2_star)
+    for name in ("p_t", "q1", "q2"):
+        np.testing.assert_array_equal(getattr(s.witness, name), getattr(want, name), strict=True)
+    assert s.u_star == f2(2.0 * s.u1_star, 2.0 * s.u2_star)
+
+
 class TestCutsetSymmetric:
     def test_published_value(self):
         assert solve_cutset_symmetric() == pytest.approx(0.45915, abs=1e-3)
