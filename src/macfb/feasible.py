@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import JointInputDistribution
-from .infofn import f2
+from .infofn import CLAMP_TOL, f2
 
 __all__ = [
     "UTriple",
@@ -35,9 +35,6 @@ __all__ = [
     "sample_triples",
 ]
 
-_TOL = 1e-12
-
-
 class InvalidTripleError(ValueError):
     """Triple lies outside the feasible set P."""
 
@@ -49,10 +46,23 @@ class UTriple(NamedTuple):
 
 
 def u_triples(p: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u1, u2, u) of each row of ``p``, ``q1``, ``q2``, which hold p_t, q1t and q2t over their last axis."""
-    u1 = np.sum(p * q1 * (1.0 - q1), axis=-1)
-    u2 = np.sum(p * q2 * (1.0 - q2), axis=-1)
-    u = np.sum(p * (q1 + q2 - 2.0 * q1 * q2), axis=-1)
+    """(u1, u2, u) of each row of ``p``, ``q1``, ``q2``, which hold p_t, q1t and q2t over their last axis.
+
+    The t terms are added one column at a time, in t order, without building
+    (n, |T|) products.  For fewer than 8 terms that is the order, and so the
+    bits, of ``np.sum`` over the last axis (numpy sums 8 or more pairwise).
+    """
+
+    def column(t):
+        pt, a, b = p[..., t], q1[..., t], q2[..., t]
+        return pt * a * (1.0 - a), pt * b * (1.0 - b), pt * (a + b - 2.0 * a * b)
+
+    u1, u2, u = column(0)
+    for t in range(1, p.shape[-1]):
+        d1, d2, d = column(t)
+        u1 += d1
+        u2 += d2
+        u += d
     return u1, u2, u
 
 
@@ -62,16 +72,17 @@ def u_triple_of(d: JointInputDistribution) -> UTriple:
 
 
 def in_P_rows(u1, u2, u) -> np.ndarray:
-    """Membership in the feasible set P of each row of the arrays (u1, u2, u), with ``_TOL`` slack on each face."""
-    box = (-_TOL <= u1) & (u1 <= 0.25 + _TOL) & (-_TOL <= u2) & (u2 <= 0.25 + _TOL)
+    """Membership in the feasible set P of each row of the arrays (u1, u2, u), with ``CLAMP_TOL`` slack on each face."""
+    tol = CLAMP_TOL
+    box = (-tol <= u1) & (u1 <= 0.25 + tol) & (-tol <= u2) & (u2 <= 0.25 + tol)
     # NaN fails the box; a row outside it takes its lower face at 0.  The
     # clip puts both coordinates in f2's domain, so no second check is needed.
     lo = f2.unchecked(*(2.0 * np.clip(np.where(box, x, 0.0), 0.0, 0.25) for x in (u1, u2)))
-    return box & (lo - _TOL <= u) & (u <= 1.0 - (u1 + u2) + _TOL)
+    return box & (lo - tol <= u) & (u <= 1.0 - (u1 + u2) + tol)
 
 
 def in_P(t: UTriple) -> bool:
-    """Membership in the feasible set P, with ``_TOL`` slack on each face."""
+    """Membership in the feasible set P, with ``CLAMP_TOL`` slack on each face."""
     return bool(in_P_rows(*t))
 
 

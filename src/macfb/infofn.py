@@ -45,12 +45,19 @@ class InvalidDistributionError(ValueError):
 
 
 def _clamp_interval(s, hi: float, name: str):
-    """Clamp ``s`` into [0, hi], raising if it is out by more than CLAMP_TOL; a scalar comes back as ``np.float64``."""
+    """Clamp ``s`` into [0, hi], raising if it is out by more than CLAMP_TOL; a scalar comes back as ``np.float64``.
+
+    An array already inside [0, hi] comes back as it is, not copied.
+    """
     arr = np.asarray(s, dtype=float)
-    # asked as "all inside", so NaN, which fails every comparison, is rejected
-    if not (np.all(arr >= -CLAMP_TOL) and np.all(arr <= hi + CLAMP_TOL)):
-        raise DomainError(f"{name} must lie in [0, {hi}], got {s!r}")
-    return np.clip(arr, 0.0, hi)
+    if arr.size:
+        least, most = arr.min(), arr.max()
+        # asked as "inside", so NaN, which makes both NaN and fails every comparison, is rejected
+        if not (least >= -CLAMP_TOL and most <= hi + CLAMP_TOL):
+            raise DomainError(f"{name} must lie in [0, {hi}], got {s!r}")
+        if least < 0.0 or most > hi:
+            arr = np.clip(arr, 0.0, hi)
+    return arr[()] if arr.ndim == 0 else arr
 
 
 def _closed_form(**domains):

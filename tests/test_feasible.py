@@ -16,6 +16,7 @@ from macfb.feasible import (
     sample_triple_rows,
     sample_triples,
     u_triple_of,
+    u_triples,
 )
 from macfb.infofn import f2
 
@@ -43,6 +44,23 @@ class TestUTriple:
             k = int(rng.integers(1, 4))
             d = dist(rng.dirichlet(np.ones(k)), rng.uniform(size=k), rng.uniform(size=k))
             assert in_P(u_triple_of(d))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_are_the_summed_products_bit_for_bit(self, rng, k):
+        # the (n, |T|) products summed by np.sum, which u_triples adds column by column
+        p = rng.dirichlet(np.ones(k), size=5000)
+        q1, q2 = rng.uniform(size=(2, 5000, k))
+        q1[:100], q2[100:200] = 0.0, 1.0
+        want = (
+            np.sum(p * q1 * (1.0 - q1), axis=-1),
+            np.sum(p * q2 * (1.0 - q2), axis=-1),
+            np.sum(p * (q1 + q2 - 2.0 * q1 * q2), axis=-1),
+        )
+        for got, w in zip(u_triples(p, q1, q2), want):
+            assert got.shape == (5000,)
+            assert got.tobytes() == w.tobytes()
+        for got, w in zip(u_triples(p[7], q1[7], q2[7]), want):
+            assert np.float64(got).tobytes() == w[7].tobytes()
 
 
 class TestInP:

@@ -299,6 +299,59 @@ class TestClosedFormContract:
                     with pytest.raises(DomainError, match=f"^{name} must lie in"):
                         fn(*args)
 
+    def test_empty_arrays_pass(self, fn, domains):
+        out = fn(*(np.empty(0) for _ in domains))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_the_input_is_never_written(self, fn, domains):
+        # inside the interval, and drifted within tolerance past each end
+        for drift in (0.0, 0.5 * CLAMP_TOL):
+            args = [np.array([-drift, hi / 3.0, hi / 2.0, hi + drift]) for hi in domains.values()]
+            kept = [a.copy() for a in args]
+            for a in args:
+                a.flags.writeable = False
+            fn(*args)
+            for a, k in zip(args, kept):
+                assert a.tobytes() == k.tobytes()
+
+
+class TestClampInterval:
+    """The one check behind every closed form: one min and one max, and a copy only to clamp."""
+
+    def test_nan_anywhere_in_an_array_raises(self):
+        for i in range(5):
+            arr = np.linspace(0.0, 1.0, 5)
+            arr[i] = np.nan
+            with pytest.raises(DomainError, match="^s must lie in"):
+                infofn._clamp_interval(arr, 1.0, "s")
+        with pytest.raises(DomainError):
+            infofn._clamp_interval(np.full(3, np.nan), 1.0, "s")
+
+    def test_an_empty_array_passes(self):
+        for empty in (np.empty(0), np.empty((0, 3)), []):
+            out = infofn._clamp_interval(empty, 1.0, "s")
+            assert isinstance(out, np.ndarray) and out.shape == np.shape(empty)
+
+    def test_an_array_inside_is_returned_uncopied_with_the_bits_of_clip(self, rng):
+        arr = np.concatenate([[-0.0, 0.0, 0.5, 5e-324], rng.uniform(0.0, 0.5, 1000)])
+        out = infofn._clamp_interval(arr, 0.5, "y")
+        assert out is arr
+        assert out.tobytes() == np.clip(arr, 0.0, 0.5).tobytes()
+
+    def test_drift_is_clipped_into_a_copy(self):
+        arr = np.array([-0.5 * CLAMP_TOL, 0.25, 1.0 + 0.5 * CLAMP_TOL])
+        kept = arr.copy()
+        out = infofn._clamp_interval(arr, 1.0, "s")
+        assert out.tolist() == [0.0, 0.25, 1.0]
+        assert arr.tobytes() == kept.tobytes()
+
+    def test_a_scalar_comes_back_as_float64(self):
+        drifted = (-0.5 * CLAMP_TOL, np.array(1.0 + 0.5 * CLAMP_TOL))
+        for s in (0.25, np.float64(0.25), np.array(0.25), 1, np.float32(0.25), *drifted):
+            out = infofn._clamp_interval(s, 1.0, "s")
+            assert type(out) is np.float64
+            assert out == min(max(float(s), 0.0), 1.0)
+
 
 @pytest.mark.parametrize("fn", [f2, xi, g_fn], ids=lambda fn: fn.__name__)
 def test_two_arguments_broadcast(fn):
