@@ -14,10 +14,18 @@ for, and the mutual informations of ``input_stats`` are ``cutset_stats`` of
 the T-marginal joint, bit for bit.  Every column is of the noisy adder but
 ``h_y_erasure``, H(Y) of the erasure adder at the same P(x1, x2).
 
+The noisy adder's tables of Y are held by their distinct entries.  Y = X1
++ X2 + Z with Z uniform, so W = 1/2 on its support: each nonzero entry of
+P(x1, x2, y[, t]) is half a cell of P(x1, x2[, t]) and appears twice, and
+each nonzero entry of the marginals of Y is one such half or a sum of them.
+So ``p log p`` is taken once per distinct value, and no table of Y with its
+zeros is built.
+
 Every entropy adds its terms in a fixed order (:func:`_sum_rows`), so each
 row gets the same bits whatever batch, chunk or position it comes in.  The
-tables of (X1, X2, ...) are summed cell by cell in an order the swap X1 <->
-X2 keeps (:func:`_cell_sum`).
+order is that of the full table with its zero entries left out.  The tables
+of (X1, X2, ...) are summed cell by cell in an order the swap X1 <-> X2
+keeps (:func:`_cell_sum`).
 """
 
 from __future__ import annotations
@@ -32,46 +40,37 @@ from ..infofn import plogp
 #: rows per kernel chunk, small enough that a chunk's tables stay in the CPU cache
 CHUNK = 1 << 12
 
-_NOISY = transition_tensor(Channel.NOISY_ADDITIVE)
 _ERASURE = transition_tensor(Channel.ERASURE)
+
+#: W(y | x1, x2) at each of the two y the noisy adder's (x1, x2) can give
+_W = 0.5
 
 #: the tables of the joint law of (T, X1, X2, Y), with the batch axis last:
 #: name -> (the tables it is built from, how).  Each comes after its sources.
 #: The seeds are ``t`` = P(t), ``q1`` and ``q2``, or ``x1x2`` = P(x1, x2);
-#: ``b1`` is P(x1 | t), ``tx1`` P(t, x1), ``w`` P(x1, x2, t), ``full``
-#: P(x1, x2, y, t) and ``y_erasure`` P(y) on the erasure adder; the rest are
-#: named by the variables they keep.
+#: ``b1`` is P(x1 | t), ``tx1`` P(t, x1), ``w`` P(x1, x2, t), ``y_erasure``
+#: P(y) on the erasure adder, ``half`` and ``w_half`` the distinct entries
+#: P(x1, x2) W and P(x1, x2, t) W of the noisy adder's P(x1, x2, y[, t]), and
+#: ``half_log`` and ``w_log`` their ``p log p``; the rest are named by the
+#: variables they keep.
 _TABLES = {
     "b1": (("q1",), lambda q1: np.stack([q1, 1.0 - q1])),  # (2, K, n)
     "b2": (("q2",), lambda q2: np.stack([q2, 1.0 - q2])),
     "tx1": (("t", "b1"), lambda p, b1: p * b1),
     "tx2": (("t", "b2"), lambda p, b2: p * b2),
     "w": (("tx1", "b2"), lambda tx1, b2: tx1[:, None] * b2[None]),  # (2, 2, K, n)
-    "full": (("w",), lambda w: w[:, :, None] * _NOISY[..., None, None]),  # (2, 2, Y, K, n)
-    "tx1y": (("full",), lambda full: full[:, 0] + full[:, 1]),
-    "tx2y": (("full",), lambda full: full[0] + full[1]),
+    "w_half": (("w",), lambda w: w * _W),
+    "w_log": (("w_half",), lambda w_half: plogp(w_half)),
     "x1x2": (("w",), lambda w: _sum_rows(w, axis=2)),  # (2, 2, n)
-    "x1x2y": (("x1x2",), lambda x1x2: x1x2[:, :, None] * _NOISY[..., None]),  # (2, 2, Y, n)
-    "x1y": (("x1x2y",), lambda x1x2y: x1x2y[:, 0] + x1x2y[:, 1]),
-    "x2y": (("x1x2y",), lambda x1x2y: x1x2y[0] + x1x2y[1]),
+    "half": (("x1x2",), lambda x1x2: x1x2 * _W),
+    "half_log": (("half",), lambda half: plogp(half)),
     "x1": (("x1x2",), lambda x1x2: x1x2[:, 0] + x1x2[:, 1]),
     "x2": (("x1x2",), lambda x1x2: x1x2[0] + x1x2[1]),
-    "y": (("x1x2y",), lambda x1x2y: _cell_sum(x1x2y)),
     "y_erasure": (("x1x2",), lambda x1x2: _cell_sum(x1x2[:, :, None] * _ERASURE[..., None])),
 }
-#: the tables of (X1, X2, ...), whose entropies :func:`_cell_entropy` takes
-_CELL_TABLES = frozenset({"x1x2", "x1x2y"})
-#: the entries of a table that the noisy adder's law can make nonzero; an
-#: entropy skips the others, whose terms are exact zeros, so it adds the same
-#: bits with fewer logarithms (each cell of ``x1x2y`` keeps two entries)
-_SUPPORT = {
-    **dict.fromkeys(("full", "x1x2y"), _NOISY > 0),
-    **dict.fromkeys(("tx1y", "x1y"), _NOISY.sum(axis=1) > 0),
-    **dict.fromkeys(("tx2y", "x2y"), _NOISY.sum(axis=0) > 0),
-}
 
-#: each column: the tables whose entropies it reads, and its value from the
-#: entropies ``s``, keyed by table
+#: each column: the entropies of ``_ENTROPIES`` it reads, and its value from
+#: the entropies ``s``, keyed by name
 _COLUMNS = {
     "h_x1_given_t": (("tx1", "t"), lambda s: s["tx1"] - s["t"]),
     "h_x2_given_t": (("tx2", "t"), lambda s: s["tx2"] - s["t"]),
@@ -105,9 +104,14 @@ def _sum_rows(table: np.ndarray, axis: int = 0) -> np.ndarray:
     return acc
 
 
+def _log_entropy(logs: np.ndarray) -> np.ndarray:
+    """Entropy from its terms ``p log p``, added over all axes but the last (batch) axis in C order."""
+    return -_sum_rows(logs.reshape(-1, logs.shape[-1]))
+
+
 def _entropy(table: np.ndarray) -> np.ndarray:
     """Entropy over all axes but the last (batch) axis."""
-    return -_sum_rows(plogp(table.reshape(-1, table.shape[-1])))
+    return _log_entropy(plogp(table))
 
 
 def _cell_sum(t: np.ndarray) -> np.ndarray:
@@ -126,19 +130,57 @@ def _cell_entropy(table: np.ndarray) -> np.ndarray:
     return -_cell_sum(_sum_rows(logs, axis=2))
 
 
+def _over_x2(half: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """The terms of P(x1, y[, t]) from the distinct entries ``half`` of P(x1, x2, y[, t]) and their ``logs``.
+
+    At x1, y = x1 comes only from x2 = 0, y = x1 + 2 only from x2 = 1, and
+    y = x1 + 1 from both; so (x1, 3, ...).
+    """
+    return np.stack([logs[:, 0], plogp(half[:, 0] + half[:, 1]), logs[:, 1]], axis=1)
+
+
+def _over_x1(half: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """The terms of P(x2, y[, t]): :func:`_over_x2` with the users swapped, (x2, 3, ...)."""
+    return _over_x2(half.swapaxes(0, 1), logs.swapaxes(0, 1))
+
+
+def _over_both(half: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """The terms of P(y): y = 0 and 3 come from one cell, y = 1 and 2 from three, summed as in :func:`_cell_sum`."""
+    mixed = half[0, 1] + half[1, 0]
+    ends = plogp(np.stack([mixed + half[0, 0], mixed + half[1, 1]]))
+    return np.stack([logs[0, 0], ends[0], ends[1], logs[1, 1]])
+
+
+#: each entropy the columns read, named by the variables of its law: name ->
+#: (the tables it is taken from, how); ``full`` is H(X1, X2, Y, T)
+_ENTROPIES = {
+    **{name: ((name,), _entropy) for name in ("t", "tx1", "tx2", "x1", "x2", "y_erasure")},
+    "x1x2": (("x1x2",), _cell_entropy),
+    # each cell of P(x1, x2, y) holds its half twice, and the cells add as in _cell_entropy
+    "x1x2y": (("half_log",), lambda logs: -_cell_sum(logs + logs)),
+    "x1y": (("half", "half_log"), lambda half, logs: _log_entropy(_over_x2(half, logs))),
+    "x2y": (("half", "half_log"), lambda half, logs: _log_entropy(_over_x1(half, logs))),
+    "y": (("half", "half_log"), lambda half, logs: _log_entropy(_over_both(half, logs))),
+    "full": (("w_log",), lambda logs: _log_entropy(np.stack([logs, logs], axis=2))),
+    "tx1y": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x2(half, logs))),
+    "tx2y": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x1(half, logs))),
+}
+
+
 @lru_cache(maxsize=None)
 def _build_plan(seeds: tuple[str, ...], columns: tuple[str, ...]) -> tuple:
     """The steps that give the entropies ``columns`` read, from the tables ``seeds``.
 
-    A step is ``(table, how it is built, its sources, its entropy, the tables
-    no later step reads)``; a seed is not built, and a table whose entropy no
-    column reads has none.  Dropping each table after its last use keeps a
-    chunk's working set small.  Kept to the end of the chunk, the tables of a
+    A step is ``(table, how it is built, its sources, the entropies taken
+    once it is built, the tables no later step reads)``; a seed is not built.
+    An entropy is ``(name, how, its tables)``, taken at the step of the last
+    of its tables.  Dropping each table after its last use keeps a chunk's
+    working set small.  Kept to the end of the chunk, the tables of a
     1,482-row ``cutset_stats`` call made the allocator hand its pages back and
     fault them in again on every call: about 19% slower (2-vCPU VM).
     """
-    entropies = {table for name in columns for table in _COLUMNS[name][0]}
-    need = set(entropies)
+    entropies = dict.fromkeys(table for name in columns for table in _COLUMNS[name][0])
+    need = {table for name in entropies for table in _ENTROPIES[name][0]}
     for name in reversed(_TABLES):
         if name in need and name not in seeds:
             need.update(_TABLES[name][0])
@@ -147,12 +189,18 @@ def _build_plan(seeds: tuple[str, ...], columns: tuple[str, ...]) -> tuple:
     last = {}
     for step, name in enumerate(order):
         last.update(dict.fromkeys((name, *sources[step]), step))
+    taken = {}
+    for name in entropies:
+        tables = _ENTROPIES[name][0]
+        at = max(order.index(table) for table in tables)
+        taken.setdefault(at, []).append((name, _ENTROPIES[name][1], tables))
+        last.update({table: max(last[table], at) for table in tables})
     return tuple(
         (
             name,
             None if name in seeds else _TABLES[name][1],
             sources[step],
-            (_cell_entropy if name in _CELL_TABLES else _entropy) if name in entropies else None,
+            tuple(taken.get(step, ())),
             tuple(table for table, at in last.items() if at == step),
         )
         for step, name in enumerate(order)
@@ -169,12 +217,11 @@ def _stats(seeds: dict, columns: tuple[str, ...]) -> np.ndarray:
         sl = slice(start, min(start + CHUNK, n))
         tables = {name: seed[..., sl] for name, seed in seeds.items()}
         s = {}
-        for name, make, sources, entropy, drop in plan:
+        for name, make, sources, entropies, drop in plan:
             if make is not None:
                 tables[name] = make(*[tables[source] for source in sources])
-            if entropy is not None:
-                table = tables[name]
-                s[name] = entropy(table[_SUPPORT[name]] if name in _SUPPORT else table)
+            for entropy, how, reads in entropies:
+                s[entropy] = how(*[tables[table] for table in reads])
             for table in drop:
                 del tables[table]
         for row, value in zip(out, values):

@@ -5,12 +5,19 @@ Each bound maps its parameters to a :class:`RateConstraintSet` (a pentagon
 quadrant), and a region is the union of its family's pentagons.
 
 Every cap is defined once, vectorized, from the terms h(phi(2 ui)), h(u)/2,
-h((1-u)/2) and mu(u): dbpc1 (:func:`_db_caps`; dbpc2 is its mirror),
-Cover-Leung (:func:`_cl_caps`) and the erasure feedback caps in triple form
-(:func:`_erasure_caps`); :func:`_symmetric` reads a pentagon's symmetric
-rate off its caps.  The scalar constraints, the region assembly, ``symrate``,
-the oracle and the dominance suite call them on this module at call time, so
-the checks see the very functions that build the regions.
+h((1-u)/2) and mu(u): dbpc1 (:func:`_db_staged`; dbpc2 is its mirror),
+Cover-Leung (:func:`_cl_staged`) and the erasure feedback caps in triple
+form (:func:`_erasure_staged`); :func:`_symmetric` reads a pentagon's
+symmetric rate off its caps.  The definition is staged: given the variable
+the solve's outer search moves (u for dbpc1, u1 for the others), it takes
+the terms of that variable alone once (h(u)/2 and h((1-u)/2); h(phi(2 u1))
+and 2 u1) and returns the caps as a function of the rest.  So the inner
+search, about 27 calls per outer step, evaluates only the terms that move
+with it.  :func:`_db_caps`, :func:`_cl_caps` and :func:`_erasure_caps` are
+one-line wrappers for ``symrate``, the oracle and the checks.  The scalar
+constraints, the region assembly, ``symrate``, the oracle and the dominance
+suite call them on this module at call time, so the checks see the very
+functions that build the regions.
 
 The best pentagon in each of the 181 sweep directions is found by a direct
 solve.  The caps of every family are concave in convex coordinates, and a
@@ -26,7 +33,7 @@ reduced to two variables (x, y) over a box without losing its optimum:
 
 Maximizing over y keeps concavity in x, so the nested golden-section search
 of :func:`macfb._search._solve` finds the optimum of all 181 directions at
-once.
+once.  Each family in ``_FAMILIES`` is its staged caps on the (x, y) box.
 
 Since every region is convex, it is fixed by its support values, and no
 region sweeps a parameter grid:
@@ -190,19 +197,50 @@ def _h_mid(u):
     return binary_entropy((1.0 - u) / 2.0)
 
 
+def _db_staged(u):
+    """The dbpc1 caps (genie = X1) at u: ``caps(u1, u2, k)`` gives them at the triple (u1, u2, u[k]).
+
+    h(u)/2 and h((1 - u)/2) depend on u alone, so they are taken here once;
+    ``k`` indexes u and defaults to all of it.  The staged forms hold their
+    terms as arrays, so that ``()`` indexes a scalar's term too.
+    """
+    half_h, h_mid = np.asarray(_half_h(u)), np.asarray(_h_mid(u))
+    return lambda u1, u2, k=(): (np.minimum(half_h[k], _h_phi(u1)), 0.5 * _h_phi(u2), h_mid[k])
+
+
 def _db_caps(u1, u2, u):
     """Caps of the dbpc1 pentagon (genie = X1) at the triple (u1, u2, u)."""
-    return np.minimum(_half_h(u), _h_phi(u1)), 0.5 * _h_phi(u2), _h_mid(u)
+    return _db_staged(u)(u1, u2)
+
+
+def _cl_staged(u1):
+    """The Cover-Leung caps at u1: ``caps(u2, k)`` gives them at (u1[k], u2); h(phi(2 u1))/2 and 2 u1 are taken once."""
+    r1, two_u1 = np.asarray(0.5 * _h_phi(u1)), np.asarray(2.0 * u1)
+    return lambda u2, k=(): (r1[k], 0.5 * _h_phi(u2), _h_mid(f2(two_u1[k], 2.0 * u2)))
 
 
 def _cl_caps(u1, u2):
     """Cover-Leung caps at (u1, u2)."""
-    return 0.5 * _h_phi(u1), 0.5 * _h_phi(u2), _h_mid(f2(2.0 * u1, 2.0 * u2))
+    return _cl_staged(u1)(u2)
+
+
+def _erasure_staged(u1):
+    """The erasure feedback caps of the triple form at u1: ``caps(u2, u, k)`` gives h(phi(2 u1[k])), h(phi(2 u2)), mu(u).
+
+    h(phi(2 u1)) is taken here once.
+    """
+    r1 = np.asarray(_h_phi(u1))
+    return lambda u2, u, k=(): (r1[k], _h_phi(u2), mu_fn(u))
 
 
 def _erasure_caps(u1, u2, u):
     """Erasure feedback caps of the triple form: h(phi(2 u1)), h(phi(2 u2)), mu(u)."""
-    return _h_phi(u1), _h_phi(u2), mu_fn(u)
+    return _erasure_staged(u1)(u2, u)
+
+
+def _erasure_pair_u(two_u1, u2, floor: float):
+    """The u of the erasure pair form, max(floor, f2(2 u1, 2 u2)), from 2 u1."""
+    return np.maximum(floor, f2(two_u1, 2.0 * u2))
 
 
 def _erasure_pair_caps(u1, u2, floor: float = 0.0):
@@ -211,7 +249,13 @@ def _erasure_pair_caps(u1, u2, floor: float = 0.0):
     At floor 1/3 it is the band form, the triple form with u maximized out:
     mu is concave and peaks at 1/3, and the band's upper face is at least 1/2.
     """
-    return _erasure_caps(u1, u2, np.maximum(floor, f2(2.0 * u1, 2.0 * u2)))
+    return _erasure_caps(u1, u2, _erasure_pair_u(2.0 * u1, u2, floor))
+
+
+def _erasure_pair_staged(u1, floor: float):
+    """:func:`_erasure_pair_caps` at u1, as ``caps(u2, k)``; 2 u1 is taken here once."""
+    caps, two_u1 = _erasure_staged(u1), np.asarray(2.0 * u1)
+    return lambda u2, k=(): caps(u2, _erasure_pair_u(two_u1[k], u2, floor), k)
 
 
 def _symmetric(r1, r2, total):
@@ -286,9 +330,9 @@ def erasure_nofb_constraints() -> RateConstraintSet:
 def _corners(a, b, c):
     """The two upper pentagon corners (x_max, y_at_x) and (x_at_y, y_max) for arrays of caps."""
     x_max = np.minimum(a, c)
-    y_at_x = np.clip(np.minimum(b, c - x_max), 0.0, None)
+    y_at_x = np.maximum(np.minimum(b, c - x_max), 0.0)
     y_max = np.minimum(b, c)
-    x_at_y = np.clip(np.minimum(a, c - y_max), 0.0, None)
+    x_at_y = np.maximum(np.minimum(a, c - y_max), 0.0)
     return x_max, y_at_x, x_at_y, y_max
 
 
@@ -317,21 +361,32 @@ def _support_of_corners(corners, lam):
 # ---------------------------------------------------------------------------
 
 
-def _pentagon_support(caps_of, lams: np.ndarray):
-    """A family's pentagon support as the ``fun(x, y, rows)`` of :func:`_solve`; problem k is direction ``lams[k]``."""
-    return lambda x, y, rows: _support_of_corners(_corners(*caps_of(x, y)), lams[rows])
+def _pentagon_support(stage_of, lams: np.ndarray):
+    """A family's pentagon support as the staged ``fun(x, rows)`` of :func:`_solve`; problem k is direction ``lams[k]``."""
+
+    def fun(x, rows):
+        caps, lam = stage_of(x), lams[rows]
+        return lambda y, k: _support_of_corners(_corners(*caps(y, k)), lam[k])
+
+    return fun
 
 
-def _db_face_caps(u: np.ndarray, y: np.ndarray):
-    """dbpc1 caps on P's lower face, for u in [0, 1/2] and y in [0, 1].
+def _db_face(u: np.ndarray):
+    """dbpc1 caps on P's lower face at u in [0, 1/2]: ``caps(y, k)`` at u1 = y u[k] (1 - u[k]), y in [0, 1].
 
-    u1 = y u (1 - u) runs over the face's u1-range, and u2 solves
-    f2(2 u1, 2 u2) = u.  At a fixed u the caps rise with u1 and u2, and u
-    above 1/2 lowers every cap while every (u1, u2) is feasible at u = 1/2,
-    so the optimum over P lies on this face.
+    u1 runs over the face's u1-range, and u2 solves f2(2 u1, 2 u2) = u.  At
+    a fixed u the caps rise with u1 and u2, and u above 1/2 lowers every cap
+    while every (u1, u2) is feasible at u = 1/2, so the optimum over P lies
+    on this face.
     """
-    u1 = y * u * (1.0 - u)
-    return _db_caps(u1, lower_face_u2(u1, u), u)
+    caps = _db_staged(u)
+
+    def at(y, k=()):
+        v = u[k]
+        u1 = y * v * (1.0 - v)
+        return caps(u1, lower_face_u2(u1, v), k)
+
+    return at
 
 
 def _cutset_joint(s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -350,12 +405,18 @@ def _cutset_caps(s: np.ndarray, y: np.ndarray):
     return tuple(_kernels.cutset_stats(_cutset_joint(s, y)).T)
 
 
-#: (caps of (x, y), upper end of x) for each pentagon family
+def _y_is_4u2(caps):
+    """``caps(u2, k)`` of a (u1, u2) family as ``caps(y, k)`` on the solve's box: y = 4 u2."""
+    return lambda y, k=(): caps(0.25 * y, k)
+
+
+#: (staged caps: x -> caps(y, k) at (x[k], y), upper end of x) for each
+#: pentagon family; each looks its caps up on this module when called
 _FAMILIES = {
-    "dbpc1": (_db_face_caps, 0.5),
-    "cutset": (_cutset_caps, 0.5),
-    "cover-leung": (lambda u1, y: _cl_caps(u1, 0.25 * y), 0.25),
-    "erasure-fb": (lambda u1, y: _erasure_pair_caps(u1, 0.25 * y, 1.0 / 3.0), 0.25),
+    "dbpc1": (_db_face, 0.5),
+    "cutset": (lambda s: lambda y, k=(): _cutset_caps(s[k], y), 0.5),
+    "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25),
+    "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25),
 }
 
 
@@ -365,8 +426,8 @@ def _solution(family: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     It does not depend on grid_n.
     """
-    caps_of, x_hi = _FAMILIES[family]
-    solution = _solve(_pentagon_support(caps_of, SWEEP_LAMBDAS), x_hi, len(SWEEP_LAMBDAS))
+    stage_of, x_hi = _FAMILIES[family]
+    solution = _solve(_pentagon_support(stage_of, SWEEP_LAMBDAS), x_hi, len(SWEEP_LAMBDAS))
     for a in solution:
         a.flags.writeable = False
     return solution
@@ -375,7 +436,7 @@ def _solution(family: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _solved_points(family: str) -> np.ndarray:
     """Pentagon corners at the optimum of each sweep direction."""
     x, y, _ = _solution(family)
-    return _corner_points(*_FAMILIES[family][0](x, y))
+    return _corner_points(*_FAMILIES[family][0](x)(y))
 
 
 def cutset_region_noisy() -> BoundaryCurve:
@@ -393,15 +454,15 @@ def _inner_curve(family: str, grid_n: int) -> BoundaryCurve:
     other face.  Every point is an attained pentagon corner.
     """
     check_size(grid_n, "inner face curve")
-    caps_of, x_hi = _FAMILIES[family]
-    u1 = np.linspace(0.0, x_hi, grid_n)
+    stage_of, x_hi = _FAMILIES[family]
+    caps = stage_of(np.linspace(0.0, x_hi, grid_n))
 
-    def top(y, rows):
-        a, b, c = caps_of(u1[rows], y)
+    def top(y, k):
+        a, b, c = caps(y, k)
         return np.minimum(b, c - a)
 
     y, _ = _golden_max(top, np.zeros(grid_n), np.ones(grid_n))
-    face = _corner_points(*caps_of(u1, y))
+    face = _corner_points(*caps(y))
     pts = pareto_filter(np.concatenate([face, face[:, ::-1], _solved_points(family)])).points
     return BoundaryCurve(points=_concave_upper_hull(pts), label=family)
 

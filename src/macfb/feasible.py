@@ -32,7 +32,6 @@ __all__ = [
     "lower_face_projections",
     "project_to_lower_face",
     "sample_triple_rows",
-    "sample_triples",
 ]
 
 class InvalidTripleError(ValueError):
@@ -126,8 +125,3 @@ def sample_triple_rows(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np
     hi = 1.0 - (u1 + u2)
     u = lo + rng.uniform(0.0, 1.0, size=n) * (hi - lo)
     return u1, u2, u
-
-
-def sample_triples(n: int, rng: np.random.Generator) -> list[UTriple]:
-    """:func:`sample_triple_rows` as a list of triples."""
-    return [UTriple(float(a), float(b), float(c)) for a, b, c in zip(*sample_triple_rows(n, rng))]

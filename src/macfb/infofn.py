@@ -27,6 +27,7 @@ __all__ = [
     "phi_inv",
     "f2",
     "f2_hessian",
+    "f2_hessian_rows",
     "xi",
     "g_fn",
     "mu_fn",
@@ -141,24 +142,24 @@ def f2(x, y):
     return (1.0 - np.sqrt((1.0 - 2.0 * x) * (1.0 - 2.0 * y))) / 2.0
 
 
-def f2_hessian(x: float, y: float) -> np.ndarray:
-    """Hessian of f2 at an interior point (x, y), x, y in [0, 1/2).
+@_closed_form(x=0.5, y=0.5)
+def f2_hessian_rows(x, y):
+    """Hessians of f2 at the interior points (x[i], y[i]), x, y in [0, 1/2), for 1-D arrays: shape (n, 2, 2).
 
-    Singular (one zero eigenvalue) with nonnegative trace everywhere, which
-    is the convexity certificate tested in the property suite.
+    Each is singular (one zero eigenvalue) with nonnegative trace
+    everywhere, which is the convexity certificate tested in the property
+    suite.
     """
-    x = _clamp_interval(float(x), 0.5, "x")
-    y = _clamp_interval(float(y), 0.5, "y")
-    if x >= 0.5 or y >= 0.5:
+    if np.any(x >= 0.5) or np.any(y >= 0.5):
         raise DomainError("Hessian requires interior points x, y < 1/2")
     rx, ry = 1.0 - 2.0 * x, 1.0 - 2.0 * y
     off = -1.0 / (2.0 * np.sqrt(rx * ry))
-    return np.array(
-        [
-            [np.sqrt(ry) / (2.0 * rx**1.5), off],
-            [off, np.sqrt(rx) / (2.0 * ry**1.5)],
-        ]
-    )
+    return np.stack([np.sqrt(ry) / (2.0 * rx**1.5), off, off, np.sqrt(rx) / (2.0 * ry**1.5)], axis=-1).reshape(-1, 2, 2)
+
+
+def f2_hessian(x: float, y: float) -> np.ndarray:
+    """Hessian of f2 at an interior point (x, y), x, y in [0, 1/2): :func:`f2_hessian_rows` of one row."""
+    return f2_hessian_rows([x], [y])[0]
 
 
 @_closed_form(u1=0.25, u2=0.25)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels, bounds, feasible, geometry, oracle, symrate
 from ._budget import check_size
-from .infofn import binary_entropy, f2, f2_hessian, g_fn, mu_fn, phi
+from .infofn import binary_entropy, f2, f2_hessian_rows, g_fn, mu_fn, phi
 
 __all__ = ["SUITES", "SuiteOptionError", "run_suite", "lemma_suite", "characterization_suite", "dominance_suite", "equivalence_suite"]
 
@@ -64,7 +64,7 @@ def lemma_suite(seed: int = DEFAULT_SEED, samples: int = 100_000) -> dict:
     checks.append(_check("f2-midpoint-convexity", samples, float((mid - avg).max()), 1e-12))
 
     n_h = min(samples, 2000)
-    eig = np.linalg.eigvalsh([f2_hessian(x, y) for x, y in zip(rng.uniform(0.0, 0.49, n_h), rng.uniform(0.0, 0.49, n_h))])
+    eig = np.linalg.eigvalsh(f2_hessian_rows(rng.uniform(0.0, 0.49, n_h), rng.uniform(0.0, 0.49, n_h)))
     worst = max((-eig[:, 0]).max(), np.abs(eig).min(axis=1).max())
     checks.append(_check("f2-hessian-psd-rank1", n_h, float(worst), 1e-6))
 

@@ -27,7 +27,7 @@ from macfb.bounds import (
 )
 from macfb._budget import BudgetExceededError
 from macfb.channel import Channel, info_quantities
-from macfb.feasible import InvalidTripleError, UTriple, sample_triple_rows, sample_triples, u_triple_of
+from macfb.feasible import InvalidTripleError, UTriple, sample_triple_rows, u_triple_of
 from macfb import _kernels, oracle
 from macfb.geometry import pareto_filter, support_value, support_values
 from macfb.infofn import DomainError, binary_entropy, f2, mu_fn, phi
@@ -88,7 +88,7 @@ class TestDbPcConstraints:
         assert caps.sum_max == pytest.approx(2 * 0.45330, abs=1e-4)
 
     def test_mirror_symmetry(self, rng):
-        for t in sample_triples(100, rng):
+        for t in map(UTriple, *sample_triple_rows(100, rng)):
             a = db_pc1_constraints(t)
             b = db_pc2_constraints(UTriple(t.u2, t.u1, t.u))
             assert a.r1_max == pytest.approx(b.r2_max, abs=1e-14)
@@ -255,11 +255,11 @@ class TestRegionBoundaries:
     def test_inner_curve_reaches_its_grid(self, which, grid_n):
         # the region contains the best corner of the family's own
         # grid_n x grid_n grid in every direction, between the 181 too
-        caps_of, x_hi = bounds._FAMILIES[which]
+        stage_of, x_hi = bounds._FAMILIES[which]
         u1, y = (v.ravel() for v in np.meshgrid(np.linspace(0.0, x_hi, grid_n), np.linspace(0.0, 1.0, grid_n)))
         lams = np.linspace(0.0, 1.0, 3601)
         curve = region_boundary(RegionSpec(Region(which), grid_n))
-        assert (support_values(curve, lams) - _grid_supports(*caps_of(u1, y), lams)).min() >= -1e-12
+        assert (support_values(curve, lams) - _grid_supports(*stage_of(u1)(y), lams)).min() >= -1e-12
 
 
 # Support of every region at grid 21, at every 10th of the 181 sweep
@@ -340,15 +340,15 @@ FROZEN_SUPPORTS_21 = {
 BATCH_FAMILIES = {"cutset": "cutset", "dbpc": "dbpc1"}
 
 
-def _solve_caps(caps_of, x_hi, lams):
-    """The solve of the pentagon family ``caps_of`` in the directions ``lams``."""
-    return _search._solve(bounds._pentagon_support(caps_of, lams), x_hi, len(lams))
+def _solve_caps(stage_of, x_hi, lams):
+    """The solve of the pentagon family of staged caps ``stage_of`` in the directions ``lams``."""
+    return _search._solve(bounds._pentagon_support(stage_of, lams), x_hi, len(lams))
 
 
 def _solve(family, rows):
     """Solve the sweep directions ``rows`` of a family on their own."""
-    caps_of, x_hi = bounds._FAMILIES[family]
-    return _solve_caps(caps_of, x_hi, SWEEP_LAMBDAS[rows])
+    stage_of, x_hi = bounds._FAMILIES[family]
+    return _solve_caps(stage_of, x_hi, SWEEP_LAMBDAS[rows])
 
 
 def _plain_golden_max(fun, lo, hi, tol=_search._TOL):
@@ -525,7 +525,9 @@ class TestRefinement:
         # both levels of the nested solve: the support rises with x and y,
         # so the optimum is the corner (x_hi, 1)
         lams = np.array([0.1, 0.5, 0.9])
-        xs, ys, fs = _search._solve(lambda x, y, rows: lams[rows] * x + (1.0 - lams[rows]) * y, 0.5, len(lams))
+        xs, ys, fs = _search._solve(
+            lambda x, rows: lambda y, k: lams[rows[k]] * x[k] + (1.0 - lams[rows[k]]) * y, 0.5, len(lams)
+        )
         np.testing.assert_array_equal(xs, 0.5)
         np.testing.assert_array_equal(ys, 1.0)
         np.testing.assert_array_equal(fs, lams * 0.5 + (1.0 - lams))
@@ -553,9 +555,9 @@ class TestRefinement:
             np.testing.assert_array_equal(g, w)
 
     def test_solution_matches_plain_golden_section(self, monkeypatch):
-        caps_of, x_hi = bounds._FAMILIES["cover-leung"]
+        stage_of, x_hi = bounds._FAMILIES["cover-leung"]
         monkeypatch.setattr(_search, "_golden_max", _plain_golden_max)
-        want = _solve_caps(caps_of, x_hi, SWEEP_LAMBDAS)
+        want = _solve_caps(stage_of, x_hi, SWEEP_LAMBDAS)
         monkeypatch.undo()
         for got, w in zip(bounds._solution("cover-leung"), want):
             np.testing.assert_array_equal(got, w)
@@ -564,27 +566,36 @@ class TestRefinement:
     def test_solve_carries_the_inner_maximizer(self, family):
         # y and the value travel with x through the outer search; the inner
         # search re-run at the returned x gives the same bits
-        caps_of, x_hi = bounds._FAMILIES[family]
-        fun = bounds._pentagon_support(caps_of, SWEEP_LAMBDAS)
+        stage_of, _ = bounds._FAMILIES[family]
+        fun = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS)
         x, y, f = bounds._solution(family)
         n = len(x)
-        y_again, f_again = _search._golden_max(lambda y, k: fun(x[k], y, k), np.zeros(n), np.ones(n))
+        y_again, f_again = _search._golden_max(fun(x, np.arange(n)), np.zeros(n), np.ones(n))
         np.testing.assert_array_equal(y, y_again)
         np.testing.assert_array_equal(f, f_again)
 
     @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
     def test_solve_call_count(self, family):
-        caps_of, x_hi = bounds._FAMILIES[family]
-        calls = 0
+        stage_of, x_hi = bounds._FAMILIES[family]
+        stages = calls = 0
 
-        def counted(x, y):
-            nonlocal calls
-            calls += 1
-            return caps_of(x, y)
+        def counted(x):
+            nonlocal stages
+            stages += 1
+            caps = stage_of(x)
+
+            def at(y, k):
+                nonlocal calls
+                calls += 1
+                return caps(y, k)
+
+            return at
 
         solution = _solve_caps(counted, x_hi, SWEEP_LAMBDAS)
-        # plain golden section at both levels made 3,135-3,249 calls
+        # plain golden section at both levels made 3,135-3,249 calls; the
+        # terms of x alone are taken once per outer call
         assert calls <= 760, calls
+        assert stages <= 30, stages
         for got, full in zip(solution, bounds._solution(family)):
             np.testing.assert_array_equal(got, full)
 
@@ -598,7 +609,7 @@ class TestReductions:
         span = v * (1.0 - v)
         # span = 0 only at v = 0, where u1 = 0 too
         y = np.divide(u1, span, out=np.zeros_like(u1), where=span > 0.0)
-        face = bounds._db_face_caps(v, y)
+        face = bounds._db_face(v)(y)
         for f, t in zip(face, _old_db_caps(u1, u2, u)):
             assert np.all(f >= t - 1e-12), (f - t).min()
 

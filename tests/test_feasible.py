@@ -14,7 +14,6 @@ from macfb.feasible import (
     lower_face_u2,
     project_to_lower_face,
     sample_triple_rows,
-    sample_triples,
     u_triple_of,
     u_triples,
 )
@@ -118,7 +117,7 @@ class TestProjection:
             project_to_lower_face(UTriple(0.3, 0.0, 0.0))
 
     def test_projection_dominates_and_lands_on_face(self, rng):
-        for t in sample_triples(500, rng):
+        for t in map(UTriple, *sample_triple_rows(500, rng)):
             b1, b2 = project_to_lower_face(t)
             assert t.u1 - 1e-12 <= b1 <= 0.25 + 1e-12
             assert t.u2 - 1e-12 <= b2 <= 0.25 + 1e-12
@@ -169,7 +168,7 @@ class TestRowForms:
     """The row forms give each triple the bits of the scalar functions and of the scalar code they replace."""
 
     def test_in_P_rows(self, rng):
-        triples = sample_triples(2000, rng) + EDGE_TRIPLES + OUTSIDE_TRIPLES
+        triples = [*map(UTriple, *sample_triple_rows(2000, rng)), *EDGE_TRIPLES, *OUTSIDE_TRIPLES]
         got = in_P_rows(*np.array(triples).T)
         assert got.dtype == bool
         assert got.tolist() == [in_P(t) for t in triples] == [_in_P_one(t) for t in triples]
@@ -203,7 +202,7 @@ class TestRowForms:
         assert 0 < sum(want) < len(want) and all(want[10_000 : 10_100])
 
     def test_lower_face_projections(self, rng):
-        triples = sample_triples(2000, rng) + EDGE_TRIPLES
+        triples = [*map(UTriple, *sample_triple_rows(2000, rng)), *EDGE_TRIPLES]
         u1b, u2b = lower_face_projections(*np.array(triples).T)
         rows = list(zip(u1b.tolist(), u2b.tolist()))
         assert rows == [project_to_lower_face(t) for t in triples] == [_project_one(t) for t in triples]
@@ -211,14 +210,14 @@ class TestRowForms:
 
     @pytest.mark.parametrize("bad", OUTSIDE_TRIPLES[:4])
     def test_lower_face_projections_reject_a_row_outside_P(self, rng, bad):
-        u1, u2, u = np.array(sample_triples(10, rng)[:5] + [bad] + EDGE_TRIPLES).T
+        u1, u2, u = np.vstack([np.column_stack(sample_triple_rows(10, rng))[:5], [bad], EDGE_TRIPLES]).T
         with pytest.raises(InvalidTripleError, match=re.escape(f"{bad} is not in P")):
             lower_face_projections(u1, u2, u)
 
 
 def _equivalence_by_triple(seed: int, samples: int) -> list[float]:
     """The equivalence suite's four violations, one sampled triple at a time through the scalar API."""
-    triples = sample_triples(samples, np.random.default_rng(seed))
+    triples = map(UTriple, *sample_triple_rows(samples, np.random.default_rng(seed)))
     worst_r1 = worst_r2 = worst_sum = worst_face = -np.inf
     for t in triples:
         at_t = bounds.erasure_fb_constraints_at_triple(t)
@@ -240,15 +239,21 @@ def test_equivalence_suite_matches_the_per_triple_loop(seed):
 
 class TestSampling:
     def test_samples_lie_in_P(self, rng):
-        assert all(in_P(t) for t in sample_triples(2000, rng))
+        assert all(map(in_P, map(UTriple, *sample_triple_rows(2000, rng))))
 
     def test_seeded_reproducibility(self):
-        a = sample_triples(10, np.random.default_rng(5))
-        b = sample_triples(10, np.random.default_rng(5))
-        assert a == b
+        a = np.stack(sample_triple_rows(10, np.random.default_rng(5)))
+        b = np.stack(sample_triple_rows(10, np.random.default_rng(5)))
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_rows_are_the_triples_bit_for_bit(self, seed):
+        # each row is the triple its draws give one at a time: u1, u2, then u in its band
+        rng = np.random.default_rng(seed)
+        a, b, w = rng.uniform(0.0, 0.25, 500), rng.uniform(0.0, 0.25, 500), rng.uniform(0.0, 1.0, 500)
+        triples = []
+        for u1, u2, t in zip(a, b, w):
+            lo = f2(2.0 * u1, 2.0 * u2)
+            triples.append((u1, u2, lo + t * ((1.0 - (u1 + u2)) - lo)))
         rows = np.stack(sample_triple_rows(500, np.random.default_rng(seed)))
-        triples = np.array(sample_triples(500, np.random.default_rng(seed))).T
-        np.testing.assert_array_equal(rows.view(np.uint64), triples.view(np.uint64))
+        np.testing.assert_array_equal(rows.view(np.uint64), np.array(triples).T.view(np.uint64))

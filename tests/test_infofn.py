@@ -14,6 +14,7 @@ from macfb.infofn import (
     entropy_k,
     f2,
     f2_hessian,
+    f2_hessian_rows,
     g_fn,
     mu_fn,
     phi,
@@ -188,6 +189,19 @@ class TestF2:
     def test_hessian_domain(self):
         with pytest.raises(DomainError):
             f2_hessian(0.5, 0.1)
+
+    def test_hessian_rows(self, rng):
+        # each row is the scalar Hessian, bit for bit, and the written-out formula within rounding
+        x, y = rng.uniform(0.0, 0.49, (2, 300))
+        rows = f2_hessian_rows(x, y)
+        assert rows.shape == (300, 2, 2)
+        np.testing.assert_array_equal(rows, [f2_hessian(a, b) for a, b in zip(x, y)])
+        rx, ry = 1.0 - 2.0 * x, 1.0 - 2.0 * y
+        np.testing.assert_allclose(rows[:, 0, 0], np.sqrt(ry) / (2.0 * rx * np.sqrt(rx)), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(rows[:, 1, 1], np.sqrt(rx) / (2.0 * ry * np.sqrt(ry)), rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(rows[:, 0, 1], rows[:, 1, 0])
+        with pytest.raises(DomainError):
+            f2_hessian_rows(np.array([0.1, 0.5]), np.array([0.1, 0.1]))
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import pytest
 
 import macfb
 from macfb import _kernels, oracle
-from macfb.channel import Channel, JointInputDistribution, cutset_quantities, info_quantities
+from macfb.channel import Channel, JointInputDistribution, cutset_quantities, info_quantities, transition_tensor
 from macfb.infofn import plogp
 
 
@@ -127,7 +127,8 @@ def test_column_subsets_equal_the_all_column_call_bitwise(rng, seeding):
 
 
 def test_only_the_requested_tables_are_logged(monkeypatch, rng):
-    # the entries per batch row of all the tables whose entropies one K = 2 chunk takes
+    # the entries per batch row that one K = 2 chunk, and one cut-set chunk,
+    # takes p log p of: each distinct value of the noisy adder's tables once
     rows = []
 
     def counted(table):
@@ -137,29 +138,95 @@ def test_only_the_requested_tables_are_logged(monkeypatch, rng):
     monkeypatch.setattr(_kernels, "plogp", counted)
     p, q1, q2 = random_batch(rng, 16, 2)
     pins = [
-        (_kernels.STAT_COLUMNS, 85),
-        (oracle._OBJECTIVE_FORMS["db1_symmetric_direct"][0], 34),
-        (oracle._OBJECTIVE_FORMS["cl_symmetric_direct"][0], 26),
+        (_kernels.STAT_COLUMNS, 47),
+        (oracle._OBJECTIVE_FORMS["db1_symmetric_direct"][0], 24),
+        (oracle._OBJECTIVE_FORMS["cl_symmetric_direct"][0], 20),
         (oracle._OBJECTIVE_FORMS["erasure_sum_direct"][0], 3),
     ]
     for columns, logged in pins:
         rows.clear()
         _kernels.input_stats(p, q1, q2, columns)
         assert sum(rows) == logged, columns
+    rows.clear()
+    _kernels.cutset_stats(rng.dirichlet(np.ones(4), size=16))
+    assert sum(rows) == 18
 
 
-def test_entropies_skip_only_exact_zeros(monkeypatch, rng):
-    # the entries _SUPPORT leaves out add exact zeros: without it every bit is the same
-    batches = [zero_atom_batch(rng, n, k) for k in (1, 2, 3) for n in (1, 2, 33)]
+def _add_rows(terms):
+    """``terms`` (m, n) added one row after another, the order of the kernels' entropies."""
+    acc = terms[0].copy()
+    for row in terms[1:]:
+        acc += row
+    return acc
+
+
+def _reference_entropies(tables):
+    """The entropy of each table of P(x1, x2, ...) or P(...), batch axis last, over every entry, zeros included.
+
+    A table of (X1, X2, ...) is added cell by cell, and the cells as (01 + 10) + 00 + 11.
+    """
+    out = {}
+    for name, table in tables.items():
+        n = table.shape[-1]
+        if name in ("x1x2", "x1x2y"):
+            cells = [[_add_rows(plogp(table[a, b]).reshape(-1, n)) for b in (0, 1)] for a in (0, 1)]
+            out[name] = -((cells[0][1] + cells[1][0]) + cells[0][0] + cells[1][1])
+        else:
+            out[name] = -_add_rows(plogp(table).reshape(-1, n))
+    return out
+
+
+def _reference_tables(x1x2, w=None):
+    """The full tables of the joint law, zeros included, from P(x1, x2) and, when given, P(x1, x2, t) (2, 2, K, n)."""
+    noisy = transition_tensor(Channel.NOISY_ADDITIVE)
+    x1x2y = x1x2[:, :, None] * noisy[..., None]  # (2, 2, 4, n)
+    cells = lambda t: (t[0, 1] + t[1, 0]) + t[0, 0] + t[1, 1]  # noqa: E731
+    tables = {
+        "x1x2": x1x2, "x1": x1x2[:, 0] + x1x2[:, 1], "x2": x1x2[0] + x1x2[1],
+        "x1x2y": x1x2y, "x1y": x1x2y[:, 0] + x1x2y[:, 1], "x2y": x1x2y[0] + x1x2y[1], "y": cells(x1x2y),
+        "y_erasure": cells(x1x2[:, :, None] * transition_tensor(Channel.ERASURE)[..., None]),
+    }
+    if w is not None:
+        full = w[:, :, None] * noisy[..., None, None]  # (2, 2, 4, K, n)
+        tables.update(full=full, tx1y=full[:, 0] + full[:, 1], tx2y=full[0] + full[1])
+    return tables
+
+
+def _reference_input_stats(p, q1, q2):
+    """Every column of ``input_stats`` from the full tables, by the kernel's own products and column forms."""
+    t, b1, b2 = np.transpose(p), np.stack([q1.T, 1.0 - q1.T]), np.stack([q2.T, 1.0 - q2.T])
+    tx1, tx2 = t * b1, t * b2
+    w = tx1[:, None] * b2[None]
+    x1x2 = w[:, :, 0].copy()
+    for k in range(1, w.shape[2]):
+        x1x2 += w[:, :, k]
+    tables = {"t": t, "tx1": tx1, "tx2": tx2, **_reference_tables(x1x2, w)}
+    s = _reference_entropies(tables)
+    return np.stack([_kernels._COLUMNS[name][1](s) for name in _kernels.STAT_COLUMNS], axis=1)
+
+
+def _reference_cutset_stats(joint):
+    s = _reference_entropies(_reference_tables(np.transpose(joint).reshape(2, 2, -1)))
+    return np.stack([_kernels._COLUMNS[name][1](s) for name in ("i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y")], axis=1)
+
+
+def test_entropies_skip_only_exact_zeros(rng):
+    # the noisy tables held by their distinct entries give every bit, the
+    # sign of a zero too, of the full tables summed entry by entry
+    assert set(transition_tensor(Channel.NOISY_ADDITIVE).ravel()) == {0.0, _kernels._W}
+    for k in (1, 2, 3):
+        for n in (1, 2, 33):
+            batch = zero_atom_batch(rng, n, k)
+            got, want = _kernels.input_stats(*batch, _kernels.STAT_COLUMNS), _reference_input_stats(*batch)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"K = {k}, n = {n}")
     joint = rng.dirichlet(np.ones(4), size=33)
     joint[::3, 1] = 0.0
-    stats = [_kernels.input_stats(*batch, _kernels.STAT_COLUMNS) for batch in batches]
-    cutset = [_kernels.cutset_stats(joint[:1]), _kernels.cutset_stats(joint)]
-    monkeypatch.setattr(_kernels, "_SUPPORT", {})
-    for batch, got in zip(batches, stats):
-        np.testing.assert_array_equal(_kernels.input_stats(*batch, _kernels.STAT_COLUMNS), got)
-    np.testing.assert_array_equal(_kernels.cutset_stats(joint[:1]), cutset[0])
-    np.testing.assert_array_equal(_kernels.cutset_stats(joint), cutset[1])
+    joint[1::3, 2] = -0.0
+    joint[2::5, 0] = -0.0
+    joint[4::5, 3] = -0.0
+    for rows in (joint[:1], joint[1:2], joint):
+        got, want = _kernels.cutset_stats(rows), _reference_cutset_stats(rows)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _batches(rng):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import macfb.oracle as oracle_mod
-from macfb import _kernels, bounds, symrate, verify
+from macfb import _kernels, _search, bounds, symrate, verify
+from macfb.geometry import SWEEP_LAMBDAS
 from macfb.oracle import (
     BudgetExceededError,
     OracleConfig,
@@ -300,6 +301,11 @@ def _lowered(fn):
     return low
 
 
+def _lowered_stage(staged):
+    """``staged`` with every cap of the caps it returns lowered by 1e-6."""
+    return lambda *args: _lowered(staged(*args))
+
+
 def _soundness_check():
     return verify._soundness_check(np.random.default_rng(verify.DEFAULT_SEED), 200)
 
@@ -327,6 +333,21 @@ class TestChecksSeeRegionFunctions:
     @pytest.mark.parametrize("family", ["_db_caps", "_cl_caps", "_erasure_caps"])
     def test_family_caps(self, monkeypatch, family):
         monkeypatch.setattr(bounds, family, _lowered(getattr(bounds, family)))
+        check = _soundness_check()
+        assert not check["passed"] and check["max_violation"] > 1e-7
+
+    @pytest.mark.parametrize("staged, family", [
+        ("_db_staged", "dbpc1"), ("_cl_staged", "cover-leung"), ("_erasure_staged", "erasure-fb"),
+    ])
+    def test_staged_caps_move_the_solve_and_the_checks(self, monkeypatch, staged, family):
+        # the staged form is the one definition of a family's caps: the region
+        # solve and the soundness check both read it on this module
+        rows = np.array([45, 90, 135])
+        stage_of, x_hi = bounds._FAMILIES[family]
+        solved = bounds._solution(family)[2][rows]
+        monkeypatch.setattr(bounds, staged, _lowered_stage(getattr(bounds, staged)))
+        lowered = _search._solve(bounds._pentagon_support(stage_of, SWEEP_LAMBDAS[rows]), x_hi, len(rows))[2]
+        assert np.all(lowered < solved - 1e-7), solved - lowered
         check = _soundness_check()
         assert not check["passed"] and check["max_violation"] > 1e-7
 
