@@ -6,13 +6,32 @@ exact enumeration (through the kernel layer, whose semantics match
 the closed-form (u1, u2, u) characterizations they are checking.  Those are
 taken from ``macfb.bounds``, the functions that build the regions, only to
 be compared with the enumeration.
+
+A sweep of at least ``_SHARD_MIN_ROWS`` rows is split into shards, one per
+CPU this process may run on and at most one per block of the sweep: shard i
+of w takes blocks i, i + w, i + 2w, ...  Shard 0 runs in this process and
+the others in children made with ``os.fork``; each reduces its blocks to a
+small partial result (maxima with their argmax or first block, and counts),
+sends it back through a pipe as a pickle, and leaves through ``os._exit``.
+The partials merge by max and sum, exactly and in an order-free way (an
+argmax tie goes to the smaller row, a tie of maxima to the earlier block),
+so every result is bit for bit that of one process, whatever the number of
+shards.  Smaller sweeps, and every sweep where ``os.fork`` is missing, run
+in this process alone.  A function wrapped or monkeypatched in this process
+(a counter on ``_kernels.input_stats``, say) also runs in the children, but
+what it records there is lost with them.  On Python 3.12 and later
+``os.fork`` warns in a process with threads, as numpy's OpenBLAS pool makes
+this one; the sharding has been run on Python 3.11 only.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,6 +60,11 @@ OBJECTIVES = (
 )
 
 _CHUNK = 200_000
+#: sweeps of fewer rows run in one process.  Measured on two CPUs: two shards
+#: cost about 3 ms more than one, so at 32,768 rows they lost on every
+#: oracle_max objective; from 55,000 rows they won on all but the cheapest,
+#: the one-column erasure sum, which lost at most 2 ms and broke even by 100,000
+_SHARD_MIN_ROWS = 50_000
 
 
 @dataclass(frozen=True)
@@ -113,11 +137,91 @@ def iter_input_grid(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, np.ndarray,
                 yield np.broadcast_to(p, (len(block), k)), block[:, :k], block[:, k:]
 
 
+def _grid_blocks(cfg: OracleConfig) -> int:
+    """The number of chunks :func:`iter_input_grid` yields: the q set in ``_CHUNK`` rows at each P(t) point."""
+    n_p = _lattice_size(cfg.t_card, cfg.steps)
+    return n_p * -(-(cfg.grid_size // n_p) // _CHUNK)
+
+
 def _latin_hypercube(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     cells = (np.arange(n)[:, None] + rng.uniform(size=(n, dim))) / n
     for j in range(dim):
         cells[:, j] = cells[rng.permutation(n), j]
     return cells
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _sharded(reduce: Callable, blocks: Callable[[], Iterator], n_rows: int, n_blocks: int) -> list:
+    """``reduce`` of each shard's blocks of the sweep ``blocks()``, in shard order (see the module docstring).
+
+    ``blocks()`` makes a new iterator over the sweep's ``n_blocks`` blocks of
+    ``n_rows`` rows in all.  A child's exception is raised here, with its
+    type and message.  No child outlives the call: on every way out, the
+    children still running are killed and every child is waited for.
+    """
+    w = min(_cpus(), n_blocks) if n_rows >= _SHARD_MIN_ROWS and hasattr(os, "fork") else 1
+    if w == 1:
+        return [reduce(blocks())]
+
+    import signal  # here, so that ``import macfb`` imports nothing more
+
+    def shard(i):
+        return reduce(islice(blocks(), i, None, w))
+
+    running, pipes = [], []
+    try:
+        for i in range(1, w):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(shard, i, write_end)
+            finally:
+                os.close(write_end)
+            running.append(pid)
+        partials = [shard(0)]
+        for pid, read_end in zip(list(running), pipes):
+            payload = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            if not payload:
+                raise RuntimeError(f"oracle shard process {pid} ended with wait status {status} and no result")
+            ok, value = pickle.loads(payload)  # written by _serve in a fork of this process
+            if not ok:
+                raise value
+            partials.append(value)
+        return partials
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read_end in pipes:
+            os.close(read_end)
+
+
+def _serve(shard: Callable, i: int, write_end: int):
+    """In a forked child: send ``(True, shard(i))``, or ``(False, exception)``, through ``write_end``; never returns.
+
+    The child leaves only through ``os._exit``, so it runs no ``atexit``
+    handler and flushes no stdio buffer it inherited.  Every exception,
+    ``KeyboardInterrupt`` too, is sent to the parent, which raises it.
+    """
+    status = 1
+    try:
+        try:
+            out = (True, shard(i))
+        except BaseException as exc:  # the parent raises it
+            out = (False, exc)
+        with open(write_end, "wb", closefd=False) as f:
+            pickle.dump(out, f)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @dataclass(frozen=True)
@@ -198,17 +302,24 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if objective == "cutset_symmetric_direct":
-        check_size(_lattice_size(4, cfg.steps), "grid", cfg.budget)
-        value, key, n_eval = _lattice_max(
-            ((j,), bounds._symmetric(*_kernels.cutset_stats(j).T)) for j in _simplex_lattice(4, cfg.steps)
+        n_rows = _lattice_size(4, cfg.steps)
+        check_size(n_rows, "grid", cfg.budget)
+        partials = _sharded(
+            lambda joints: _lattice_max(((j,), bounds._symmetric(*_kernels.cutset_stats(j).T)) for j in joints),
+            lambda: _simplex_lattice(4, cfg.steps), n_rows, cfg.steps,
         )
     else:
         check_size(cfg.grid_size, "grid", cfg.budget)
         columns, form = _OBJECTIVE_FORMS[objective]
-        value, key, n_eval = _lattice_max(
-            ((p, q1, q2), form(*_kernels.input_stats(p, q1, q2, columns).T))
-            for p, q1, q2 in iter_input_grid(cfg)
+        partials = _sharded(
+            lambda chunks: _lattice_max(
+                ((p, q1, q2), form(*_kernels.input_stats(p, q1, q2, columns).T)) for p, q1, q2 in chunks
+            ),
+            lambda: iter_input_grid(cfg), cfg.grid_size, _grid_blocks(cfg),
         )
+    # each shard's best row is a chunk of one row, so the tie rule is the one of a single sweep
+    value, key, _ = _lattice_max(((key[None],), np.array([value])) for value, key, _ in partials)
+    n_eval = sum(n for _, _, n in partials)
     return OracleResult(
         objective=objective,
         value=value,
@@ -258,11 +369,29 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     the largest violation of each inequality and how often it is tight.
     """
     check_size(cfg.grid_size, "grid", cfg.budget)
-    viol = {name: -np.inf for name in _INEQUALITIES + _IDENTITIES}
+    partials = _sharded(_characterize, lambda: enumerate(iter_input_grid(cfg)), cfg.grid_size, _grid_blocks(cfg))
+    # each maximum is that of the first block to reach it, as in one sweep in
+    # block order, which fixes the sign of a maximum of zero
+    viol = {
+        name: max((v[name] for _, v, _ in partials), key=lambda value_block: (value_block[0], -value_block[1]))[0]
+        for name in _INEQUALITIES + _IDENTITIES
+    }
+    eq = {name: sum(e[name] for _, _, e in partials) for name in _INEQUALITIES}
+    n = sum(n for n, _, _ in partials)
+    return CharacterizationReport(config=cfg, n_evaluated=n, max_violation=viol, equality_count=eq)
+
+
+def _characterize(blocks) -> tuple[int, dict, dict]:
+    """The rows of numbered ``(i, (p, q1, q2))`` blocks, and over them each check's largest violation.
+
+    A violation comes with the first block that reaches it, and each cap
+    with the number of rows where it is tight.
+    """
+    viol = {name: (-np.inf, -1) for name in _INEQUALITIES + _IDENTITIES}
     eq = {name: 0 for name in _INEQUALITIES}
     n = 0
     columns = _INEQUALITIES + ("h_x1_given_y_x2_t", "h_x2_given_y_x1_t")
-    for p, q1, q2 in iter_input_grid(cfg):
+    for i, (p, q1, q2) in blocks:
         s = dict(zip(columns, _kernels.input_stats(p, q1, q2, columns).T))
         u1, u2, u = u_triples(p, q1, q2)
         # the erasure triple form is the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
@@ -276,13 +405,14 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
             "i_x1x2_y": bounds._h_mid(u),
             "h_y_erasure": mu,
         }
-        for name, cap in caps.items():
-            gap = s[name] - cap
-            viol[name] = max(viol[name], float(gap.max()))
+        gaps = {name: s[name] - cap for name, cap in caps.items()}
+        for name, gap in gaps.items():
             eq[name] += int(np.count_nonzero(gap >= -_EQUALITY_TOL))
-        half_x1 = np.abs(s["h_x1_given_y_x2_t"] - 0.5 * s["h_x1_given_t"])
-        half_x2 = np.abs(s["h_x2_given_y_x1_t"] - 0.5 * s["h_x2_given_t"])
-        viol["half_h_x1"] = max(viol["half_h_x1"], float(half_x1.max()))
-        viol["half_h_x2"] = max(viol["half_h_x2"], float(half_x2.max()))
+        gaps["half_h_x1"] = np.abs(s["h_x1_given_y_x2_t"] - 0.5 * s["h_x1_given_t"])
+        gaps["half_h_x2"] = np.abs(s["h_x2_given_y_x1_t"] - 0.5 * s["h_x2_given_t"])
+        for name, gap in gaps.items():
+            m = float(gap.max())
+            if m > viol[name][0]:
+                viol[name] = (m, i)
         n += len(u)
-    return CharacterizationReport(config=cfg, n_evaluated=n, max_violation=viol, equality_count=eq)
+    return n, viol, eq

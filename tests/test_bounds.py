@@ -27,7 +27,7 @@ from macfb.bounds import (
 )
 from macfb._budget import BudgetExceededError
 from macfb.channel import Channel, info_quantities
-from macfb.feasible import InvalidTripleError, UTriple, sample_triple_rows, u_triple_of
+from macfb.feasible import InvalidTripleError, UTriple, lower_face_u2, sample_triple_rows, u_triple_of
 from macfb import _kernels, oracle
 from macfb.geometry import pareto_filter, support_value, support_values
 from macfb.infofn import DomainError, binary_entropy, f2, mu_fn, phi
@@ -612,6 +612,18 @@ class TestReductions:
         face = bounds._db_face(v)(y)
         for f, t in zip(face, _old_db_caps(u1, u2, u)):
             assert np.all(f >= t - 1e-12), (f - t).min()
+
+    def test_db_face_matches_the_scalar_face_map(self, rng):
+        # the face takes 1 - u and (1 - 2u)^2 once per stage; each cap must
+        # keep the bits of u1 = y u (1 - u) and the scalar lower_face_u2(u1, u)
+        u = np.concatenate([[0.0, 0.25, 0.5], rng.uniform(0.0, 0.5, 60)])
+        k = rng.integers(0, len(u), 200)
+        for y, rows in ((rng.uniform(0.0, 1.0, 200), k), (rng.uniform(0.0, 1.0, len(u)), ())):
+            v = u[rows]
+            u1 = y * v * (1.0 - v)
+            u2 = np.array([float(lower_face_u2(a, b)) for a, b in zip(u1, v)])
+            for got, want in zip(bounds._db_face(u)(y, rows), bounds._db_staged(u)(u1, u2, rows)):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_cutset_flip_keeps_caps(self, rng):
         joint = rng.dirichlet(np.full(4, 0.5), 2000)

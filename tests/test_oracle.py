@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import macfb.oracle as oracle_mod
 from macfb import _kernels, _search, bounds, symrate, verify
 from macfb.geometry import SWEEP_LAMBDAS
+from macfb.infofn import DomainError
 from macfb.oracle import (
     BudgetExceededError,
     OracleConfig,
@@ -39,6 +44,18 @@ CHARACTERIZATION_JSON_SHA256 = "94df042dc9bbf57adfa50d0796a746cf54fc41862a58c47b
 
 def _sha256_of_json(record: dict) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+@pytest.fixture
+def shards(monkeypatch):
+    """Shard every sweep, whatever its size: ``shards(n)`` sets the CPU count to ``n``."""
+    monkeypatch.setattr(oracle_mod, "_SHARD_MIN_ROWS", 0)
+    return lambda n: monkeypatch.setattr(oracle_mod, "_cpus", lambda: n)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestConfig:
@@ -222,6 +239,13 @@ class TestOracleMax:
                 m.setattr(oracle_mod, "_simplex_lattice", lambda parts, n: reversed(list(lattice_of(parts, n))))
                 reordered = oracle_max("cutset_symmetric_direct", cfg)
             assert (reordered.value, reordered.argmax_params) == (r.value, r.argmax_params)
+            # one shard per chunk puts the tied rows in different shards
+            with monkeypatch.context() as m:
+                m.setattr(oracle_mod, "_SHARD_MIN_ROWS", 0)
+                for cpus in (2, 3, steps):
+                    m.setattr(oracle_mod, "_cpus", lambda: cpus)
+                    sharded = oracle_max("cutset_symmetric_direct", cfg)
+                    assert sharded.to_dict() == r.to_dict()
 
     def test_chunking_invariance(self, monkeypatch):
         cfg = OracleConfig(t_card=2, steps=5)
@@ -289,6 +313,121 @@ class TestCharacterization:
         rep = verify_characterization(OracleConfig(t_card=1, steps=5))
         blob = json.dumps(rep.to_dict())
         assert "max_violation" in json.loads(blob)
+
+
+#: configurations of every t_card with several blocks each; t_card 1 has one
+#: block at the default chunk, so it is swept with ``_CHUNK`` 7
+_SHARDED_CONFIGS = [
+    (OracleConfig(t_card=1, steps=9), 7),
+    (OracleConfig(t_card=2, steps=5), None),
+    (OracleConfig(t_card=3, steps=5, seed=1), None),
+]
+
+
+class TestSharding:
+    """Sweeps split across forked processes give the bits of one process, and leave no process behind."""
+
+    @pytest.mark.parametrize("cfg, chunk", _SHARDED_CONFIGS)
+    def test_results_do_not_depend_on_the_shard_count(self, monkeypatch, shards, cfg, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
+        n_blocks = oracle_mod._grid_blocks(cfg)
+        assert n_blocks == len(list(oracle_mod.iter_input_grid(cfg))) > 3
+
+        def records():
+            out = [json.dumps(verify_characterization(cfg).to_dict())]
+            return out + [json.dumps(oracle_max(objective, cfg).to_dict()) for objective in oracle_mod.OBJECTIVES]
+
+        shards(1)
+        serial = records()
+        for cpus in (2, 3, n_blocks + 5):
+            shards(cpus)
+            assert records() == serial
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    def test_pinned_reports_when_sharded(self, shards, cpus):
+        shards(cpus)
+        for objective in oracle_mod.OBJECTIVES:
+            r = oracle_max(objective, OracleConfig(t_card=2, steps=5))
+            assert _sha256_of_json(r.to_dict()) == ORACLE_JSON_SHA256[objective]
+        _assert_no_child_left()
+
+    def test_a_maximum_of_zero_keeps_the_sign_of_the_first_block(self, monkeypatch, shards):
+        # three blocks (p = (0, 1), (1/2, 1/2), (1, 0)) whose h_y_erasure gaps
+        # are -1, -0.0 and +0.0: one sweep in block order reports -0.0, while
+        # two shards hold (-1, +0.0) and (-0.0)
+        column = oracle_mod._INEQUALITIES.index("h_y_erasure")
+        gap_of_block = {0.0: -1.0, 0.5: -0.0, 1.0: 0.0}
+
+        def stats(p, q1, q2, columns):
+            out = np.zeros((len(p), len(columns)))
+            out[:, column] = gap_of_block[float(p[0, 0])]
+            return out
+
+        monkeypatch.setattr(_kernels, "input_stats", stats)
+        monkeypatch.setattr(bounds, "_erasure_caps", lambda u1, u2, u: (0.0 * u, 0.0 * u, 0.0 * u))
+        cfg = OracleConfig(t_card=2, steps=3)
+        for cpus in (1, 2, 3):
+            shards(cpus)
+            zero = verify_characterization(cfg).max_violation["h_y_erasure"]
+            assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [DomainError("outside the domain"), KeyboardInterrupt("interrupted")])
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_an_error_in_any_shard_is_raised_and_reaps_every_child(self, monkeypatch, shards, error, where):
+        parent = os.getpid()
+        input_stats = _kernels.input_stats
+
+        def failing(p, *rest):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise error
+            return input_stats(p, *rest)
+
+        monkeypatch.setattr(_kernels, "input_stats", failing)
+        shards(3)
+        cfg = OracleConfig(t_card=2, steps=5)
+        with pytest.raises(type(error), match=str(error)) as raised:
+            verify_characterization(cfg)
+        assert type(raised.value) is type(error)
+        _assert_no_child_left()
+        with pytest.raises(type(error), match=str(error)):
+            oracle_max("db1_symmetric_direct", cfg)
+        _assert_no_child_left()
+
+    def test_a_child_that_dies_without_a_result(self, monkeypatch, shards):
+        parent = os.getpid()
+        input_stats = _kernels.input_stats
+
+        def dying(p, *rest):
+            if os.getpid() != parent:
+                os._exit(3)
+            return input_stats(p, *rest)
+
+        monkeypatch.setattr(_kernels, "input_stats", dying)
+        shards(2)
+        with pytest.raises(RuntimeError, match="no result"):
+            verify_characterization(OracleConfig(t_card=2, steps=5))
+        _assert_no_child_left()
+
+    def test_children_run_no_exit_handlers_and_flush_no_inherited_output(self):
+        # a child that left through sys.exit would write the buffered "start"
+        # and the atexit line a second time
+        src = str(Path(oracle_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import atexit, os, sys\n"
+            "from macfb import oracle\n"
+            "atexit.register(lambda: print('atexit'))\n"
+            "print('start', end='')\n"
+            "oracle._SHARD_MIN_ROWS = 0\n"
+            "oracle._cpus = lambda: 3\n"
+            "print(oracle.verify_characterization(oracle.OracleConfig(t_card=2, steps=5)).n_evaluated)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "start3125\natexit\n"
 
 
 def _lowered(fn):
