@@ -71,7 +71,7 @@ from . import _kernels
 from ._budget import check_size
 from ._search import _golden_max, _solve
 from .channel import JointInputDistribution
-from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2_sq
+from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2
 from .geometry import SWEEP_LAMBDAS, BoundaryCurve, _concave_upper_hull, _support_polygon, pareto_filter
 from .infofn import CLAMP_TOL, _clamp_interval, binary_entropy, f2, mu_fn, phi
 
@@ -380,11 +380,11 @@ def _db_face(u: np.ndarray):
     on this face.
     """
     caps = _db_staged(u)
-    one_minus_u, sq = 1.0 - u, (1.0 - 2.0 * u) ** 2  # taken once, not in each inner call
 
     def at(y, k=()):
-        u1 = y * u[k] * one_minus_u[k]
-        return caps(u1, lower_face_u2_sq(u1, sq[k]), k)
+        v = u[k]
+        u1 = y * v * (1.0 - v)
+        return caps(u1, lower_face_u2(u1, v), k)
 
     return at
 

@@ -29,7 +29,6 @@ __all__ = [
     "in_P",
     "in_P_rows",
     "lower_face_u2",
-    "lower_face_u2_sq",
     "lower_face_projections",
     "project_to_lower_face",
     "sample_triple_rows",
@@ -92,13 +91,8 @@ def lower_face_u2(u1, u):
     At u1 = 1/4 (and beyond it, within tolerance) the only face point is
     u = 1/2, where the formula's 0/0 resolves to 1/4, so u2 = 1/4 there.
     """
-    return lower_face_u2_sq(u1, (1.0 - 2.0 * u) ** 2)
-
-
-def lower_face_u2_sq(u1, sq):
-    """:func:`lower_face_u2` at the u with (1 - 2u)^2 = ``sq``, for a caller that holds ``sq`` at many u1."""
     den = np.asarray(1.0 - 4.0 * u1, dtype=float)
-    ratio = np.divide(sq, den, out=np.zeros_like(den), where=den > 0.0)
+    ratio = np.divide((1.0 - 2.0 * u) ** 2, den, out=np.zeros_like(den), where=den > 0.0)
     return np.clip(0.25 * (1.0 - ratio), 0.0, 0.25)
 
 

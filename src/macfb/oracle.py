@@ -8,27 +8,28 @@ taken from ``macfb.bounds``, the functions that build the regions, only to
 be compared with the enumeration.
 
 A sweep of at least ``_SHARD_MIN_ROWS`` rows is split into shards, one per
-CPU this process may run on and at most one per block of the sweep: shard i
-of w takes blocks i, i + w, i + 2w, ...  Shard 0 runs in this process and
-the others in children made with ``os.fork``; each reduces its blocks to a
-small partial result (maxima with their argmax or first block, and counts),
-sends it back through a pipe as a pickle, and leaves through ``os._exit``.
-The partials merge by max and sum, exactly and in an order-free way (an
-argmax tie goes to the smaller row, a tie of maxima to the earlier block),
-so every result is bit for bit that of one process, whatever the number of
-shards.  Smaller sweeps, and every sweep where ``os.fork`` is missing, run
-in this process alone.  A function wrapped or monkeypatched in this process
-(a counter on ``_kernels.input_stats``, say) also runs in the children, but
-what it records there is lost with them.  On Python 3.12 and later
-``os.fork`` warns in a process with threads, as numpy's OpenBLAS pool makes
-this one; the sharding has been run on Python 3.11 only.
+CPU this process may run on and at most one per block of the sweep: of w
+shards over n blocks, shard i takes the consecutive blocks from i n // w up
+to (i + 1) n // w.  Shard 0 runs in this process and the others in children
+of ``multiprocessing``'s fork context; each reduces its blocks to a small
+partial result (maxima, an argmax, and counts) and sends it back through a
+pipe.  The partials merge in shard order, by max and sum: an argmax tie goes
+to the smaller row, and ``max`` keeps the first of equal maxima, the one of
+the earliest block, so every result is bit for bit that of one sweep in
+block order, whatever the number of shards.  Smaller sweeps, sweeps where
+``os.fork`` is missing and sweeps in a daemonic process (a
+``multiprocessing.Pool`` worker, which may not have children) run in this
+process alone.  A function wrapped or monkeypatched in this process (a
+counter on ``_kernels.input_stats``, say) also runs in the children, but
+what it records there is lost with them.  On Python 3.12 and later a fork
+warns in a process with threads, as numpy's OpenBLAS pool makes this one;
+the sharding has been run on Python 3.11 only.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator
@@ -160,68 +161,52 @@ def _sharded(reduce: Callable, blocks: Callable[[], Iterator], n_rows: int, n_bl
 
     ``blocks()`` makes a new iterator over the sweep's ``n_blocks`` blocks of
     ``n_rows`` rows in all.  A child's exception is raised here, with its
-    type and message.  No child outlives the call: on every way out, the
-    children still running are killed and every child is waited for.
+    type and message.  No child outlives the call: on every way out, every
+    child is killed and joined.
     """
     w = min(_cpus(), n_blocks) if n_rows >= _SHARD_MIN_ROWS and hasattr(os, "fork") else 1
+    if w > 1:
+        import multiprocessing  # here, so that ``import macfb`` imports nothing more
+
+        ctx = multiprocessing.get_context("fork")
+        w = 1 if ctx.current_process().daemon else w  # a daemonic process may not have children
     if w == 1:
         return [reduce(blocks())]
 
-    import signal  # here, so that ``import macfb`` imports nothing more
-
     def shard(i):
-        return reduce(islice(blocks(), i, None, w))
+        return reduce(islice(blocks(), i * n_blocks // w, (i + 1) * n_blocks // w))
 
-    running, pipes = [], []
+    def serve(i, conn):  # in a child
+        try:
+            out = (True, shard(i))
+        except BaseException as exc:  # the parent raises it
+            out = (False, exc)
+        conn.send(out)
+
+    children = []
     try:
         for i in range(1, w):
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(shard, i, write_end)
-            finally:
-                os.close(write_end)
-            running.append(pid)
+            read_end, write_end = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=serve, args=(i, write_end))
+            child.start()
+            children.append((child, read_end))
+            write_end.close()
         partials = [shard(0)]
-        for pid, read_end in zip(list(running), pipes):
-            payload = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))
-            _, status = os.waitpid(pid, 0)
-            running.remove(pid)
-            if not payload:
-                raise RuntimeError(f"oracle shard process {pid} ended with wait status {status} and no result")
-            ok, value = pickle.loads(payload)  # written by _serve in a fork of this process
+        for child, read_end in children:
+            try:
+                ok, value = read_end.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"oracle shard process {child.pid} ended with exit code {child.exitcode} and no result")
             if not ok:
                 raise value
             partials.append(value)
         return partials
     finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for read_end in pipes:
-            os.close(read_end)
-
-
-def _serve(shard: Callable, i: int, write_end: int):
-    """In a forked child: send ``(True, shard(i))``, or ``(False, exception)``, through ``write_end``; never returns.
-
-    The child leaves only through ``os._exit``, so it runs no ``atexit``
-    handler and flushes no stdio buffer it inherited.  Every exception,
-    ``KeyboardInterrupt`` too, is sent to the parent, which raises it.
-    """
-    status = 1
-    try:
-        try:
-            out = (True, shard(i))
-        except BaseException as exc:  # the parent raises it
-            out = (False, exc)
-        with open(write_end, "wb", closefd=False) as f:
-            pickle.dump(out, f)
-        status = 0
-    finally:
-        os._exit(status)
+        for child, read_end in children:
+            child.kill()
+            child.join()
+            read_end.close()
 
 
 @dataclass(frozen=True)
@@ -369,29 +354,27 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     the largest violation of each inequality and how often it is tight.
     """
     check_size(cfg.grid_size, "grid", cfg.budget)
-    partials = _sharded(_characterize, lambda: enumerate(iter_input_grid(cfg)), cfg.grid_size, _grid_blocks(cfg))
-    # each maximum is that of the first block to reach it, as in one sweep in
-    # block order, which fixes the sign of a maximum of zero
-    viol = {
-        name: max((v[name] for _, v, _ in partials), key=lambda value_block: (value_block[0], -value_block[1]))[0]
-        for name in _INEQUALITIES + _IDENTITIES
-    }
+    partials = _sharded(_characterize, lambda: iter_input_grid(cfg), cfg.grid_size, _grid_blocks(cfg))
+    # the shards hold consecutive blocks, so ``max`` in shard order keeps the
+    # first block's maximum, as one sweep in block order does: that fixes the
+    # sign of a maximum of zero
+    viol = {name: max(v[name] for _, v, _ in partials) for name in _INEQUALITIES + _IDENTITIES}
     eq = {name: sum(e[name] for _, _, e in partials) for name in _INEQUALITIES}
     n = sum(n for n, _, _ in partials)
     return CharacterizationReport(config=cfg, n_evaluated=n, max_violation=viol, equality_count=eq)
 
 
 def _characterize(blocks) -> tuple[int, dict, dict]:
-    """The rows of numbered ``(i, (p, q1, q2))`` blocks, and over them each check's largest violation.
+    """The rows of ``(p, q1, q2)`` blocks, and over them each check's largest violation.
 
-    A violation comes with the first block that reaches it, and each cap
-    with the number of rows where it is tight.
+    A violation is that of the first block that reaches it, and each cap
+    comes with the number of rows where it is tight.
     """
-    viol = {name: (-np.inf, -1) for name in _INEQUALITIES + _IDENTITIES}
+    viol = {name: -np.inf for name in _INEQUALITIES + _IDENTITIES}
     eq = {name: 0 for name in _INEQUALITIES}
     n = 0
     columns = _INEQUALITIES + ("h_x1_given_y_x2_t", "h_x2_given_y_x1_t")
-    for i, (p, q1, q2) in blocks:
+    for p, q1, q2 in blocks:
         s = dict(zip(columns, _kernels.input_stats(p, q1, q2, columns).T))
         u1, u2, u = u_triples(p, q1, q2)
         # the erasure triple form is the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
@@ -411,8 +394,6 @@ def _characterize(blocks) -> tuple[int, dict, dict]:
         gaps["half_h_x1"] = np.abs(s["h_x1_given_y_x2_t"] - 0.5 * s["h_x1_given_t"])
         gaps["half_h_x2"] = np.abs(s["h_x2_given_y_x1_t"] - 0.5 * s["h_x2_given_t"])
         for name, gap in gaps.items():
-            m = float(gap.max())
-            if m > viol[name][0]:
-                viol[name] = (m, i)
+            viol[name] = max(viol[name], float(gap.max()))  # keeps the first of equal maxima
         n += len(u)
     return n, viol, eq

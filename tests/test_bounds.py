@@ -456,13 +456,21 @@ def _toy_parabolas():
     return lo, hi, fun, peak
 
 
+def _assert_import_does_not_load(module: str):
+    src = str(Path(macfb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import macfb, sys; assert {module!r} not in sys.modules, '{module} imported'"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 class TestRefinement:
     def test_import_does_not_load_scipy(self):
-        src = str(Path(macfb.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import macfb, sys; assert 'scipy' not in sys.modules, 'scipy imported'"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
+        _assert_import_does_not_load("scipy")
+
+    def test_import_does_not_load_multiprocessing(self):
+        # only an oracle sweep of _SHARD_MIN_ROWS rows or more imports it
+        _assert_import_does_not_load("multiprocessing")
 
     def test_search_imports_nothing_from_macfb(self):
         # the solver knows nothing of caps, regions or the rest of the package
@@ -614,8 +622,8 @@ class TestReductions:
             assert np.all(f >= t - 1e-12), (f - t).min()
 
     def test_db_face_matches_the_scalar_face_map(self, rng):
-        # the face takes 1 - u and (1 - 2u)^2 once per stage; each cap must
-        # keep the bits of u1 = y u (1 - u) and the scalar lower_face_u2(u1, u)
+        # each cap of the face at (y, rows) must keep the bits of the caps at
+        # u1 = y u (1 - u) and the scalar lower_face_u2(u1, u)
         u = np.concatenate([[0.0, 0.25, 0.5], rng.uniform(0.0, 0.5, 60)])
         k = rng.integers(0, len(u), 200)
         for y, rows in ((rng.uniform(0.0, 1.0, 200), k), (rng.uniform(0.0, 1.0, len(u)), ())):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -428,6 +429,29 @@ class TestSharding:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout == "start3125\natexit\n"
+
+    def test_shards_take_consecutive_blocks(self, shards):
+        # each shard records the blocks it reduced and the process it ran in
+        n_blocks = 11
+        for cpus in (2, 3, n_blocks, n_blocks + 5):
+            shards(cpus)
+            partials = oracle_mod._sharded(
+                lambda blocks: (os.getpid(), list(blocks)), lambda: iter(range(n_blocks)), 0, n_blocks
+            )
+            assert [b for _, seen in partials for b in seen] == list(range(n_blocks))
+            assert all(seen for _, seen in partials)
+            assert len({pid for pid, _ in partials}) == len(partials) == min(cpus, n_blocks)
+            assert partials[0][0] == os.getpid()
+        _assert_no_child_left()
+
+    def test_a_daemonic_process_sweeps_alone(self, shards):
+        # a multiprocessing.Pool worker is daemonic, and a daemonic process may not have children
+        shards(2)
+        cfg = OracleConfig(t_card=2, steps=5)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply_async(verify_characterization, (cfg,)).get(timeout=120)
+        assert json.dumps(in_worker.to_dict()) == json.dumps(verify_characterization(cfg).to_dict())
+        _assert_no_child_left()
 
 
 def _lowered(fn):
