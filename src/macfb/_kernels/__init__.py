@@ -5,14 +5,15 @@ computed in numpy for a whole batch at once.  ``input_stats`` and
 ``cutset_stats`` are looked up on this module at call time, so a caller may
 wrap them here.
 
-Both kernels evaluate one graph of tables, ``_TABLES``, with the batch axis
-last and in chunks of rows.  ``input_stats(p, q1, q2, columns)`` seeds it
-with P(t) and the input laws; ``cutset_stats(joint)`` seeds it at P(x1, x2).
-A call builds, and takes the entropies of, only the tables its columns read
-(``_COLUMNS``), so a column's bits do not depend on the other columns asked
-for, and the mutual informations of ``input_stats`` are ``cutset_stats`` of
-the T-marginal joint, bit for bit.  Every column is of the noisy adder but
-``h_y_erasure``, H(Y) of the erasure adder at the same P(x1, x2).
+Both kernels evaluate one graph, ``_GRAPH``, of the tables of the joint law,
+their entropies and the columns, with the batch axis last and in chunks of
+rows.  ``input_stats(p, q1, q2, columns)`` seeds it with P(t) and the input
+laws; ``cutset_stats(joint)`` seeds it at P(x1, x2).  A call builds only the
+nodes its columns read, so a column's bits do not depend on the other
+columns asked for, and the mutual informations of ``input_stats`` are
+``cutset_stats`` of the T-marginal joint, bit for bit.  Every column is of
+the noisy adder but ``h_y_erasure``, H(Y) of the erasure adder at the same
+P(x1, x2).
 
 The noisy adder's tables of Y are held by their distinct entries.  Y = X1
 + X2 + Z with Z uniform, so W = 1/2 on its support: each nonzero entry of
@@ -45,44 +46,11 @@ _ERASURE = transition_tensor(Channel.ERASURE)
 #: W(y | x1, x2) at each of the two y the noisy adder's (x1, x2) can give
 _W = 0.5
 
-#: the tables of the joint law of (T, X1, X2, Y), with the batch axis last:
-#: name -> (the tables it is built from, how).  Each comes after its sources.
-#: The seeds are ``t`` = P(t), ``q1`` and ``q2``, or ``x1x2`` = P(x1, x2);
-#: ``b1`` is P(x1 | t), ``tx1`` P(t, x1), ``w`` P(x1, x2, t), ``y_erasure``
-#: P(y) on the erasure adder, ``half`` and ``w_half`` the distinct entries
-#: P(x1, x2) W and P(x1, x2, t) W of the noisy adder's P(x1, x2, y[, t]), and
-#: ``half_log`` and ``w_log`` their ``p log p``; the rest are named by the
-#: variables they keep.
-_TABLES = {
-    "b1": (("q1",), lambda q1: np.stack([q1, 1.0 - q1])),  # (2, K, n)
-    "b2": (("q2",), lambda q2: np.stack([q2, 1.0 - q2])),
-    "tx1": (("t", "b1"), lambda p, b1: p * b1),
-    "tx2": (("t", "b2"), lambda p, b2: p * b2),
-    "w": (("tx1", "b2"), lambda tx1, b2: tx1[:, None] * b2[None]),  # (2, 2, K, n)
-    "w_half": (("w",), lambda w: w * _W),
-    "w_log": (("w_half",), lambda w_half: plogp(w_half)),
-    "x1x2": (("w",), lambda w: _sum_rows(w, axis=2)),  # (2, 2, n)
-    "half": (("x1x2",), lambda x1x2: x1x2 * _W),
-    "half_log": (("half",), lambda half: plogp(half)),
-    "x1": (("x1x2",), lambda x1x2: x1x2[:, 0] + x1x2[:, 1]),
-    "x2": (("x1x2",), lambda x1x2: x1x2[0] + x1x2[1]),
-    "y_erasure": (("x1x2",), lambda x1x2: _cell_sum(x1x2[:, :, None] * _ERASURE[..., None])),
-}
-
-#: each column: the entropies of ``_ENTROPIES`` it reads, and its value from
-#: the entropies ``s``, keyed by name
-_COLUMNS = {
-    "h_x1_given_t": (("tx1", "t"), lambda s: s["tx1"] - s["t"]),
-    "h_x2_given_t": (("tx2", "t"), lambda s: s["tx2"] - s["t"]),
-    "i_x1_y_given_x2": (("x1x2", "x2", "x1x2y", "x2y"), lambda s: (s["x1x2"] - s["x2"]) - (s["x1x2y"] - s["x2y"])),
-    "i_x2_y_given_x1": (("x1x2", "x1", "x1x2y", "x1y"), lambda s: (s["x1x2"] - s["x1"]) - (s["x1x2y"] - s["x1y"])),
-    "i_x1x2_y": (("y", "x1x2y", "x1x2"), lambda s: s["y"] - (s["x1x2y"] - s["x1x2"])),
-    "h_y": (("y",), lambda s: s["y"]),
-    "h_x1_given_y_x2_t": (("full", "tx2y"), lambda s: s["full"] - s["tx2y"]),
-    "h_x2_given_y_x1_t": (("full", "tx1y"), lambda s: s["full"] - s["tx1y"]),
-    "h_y_erasure": (("y_erasure",), lambda s: s["y_erasure"]),
-}
-STAT_COLUMNS = tuple(_COLUMNS)
+#: the columns a call may ask for, each a node of ``_GRAPH``
+STAT_COLUMNS = (
+    "h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y",
+    "h_y", "h_x1_given_y_x2_t", "h_x2_given_y_x1_t", "h_y_erasure",
+)
 
 __all__ = ["STAT_COLUMNS", "input_stats", "cutset_stats"]
 
@@ -151,81 +119,96 @@ def _over_both(half: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return np.stack([logs[0, 0], ends[0], ends[1], logs[1, 1]])
 
 
-#: each entropy the columns read, named by the variables of its law: name ->
-#: (the tables it is taken from, how); ``full`` is H(X1, X2, Y, T)
-_ENTROPIES = {
-    **{name: ((name,), _entropy) for name in ("t", "tx1", "tx2", "x1", "x2", "y_erasure")},
-    "x1x2": (("x1x2",), _cell_entropy),
+#: the joint law of (T, X1, X2, Y) as one graph, with the batch axis last:
+#: name -> (the nodes it is built from, how).  Each node comes after its
+#: sources.  The seeds are ``t`` = P(t), ``q1`` and ``q2``, or ``x1x2`` =
+#: P(x1, x2).  Of the tables, ``b1`` is P(x1 | t), ``tx1`` P(t, x1), ``w``
+#: P(x1, x2, t), ``y_erasure`` P(y) on the erasure adder, ``half`` and
+#: ``w_half`` the distinct entries P(x1, x2) W and P(x1, x2, t) W of the noisy
+#: adder's P(x1, x2, y[, t]), and ``half_log`` and ``w_log`` their ``p log p``;
+#: the rest are named by the variables they keep.  ``H(v)``, the entropy of
+#: the variables v, comes right after the last table it reads, and the
+#: ``STAT_COLUMNS`` come last, each from its entropies.
+_GRAPH = {
+    "H(t)": (("t",), _entropy),
+    "b1": (("q1",), lambda q1: np.stack([q1, 1.0 - q1])),  # (2, K, n)
+    "b2": (("q2",), lambda q2: np.stack([q2, 1.0 - q2])),
+    "tx1": (("t", "b1"), lambda p, b1: p * b1),
+    "H(tx1)": (("tx1",), _entropy),
+    "tx2": (("t", "b2"), lambda p, b2: p * b2),
+    "H(tx2)": (("tx2",), _entropy),
+    "w": (("tx1", "b2"), lambda tx1, b2: tx1[:, None] * b2[None]),  # (2, 2, K, n)
+    "w_half": (("w",), lambda w: w * _W),
+    "w_log": (("w_half",), lambda w_half: plogp(w_half)),
+    # each entry of P(x1, x2, y, t) holds its half twice
+    "H(tx1x2y)": (("w_log",), lambda logs: _log_entropy(np.stack([logs, logs], axis=2))),
+    "H(tx1y)": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x2(half, logs))),
+    "H(tx2y)": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x1(half, logs))),
+    "x1x2": (("w",), lambda w: _sum_rows(w, axis=2)),  # (2, 2, n)
+    "H(x1x2)": (("x1x2",), _cell_entropy),
+    "half": (("x1x2",), lambda x1x2: x1x2 * _W),
+    "half_log": (("half",), lambda half: plogp(half)),
     # each cell of P(x1, x2, y) holds its half twice, and the cells add as in _cell_entropy
-    "x1x2y": (("half_log",), lambda logs: -_cell_sum(logs + logs)),
-    "x1y": (("half", "half_log"), lambda half, logs: _log_entropy(_over_x2(half, logs))),
-    "x2y": (("half", "half_log"), lambda half, logs: _log_entropy(_over_x1(half, logs))),
-    "y": (("half", "half_log"), lambda half, logs: _log_entropy(_over_both(half, logs))),
-    "full": (("w_log",), lambda logs: _log_entropy(np.stack([logs, logs], axis=2))),
-    "tx1y": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x2(half, logs))),
-    "tx2y": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x1(half, logs))),
+    "H(x1x2y)": (("half_log",), lambda logs: -_cell_sum(logs + logs)),
+    "H(x1y)": (("half", "half_log"), lambda half, logs: _log_entropy(_over_x2(half, logs))),
+    "H(x2y)": (("half", "half_log"), lambda half, logs: _log_entropy(_over_x1(half, logs))),
+    "H(y)": (("half", "half_log"), lambda half, logs: _log_entropy(_over_both(half, logs))),
+    "x1": (("x1x2",), lambda x1x2: x1x2[:, 0] + x1x2[:, 1]),
+    "H(x1)": (("x1",), _entropy),
+    "x2": (("x1x2",), lambda x1x2: x1x2[0] + x1x2[1]),
+    "H(x2)": (("x2",), _entropy),
+    "y_erasure": (("x1x2",), lambda x1x2: _cell_sum(x1x2[:, :, None] * _ERASURE[..., None])),
+    "H(y_erasure)": (("y_erasure",), _entropy),
+    "h_x1_given_t": (("H(tx1)", "H(t)"), lambda tx1, t: tx1 - t),
+    "h_x2_given_t": (("H(tx2)", "H(t)"), lambda tx2, t: tx2 - t),
+    "i_x1_y_given_x2": (("H(x1x2)", "H(x2)", "H(x1x2y)", "H(x2y)"), lambda x1x2, x2, x1x2y, x2y: (x1x2 - x2) - (x1x2y - x2y)),
+    "i_x2_y_given_x1": (("H(x1x2)", "H(x1)", "H(x1x2y)", "H(x1y)"), lambda x1x2, x1, x1x2y, x1y: (x1x2 - x1) - (x1x2y - x1y)),
+    "i_x1x2_y": (("H(y)", "H(x1x2y)", "H(x1x2)"), lambda y, x1x2y, x1x2: y - (x1x2y - x1x2)),
+    "h_y": (("H(y)",), lambda y: y),
+    "h_x1_given_y_x2_t": (("H(tx1x2y)", "H(tx2y)"), lambda tx1x2y, tx2y: tx1x2y - tx2y),
+    "h_x2_given_y_x1_t": (("H(tx1x2y)", "H(tx1y)"), lambda tx1x2y, tx1y: tx1x2y - tx1y),
+    "h_y_erasure": (("H(y_erasure)",), lambda y: y),
 }
 
 
 @lru_cache(maxsize=None)
 def _build_plan(seeds: tuple[str, ...], columns: tuple[str, ...]) -> tuple:
-    """The steps that give the entropies ``columns`` read, from the tables ``seeds``.
+    """The steps that give ``columns`` from the nodes ``seeds``: the other nodes they read, in graph order.
 
-    A step is ``(table, how it is built, its sources, the entropies taken
-    once it is built, the tables no later step reads)``; a seed is not built.
-    An entropy is ``(name, how, its tables)``, taken at the step of the last
-    of its tables.  Dropping each table after its last use keeps a chunk's
-    working set small.  Kept to the end of the chunk, the tables of a
-    1,482-row ``cutset_stats`` call made the allocator hand its pages back and
-    fault them in again on every call: about 19% slower (2-vCPU VM).
+    A step is ``(node, its sources, how, the nodes no later step reads)``:
+    each node is dropped right after its last reader, and no node reads a
+    column.  Kept to the end of the chunk, the tables of a 1,482-row
+    ``cutset_stats`` call made the allocator hand its pages back and fault
+    them in again on every call: about 19% slower (2-vCPU VM).
     """
-    entropies = dict.fromkeys(table for name in columns for table in _COLUMNS[name][0])
-    need = {table for name in entropies for table in _ENTROPIES[name][0]}
-    for name in reversed(_TABLES):
+    for name in columns:
+        if name not in STAT_COLUMNS:
+            raise KeyError(name)
+    need = set(columns)
+    for name in reversed(_GRAPH):
         if name in need and name not in seeds:
-            need.update(_TABLES[name][0])
-    order = [*seeds, *(name for name in _TABLES if name in need and name not in seeds)]
-    sources = [() if name in seeds else _TABLES[name][0] for name in order]
-    last = {}
-    for step, name in enumerate(order):
-        last.update(dict.fromkeys((name, *sources[step]), step))
-    taken = {}
-    for name in entropies:
-        tables = _ENTROPIES[name][0]
-        at = max(order.index(table) for table in tables)
-        taken.setdefault(at, []).append((name, _ENTROPIES[name][1], tables))
-        last.update({table: max(last[table], at) for table in tables})
+            need.update(_GRAPH[name][0])
+    order = [name for name in _GRAPH if name in need and name not in seeds]
+    last = {source: step for step, name in enumerate(order) for source in _GRAPH[name][0]}
     return tuple(
-        (
-            name,
-            None if name in seeds else _TABLES[name][1],
-            sources[step],
-            tuple(taken.get(step, ())),
-            tuple(table for table, at in last.items() if at == step),
-        )
-        for step, name in enumerate(order)
+        (name, *_GRAPH[name], tuple(node for node, at in last.items() if at == step)) for step, name in enumerate(order)
     )
 
 
 def _stats(seeds: dict, columns: tuple[str, ...]) -> np.ndarray:
     """The ``columns`` of the graph seeded with ``seeds`` (name -> table, batch axis last), as (n, len(columns))."""
     plan = _build_plan(tuple(seeds), tuple(columns))
-    values = [_COLUMNS[name][1] for name in columns]
     n = next(iter(seeds.values())).shape[-1]
-    out = np.empty((len(values), n))
+    out = np.empty((len(columns), n))
     for start in range(0, n, CHUNK):
         sl = slice(start, min(start + CHUNK, n))
-        tables = {name: seed[..., sl] for name, seed in seeds.items()}
-        s = {}
-        for name, make, sources, entropies, drop in plan:
-            if make is not None:
-                tables[name] = make(*[tables[source] for source in sources])
-            for entropy, how, reads in entropies:
-                s[entropy] = how(*[tables[table] for table in reads])
-            for table in drop:
-                del tables[table]
-        for row, value in zip(out, values):
-            row[sl] = value(s)
+        nodes = {name: seed[..., sl] for name, seed in seeds.items()}
+        for name, sources, how, drop in plan:
+            nodes[name] = how(*[nodes[source] for source in sources])
+            for node in drop:
+                del nodes[node]
+        for row, name in zip(out, columns):
+            row[sl] = nodes[name]
     return out.T
 
 
@@ -233,9 +216,10 @@ def input_stats(p: np.ndarray, q1: np.ndarray, q2: np.ndarray, columns: tuple[st
     """Batch information quantities for conditionally independent inputs.
 
     ``p``, ``q1``, ``q2`` have shape (n, K) and ``columns`` names columns of
-    ``STAT_COLUMNS``.  Returns (n, len(columns)), one column per name in that
-    order.  Only the tables and entropies those columns read are built, and a
-    column's bits do not depend on which other columns are requested.
+    ``STAT_COLUMNS``; another name raises ``KeyError``.  Returns
+    (n, len(columns)), one column per name in that order.  Only the tables
+    and entropies those columns read are built, and a column's bits do not
+    depend on which other columns are requested.
     """
     # batch axis last and contiguous: (K, n)
     seeds = {name: np.ascontiguousarray(np.transpose(x), dtype=float) for name, x in (("t", p), ("q1", q1), ("q2", q2))}

@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym.set_defaults(func=_cmd_symrate)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=["lemmas", "characterization", "dominance", "equivalence", "all"])
+    p_ver.add_argument("suite", choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--seed", type=_int_at_least(0), default=verify.DEFAULT_SEED)
     p_ver.add_argument("--samples", type=_int_at_least(1), default=None)
     p_ver.add_argument("--t-card", type=int, action="append", choices=[1, 2, 3], default=None)

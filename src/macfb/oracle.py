@@ -8,22 +8,22 @@ taken from ``macfb.bounds``, the functions that build the regions, only to
 be compared with the enumeration.
 
 A sweep of at least ``_SHARD_MIN_ROWS`` rows is split into shards, one per
-CPU this process may run on and at most one per block of the sweep: of w
-shards over n blocks, shard i takes the consecutive blocks from i n // w up
-to (i + 1) n // w.  Shard 0 runs in this process and the others in children
-of ``multiprocessing``'s fork context; each reduces its blocks to a small
-partial result (maxima, an argmax, and counts) and sends it back through a
-pipe.  The partials merge in shard order, by max and sum: an argmax tie goes
-to the smaller row, and ``max`` keeps the first of equal maxima, the one of
-the earliest block, so every result is bit for bit that of one sweep in
-block order, whatever the number of shards.  Smaller sweeps, sweeps where
-``os.fork`` is missing and sweeps in a daemonic process (a
-``multiprocessing.Pool`` worker, which may not have children) run in this
-process alone.  A function wrapped or monkeypatched in this process (a
-counter on ``_kernels.input_stats``, say) also runs in the children, but
-what it records there is lost with them.  On Python 3.12 and later a fork
-warns in a process with threads, as numpy's OpenBLAS pool makes this one;
-the sharding has been run on Python 3.11 only.
+CPU this process may run on and at most one per block of the sweep.  The
+shards take consecutive ranges of blocks, cut at the block boundaries
+nearest to equal shares of the rows, with no shard empty.  Shard 0 runs in
+this process and the others in children of ``multiprocessing``'s fork
+context; each reduces its blocks to a small partial result (maxima, an
+argmax, and counts) and sends it back through a pipe.  The partials merge in
+shard order, by max and sum: an argmax tie goes to the smaller row, and
+``max`` keeps the first of equal maxima, the one of the earliest block, so
+every result is bit for bit that of one sweep in block order, whatever the
+number of shards.  Smaller sweeps, sweeps where ``os.fork`` is missing and
+sweeps in a daemonic process (a ``multiprocessing.Pool`` worker, which may
+not have children) run in this process alone.  A function wrapped or
+monkeypatched in this process (a counter on ``_kernels.input_stats``, say)
+also runs in the children, but what it records there is lost with them.  On
+Python 3.12 and later a fork warns in a process with threads, as numpy's
+OpenBLAS pool makes this one; the sharding has been run on Python 3.11 only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -138,10 +138,11 @@ def iter_input_grid(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, np.ndarray,
                 yield np.broadcast_to(p, (len(block), k)), block[:, :k], block[:, k:]
 
 
-def _grid_blocks(cfg: OracleConfig) -> int:
-    """The number of chunks :func:`iter_input_grid` yields: the q set in ``_CHUNK`` rows at each P(t) point."""
+def _grid_blocks(cfg: OracleConfig) -> list[int]:
+    """The rows of each chunk :func:`iter_input_grid` yields: the q set in ``_CHUNK`` rows at each P(t) point."""
     n_p = _lattice_size(cfg.t_card, cfg.steps)
-    return n_p * -(-(cfg.grid_size // n_p) // _CHUNK)
+    n_q = cfg.grid_size // n_p
+    return [min(_CHUNK, n_q - start) for start in range(0, n_q, _CHUNK)] * n_p
 
 
 def _latin_hypercube(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -156,15 +157,16 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _sharded(reduce: Callable, blocks: Callable[[], Iterator], n_rows: int, n_blocks: int) -> list:
+def _sharded(reduce: Callable, blocks: Callable[[], Iterator], rows: list[int]) -> list:
     """``reduce`` of each shard's blocks of the sweep ``blocks()``, in shard order (see the module docstring).
 
-    ``blocks()`` makes a new iterator over the sweep's ``n_blocks`` blocks of
-    ``n_rows`` rows in all.  A child's exception is raised here, with its
-    type and message.  No child outlives the call: on every way out, every
-    child is killed and joined.
+    ``blocks()`` makes a new iterator over the sweep's blocks, of ``rows``
+    rows each.  A child's exception is raised here, with its type and
+    message.  No child outlives the call: on every way out, every child is
+    killed and joined.
     """
-    w = min(_cpus(), n_blocks) if n_rows >= _SHARD_MIN_ROWS and hasattr(os, "fork") else 1
+    n = len(rows)
+    w = min(_cpus(), n) if sum(rows) >= _SHARD_MIN_ROWS and hasattr(os, "fork") else 1
     if w > 1:
         import multiprocessing  # here, so that ``import macfb`` imports nothing more
 
@@ -173,8 +175,14 @@ def _sharded(reduce: Callable, blocks: Callable[[], Iterator], n_rows: int, n_bl
     if w == 1:
         return [reduce(blocks())]
 
+    # shard i starts at the block boundary nearest i / w of the rows that leaves no shard empty
+    starts, cuts = [0, *accumulate(rows)], [0]
+    for i in range(1, w):
+        cuts.append(min(range(cuts[-1] + 1, n - w + i + 1), key=lambda k: abs(w * starts[k] - i * starts[-1])))
+    cuts.append(n)
+
     def shard(i):
-        return reduce(islice(blocks(), i * n_blocks // w, (i + 1) * n_blocks // w))
+        return reduce(islice(blocks(), cuts[i], cuts[i + 1]))
 
     def serve(i, conn):  # in a child
         try:
@@ -287,11 +295,10 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if objective == "cutset_symmetric_direct":
-        n_rows = _lattice_size(4, cfg.steps)
-        check_size(n_rows, "grid", cfg.budget)
-        partials = _sharded(
+        check_size(_lattice_size(4, cfg.steps), "grid", cfg.budget)
+        partials = _sharded(  # block i holds the joints of first entry i / (steps - 1)
             lambda joints: _lattice_max(((j,), bounds._symmetric(*_kernels.cutset_stats(j).T)) for j in joints),
-            lambda: _simplex_lattice(4, cfg.steps), n_rows, cfg.steps,
+            lambda: _simplex_lattice(4, cfg.steps), [_lattice_size(3, cfg.steps - i) for i in range(cfg.steps)],
         )
     else:
         check_size(cfg.grid_size, "grid", cfg.budget)
@@ -300,7 +307,7 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
             lambda chunks: _lattice_max(
                 ((p, q1, q2), form(*_kernels.input_stats(p, q1, q2, columns).T)) for p, q1, q2 in chunks
             ),
-            lambda: iter_input_grid(cfg), cfg.grid_size, _grid_blocks(cfg),
+            lambda: iter_input_grid(cfg), _grid_blocks(cfg),
         )
     # each shard's best row is a chunk of one row, so the tie rule is the one of a single sweep
     value, key, _ = _lattice_max(((key[None],), np.array([value])) for value, key, _ in partials)
@@ -354,7 +361,7 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     the largest violation of each inequality and how often it is tight.
     """
     check_size(cfg.grid_size, "grid", cfg.budget)
-    partials = _sharded(_characterize, lambda: iter_input_grid(cfg), cfg.grid_size, _grid_blocks(cfg))
+    partials = _sharded(_characterize, lambda: iter_input_grid(cfg), _grid_blocks(cfg))
     # the shards hold consecutive blocks, so ``max`` in shard order keeps the
     # first block's maximum, as one sweep in block order does: that fixes the
     # sign of a maximum of zero

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -95,11 +97,14 @@ CALLER_COLUMNS = (
 )
 
 
-#: the columns of each seeding of the table graph: ``input_stats`` seeds it
-#: with P(t) and the input laws, ``cutset_stats`` at P(x1, x2)
+#: the columns ``cutset_stats`` requests
+CUTSET_COLUMNS = ("i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y")
+
+#: the columns of each seeding of the graph: ``input_stats`` seeds it with
+#: P(t) and the input laws, ``cutset_stats`` at P(x1, x2)
 SEEDED_COLUMNS = (
     _kernels.STAT_COLUMNS,
-    ("i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y", "h_y", "h_y_erasure"),
+    (*CUTSET_COLUMNS, "h_y", "h_y_erasure"),
 )
 
 
@@ -115,7 +120,7 @@ def test_column_subsets_equal_the_all_column_call_bitwise(rng, seeding):
     all_columns = SEEDED_COLUMNS[seeding]
     subsets = [(name,) for name in all_columns]
     subsets += [columns for columns in CALLER_COLUMNS if set(columns) <= set(all_columns)]
-    subsets += [SEEDED_COLUMNS[1][:3], all_columns[::-1]]  # the cutset_stats columns, and all reversed
+    subsets += [CUTSET_COLUMNS, all_columns[::-1]]
     for k in (1, 2, 3):
         for n in (1, 7, _kernels.CHUNK + 1):
             p, q1, q2 = zero_atom_batch(rng, n, k)
@@ -124,6 +129,46 @@ def test_column_subsets_equal_the_all_column_call_bitwise(rng, seeding):
                 got = _seeded_stats(seeding, p, q1, q2, columns)
                 index = [all_columns.index(name) for name in columns]
                 np.testing.assert_array_equal(got, full[:, index], err_msg=f"K = {k}, n = {n}, {columns}")
+
+
+#: (seeds, columns) of every plan a caller asks for
+CALLER_PLANS = [(("t", "q1", "q2"), columns) for columns in CALLER_COLUMNS] + [(("x1x2",), CUTSET_COLUMNS)]
+
+
+def test_every_node_comes_after_its_sources():
+    graph = list(_kernels._GRAPH)
+    for name, (sources, _) in _kernels._GRAPH.items():
+        for source in sources:
+            assert source in ("t", "q1", "q2") or graph.index(source) < graph.index(name), (name, source)
+    assert set(_kernels.STAT_COLUMNS) <= set(graph)
+
+
+@pytest.mark.parametrize("seeds, columns", CALLER_PLANS)
+def test_each_node_is_dropped_right_after_its_last_reader(seeds, columns):
+    plan = _kernels._build_plan(seeds, columns)
+    built = [name for name, *_ in plan]
+    graph = list(_kernels._GRAPH)
+    assert built == sorted(built, key=graph.index) and not set(built) & set(seeds)
+    last_reader, dropped = {}, {}
+    for step, (name, sources, _, drop) in enumerate(plan):
+        assert all(source in seeds or source in built[:step] for source in sources), name
+        last_reader.update(dict.fromkeys(sources, step))
+        for node in drop:
+            assert node not in dropped, node
+            dropped[node] = step
+    assert not set(columns) & set(dropped)
+    for name in built:
+        if name not in columns:
+            assert dropped[name] == last_reader[name], name
+
+
+@pytest.mark.parametrize("name", ["w", "H(t)", "no_such_column"])
+def test_input_stats_rejects_every_name_outside_the_columns(monkeypatch, rng, name):
+    logged = []
+    monkeypatch.setattr(_kernels, "plogp", lambda table: logged.append(table) or plogp(table))
+    with pytest.raises(KeyError, match=re.escape(name)):
+        _kernels.input_stats(*random_batch(rng, 4, 2), ("h_y", name))
+    assert not logged  # raised before any chunk is built
 
 
 def test_only_the_requested_tables_are_logged(monkeypatch, rng):
@@ -161,7 +206,7 @@ def _add_rows(terms):
 
 
 def _reference_entropies(tables):
-    """The entropy of each table of P(x1, x2, ...) or P(...), batch axis last, over every entry, zeros included.
+    """``H(name)`` of each table of P(x1, x2, ...) or P(...), batch axis last, over every entry, zeros included.
 
     A table of (X1, X2, ...) is added cell by cell, and the cells as (01 + 10) + 00 + 11.
     """
@@ -170,10 +215,16 @@ def _reference_entropies(tables):
         n = table.shape[-1]
         if name in ("x1x2", "x1x2y"):
             cells = [[_add_rows(plogp(table[a, b]).reshape(-1, n)) for b in (0, 1)] for a in (0, 1)]
-            out[name] = -((cells[0][1] + cells[1][0]) + cells[0][0] + cells[1][1])
+            out[f"H({name})"] = -((cells[0][1] + cells[1][0]) + cells[0][0] + cells[1][1])
         else:
-            out[name] = -_add_rows(plogp(table).reshape(-1, n))
+            out[f"H({name})"] = -_add_rows(plogp(table).reshape(-1, n))
     return out
+
+
+def _reference_columns(entropies, columns):
+    """``columns`` from the ``entropies``, by the forms of the graph's column nodes, as (n, len(columns))."""
+    nodes = [_kernels._GRAPH[name] for name in columns]
+    return np.stack([how(*[entropies[source] for source in sources]) for sources, how in nodes], axis=1)
 
 
 def _reference_tables(x1x2, w=None):
@@ -188,12 +239,12 @@ def _reference_tables(x1x2, w=None):
     }
     if w is not None:
         full = w[:, :, None] * noisy[..., None, None]  # (2, 2, 4, K, n)
-        tables.update(full=full, tx1y=full[:, 0] + full[:, 1], tx2y=full[0] + full[1])
+        tables.update(tx1x2y=full, tx1y=full[:, 0] + full[:, 1], tx2y=full[0] + full[1])
     return tables
 
 
 def _reference_input_stats(p, q1, q2):
-    """Every column of ``input_stats`` from the full tables, by the kernel's own products and column forms."""
+    """Every column of ``input_stats`` from the full tables, by the kernel's own products and column nodes."""
     t, b1, b2 = np.transpose(p), np.stack([q1.T, 1.0 - q1.T]), np.stack([q2.T, 1.0 - q2.T])
     tx1, tx2 = t * b1, t * b2
     w = tx1[:, None] * b2[None]
@@ -201,13 +252,12 @@ def _reference_input_stats(p, q1, q2):
     for k in range(1, w.shape[2]):
         x1x2 += w[:, :, k]
     tables = {"t": t, "tx1": tx1, "tx2": tx2, **_reference_tables(x1x2, w)}
-    s = _reference_entropies(tables)
-    return np.stack([_kernels._COLUMNS[name][1](s) for name in _kernels.STAT_COLUMNS], axis=1)
+    return _reference_columns(_reference_entropies(tables), _kernels.STAT_COLUMNS)
 
 
 def _reference_cutset_stats(joint):
-    s = _reference_entropies(_reference_tables(np.transpose(joint).reshape(2, 2, -1)))
-    return np.stack([_kernels._COLUMNS[name][1](s) for name in ("i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y")], axis=1)
+    entropies = _reference_entropies(_reference_tables(np.transpose(joint).reshape(2, 2, -1)))
+    return _reference_columns(entropies, CUTSET_COLUMNS)
 
 
 def test_entropies_skip_only_exact_zeros(rng):

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +333,9 @@ class TestSharding:
     def test_results_do_not_depend_on_the_shard_count(self, monkeypatch, shards, cfg, chunk):
         if chunk is not None:
             monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
-        n_blocks = oracle_mod._grid_blocks(cfg)
+        rows = oracle_mod._grid_blocks(cfg)
+        assert rows == [len(p) for p, _, _ in oracle_mod.iter_input_grid(cfg)]
+        n_blocks = len(rows)
         assert n_blocks == len(list(oracle_mod.iter_input_grid(cfg))) > 3
 
         def records():
@@ -431,17 +434,41 @@ class TestSharding:
         assert out.stdout == "start3125\natexit\n"
 
     def test_shards_take_consecutive_blocks(self, shards):
-        # each shard records the blocks it reduced and the process it ran in
+        # each shard records the blocks it reduced and the process it ran in;
+        # blocks of one row each, and blocks of which the first or the last
+        # holds most of the rows
         n_blocks = 11
-        for cpus in (2, 3, n_blocks, n_blocks + 5):
-            shards(cpus)
-            partials = oracle_mod._sharded(
-                lambda blocks: (os.getpid(), list(blocks)), lambda: iter(range(n_blocks)), 0, n_blocks
-            )
-            assert [b for _, seen in partials for b in seen] == list(range(n_blocks))
-            assert all(seen for _, seen in partials)
-            assert len({pid for pid, _ in partials}) == len(partials) == min(cpus, n_blocks)
-            assert partials[0][0] == os.getpid()
+        for rows in ([1] * n_blocks, [1000] + [1] * (n_blocks - 1), [1] * (n_blocks - 1) + [1000]):
+            for cpus in (2, 3, n_blocks, n_blocks + 5):
+                shards(cpus)
+                partials = oracle_mod._sharded(
+                    lambda blocks: (os.getpid(), list(blocks)), lambda: iter(range(n_blocks)), rows
+                )
+                assert [b for _, seen in partials for b in seen] == list(range(n_blocks))
+                assert all(seen for _, seen in partials)
+                assert len({pid for pid, _ in partials}) == len(partials) == min(cpus, n_blocks)
+                assert partials[0][0] == os.getpid()
+        _assert_no_child_left()
+
+    def test_shards_split_the_cutset_sweep_by_rows(self, monkeypatch, shards):
+        # the cut-set lattice's blocks shrink from C(steps + 1, 2) rows to 1;
+        # each shard's partial counts the rows it swept
+        steps = 120
+        rows = [len(block) for block in oracle_mod._simplex_lattice(4, steps)]
+        sharded, counts = oracle_mod._sharded, []
+
+        def counting(*args):
+            partials = sharded(*args)
+            counts.append([n for _, _, n in partials])
+            return partials
+
+        monkeypatch.setattr(oracle_mod, "_sharded", counting)
+        shards(2)
+        oracle_max("cutset_symmetric_direct", OracleConfig(t_card=1, steps=steps))
+        [(first, second)] = counts
+        cut = list(accumulate(rows)).index(first) + 1
+        assert first + second == sum(rows)
+        assert abs(first - second) <= max(rows[cut - 1], rows[cut])
         _assert_no_child_left()
 
     def test_a_daemonic_process_sweeps_alone(self, shards):
