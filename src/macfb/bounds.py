@@ -13,11 +13,11 @@ the solve's outer search moves (u for dbpc1, u1 for the others), it takes
 the terms of that variable alone once (h(u)/2 and h((1-u)/2); h(phi(2 u1))
 and 2 u1) and returns the caps as a function of the rest.  So the inner
 search, about 27 calls per outer step, evaluates only the terms that move
-with it.  :func:`_db_caps`, :func:`_cl_caps` and :func:`_erasure_caps` are
-one-line wrappers for ``symrate``, the oracle and the checks.  The scalar
-constraints, the region assembly, ``symrate``, the oracle and the dominance
-suite call them on this module at call time, so the checks see the very
-functions that build the regions.
+with it.  :func:`_db_caps`, :func:`_cl_caps`, :func:`_erasure_caps` and
+:func:`_erasure_pair_caps` are one-line wrappers for ``symrate``, the
+oracle and the checks.  The scalar constraints, the region assembly,
+``symrate``, the oracle and the dominance suite call them on this module at
+call time, so the checks see the very functions that build the regions.
 
 The best pentagon in each of the 181 sweep directions is found by a direct
 solve.  The caps of every family are concave in convex coordinates, and a
@@ -238,24 +238,20 @@ def _erasure_caps(u1, u2, u):
     return _erasure_staged(u1)(u2, u)
 
 
-def _erasure_pair_u(two_u1, u2, floor: float):
-    """The u of the erasure pair form, max(floor, f2(2 u1, 2 u2)), from 2 u1."""
-    return np.maximum(floor, f2(two_u1, 2.0 * u2))
+def _erasure_pair_staged(u1, floor: float):
+    """The erasure caps at u = max(floor, f2(2 u1, 2 u2)), as ``caps(u2, k)`` at (u1[k], u2); 2 u1 is taken once.
+
+    At floor 0 it is the pair form.  At floor 1/3 it is the band form, the
+    triple form with u maximized out: mu is concave and peaks at 1/3, and
+    the band's upper face is at least 1/2.
+    """
+    caps, two_u1 = _erasure_staged(u1), np.asarray(2.0 * u1)
+    return lambda u2, k=(): caps(u2, np.maximum(floor, f2(two_u1[k], 2.0 * u2)), k)
 
 
 def _erasure_pair_caps(u1, u2, floor: float = 0.0):
-    """Erasure caps at u = max(floor, f2(2 u1, 2 u2)): the pair form at floor 0.
-
-    At floor 1/3 it is the band form, the triple form with u maximized out:
-    mu is concave and peaks at 1/3, and the band's upper face is at least 1/2.
-    """
-    return _erasure_caps(u1, u2, _erasure_pair_u(2.0 * u1, u2, floor))
-
-
-def _erasure_pair_staged(u1, floor: float):
-    """:func:`_erasure_pair_caps` at u1, as ``caps(u2, k)``; 2 u1 is taken here once."""
-    caps, two_u1 = _erasure_staged(u1), np.asarray(2.0 * u1)
-    return lambda u2, k=(): caps(u2, _erasure_pair_u(two_u1[k], u2, floor), k)
+    """Erasure caps at u = max(floor, f2(2 u1, 2 u2)): the pair form at floor 0 (see :func:`_erasure_pair_staged`)."""
+    return _erasure_pair_staged(u1, floor)(u2)
 
 
 def _symmetric(r1, r2, total):

@@ -26,6 +26,8 @@ from .bounds import Region, RegionSpec, region_boundary
 SCHEMA_VERSION = "1.0"
 
 _REGION_NAMES = [r.value for r in Region]
+#: the symmetric rates ``symrate`` solves, in the order ``symrate all`` prints them
+_SYMRATE_NAMES = ("dbpc", "cover-leung", "cutset")
 
 
 def _int_at_least(lowest: int):
@@ -92,7 +94,7 @@ def _symrate_payload(which: str) -> dict:
 
 
 def _cmd_symrate(args, out) -> int:
-    names = ["dbpc", "cover-leung", "cutset"] if args.which == "all" else [args.which]
+    names = _SYMRATE_NAMES if args.which == "all" else [args.which]
     results = {name: _symrate_payload(name) for name in names}
     if args.format == "json":
         _print_json(_record("symrate", {"which": args.which}, results), out)
@@ -165,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.set_defaults(func=_cmd_region)
 
     p_sym = sub.add_parser("symrate", help="solve a symmetric-rate problem")
-    p_sym.add_argument("which", choices=["dbpc", "cover-leung", "cutset", "all"])
+    p_sym.add_argument("which", choices=[*_SYMRATE_NAMES, "all"])
     p_sym.add_argument("--format", choices=["text", "json"], default="text")
     p_sym.set_defaults(func=_cmd_symrate)
 

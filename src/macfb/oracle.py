@@ -12,18 +12,20 @@ CPU this process may run on and at most one per block of the sweep.  The
 shards take consecutive ranges of blocks, cut at the block boundaries
 nearest to equal shares of the rows, with no shard empty.  Shard 0 runs in
 this process and the others in children of ``multiprocessing``'s fork
-context; each reduces its blocks to a small partial result (maxima, an
-argmax, and counts) and sends it back through a pipe.  The partials merge in
-shard order, by max and sum: an argmax tie goes to the smaller row, and
-``max`` keeps the first of equal maxima, the one of the earliest block, so
-every result is bit for bit that of one sweep in block order, whatever the
-number of shards.  Smaller sweeps, sweeps where ``os.fork`` is missing and
-sweeps in a daemonic process (a ``multiprocessing.Pool`` worker, which may
-not have children) run in this process alone.  A function wrapped or
-monkeypatched in this process (a counter on ``_kernels.input_stats``, say)
-also runs in the children, but what it records there is lost with them.  On
-Python 3.12 and later a fork warns in a process with threads, as numpy's
-OpenBLAS pool makes this one; the sharding has been run on Python 3.11 only.
+context.  Every sweep is one function of a block and one merge of two
+results: each shard folds its blocks' results with the merge and sends its
+own back through a pipe, and the parent folds the shards' results, in shard
+order, with the same merge.  The merges keep the first of equal maxima
+(:func:`_merge_reports`) or the smaller row (:func:`_better`), and either
+fold of consecutive results gives the same bits, so every result is bit for
+bit that of one sweep in block order, whatever the number of shards.
+Smaller sweeps, sweeps where ``os.fork`` is missing and sweeps in a
+daemonic process (a ``multiprocessing.Pool`` worker, which may not have
+children) run in this process alone.  A function wrapped or monkeypatched in
+this process (a counter on ``_kernels.input_stats``, say) also runs in the
+children, but what it records there is lost with them.  On Python 3.12 and
+later a fork warns in a process with threads, as numpy's OpenBLAS pool makes
+this one; the sharding has been run on Python 3.11 only.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, islice
 from typing import Callable, Iterator
 
@@ -52,13 +55,6 @@ __all__ = [
     "oracle_max",
     "verify_characterization",
 ]
-
-OBJECTIVES = (
-    "db1_symmetric_direct",
-    "cl_symmetric_direct",
-    "erasure_sum_direct",
-    "cutset_symmetric_direct",
-)
 
 _CHUNK = 200_000
 #: sweeps of fewer rows run in one process.  Measured on two CPUs: two shards
@@ -157,13 +153,15 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _sharded(reduce: Callable, blocks: Callable[[], Iterator], rows: list[int]) -> list:
-    """``reduce`` of each shard's blocks of the sweep ``blocks()``, in shard order (see the module docstring).
+def _sharded(each: Callable, merge: Callable, blocks: Callable[[], Iterator], rows: list[int]):
+    """The fold by ``merge`` of ``each`` over the blocks of the sweep ``blocks()`` (see the module docstring).
 
     ``blocks()`` makes a new iterator over the sweep's blocks, of ``rows``
-    rows each.  A child's exception is raised here, with its type and
-    message.  No child outlives the call: on every way out, every child is
-    killed and joined.
+    rows each.  Each shard folds ``each`` of its blocks in block order, and
+    the shards' results are folded in shard order, so ``merge`` must give
+    the same bits for both folds of any consecutive results.  A child's
+    exception is raised here, with its type and message.  No child outlives
+    the call: on every way out, every child is killed and joined.
     """
     n = len(rows)
     w = min(_cpus(), n) if sum(rows) >= _SHARD_MIN_ROWS and hasattr(os, "fork") else 1
@@ -172,8 +170,6 @@ def _sharded(reduce: Callable, blocks: Callable[[], Iterator], rows: list[int]) 
 
         ctx = multiprocessing.get_context("fork")
         w = 1 if ctx.current_process().daemon else w  # a daemonic process may not have children
-    if w == 1:
-        return [reduce(blocks())]
 
     # shard i starts at the block boundary nearest i / w of the rows that leaves no shard empty
     starts, cuts = [0, *accumulate(rows)], [0]
@@ -182,7 +178,10 @@ def _sharded(reduce: Callable, blocks: Callable[[], Iterator], rows: list[int]) 
     cuts.append(n)
 
     def shard(i):
-        return reduce(islice(blocks(), cuts[i], cuts[i + 1]))
+        return reduce(merge, map(each, islice(blocks(), cuts[i], cuts[i + 1])))
+
+    if w == 1:
+        return shard(0)
 
     def serve(i, conn):  # in a child
         try:
@@ -199,7 +198,7 @@ def _sharded(reduce: Callable, blocks: Callable[[], Iterator], rows: list[int]) 
             child.start()
             children.append((child, read_end))
             write_end.close()
-        partials = [shard(0)]
+        out = shard(0)
         for child, read_end in children:
             try:
                 ok, value = read_end.recv()
@@ -208,8 +207,8 @@ def _sharded(reduce: Callable, blocks: Callable[[], Iterator], rows: list[int]) 
                 raise RuntimeError(f"oracle shard process {child.pid} ended with exit code {child.exitcode} and no result")
             if not ok:
                 raise value
-            partials.append(value)
-        return partials
+            out = merge(out, value)
+        return out
     finally:
         for child, read_end in children:
             child.kill()
@@ -261,28 +260,26 @@ _OBJECTIVE_FORMS = {
     ),
     "erasure_sum_direct": (("h_y_erasure",), lambda h_y: h_y),
 }
+OBJECTIVES = (*_OBJECTIVE_FORMS, "cutset_symmetric_direct")
 
 
-def _lattice_max(chunks) -> tuple[float, np.ndarray, int]:
-    """The best value over ``(parts, values)`` chunks, its parameter row, and the number of rows.
+def _best_row(parts, vals) -> tuple[float, np.ndarray, int]:
+    """A block's best value, its lexicographically smallest parameter row, and the block's row count.
 
-    A chunk's parameter rows are its ``parts`` side by side; they are joined
-    only for the rows where the chunk reaches the best value so far.  Ties
-    resolve to the lexicographically smallest row, so re-chunked sweeps
-    reproduce the result.
+    The block's parameter rows are its ``parts`` side by side; they are
+    joined only for the rows that reach the best value.
     """
-    best_val, best_key, n_eval = -np.inf, None, 0
-    for parts, vals in chunks:
-        n_eval += len(vals)
-        m = float(vals.max())
-        if m < best_val:
-            continue
-        hit = vals == m
-        rows = np.concatenate([x[hit] for x in parts], axis=1)
-        key = rows[np.lexsort(rows.T[::-1])[0]]
-        if m > best_val or tuple(key) < tuple(best_key):
-            best_val, best_key = m, key
-    return best_val, best_key, n_eval
+    m = float(vals.max())
+    hit = vals == m
+    rows = np.concatenate([x[hit] for x in parts], axis=1)
+    return m, rows[np.lexsort(rows.T[::-1])[0]], len(vals)
+
+
+def _better(a, b):
+    """The merge of two :func:`_best_row` results: the larger value, on a tie the smaller row; the counts add."""
+    (va, ra, na), (vb, rb, nb) = a, b
+    value, row = (vb, rb) if vb > va or (vb == va and tuple(rb) < tuple(ra)) else (va, ra)
+    return value, row, na + nb
 
 
 def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
@@ -294,24 +291,16 @@ def oracle_max(objective: str, cfg: OracleConfig) -> OracleResult:
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    if objective == "cutset_symmetric_direct":
-        check_size(_lattice_size(4, cfg.steps), "grid", cfg.budget)
-        partials = _sharded(  # block i holds the joints of first entry i / (steps - 1)
-            lambda joints: _lattice_max(((j,), bounds._symmetric(*_kernels.cutset_stats(j).T)) for j in joints),
-            lambda: _simplex_lattice(4, cfg.steps), [_lattice_size(3, cfg.steps - i) for i in range(cfg.steps)],
-        )
+    if objective == "cutset_symmetric_direct":  # block i holds the joints of first entry i / (steps - 1)
+        size, blocks = _lattice_size(4, cfg.steps), lambda: _simplex_lattice(4, cfg.steps)
+        rows = lambda: [_lattice_size(3, cfg.steps - i) for i in range(cfg.steps)]
+        each = lambda joints: _best_row((joints,), bounds._symmetric(*_kernels.cutset_stats(joints).T))
     else:
-        check_size(cfg.grid_size, "grid", cfg.budget)
         columns, form = _OBJECTIVE_FORMS[objective]
-        partials = _sharded(
-            lambda chunks: _lattice_max(
-                ((p, q1, q2), form(*_kernels.input_stats(p, q1, q2, columns).T)) for p, q1, q2 in chunks
-            ),
-            lambda: iter_input_grid(cfg), _grid_blocks(cfg),
-        )
-    # each shard's best row is a chunk of one row, so the tie rule is the one of a single sweep
-    value, key, _ = _lattice_max(((key[None],), np.array([value])) for value, key, _ in partials)
-    n_eval = sum(n for _, _, n in partials)
+        size, blocks, rows = cfg.grid_size, lambda: iter_input_grid(cfg), lambda: _grid_blocks(cfg)
+        each = lambda block: _best_row(block, form(*_kernels.input_stats(*block, columns).T))
+    check_size(size, "grid", cfg.budget)  # before ``rows()``, which is as long as the sweep has blocks
+    value, key, n_eval = _sharded(each, _better, blocks, rows())
     return OracleResult(
         objective=objective,
         value=value,
@@ -361,46 +350,40 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     the largest violation of each inequality and how often it is tight.
     """
     check_size(cfg.grid_size, "grid", cfg.budget)
-    partials = _sharded(_characterize, lambda: iter_input_grid(cfg), _grid_blocks(cfg))
-    # the shards hold consecutive blocks, so ``max`` in shard order keeps the
-    # first block's maximum, as one sweep in block order does: that fixes the
-    # sign of a maximum of zero
-    viol = {name: max(v[name] for _, v, _ in partials) for name in _INEQUALITIES + _IDENTITIES}
-    eq = {name: sum(e[name] for _, _, e in partials) for name in _INEQUALITIES}
-    n = sum(n for n, _, _ in partials)
+    n, viol, eq = _sharded(_characterize, _merge_reports, lambda: iter_input_grid(cfg), _grid_blocks(cfg))
     return CharacterizationReport(config=cfg, n_evaluated=n, max_violation=viol, equality_count=eq)
 
 
-def _characterize(blocks) -> tuple[int, dict, dict]:
-    """The rows of ``(p, q1, q2)`` blocks, and over them each check's largest violation.
-
-    A violation is that of the first block that reaches it, and each cap
-    comes with the number of rows where it is tight.
-    """
-    viol = {name: -np.inf for name in _INEQUALITIES + _IDENTITIES}
-    eq = {name: 0 for name in _INEQUALITIES}
-    n = 0
+def _characterize(block) -> tuple[int, dict, dict]:
+    """The rows of a ``(p, q1, q2)`` block, each check's largest violation over them, and each cap's tight rows."""
+    p, q1, q2 = block
     columns = _INEQUALITIES + ("h_x1_given_y_x2_t", "h_x2_given_y_x1_t")
-    for p, q1, q2 in blocks:
-        s = dict(zip(columns, _kernels.input_stats(p, q1, q2, columns).T))
-        u1, u2, u = u_triples(p, q1, q2)
-        # the erasure triple form is the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
-        h1, h2, mu = bounds._erasure_caps(u1, u2, u)
-        half_h = bounds._half_h(u)
-        caps = {
-            "h_x1_given_t": h1,
-            "h_x2_given_t": h2,
-            "i_x1_y_given_x2": half_h,
-            "i_x2_y_given_x1": half_h,
-            "i_x1x2_y": bounds._h_mid(u),
-            "h_y_erasure": mu,
-        }
-        gaps = {name: s[name] - cap for name, cap in caps.items()}
-        for name, gap in gaps.items():
-            eq[name] += int(np.count_nonzero(gap >= -_EQUALITY_TOL))
-        gaps["half_h_x1"] = np.abs(s["h_x1_given_y_x2_t"] - 0.5 * s["h_x1_given_t"])
-        gaps["half_h_x2"] = np.abs(s["h_x2_given_y_x1_t"] - 0.5 * s["h_x2_given_t"])
-        for name, gap in gaps.items():
-            viol[name] = max(viol[name], float(gap.max()))  # keeps the first of equal maxima
-        n += len(u)
-    return n, viol, eq
+    s = dict(zip(columns, _kernels.input_stats(p, q1, q2, columns).T))
+    u1, u2, u = u_triples(p, q1, q2)
+    # the erasure triple form is the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
+    h1, h2, mu = bounds._erasure_caps(u1, u2, u)
+    half_h = bounds._half_h(u)
+    caps = {
+        "h_x1_given_t": h1,
+        "h_x2_given_t": h2,
+        "i_x1_y_given_x2": half_h,
+        "i_x2_y_given_x1": half_h,
+        "i_x1x2_y": bounds._h_mid(u),
+        "h_y_erasure": mu,
+    }
+    viol, eq = {}, {}
+    for name, cap in caps.items():  # each gap is reduced as soon as it is formed
+        gap = s[name] - cap
+        viol[name], eq[name] = float(gap.max()), int(np.count_nonzero(gap >= -_EQUALITY_TOL))
+    viol["half_h_x1"] = float(np.abs(s["h_x1_given_y_x2_t"] - 0.5 * s["h_x1_given_t"]).max())
+    viol["half_h_x2"] = float(np.abs(s["h_x2_given_y_x1_t"] - 0.5 * s["h_x2_given_t"]).max())
+    return len(u), viol, eq
+
+
+def _merge_reports(a, b):
+    """The merge of two :func:`_characterize` results: counts add, and ``max`` keeps the first of equal maxima.
+
+    So a maximum of zero keeps the sign of the earliest block that reaches it.
+    """
+    (na, va, ea), (nb, vb, eb) = a, b
+    return na + nb, {k: max(va[k], vb[k]) for k in va}, {k: ea[k] + eb[k] for k in ea}

@@ -150,7 +150,8 @@ def characterization_suite(
 
     worst_cl = _worst_gap((0.5 * h1[:n], 0.5 * h2[:n], isum[:n]), bounds._cl_caps(u1, u2))
     checks.append(_check("witness-attains-cover-leung-caps", n, worst_cl, 1e-10))
-    worst_er = _worst_gap((h1[:n], h2[:n], h_y[:n]), bounds._erasure_pair_caps(u1, u2))
+    # a witness's triple is (u1, u2, f2(2 u1, 2 u2)), on the lower face
+    worst_er = _worst_gap((h1[:n], h2[:n], h_y[:n]), bounds._erasure_caps(u1, u2, f2(2.0 * u1, 2.0 * u2)))
     checks.append(_check("witness-attains-erasure-caps", n, worst_er, 1e-10))
     r1, r2, total = bounds._db_caps(sol.u1_star, sol.u2_star, sol.u_star)
     worst_db = _worst_gap((h1[n], 0.5 * h2[n], 0.5 * isum[n]), (r1, r2, 0.5 * total))
@@ -171,8 +172,7 @@ def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
     drawn = _random_inputs(rng, samples, 2)
     witnesses = bounds._binary_t_witness_rows(*rng.uniform(0.0, 0.25, (samples, 2)).T)
     p, q1, q2 = (np.concatenate(rows) for rows in zip(drawn, witnesses))
-    columns = ("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x2_y_given_x1", "i_x1x2_y", "h_y_erasure")
-    h1, h2, i1, i2, isum, h_y = _kernels.input_stats(p, q1, q2, columns).T
+    h1, h2, i1, i2, isum, h_y = _kernels.input_stats(p, q1, q2, oracle._INEQUALITIES).T
     u1, u2, u = feasible.u_triples(p, q1, q2)
     r2, r1, total = bounds._db_caps(u2, u1, u)  # dbpc2: dbpc1 with the users swapped
     pairs = (

@@ -2,17 +2,21 @@ import hashlib
 import json
 import math
 import multiprocessing
+import operator
 import os
 import subprocess
 import sys
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, groupby
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import macfb.oracle as oracle_mod
-from macfb import _kernels, _search, bounds, symrate, verify
+from macfb import _kernels, _search, bounds, feasible, infofn, symrate, verify
 from macfb.geometry import SWEEP_LAMBDAS
 from macfb.infofn import DomainError
 from macfb.oracle import (
@@ -278,6 +282,43 @@ class TestOracleMax:
         assert _sha256_of_json(r.to_dict()) == ORACLE_JSON_SHA256[objective]
 
 
+#: the closed forms the oracle checks: every ``infofn`` closed form, every
+#: cap and term of ``bounds``, and the names ``bounds``, ``feasible`` and
+#: ``symrate`` imported
+_CLOSED_FORMS = [
+    *((infofn, name) for name, f in vars(infofn).items() if hasattr(f, "unchecked")),
+    *((bounds, name) for name in (
+        "_h_phi", "_half_h", "_h_mid", "_db_staged", "_db_caps", "_cl_staged", "_cl_caps",
+        "_erasure_staged", "_erasure_caps", "_erasure_pair_staged", "_erasure_pair_caps",
+        "_clamp_interval", "binary_entropy", "f2", "mu_fn", "phi", "in_P", "lower_face_u2",
+    )),
+    (feasible, "f2"),
+    *((symrate, name) for name in ("f2", "phi", "phi_inv")),
+]
+
+
+class TestOracleIndependence:
+    def test_objectives_call_no_closed_form(self, monkeypatch, shards):
+        def raising(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"the oracle called {name}")
+
+            return called
+
+        shards(2)
+        sharded = OracleConfig(t_card=2, steps=15)
+        unpatched = {objective: oracle_max(objective, sharded).to_dict() for objective in oracle_mod.OBJECTIVES}
+        for module, name in _CLOSED_FORMS:
+            monkeypatch.setattr(module, name, raising(name))
+        with pytest.raises(AssertionError, match="the oracle called"):  # the closed forms it checks against
+            verify_characterization(OracleConfig(t_card=1, steps=3))
+        for objective in oracle_mod.OBJECTIVES:
+            r = oracle_max(objective, OracleConfig(t_card=2, steps=5))
+            assert _sha256_of_json(r.to_dict()) == ORACLE_JSON_SHA256[objective]
+            assert oracle_max(objective, sharded).to_dict() == unpatched[objective]
+        _assert_no_child_left()
+
+
 class TestCharacterization:
     def test_report_bytes_frozen(self):
         rep = verify_characterization(OracleConfig(t_card=1, steps=9))
@@ -324,6 +365,15 @@ _SHARDED_CONFIGS = [
     (OracleConfig(t_card=2, steps=5), None),
     (OracleConfig(t_card=3, steps=5, seed=1), None),
 ]
+
+
+def _bits(x):
+    """``x`` with every float as its hex form, which tells -0.0 from 0.0, and dicts in their order."""
+    if isinstance(x, dict):
+        return [(k, _bits(v)) for k, v in x.items()]
+    if isinstance(x, (tuple, list, np.ndarray)):
+        return [_bits(v) for v in x]
+    return float.hex(x) if isinstance(x, float) else x
 
 
 class TestSharding:
@@ -434,42 +484,83 @@ class TestSharding:
         assert out.stdout == "start3125\natexit\n"
 
     def test_shards_take_consecutive_blocks(self, shards):
-        # each shard records the blocks it reduced and the process it ran in;
-        # blocks of one row each, and blocks of which the first or the last
-        # holds most of the rows
+        # each block's result is the block and the process it ran in, and the
+        # merge joins them; blocks of one row each, and blocks of which the
+        # first or the last holds most of the rows
         n_blocks = 11
         for rows in ([1] * n_blocks, [1000] + [1] * (n_blocks - 1), [1] * (n_blocks - 1) + [1000]):
             for cpus in (2, 3, n_blocks, n_blocks + 5):
                 shards(cpus)
-                partials = oracle_mod._sharded(
-                    lambda blocks: (os.getpid(), list(blocks)), lambda: iter(range(n_blocks)), rows
+                seen = oracle_mod._sharded(
+                    lambda b: [(os.getpid(), b)], operator.add, lambda: iter(range(n_blocks)), rows
                 )
-                assert [b for _, seen in partials for b in seen] == list(range(n_blocks))
-                assert all(seen for _, seen in partials)
-                assert len({pid for pid, _ in partials}) == len(partials) == min(cpus, n_blocks)
-                assert partials[0][0] == os.getpid()
+                assert [b for _, b in seen] == list(range(n_blocks))
+                runs = [pid for pid, _ in groupby(seen, key=operator.itemgetter(0))]
+                assert len(set(runs)) == len(runs) == min(cpus, n_blocks)
+                assert runs[0] == os.getpid()
         _assert_no_child_left()
 
     def test_shards_split_the_cutset_sweep_by_rows(self, monkeypatch, shards):
         # the cut-set lattice's blocks shrink from C(steps + 1, 2) rows to 1;
-        # each shard's partial counts the rows it swept
+        # each block's result also carries the process that swept it and its rows
         steps = 120
         rows = [len(block) for block in oracle_mod._simplex_lattice(4, steps)]
-        sharded, counts = oracle_mod._sharded, []
+        sharded, calls = oracle_mod._sharded, []
 
-        def counting(*args):
-            partials = sharded(*args)
-            counts.append([n for _, _, n in partials])
-            return partials
+        def recording(each, merge, blocks, block_rows):
+            out, seen = sharded(
+                lambda b: (each(b), [(os.getpid(), len(b))]),
+                lambda a, b: (merge(a[0], b[0]), a[1] + b[1]),
+                blocks,
+                block_rows,
+            )
+            calls.append([sum(n for _, n in run) for _, run in groupby(seen, key=operator.itemgetter(0))])
+            return out
 
-        monkeypatch.setattr(oracle_mod, "_sharded", counting)
+        monkeypatch.setattr(oracle_mod, "_sharded", recording)
         shards(2)
         oracle_max("cutset_symmetric_direct", OracleConfig(t_card=1, steps=steps))
-        [(first, second)] = counts
+        [(first, second)] = calls
         cut = list(accumulate(rows)).index(first) + 1
         assert first + second == sum(rows)
         assert abs(first - second) <= max(rows[cut - 1], rows[cut])
         _assert_no_child_left()
+
+    @given(st.data())
+    def test_both_folds_of_the_merges_give_the_bits_of_one_sweep(self, data):
+        # block results with tied values, tied rows and both zeros: folding
+        # them all, and folding the folds of consecutive runs (the blocks of
+        # each shard, then the shards), give the bits of the earliest best result
+        n = data.draw(st.integers(1, 8))
+        cuts = [i for i, cut in enumerate(data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)), 1) if cut]
+        values, count = st.sampled_from([-1.0, -0.0, 0.0, 0.5]), st.integers(0, 1000)
+
+        def keyed(keys, of):
+            return st.lists(of, min_size=len(keys), max_size=len(keys)).map(lambda vs: dict(zip(keys, vs)))
+
+        rows = st.lists(values, min_size=3, max_size=3).map(np.array)
+        best_rows = [data.draw(st.tuples(values, rows, count)) for _ in range(n)]
+        names, tight = oracle_mod._INEQUALITIES + oracle_mod._IDENTITIES, oracle_mod._INEQUALITIES
+        reports = [data.draw(st.tuples(count, keyed(names, values), keyed(tight, count))) for _ in range(n)]
+
+        def earliest_max(vs):
+            return next(v for v in vs if v == max(vs))
+
+        top = max(v for v, _, _ in best_rows)
+        # ``min`` keeps the first of equal keys: the earliest of the smallest best rows
+        value, row, _ = min((r for r in best_rows if r[0] == top), key=lambda r: tuple(r[1]))
+        expected = {
+            oracle_mod._better: (value, row, sum(c for _, _, c in best_rows)),
+            oracle_mod._merge_reports: (
+                sum(c for c, _, _ in reports),
+                {k: earliest_max([v[k] for _, v, _ in reports]) for k in names},
+                {k: sum(e[k] for _, _, e in reports) for k in tight},
+            ),
+        }
+        for merge, results in ((oracle_mod._better, best_rows), (oracle_mod._merge_reports, reports)):
+            runs = [results[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+            assert _bits(reduce(merge, results)) == _bits(expected[merge])
+            assert _bits(reduce(merge, [reduce(merge, run) for run in runs])) == _bits(expected[merge])
 
     def test_a_daemonic_process_sweeps_alone(self, shards):
         # a multiprocessing.Pool worker is daemonic, and a daemonic process may not have children
