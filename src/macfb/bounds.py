@@ -13,11 +13,10 @@ the solve's outer search moves (u for dbpc1, u1 for the others), it takes
 the terms of that variable alone once (h(u)/2 and h((1-u)/2); h(phi(2 u1))
 and 2 u1) and returns the caps as a function of the rest.  So the inner
 search, about 27 calls per outer step, evaluates only the terms that move
-with it.  :func:`_db_caps`, :func:`_cl_caps`, :func:`_erasure_caps` and
-:func:`_erasure_pair_caps` are one-line wrappers for ``symrate``, the
-oracle and the checks.  The scalar constraints, the region assembly,
-``symrate``, the oracle and the dominance suite call them on this module at
-call time, so the checks see the very functions that build the regions.
+with it.  ``_CAPS`` holds each family's caps at a triple (u1, u2, u), keyed
+like the exact pentagons of ``oracle._PENTAGONS``.  The constraint sets,
+``symrate``, the oracle and the checks read it, and each row looks its
+staged form up here at call time, so the checks see what builds the regions.
 
 The best pentagon in each of the 181 sweep directions is found by a direct
 solve.  The caps of every family are concave in convex coordinates, and a
@@ -64,6 +63,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -208,20 +208,10 @@ def _db_staged(u):
     return lambda u1, u2, k=(): (np.minimum(half_h[k], _h_phi(u1)), 0.5 * _h_phi(u2), h_mid[k])
 
 
-def _db_caps(u1, u2, u):
-    """Caps of the dbpc1 pentagon (genie = X1) at the triple (u1, u2, u)."""
-    return _db_staged(u)(u1, u2)
-
-
 def _cl_staged(u1):
     """The Cover-Leung caps at u1: ``caps(u2, k)`` gives them at (u1[k], u2); h(phi(2 u1))/2 and 2 u1 are taken once."""
     r1, two_u1 = np.asarray(0.5 * _h_phi(u1)), np.asarray(2.0 * u1)
     return lambda u2, k=(): (r1[k], 0.5 * _h_phi(u2), _h_mid(f2(two_u1[k], 2.0 * u2)))
-
-
-def _cl_caps(u1, u2):
-    """Cover-Leung caps at (u1, u2)."""
-    return _cl_staged(u1)(u2)
 
 
 def _erasure_staged(u1):
@@ -231,11 +221,6 @@ def _erasure_staged(u1):
     """
     r1 = np.asarray(_h_phi(u1))
     return lambda u2, u, k=(): (r1[k], _h_phi(u2), mu_fn(u))
-
-
-def _erasure_caps(u1, u2, u):
-    """Erasure feedback caps of the triple form: h(phi(2 u1)), h(phi(2 u2)), mu(u)."""
-    return _erasure_staged(u1)(u2, u)
 
 
 def _erasure_pair_staged(u1, floor: float):
@@ -249,9 +234,14 @@ def _erasure_pair_staged(u1, floor: float):
     return lambda u2, k=(): caps(u2, np.maximum(floor, f2(two_u1[k], 2.0 * u2)), k)
 
 
-def _erasure_pair_caps(u1, u2, floor: float = 0.0):
-    """Erasure caps at u = max(floor, f2(2 u1, 2 u2)): the pair form at floor 0 (see :func:`_erasure_pair_staged`)."""
-    return _erasure_pair_staged(u1, floor)(u2)
+#: each family's caps (r1, r2, sum) at the triple (u1, u2, u), keyed like ``oracle._PENTAGONS``;
+#: each row looks its staged form up on this module when called, and cover-leung reads no u
+_CAPS = {
+    "dbpc1": lambda u1, u2, u: _db_staged(u)(u1, u2),
+    "dbpc2": lambda u1, u2, u: itemgetter(1, 0, 2)(_db_staged(u)(u2, u1)),  # dbpc1, the users swapped
+    "cover-leung": lambda u1, u2, u=None: _cl_staged(u1)(u2),
+    "erasure-fb": lambda u1, u2, u: _erasure_staged(u1)(u2, u),
+}
 
 
 def _symmetric(r1, r2, total):
@@ -270,18 +260,16 @@ def _pentagon(caps) -> RateConstraintSet:
 
 def db_pc1_constraints(t: UTriple) -> RateConstraintSet:
     """Genie reveals X1: R1 <= min(h(u)/2, h(phi(2u1))), R2 <= h(phi(2u2))/2, R1 + R2 <= h((1-u)/2)."""
-    return _pentagon(_db_caps(*_require_in_P(t)))
+    return _pentagon(_CAPS["dbpc1"](*_require_in_P(t)))
 
 
 def db_pc2_constraints(t: UTriple) -> RateConstraintSet:
     """Genie reveals X2: mirror image of :func:`db_pc1_constraints`."""
-    u1, u2, u = _require_in_P(t)
-    r2, r1, total = _db_caps(u2, u1, u)
-    return _pentagon((r1, r2, total))
+    return _pentagon(_CAPS["dbpc2"](*_require_in_P(t)))
 
 
 def cover_leung_constraints(u1: float, u2: float) -> RateConstraintSet:
-    return _pentagon(_cl_caps(*_require_in_S(u1, u2)))
+    return _pentagon(_CAPS["cover-leung"](*_require_in_S(u1, u2)))
 
 
 def _binary_t_witness_rows(u1, u2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,7 +286,8 @@ def cover_leung_witness(u1: float, u2: float) -> JointInputDistribution:
 
 
 def erasure_fb_constraints(u1: float, u2: float) -> RateConstraintSet:
-    return _pentagon(_erasure_pair_caps(*_require_in_S(u1, u2)))
+    u1, u2 = _require_in_S(u1, u2)
+    return _pentagon(_erasure_pair_staged(u1, 0.0)(u2))
 
 
 #: the Cover-Leung construction attains the erasure feedback caps too
@@ -311,7 +300,7 @@ def erasure_fb_constraints_at_triple(t: UTriple) -> RateConstraintSet:
     This is the three-variable form whose projection onto the lower face
     ``u = f2(2u1, 2u2)`` is checked by the equivalence suite.
     """
-    return _pentagon(_erasure_caps(*_require_in_P(t)))
+    return _pentagon(_CAPS["erasure-fb"](*_require_in_P(t)))
 
 
 def erasure_nofb_constraints() -> RateConstraintSet:

@@ -3,9 +3,10 @@
 The oracles evaluate the bounds' original information-theoretic expressions by
 exact enumeration (through the kernel layer, whose semantics match
 ``macfb.channel``) over lattices of conditionally independent inputs, never
-the closed-form (u1, u2, u) characterizations they are checking.  Those are
-taken from ``macfb.bounds``, the functions that build the regions, only to
-be compared with the enumeration.
+the closed-form (u1, u2, u) characterizations they are checking.  Each
+family's exact pentagon is a row of ``_PENTAGONS``; its closed form, the row
+of ``bounds._CAPS`` under the same key, builds the regions and is read here
+only to be compared with the enumeration.
 
 A sweep of at least ``_SHARD_MIN_ROWS`` rows is split into shards, one per
 CPU this process may run on and at most one per block of the sweep.  The
@@ -248,16 +249,27 @@ class OracleResult:
         }
 
 
+#: each family's exact pentagon: the ``input_stats`` columns it reads, and its
+#: caps (r1, r2, sum) from them; no row calls a closed form
+_PENTAGONS = {
+    "dbpc1": (("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x1x2_y"),
+              lambda h1, h2, i1, isum: (np.minimum(i1, h1), 0.5 * h2, isum)),
+    "dbpc2": (("h_x1_given_t", "h_x2_given_t", "i_x2_y_given_x1", "i_x1x2_y"),
+              lambda h1, h2, i2, isum: (0.5 * h1, np.minimum(i2, h2), isum)),
+    "cover-leung": (("h_x1_given_t", "h_x2_given_t", "i_x1x2_y"), lambda h1, h2, isum: (0.5 * h1, 0.5 * h2, isum)),
+    "erasure-fb": (("h_x1_given_t", "h_x2_given_t", "h_y_erasure"), lambda h1, h2, h_y: (h1, h2, h_y)),
+}
+
+
+def _symmetric_form(columns, pentagon):
+    """An exact pentagon's symmetric rate, as (columns, value from them)."""
+    return columns, lambda *stats: bounds._symmetric(*pentagon(*stats))
+
+
 #: each lattice objective: the ``input_stats`` columns it reads, and its value from them
 _OBJECTIVE_FORMS = {
-    "db1_symmetric_direct": (
-        ("h_x1_given_t", "h_x2_given_t", "i_x1_y_given_x2", "i_x1x2_y"),
-        lambda h1, h2, i1, isum: bounds._symmetric(np.minimum(i1, h1), 0.5 * h2, isum),
-    ),
-    "cl_symmetric_direct": (
-        ("h_x1_given_t", "h_x2_given_t", "i_x1x2_y"),
-        lambda h1, h2, isum: bounds._symmetric(0.5 * h1, 0.5 * h2, isum),
-    ),
+    "db1_symmetric_direct": _symmetric_form(*_PENTAGONS["dbpc1"]),
+    "cl_symmetric_direct": _symmetric_form(*_PENTAGONS["cover-leung"]),
     "erasure_sum_direct": (("h_y_erasure",), lambda h_y: h_y),
 }
 OBJECTIVES = (*_OBJECTIVE_FORMS, "cutset_symmetric_direct")
@@ -360,17 +372,9 @@ def _characterize(block) -> tuple[int, dict, dict]:
     columns = _INEQUALITIES + ("h_x1_given_y_x2_t", "h_x2_given_y_x1_t")
     s = dict(zip(columns, _kernels.input_stats(p, q1, q2, columns).T))
     u1, u2, u = u_triples(p, q1, q2)
-    # the erasure triple form is the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
-    h1, h2, mu = bounds._erasure_caps(u1, u2, u)
+    h1, h2, mu = bounds._CAPS["erasure-fb"](u1, u2, u)  # the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
     half_h = bounds._half_h(u)
-    caps = {
-        "h_x1_given_t": h1,
-        "h_x2_given_t": h2,
-        "i_x1_y_given_x2": half_h,
-        "i_x2_y_given_x1": half_h,
-        "i_x1x2_y": bounds._h_mid(u),
-        "h_y_erasure": mu,
-    }
+    caps = dict(zip(_INEQUALITIES, (h1, h2, half_h, half_h, bounds._h_mid(u), mu)))
     viol, eq = {}, {}
     for name, cap in caps.items():  # each gap is reduced as soon as it is formed
         gap = s[name] - cap

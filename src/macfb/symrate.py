@@ -84,7 +84,7 @@ def solve_db_symmetric() -> SymmetricRateSolution:
     The peak of the dbpc1 symmetric rate along :func:`_balance_path`, with
     the binary uniform-T witness that attains all three caps.
     """
-    s, rate = _symmetric_max(lambda s: bounds._db_caps(*_balance_path(s)), 0.5)
+    s, rate = _symmetric_max(lambda s: bounds._CAPS["dbpc1"](*_balance_path(s)), 0.5)
     u1, u2, _ = _balance_path(s)
     return SymmetricRateSolution(rate, u1, u2)
 
@@ -97,7 +97,7 @@ def solve_cl_symmetric() -> SymmetricRateSolution:
     (decreasing); no point of a 201 x 201 grid over [0, 1/4]^2 beats the
     symmetric optimum by more than 1e-6.
     """
-    u, rate = _symmetric_max(lambda u: bounds._cl_caps(u, u), 0.25)
+    u, rate = _symmetric_max(lambda u: bounds._CAPS["cover-leung"](u, u), 0.25)
     return SymmetricRateSolution(rate, u, u)
 
 

@@ -146,24 +146,24 @@ def characterization_suite(
     witnesses = bounds._binary_t_witness_rows(np.append(u1, sol.u1_star), np.append(u2, sol.u2_star))
     p, q1, q2 = (np.concatenate(rows) for rows in zip(witnesses, _random_inputs(rng, n, 2)))
     columns = ("h_x1_given_t", "h_x2_given_t", "i_x1x2_y", "h_y_erasure", "h_x1_given_y_x2_t")
-    h1, h2, isum, h_y, h1_given_yx2t = _kernels.input_stats(p, q1, q2, columns).T
-
-    worst_cl = _worst_gap((0.5 * h1[:n], 0.5 * h2[:n], isum[:n]), bounds._cl_caps(u1, u2))
-    checks.append(_check("witness-attains-cover-leung-caps", n, worst_cl, 1e-10))
-    # a witness's triple is (u1, u2, f2(2 u1, 2 u2)), on the lower face
-    worst_er = _worst_gap((h1[:n], h2[:n], h_y[:n]), bounds._erasure_caps(u1, u2, f2(2.0 * u1, 2.0 * u2)))
-    checks.append(_check("witness-attains-erasure-caps", n, worst_er, 1e-10))
-    r1, r2, total = bounds._db_caps(sol.u1_star, sol.u2_star, sol.u_star)
+    s = dict(zip(columns, _kernels.input_stats(p, q1, q2, columns).T))
+    h1, h2, isum = s["h_x1_given_t"], s["h_x2_given_t"], s["i_x1x2_y"]
+    u = f2(2.0 * u1, 2.0 * u2)  # a witness's triple is (u1, u2, f2(2 u1, 2 u2)), on the lower face
+    for family, check in (("cover-leung", "cover-leung"), ("erasure-fb", "erasure")):
+        names, pentagon = oracle._PENTAGONS[family]
+        worst = _worst_gap(pentagon(*(s[c][:n] for c in names)), bounds._CAPS[family](u1, u2, u))
+        checks.append(_check(f"witness-attains-{check}-caps", n, worst, 1e-10))
+    r1, r2, total = bounds._CAPS["dbpc1"](sol.u1_star, sol.u2_star, sol.u_star)
     worst_db = _worst_gap((h1[n], 0.5 * h2[n], 0.5 * isum[n]), (r1, r2, 0.5 * total))
     checks.append(_check("witness-attains-balance-point-caps", 1, worst_db, 1e-10))
-    worst_half = _worst_gap(h1_given_yx2t[n + 1:], 0.5 * h1[n + 1:])
+    worst_half = _worst_gap(s["h_x1_given_y_x2_t"][n + 1:], 0.5 * h1[n + 1:])
     checks.append(_check("half-entropy-identity-random", n, worst_half, 1e-12))
 
     return _suite("characterization", checks)
 
 
 def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
-    """Exact pentagon of inputs against the family caps at their (u1, u2, u).
+    """Each exact pentagon of ``oracle._PENTAGONS`` at inputs against its row of ``bounds._CAPS`` at their (u1, u2, u).
 
     The inputs are ``samples`` random ones and ``samples`` binary uniform-T
     witnesses, which attain I(X1,X2;Y) = h((1-u)/2) on the noisy adder and
@@ -172,16 +172,13 @@ def _soundness_check(rng: np.random.Generator, samples: int) -> dict:
     drawn = _random_inputs(rng, samples, 2)
     witnesses = bounds._binary_t_witness_rows(*rng.uniform(0.0, 0.25, (samples, 2)).T)
     p, q1, q2 = (np.concatenate(rows) for rows in zip(drawn, witnesses))
-    h1, h2, i1, i2, isum, h_y = _kernels.input_stats(p, q1, q2, oracle._INEQUALITIES).T
+    s = dict(zip(oracle._INEQUALITIES, _kernels.input_stats(p, q1, q2, oracle._INEQUALITIES).T))
     u1, u2, u = feasible.u_triples(p, q1, q2)
-    r2, r1, total = bounds._db_caps(u2, u1, u)  # dbpc2: dbpc1 with the users swapped
-    pairs = (
-        ((np.minimum(i1, h1), 0.5 * h2, isum), bounds._db_caps(u1, u2, u)),
-        ((0.5 * h1, np.minimum(i2, h2), isum), (r1, r2, total)),
-        ((0.5 * h1, 0.5 * h2, isum), bounds._cl_caps(u1, u2)),
-        ((h1, h2, h_y), bounds._erasure_caps(u1, u2, u)),
+    worst = max(
+        float((exact - cap).max())
+        for family, (columns, pentagon) in oracle._PENTAGONS.items()
+        for exact, cap in zip(pentagon(*(s[c] for c in columns)), bounds._CAPS[family](u1, u2, u))
     )
-    worst = max(float((exact - cap).max()) for exact_caps, caps in pairs for exact, cap in zip(exact_caps, caps))
     return _check("true-pentagons-inside-closed-form", len(p), worst, 1e-10)
 
 
@@ -212,7 +209,7 @@ def equivalence_suite(seed: int = DEFAULT_SEED, samples: int = 1000) -> dict:
     rng = np.random.default_rng(seed)
     u1, u2, u = feasible.sample_triple_rows(samples, rng)
     u1b, u2b = feasible.lower_face_projections(u1, u2, u)
-    at_t, proj = bounds._erasure_caps(u1, u2, u), bounds._erasure_pair_caps(u1b, u2b)
+    at_t, proj = bounds._CAPS["erasure-fb"](u1, u2, u), bounds._erasure_pair_staged(u1b, 0.0)(u2b)
     worst_r1, worst_r2, worst_sum = (float((a - b).max()) for a, b in zip(at_t, proj))
     face = u <= 0.5
     worst_face = float(np.abs(f2(2.0 * u1b[face], 2.0 * u2b[face]) - u[face]).max(initial=-np.inf))

@@ -381,9 +381,9 @@ def test_two_arguments_broadcast(fn):
         (mu_fn, 1),
         (lambda a: g_fn(a, a), 2),
         (lambda a: xi(a, a), 2),
-        (lambda a: bounds._erasure_caps(a, a, 2.0 * a), 3),
-        (lambda a: bounds._cl_caps(a, a), 5),
-        (lambda a: bounds._db_caps(a, a, 2.0 * a), 4),
+        (lambda a: bounds._CAPS["erasure-fb"](a, a, 2.0 * a), 3),
+        (lambda a: bounds._CAPS["cover-leung"](a, a), 5),
+        (lambda a: bounds._CAPS["dbpc1"](a, a, 2.0 * a), 4),
     ],
     ids=["mu_fn", "g_fn", "xi", "erasure_caps", "cl_caps", "db_caps"],
 )

@@ -88,13 +88,14 @@ def test_chunked_equals_unchunked(monkeypatch, rng):
     np.testing.assert_array_equal(_kernels.cutset_stats(joint), full_cutset)
 
 
-#: the column tuples that the oracle objectives, ``verify_characterization``
-#: and the soundness check request
-CALLER_COLUMNS = (
+#: the column tuples that the oracle objectives, ``verify_characterization``,
+#: the soundness check and the exact pentagons request, each once
+CALLER_COLUMNS = tuple(dict.fromkeys((
     *(columns for columns, _ in oracle._OBJECTIVE_FORMS.values()),
     _kernels.STAT_COLUMNS,
-    (*_kernels.STAT_COLUMNS[:5], "h_y_erasure"),
-)
+    oracle._INEQUALITIES,
+    *(columns for columns, _ in oracle._PENTAGONS.values()),
+)))
 
 
 #: the columns ``cutset_stats`` requests

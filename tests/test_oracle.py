@@ -8,7 +8,6 @@ import subprocess
 import sys
 from functools import reduce
 from itertools import accumulate, groupby
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,13 +282,12 @@ class TestOracleMax:
 
 
 #: the closed forms the oracle checks: every ``infofn`` closed form, every
-#: cap and term of ``bounds``, and the names ``bounds``, ``feasible`` and
-#: ``symrate`` imported
+#: staged cap and term of ``bounds``, and the names ``bounds``, ``feasible``
+#: and ``symrate`` imported; the rows of ``bounds._CAPS`` are patched too
 _CLOSED_FORMS = [
     *((infofn, name) for name, f in vars(infofn).items() if hasattr(f, "unchecked")),
     *((bounds, name) for name in (
-        "_h_phi", "_half_h", "_h_mid", "_db_staged", "_db_caps", "_cl_staged", "_cl_caps",
-        "_erasure_staged", "_erasure_caps", "_erasure_pair_staged", "_erasure_pair_caps",
+        "_h_phi", "_half_h", "_h_mid", "_db_staged", "_cl_staged", "_erasure_staged", "_erasure_pair_staged",
         "_clamp_interval", "binary_entropy", "f2", "mu_fn", "phi", "in_P", "lower_face_u2",
     )),
     (feasible, "f2"),
@@ -298,6 +296,9 @@ _CLOSED_FORMS = [
 
 
 class TestOracleIndependence:
+    def test_the_two_tables_have_the_same_families(self):
+        assert set(bounds._CAPS) == set(oracle_mod._PENTAGONS)
+
     def test_objectives_call_no_closed_form(self, monkeypatch, shards):
         def raising(name):
             def called(*args, **kwargs):
@@ -305,17 +306,30 @@ class TestOracleIndependence:
 
             return called
 
+        def exact_pentagons():
+            return {
+                family: pentagon(*_kernels.input_stats(*block, columns).T)
+                for family, (columns, pentagon) in oracle_mod._PENTAGONS.items()
+            }
+
         shards(2)
         sharded = OracleConfig(t_card=2, steps=15)
         unpatched = {objective: oracle_max(objective, sharded).to_dict() for objective in oracle_mod.OBJECTIVES}
+        block = next(oracle_mod.iter_input_grid(OracleConfig(t_card=2, steps=5)))
+        pentagons = exact_pentagons()
         for module, name in _CLOSED_FORMS:
             monkeypatch.setattr(module, name, raising(name))
+        for family in bounds._CAPS:
+            monkeypatch.setitem(bounds._CAPS, family, raising(family))
         with pytest.raises(AssertionError, match="the oracle called"):  # the closed forms it checks against
             verify_characterization(OracleConfig(t_card=1, steps=3))
         for objective in oracle_mod.OBJECTIVES:
             r = oracle_max(objective, OracleConfig(t_card=2, steps=5))
             assert _sha256_of_json(r.to_dict()) == ORACLE_JSON_SHA256[objective]
             assert oracle_max(objective, sharded).to_dict() == unpatched[objective]
+        for family, caps in exact_pentagons().items():
+            for got, want in zip(caps, pentagons[family], strict=True):
+                np.testing.assert_array_equal(got, want)
         _assert_no_child_left()
 
 
@@ -420,7 +434,7 @@ class TestSharding:
             return out
 
         monkeypatch.setattr(_kernels, "input_stats", stats)
-        monkeypatch.setattr(bounds, "_erasure_caps", lambda u1, u2, u: (0.0 * u, 0.0 * u, 0.0 * u))
+        monkeypatch.setitem(bounds._CAPS, "erasure-fb", lambda u1, u2, u: (0.0 * u, 0.0 * u, 0.0 * u))
         cfg = OracleConfig(t_card=2, steps=3)
         for cpus in (1, 2, 3):
             shards(cpus)
@@ -468,8 +482,6 @@ class TestSharding:
     def test_children_run_no_exit_handlers_and_flush_no_inherited_output(self):
         # a child that left through sys.exit would write the buffered "start"
         # and the atexit line a second time
-        src = str(Path(oracle_mod.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = (
             "import atexit, os, sys\n"
             "from macfb import oracle\n"
@@ -479,7 +491,7 @@ class TestSharding:
             "oracle._cpus = lambda: 3\n"
             "print(oracle.verify_characterization(oracle.OracleConfig(t_card=2, steps=5)).n_evaluated)\n"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout == "start3125\natexit\n"
 
@@ -591,10 +603,15 @@ def _soundness_check():
     return verify._soundness_check(np.random.default_rng(verify.DEFAULT_SEED), 200)
 
 
-#: the symmetric rate each family's caps give
+def _lower_caps(monkeypatch, family):
+    """Lower a row of ``bounds._CAPS`` by 1e-6 where its callers look it up."""
+    monkeypatch.setitem(bounds._CAPS, family, _lowered(bounds._CAPS[family]))
+
+
+#: the symmetric rate each family's caps give: a row of ``bounds._CAPS``, or a function of ``bounds``
 _SYMMETRIC_RATES = {
-    "_db_caps": lambda: symrate.solve_db_symmetric().rate,
-    "_cl_caps": lambda: symrate.solve_cl_symmetric().rate,
+    "dbpc1": lambda: symrate.solve_db_symmetric().rate,
+    "cover-leung": lambda: symrate.solve_cl_symmetric().rate,
     "_cutset_caps": symrate.solve_cutset_symmetric,
 }
 
@@ -602,8 +619,9 @@ _SYMMETRIC_RATES = {
 class TestChecksSeeRegionFunctions:
     """The soundness check, the oracle and the symmetric rates call the functions that build the regions.
 
-    Each function is lowered by 1e-6 on ``macfb.bounds``, where its callers
-    look it up, so the checks and the rates must see it move.
+    Each row of ``bounds._CAPS``, or function of ``macfb.bounds``, is
+    lowered by 1e-6 where its callers look it up, so the checks and the
+    rates must see it move.
     """
 
     def test_unpatched_checks_pass(self):
@@ -611,9 +629,9 @@ class TestChecksSeeRegionFunctions:
         assert check["name"] == "true-pentagons-inside-closed-form" and check["passed"]
         assert verify_characterization(OracleConfig(t_card=1, steps=7)).worst_violation <= 1e-10
 
-    @pytest.mark.parametrize("family", ["_db_caps", "_cl_caps", "_erasure_caps"])
+    @pytest.mark.parametrize("family", sorted(bounds._CAPS))
     def test_family_caps(self, monkeypatch, family):
-        monkeypatch.setattr(bounds, family, _lowered(getattr(bounds, family)))
+        _lower_caps(monkeypatch, family)
         check = _soundness_check()
         assert not check["passed"] and check["max_violation"] > 1e-7
 
@@ -633,9 +651,9 @@ class TestChecksSeeRegionFunctions:
         assert not check["passed"] and check["max_violation"] > 1e-7
 
     @pytest.mark.parametrize("family, check", [
-        ("_cl_caps", "witness-attains-cover-leung-caps"),
-        ("_erasure_caps", "witness-attains-erasure-caps"),
-        ("_db_caps", "witness-attains-balance-point-caps"),
+        ("cover-leung", "witness-attains-cover-leung-caps"),
+        ("erasure-fb", "witness-attains-erasure-caps"),
+        ("dbpc1", "witness-attains-balance-point-caps"),
     ])
     def test_witness_checks_see_family_caps(self, monkeypatch, family, check):
         def witness_checks():
@@ -643,7 +661,7 @@ class TestChecksSeeRegionFunctions:
             return {c["name"]: c for c in report["checks"] if c["name"].startswith("witness-")}
 
         assert all(c["passed"] for c in witness_checks().values())
-        monkeypatch.setattr(bounds, family, _lowered(getattr(bounds, family)))
+        _lower_caps(monkeypatch, family)
         lowered = witness_checks()
         assert not lowered[check]["passed"] and lowered[check]["max_violation"] > 1e-7
         assert [name for name, c in lowered.items() if not c["passed"]] == [check]
@@ -651,7 +669,10 @@ class TestChecksSeeRegionFunctions:
     @pytest.mark.parametrize("family", sorted(_SYMMETRIC_RATES))
     def test_symmetric_rate_sees_family_caps(self, monkeypatch, family):
         rate = _SYMMETRIC_RATES[family]()
-        monkeypatch.setattr(bounds, family, _lowered(getattr(bounds, family)))
+        if family in bounds._CAPS:
+            _lower_caps(monkeypatch, family)
+        else:
+            monkeypatch.setattr(bounds, family, _lowered(getattr(bounds, family)))
         assert _SYMMETRIC_RATES[family]() < rate - 1e-7
 
     # the sum caps h((1-u)/2) and mu(u) are tight only at the soundness

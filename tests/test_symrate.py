@@ -42,13 +42,13 @@ class TestBalancePoint:
 
     def test_one_local_maximum_on_the_balance_path(self, db_solution):
         # the golden-section search needs a unimodal rate along the path
-        rates = _symmetric_rates(lambda s: bounds._db_caps(*_balance_path(s)), 0.5)
+        rates = _symmetric_rates(lambda s: bounds._CAPS["dbpc1"](*_balance_path(s)), 0.5)
         assert _local_maxima(rates) == 1
         # the search's peak is at least as high as the grid's
         assert db_solution.rate - 1e-6 < float(rates.max()) <= db_solution.rate
 
     def test_r2_cap_is_half_the_sum_cap_on_the_balance_path(self):
-        _, r2, total = bounds._db_caps(*_balance_path(np.linspace(0.0, 0.5, 1001)))
+        _, r2, total = bounds._CAPS["dbpc1"](*_balance_path(np.linspace(0.0, 0.5, 1001)))
         np.testing.assert_allclose(r2, total / 2.0, rtol=0.0, atol=1e-15)
 
     def test_witness_attains_all_three_caps(self, db_solution):
@@ -86,14 +86,14 @@ class TestCoverLeungSymmetric:
         assert per_user == pytest.approx(half_sum, abs=1e-9)
 
     def test_one_local_maximum_on_the_diagonal(self, cl_solution):
-        rates = _symmetric_rates(lambda u: bounds._cl_caps(u, u), 0.25)
+        rates = _symmetric_rates(lambda u: bounds._CAPS["cover-leung"](u, u), 0.25)
         assert _local_maxima(rates) == 1
         # the search's peak is at least as high as the grid's
         assert cl_solution.rate - 1e-6 < float(rates.max()) <= cl_solution.rate
 
     def test_no_asymmetric_grid_point_beats_it(self, cl_solution):
         g = np.linspace(0.0, 0.25, 201)
-        grid_max = float(bounds._symmetric(*bounds._cl_caps(*np.meshgrid(g, g))).max())
+        grid_max = float(bounds._symmetric(*bounds._CAPS["cover-leung"](*np.meshgrid(g, g))).max())
         assert grid_max <= cl_solution.rate + 1e-6
 
     def test_witness_is_binary_uniform(self, cl_solution):
