@@ -1,7 +1,7 @@
-"""Batched golden-section search: many one- and two-variable concave problems as numpy rows.
+"""Batched golden-section search: many one- and two-variable concave problems at once.
 
-:func:`_golden_max` maximizes a unimodal function over an interval, one
-problem per row.  :func:`_solve` maximizes a function of (x, y) over a box
+:func:`_golden_max` maximizes a unimodal function over an interval for
+each problem.  :func:`_solve` maximizes a function of (x, y) over a box
 whose best value over y is unimodal in x: a golden-section search over x,
 whose every step runs a golden-section search over y, finds the optimum.
 
@@ -13,10 +13,12 @@ points per problem to one inner search, whose maximizer over y travels with
 the value, so a nested solve of 181 problems makes about 750 calls instead
 of about 3,200.
 
-The objective of :func:`_solve` is staged: ``fun(x, rows)`` is called once
-per outer call and returns the inner objective ``g(y, k)``.  So whatever
-depends on x alone is computed once per outer call, not in each of the
-about 28 inner calls that follow it.
+The points of one call are the rows of an ``(m, n)`` array, one column per
+problem, so a term with one value per problem, of shape ``(n,)``,
+broadcasts over them.  The objective of :func:`_solve` is staged:
+``fun(x)`` is called once per outer call and returns the inner objective
+``g(y)``.  So whatever depends on x alone is computed once per outer call,
+not in each of the about 28 inner calls that follow it.
 """
 
 from __future__ import annotations
@@ -42,15 +44,15 @@ def _candidates(a, b, c, d):
 
 
 def _golden_step(a, b, c, d, vc, vd, move, values=None, new=None):
-    """One golden-section update of the brackets of the rows in mask ``move``.
+    """One golden-section update of the brackets of the problems in mask ``move``.
 
-    A row that moves left keeps ``a``, and its ``b``, ``d`` and ``c`` become
-    ``d``, ``c`` and the left candidate of :func:`_candidates`; one that
-    moves right keeps ``b``, and its ``a``, ``c`` and ``d`` become ``c``,
-    ``d`` and the right candidate.  ``new`` passes the candidates if they
-    are known, and ``values`` their values; without values a moved row's new
-    point has none yet.  Returns the new (a, b, c, d, vc, vd) and, for every
-    row, whether it moves left if it moves.
+    A problem that moves left keeps ``a``, and its ``b``, ``d`` and ``c``
+    become ``d``, ``c`` and the left candidate of :func:`_candidates`; one
+    that moves right keeps ``b``, and its ``a``, ``c`` and ``d`` become
+    ``c``, ``d`` and the right candidate.  ``new`` passes the candidates if
+    they are known, and ``values`` their values; without values a moved
+    problem's new point has none yet.  Returns the new (a, b, c, d, vc, vd)
+    and, for every problem, whether it moves left if it moves.
     """
     new_c, new_d = _candidates(a, b, c, d) if new is None else new
     v_new_c, v_new_d = (vc, vd) if values is None else values
@@ -68,48 +70,44 @@ def _golden_step(a, b, c, d, vc, vd, move, values=None, new=None):
     return (*moved, left)
 
 
-def _evaluate(fun, points, rows):
-    """``fun`` at several arrays of points, one per problem each, in one call, split back per array.
-
-    ``rows`` numbers the problems of every array in turn, for at least as many arrays.
-    """
-    n = len(points[0])
-    out = fun(np.concatenate(points), rows[: n * len(points)])
-    return [out[..., i * n : (i + 1) * n] for i in range(len(points))]
+def _evaluate(fun, points):
+    """``fun`` at several arrays of points, one per problem each, as the rows of one array, split back per row."""
+    out = fun(np.array(points))
+    return [out[..., i, :] for i in range(len(points))]
 
 
 def _golden_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum of a unimodal function over [lo, hi], one problem per row.
+    """Maximum of a unimodal function over [lo, hi], one problem per entry of ``lo`` and ``hi``.
 
-    ``fun(x, rows)`` returns the objective of problems ``rows`` at ``x``, or
-    a stack whose first row is the objective and whose other rows travel
-    with it.  Golden section shrinks each bracket to at most ``_TOL``; the
-    answer is the best of the two last interior points and the two ends, so
-    an optimum on an end is found exactly.  Every call evaluates every
-    problem, each on its own row, and a problem whose bracket is done keeps
-    its state, so a problem's result does not depend on the rest of the
-    batch.  Returns the maximizers and ``fun``'s output there.
+    ``fun(x)`` returns the objective at points ``x`` of shape ``(m, n)``,
+    problem ``j`` in column ``j``, or a stack whose first entry is the
+    objective and whose others travel with it.  Golden section shrinks each
+    bracket to at most ``_TOL``; the answer is the best of the two last
+    interior points and the two ends, so an optimum on an end is found
+    exactly.  Every call evaluates every problem, each in its own column,
+    and a problem whose bracket is done keeps its state, so a problem's
+    result does not depend on the rest of the batch.  Returns the
+    maximizers and ``fun``'s output there.
 
     A step's new point is known before its value, and the step after it can
     only ask for one of its two :func:`_candidates`.  So each call evaluates
     a step's new point and both candidates of the next step, which then
     takes its new point and value from them.  Every problem visits every
     point, and returns exactly the result, of plain golden section in about
-    half the calls.  A step in which every row moves makes one
+    half the calls.  A step in which every problem moves makes one
     ``np.where`` per array of the state.
     """
-    rows = np.tile(np.arange(len(lo)), 4)
     a, b = lo, hi
     c = b - _GOLD * (b - a)
     d = a + _GOLD * (b - a)
-    vc, vd, v_lo, v_hi = _evaluate(fun, [c, d, lo, hi], rows)
-    # pending: the rows whose last step's new point, c if it moved left, else d, is still unevaluated
+    vc, vd, v_lo, v_hi = _evaluate(fun, [c, d, lo, hi])
+    # pending: the problems whose last step's new point, c if it moved left, else d, is still unevaluated
     pending = b - a > _TOL
     a, b, c, d, vc, vd, left = _golden_step(a, b, c, d, vc, vd, pending)
     while pending.any():
         again = pending & (b - a > _TOL)
         new = _candidates(a, b, c, d)
-        vx, *values = _evaluate(fun, [np.where(left, c, d), *new], rows)
+        vx, *values = _evaluate(fun, [np.where(left, c, d), *new])
         vc, vd = np.where(pending & left, vx, vc), np.where(pending & ~left, vx, vd)
         a, b, c, d, vc, vd, _ = _golden_step(a, b, c, d, vc, vd, again, values, new)
         pending = again & (b - a > _TOL)
@@ -121,17 +119,17 @@ def _golden_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
 def _solve(fun, x_hi: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize an objective over (x, y) in [0, x_hi] x [0, 1] for each of ``n`` problems.
 
-    ``fun(x, rows)`` returns ``g(y, k)``, the objective of problem
-    ``rows[k]`` at (``x[k]``, y); it must be concave in (x, y).  Then the
-    best value over y is concave in x, so both golden-section levels search
-    a unimodal function: the outer one over x, the inner one over y for
-    every problem at once.  Returns the maximizers x and y and the value
-    there.
+    ``fun(x)`` takes an outer call's points, flattened (problem ``i % n`` at
+    ``x[i]``), and returns ``g(y)``, the objective at (x, y) for y of shape
+    ``(m, len(x))``; it must be concave in (x, y).  Then the best value over
+    y is concave in x, so both golden-section levels search a unimodal
+    function: the outer one over x, the inner one over y for every outer
+    point at once.  Returns the maximizers x and y and the value there.
     """
 
-    def best_y(x, rows):
-        y, f = _golden_max(fun(x, rows), np.zeros(len(rows)), np.ones(len(rows)))
-        return np.stack([f, y])
+    def best_y(x):
+        y, f = _golden_max(fun(x.ravel()), np.zeros(x.size), np.ones(x.size))
+        return np.stack([f, y]).reshape(2, *x.shape)
 
     x, (f, y) = _golden_max(best_y, np.zeros(n), np.full(n, x_hi))
     return x, y, f

@@ -13,9 +13,10 @@ the solve's outer search moves (u for dbpc1, u1 for the others), it takes
 the terms of that variable alone once (h(u)/2 and h((1-u)/2); h(phi(2 u1))
 and 2 u1) and returns the caps as a function of the rest.  So the inner
 search, about 27 calls per outer step, evaluates only the terms that move
-with it.  ``_CAPS`` holds each family's caps at a triple (u1, u2, u), keyed
-like the exact pentagons of ``oracle._PENTAGONS``.  The constraint sets,
-``symrate``, the oracle and the checks read it, and each row looks its
+with it.  Those terms, of shape ``(n,)``, broadcast against the rest at
+shape ``(m, n)``.  ``_CAPS`` holds each family's caps at a triple (u1, u2,
+u), keyed like the exact pentagons of ``oracle._PENTAGONS``.  The constraint
+sets, ``symrate``, the oracle and the checks read it, and each row looks its
 staged form up here at call time, so the checks see what builds the regions.
 
 The best pentagon in each of the 181 sweep directions is found by a direct
@@ -198,40 +199,38 @@ def _h_mid(u):
 
 
 def _db_staged(u):
-    """The dbpc1 caps (genie = X1) at u: ``caps(u1, u2, k)`` gives them at the triple (u1, u2, u[k]).
+    """The dbpc1 caps (genie = X1) at u: ``caps(u1, u2)`` gives them at (u1, u2, u), broadcast together.
 
-    h(u)/2 and h((1 - u)/2) depend on u alone, so they are taken here once;
-    ``k`` indexes u and defaults to all of it.  The staged forms hold their
-    terms as arrays, so that ``()`` indexes a scalar's term too.
+    h(u)/2 and h((1 - u)/2) depend on u alone, so they are taken here once.
     """
-    half_h, h_mid = np.asarray(_half_h(u)), np.asarray(_h_mid(u))
-    return lambda u1, u2, k=(): (np.minimum(half_h[k], _h_phi(u1)), 0.5 * _h_phi(u2), h_mid[k])
+    half_h, h_mid = _half_h(u), _h_mid(u)
+    return lambda u1, u2: (np.minimum(half_h, _h_phi(u1)), 0.5 * _h_phi(u2), h_mid)
 
 
 def _cl_staged(u1):
-    """The Cover-Leung caps at u1: ``caps(u2, k)`` gives them at (u1[k], u2); h(phi(2 u1))/2 and 2 u1 are taken once."""
-    r1, two_u1 = np.asarray(0.5 * _h_phi(u1)), np.asarray(2.0 * u1)
-    return lambda u2, k=(): (r1[k], 0.5 * _h_phi(u2), _h_mid(f2(two_u1[k], 2.0 * u2)))
+    """The Cover-Leung caps at u1: ``caps(u2)`` at (u1, u2), broadcast together; h(phi(2 u1))/2 and 2 u1 are taken once."""
+    r1, two_u1 = 0.5 * _h_phi(u1), 2.0 * u1
+    return lambda u2: (r1, 0.5 * _h_phi(u2), _h_mid(f2(two_u1, 2.0 * u2)))
 
 
 def _erasure_staged(u1):
-    """The erasure feedback caps of the triple form at u1: ``caps(u2, u, k)`` gives h(phi(2 u1[k])), h(phi(2 u2)), mu(u).
+    """The erasure feedback caps of the triple form at u1: ``caps(u2, u)`` gives h(phi(2 u1)), h(phi(2 u2)), mu(u).
 
     h(phi(2 u1)) is taken here once.
     """
-    r1 = np.asarray(_h_phi(u1))
-    return lambda u2, u, k=(): (r1[k], _h_phi(u2), mu_fn(u))
+    r1 = _h_phi(u1)
+    return lambda u2, u: (r1, _h_phi(u2), mu_fn(u))
 
 
 def _erasure_pair_staged(u1, floor: float):
-    """The erasure caps at u = max(floor, f2(2 u1, 2 u2)), as ``caps(u2, k)`` at (u1[k], u2); 2 u1 is taken once.
+    """The erasure caps at u = max(floor, f2(2 u1, 2 u2)), as ``caps(u2)`` at (u1, u2); 2 u1 is taken once.
 
     At floor 0 it is the pair form.  At floor 1/3 it is the band form, the
     triple form with u maximized out: mu is concave and peaks at 1/3, and
     the band's upper face is at least 1/2.
     """
-    caps, two_u1 = _erasure_staged(u1), np.asarray(2.0 * u1)
-    return lambda u2, k=(): caps(u2, np.maximum(floor, f2(two_u1[k], 2.0 * u2)), k)
+    caps, two_u1 = _erasure_staged(u1), 2.0 * u1
+    return lambda u2: caps(u2, np.maximum(floor, f2(two_u1, 2.0 * u2)))
 
 
 #: each family's caps (r1, r2, sum) at the triple (u1, u2, u), keyed like ``oracle._PENTAGONS``;
@@ -347,17 +346,17 @@ def _support_of_corners(corners, lam):
 
 
 def _pentagon_support(stage_of, lams: np.ndarray):
-    """A family's pentagon support as the staged ``fun(x, rows)`` of :func:`_solve`; problem k is direction ``lams[k]``."""
+    """A family's pentagon support as the staged ``fun(x)`` of :func:`_solve`; problem k is direction ``lams[k]``."""
 
-    def fun(x, rows):
-        caps, lam = stage_of(x), lams[rows]
-        return lambda y, k: _support_of_corners(_corners(*caps(y, k)), lam[k])
+    def fun(x):
+        caps, lam = stage_of(x), np.tile(lams, len(x) // len(lams))  # x holds the problems' points in turn
+        return lambda y: _support_of_corners(_corners(*caps(y)), lam)
 
     return fun
 
 
 def _db_face(u: np.ndarray):
-    """dbpc1 caps on P's lower face at u in [0, 1/2]: ``caps(y, k)`` at u1 = y u[k] (1 - u[k]), y in [0, 1].
+    """dbpc1 caps on P's lower face at u in [0, 1/2]: ``caps(y)`` at u1 = y u (1 - u), y in [0, 1].
 
     u1 runs over the face's u1-range, and u2 solves f2(2 u1, 2 u2) = u.  At
     a fixed u the caps rise with u1 and u2, and u above 1/2 lowers every cap
@@ -366,40 +365,43 @@ def _db_face(u: np.ndarray):
     """
     caps = _db_staged(u)
 
-    def at(y, k=()):
-        v = u[k]
-        u1 = y * v * (1.0 - v)
-        return caps(u1, lower_face_u2(u1, v), k)
+    def at(y):
+        u1 = y * u * (1.0 - u)
+        return caps(u1, lower_face_u2(u1, u))
 
     return at
 
 
-def _cutset_joint(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The joint (s, y (1 - 2s), (1 - y)(1 - 2s), s) of (P(00), P(01), P(10), P(11))."""
+def _cutset_joint(s, y) -> np.ndarray:
+    """The joints (s, y (1 - 2s), (1 - y)(1 - 2s), s) of (P(00), P(01), P(10), P(11)) at (s, y), broadcast together."""
     r = 1.0 - 2.0 * s
-    return np.stack([s, y * r, (1.0 - y) * r, s], axis=1)
+    p01 = y * r
+    joint = np.empty(np.shape(p01) + (4,))
+    joint[..., 0], joint[..., 1], joint[..., 2], joint[..., 3] = s, p01, (1.0 - y) * r, s
+    return joint
 
 
-def _cutset_caps(s: np.ndarray, y: np.ndarray):
-    """Cut-set caps on the flip-symmetric joints.
+def _cutset_caps(s, y):
+    """Cut-set caps on the flip-symmetric joints at (s, y), broadcast together; each cap has their shape.
 
     The flip (x1, x2) -> (1 - x1, 1 - x2) keeps all three caps, which are
     concave in the joint, so a joint averaged with its flip (P(00) = P(11))
     has caps no lower.
     """
-    return tuple(_kernels.cutset_stats(_cutset_joint(s, y)).T)
+    joint = _cutset_joint(s, y)
+    return tuple(c.reshape(joint.shape[:-1]) for c in _kernels.cutset_stats(joint.reshape(-1, 4)).T)
 
 
 def _y_is_4u2(caps):
-    """``caps(u2, k)`` of a (u1, u2) family as ``caps(y, k)`` on the solve's box: y = 4 u2."""
-    return lambda y, k=(): caps(0.25 * y, k)
+    """``caps(u2)`` of a (u1, u2) family as ``caps(y)`` on the solve's box: y = 4 u2."""
+    return lambda y: caps(0.25 * y)
 
 
-#: (staged caps: x -> caps(y, k) at (x[k], y), upper end of x) for each
-#: pentagon family; each looks its caps up on this module when called
+#: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x)
+#: for each pentagon family; each looks its caps up on this module when called
 _FAMILIES = {
     "dbpc1": (_db_face, 0.5),
-    "cutset": (lambda s: lambda y, k=(): _cutset_caps(s[k], y), 0.5),
+    "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5),
     "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25),
     "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25),
 }
@@ -442,8 +444,8 @@ def _inner_curve(family: str, grid_n: int) -> BoundaryCurve:
     stage_of, x_hi = _FAMILIES[family]
     caps = stage_of(np.linspace(0.0, x_hi, grid_n))
 
-    def top(y, k):
-        a, b, c = caps(y, k)
+    def top(y):
+        a, b, c = caps(y)
         return np.minimum(b, c - a)
 
     y, _ = _golden_max(top, np.zeros(grid_n), np.ones(grid_n))

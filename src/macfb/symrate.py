@@ -59,7 +59,7 @@ def _symmetric_max(caps_of, hi: float) -> tuple[float, float]:
     ``caps_of`` maps an array of t to the arrays (r1, r2, total); the rate
     must be unimodal in t.
     """
-    t, rate = _golden_max(lambda t, rows: bounds._symmetric(*caps_of(t)), np.zeros(1), np.full(1, hi))
+    t, rate = _golden_max(lambda t: bounds._symmetric(*caps_of(t)), np.zeros(1), np.full(1, hi))
     return float(t[0]), float(rate[0])
 
 

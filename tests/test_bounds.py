@@ -353,18 +353,20 @@ def _plain_golden_max(fun, lo, hi, tol=_search._TOL):
     """Golden section one step per call: the reference the lookahead search must reproduce bitwise.
 
     Like the search, it carries the rows of a stacked output of ``fun`` after the first (the objective).
+    Each call evaluates one point of every problem, as a one-row ``(1, n)`` array; a problem whose
+    bracket is done repeats its point ``c``, which it has visited.
     """
     gold = _search._GOLD
     every = np.arange(len(lo))
-    flat = np.ndim(fun(lo, every)) == 1
+    flat = np.ndim(fun(lo[None])) == 2
 
-    def at(x, rows):
-        return np.atleast_2d(fun(x, rows)).copy()
+    def at(x):
+        return np.atleast_2d(fun(x[None])[..., 0, :]).copy()
 
     a, b = lo.copy(), hi.copy()
     c = b - gold * (b - a)
     d = a + gold * (b - a)
-    vc, vd = at(c, every), at(d, every)
+    vc, vd = at(c), at(d)
     act = np.flatnonzero(b - a > tol)
     while act.size:
         left = vc[0, act] >= vd[0, act]
@@ -373,11 +375,13 @@ def _plain_golden_max(fun, lo, hi, tol=_search._TOL):
         c[l] = b[l] - gold * (b[l] - a[l])
         a[r], c[r], vc[:, r] = c[r], d[r], vd[:, r]
         d[r] = a[r] + gold * (b[r] - a[r])
-        v = at(np.where(left, c[act], d[act]), act)
-        vc[:, l], vd[:, r] = v[:, left], v[:, ~left]
+        x = c.copy()
+        x[r] = d[r]
+        v = at(x)
+        vc[:, l], vd[:, r] = v[:, l], v[:, r]
         act = act[b[act] - a[act] > tol]
     xs = np.stack([c, d, lo, hi])
-    vs = np.stack([vc, vd, at(lo, every), at(hi, every)])
+    vs = np.stack([vc, vd, at(lo), at(hi)])
     k = np.argmax(vs[:, 0], axis=0)
     best = vs[k, :, every].T
     return xs[k, every], best[0] if flat else best
@@ -448,8 +452,8 @@ def _toy_parabolas():
     hi = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 0.2, 1e-11])
     peak = np.array([0.3, 1.0, 1.7, -1.5, 0.0, 0.5, 0.5])
 
-    def fun(x, rows):
-        return -((x - peak[rows]) ** 2)
+    def fun(x):
+        return -((x - peak) ** 2)
 
     return lo, hi, fun, peak
 
@@ -522,16 +526,18 @@ class TestRefinement:
         best = np.clip(peak, lo, hi)
         at_end = (best == lo) | (best == hi)
         np.testing.assert_array_equal(x[at_end], best[at_end])
-        every = np.arange(len(lo))
-        np.testing.assert_array_equal(f[at_end], fun(best, every)[at_end])
+        np.testing.assert_array_equal(f[at_end], fun(best)[at_end])
         np.testing.assert_allclose(x, best, atol=1e-7)
-        np.testing.assert_allclose(f, fun(best, every), atol=1e-14)
+        np.testing.assert_allclose(f, fun(best), atol=1e-14)
         # both levels of the nested solve: the support rises with x and y,
         # so the optimum is the corner (x_hi, 1)
         lams = np.array([0.1, 0.5, 0.9])
-        xs, ys, fs = _search._solve(
-            lambda x, rows: lambda y, k: lams[rows[k]] * x[k] + (1.0 - lams[rows[k]]) * y, 0.5, len(lams)
-        )
+
+        def support(x):
+            lam = np.tile(lams, len(x) // len(lams))
+            return lambda y: lam * x + (1.0 - lam) * y
+
+        xs, ys, fs = _search._solve(support, 0.5, len(lams))
         np.testing.assert_array_equal(xs, 0.5)
         np.testing.assert_array_equal(ys, 1.0)
         np.testing.assert_array_equal(fs, lams * 0.5 + (1.0 - lams))
@@ -540,9 +546,10 @@ class TestRefinement:
         lo, hi, fun, _ = _toy_parabolas()
 
         def recorded(seen):
-            def f(x, rows):
-                seen.update(zip(rows.tolist(), x.tolist()))
-                return fun(x, rows)
+            def f(x):
+                # (problem, point) pairs: problem j is column j of x
+                seen.update((j, v) for row in x.tolist() for j, v in enumerate(row))
+                return fun(x)
 
             return f
 
@@ -574,7 +581,7 @@ class TestRefinement:
         fun = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS)
         x, y, f = bounds._solution(family)
         n = len(x)
-        y_again, f_again = _search._golden_max(fun(x, np.arange(n)), np.zeros(n), np.ones(n))
+        y_again, f_again = _search._golden_max(fun(x), np.zeros(n), np.ones(n))
         np.testing.assert_array_equal(y, y_again)
         np.testing.assert_array_equal(f, f_again)
 
@@ -588,10 +595,10 @@ class TestRefinement:
             stages += 1
             caps = stage_of(x)
 
-            def at(y, k):
+            def at(y):
                 nonlocal calls
                 calls += 1
-                return caps(y, k)
+                return caps(y)
 
             return at
 
@@ -618,16 +625,34 @@ class TestReductions:
             assert np.all(f >= t - 1e-12), (f - t).min()
 
     def test_db_face_matches_the_scalar_face_map(self, rng):
-        # each cap of the face at (y, rows) must keep the bits of the caps at
-        # u1 = y u (1 - u) and the scalar lower_face_u2(u1, u)
+        # each cap of the face at y, broadcast against u, must keep the bits
+        # of the caps at u1 = y u (1 - u) and the scalar lower_face_u2(u1, u)
         u = np.concatenate([[0.0, 0.25, 0.5], rng.uniform(0.0, 0.5, 60)])
-        k = rng.integers(0, len(u), 200)
-        for y, rows in ((rng.uniform(0.0, 1.0, 200), k), (rng.uniform(0.0, 1.0, len(u)), ())):
-            v = u[rows]
-            u1 = y * v * (1.0 - v)
-            u2 = np.array([float(lower_face_u2(a, b)) for a, b in zip(u1, v)])
-            for got, want in zip(bounds._db_face(u)(y, rows), bounds._db_staged(u)(u1, u2, rows)):
+        for y in (rng.uniform(0.0, 1.0, (4, len(u))), rng.uniform(0.0, 1.0, len(u))):
+            u1 = y * u * (1.0 - u)
+            u2 = np.vectorize(lambda a, b: float(lower_face_u2(a, b)))(u1, u)
+            for got, want in zip(bounds._db_face(u)(y), bounds._db_staged(u)(u1, u2)):
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
+    def test_broadcast_matches_each_column_alone(self, family, rng):
+        # staged caps at x of shape (n,) and y of shape (m, n), and the
+        # pentagon support of directions tiled over x, keep in each column the
+        # bits of that column's problem evaluated alone on 1-D arrays
+        stage_of, x_hi = bounds._FAMILIES[family]
+        lams = SWEEP_LAMBDAS[::30]
+        m, n = 5, 2 * len(lams)
+        x = np.concatenate([[0.0, x_hi], rng.uniform(0.0, x_hi, n - 2)])
+        y = np.concatenate([np.zeros((1, n)), np.ones((1, n)), rng.uniform(0.0, 1.0, (m - 2, n))])
+        caps = [np.broadcast_to(c, (m, n)) for c in stage_of(x)(y)]
+        support = bounds._pentagon_support(stage_of, lams)(x)(y)
+        assert support.shape == (m, n)
+        for j in range(n):
+            alone = stage_of(np.full(m, x[j]))(y[:, j])
+            for got, want in zip(caps, alone):
+                np.testing.assert_array_equal(got[:, j].view(np.uint64), want.view(np.uint64))
+            want = bounds._pentagon_support(stage_of, lams[[j % len(lams)]])(np.full(m, x[j]))(y[:, j])
+            np.testing.assert_array_equal(support[:, j].view(np.uint64), want.view(np.uint64))
 
     def test_cutset_flip_keeps_caps(self, rng):
         joint = rng.dirichlet(np.full(4, 0.5), 2000)
