@@ -12,7 +12,7 @@ from operator import sub
 
 import pytest
 
-from macfb import bounds, symrate
+from macfb import _kernels, bounds, oracle, symrate
 
 ONE, TWO = Decimal(1), Decimal(2)
 
@@ -84,13 +84,13 @@ def _anchors() -> dict:
 ANCHORS = _anchors()
 
 #: the largest float64 error allowed for each number; the measured error follows each
-CUTSET_RATE_TOL = 4e-13  # symrate, and the region solve at λ = 1/2: -3.30e-13
+CUTSET_RATE_TOL = 4e-13  # symrate, the region solve at λ = 1/2, and symrate's joint's exact rate: -3.30e-13
 CUTSET_JOINT_TOL = 5e-13  # symrate's optimal joint: ±3.30e-13
-CL_RATE_TOL = 9e-13  # symrate: -7.47e-13
+CL_RATE_TOL = 9e-13  # symrate, and its witness's exact rate: -7.47e-13
 CL_U_TOL = 1.5e-12  # symrate's u1* = u2*: +1.17e-12
-CL_SUPPORT_TOL = 1e-13  # the region solve at λ = 1/2: -8.0e-14
+CL_SUPPORT_TOL = 1e-13  # the region solve at λ = 1/2, and its witness's exact support: -8.0e-14
 DB_RATE_TOL = 1e-14  # symrate: -6.2e-15
-ERASURE_SUPPORT_TOL = 1e-14  # the region solve at λ = 1/2: -8.1e-15
+ERASURE_SUPPORT_TOL = 1e-14  # the region solve at λ = 1/2, and its witness's exact support: -8.1e-15
 
 #: λ = 1/2 among the sweep directions
 HALF = 90
@@ -99,6 +99,19 @@ HALF = 90
 def _assert_within(got, exact, tol):
     err = float(Decimal(float(got)) - exact)
     assert abs(err) <= tol, err
+
+
+def _witness_support(family):
+    """The exact pentagon's support at λ = 1/2 of the binary uniform-T input the region solve finds there.
+
+    The solve's y is 4 u2; the caps are the witness's exact quantities from
+    ``input_stats``, not the closed form.
+    """
+    x, y, _ = bounds._solution(family)
+    rows = bounds._binary_t_witness_rows(x[HALF : HALF + 1], y[HALF : HALF + 1] / 4.0)
+    columns, pentagon = oracle._PENTAGONS[family]
+    caps = pentagon(*_kernels.input_stats(*rows, columns).T)
+    return bounds._support_of_corners(bounds._corners(*caps), 0.5)[0]
 
 
 @pytest.mark.parametrize("name, digits", [
@@ -119,6 +132,9 @@ def test_cutset_symmetric_rate():
     for got, exact in zip(joint, ANCHORS["cutset-joint"], strict=True):
         _assert_within(got, exact, CUTSET_JOINT_TOL)
     _assert_within(bounds._solution("cutset")[2][HALF], ANCHORS["cutset"], CUTSET_RATE_TOL)
+    # the joint's exact mutual informations from the kernel
+    c1, c2, c3 = _kernels.cutset_stats(joint[None])[0]
+    _assert_within(min(c1, c2, c3 / 2), ANCHORS["cutset"], CUTSET_RATE_TOL)
 
 
 def test_cover_leung_symmetric_rate():
@@ -127,6 +143,11 @@ def test_cover_leung_symmetric_rate():
     _assert_within(sol.u1_star, ANCHORS["cover-leung-u"], CL_U_TOL)
     _assert_within(sol.u2_star, ANCHORS["cover-leung-u"], CL_U_TOL)
     _assert_within(bounds._solution("cover-leung")[2][HALF], ANCHORS["cover-leung"], CL_SUPPORT_TOL)
+    # the witnesses' exact entropies and mutual information from the kernel
+    w, columns = sol.witness, ("h_x1_given_t", "h_x2_given_t", "i_x1x2_y")
+    h1, h2, i = _kernels.input_stats(w.p_t[None], w.q1[None], w.q2[None], columns)[0]
+    _assert_within(min(h1 / 2, h2 / 2, i / 2), ANCHORS["cover-leung"], CL_RATE_TOL)
+    _assert_within(_witness_support("cover-leung"), ANCHORS["cover-leung"], CL_SUPPORT_TOL)
 
 
 def test_dbpc_balance_point():
@@ -135,3 +156,4 @@ def test_dbpc_balance_point():
 
 def test_erasure_fb_diagonal_support():
     _assert_within(bounds._solution("erasure-fb")[2][HALF], ANCHORS["erasure-fb"], ERASURE_SUPPORT_TOL)
+    _assert_within(_witness_support("erasure-fb"), ANCHORS["erasure-fb"], ERASURE_SUPPORT_TOL)

@@ -91,7 +91,8 @@ def test_chunked_equals_unchunked(monkeypatch, rng):
 #: the column tuples that the oracle objectives, ``verify_characterization``,
 #: the soundness check and the exact pentagons request, each once
 CALLER_COLUMNS = tuple(dict.fromkeys((
-    *(columns for columns, _ in oracle._OBJECTIVE_FORMS.values()),
+    oracle._OBJECTIVE_COLUMNS,
+    oracle._CHECKED_COLUMNS,
     _kernels.STAT_COLUMNS,
     oracle._INEQUALITIES,
     *(columns for columns, _ in oracle._PENTAGONS.values()),
@@ -188,6 +189,7 @@ def test_only_the_requested_tables_are_logged(monkeypatch, rng):
         (oracle._OBJECTIVE_FORMS["db1_symmetric_direct"][0], 24),
         (oracle._OBJECTIVE_FORMS["cl_symmetric_direct"][0], 20),
         (oracle._OBJECTIVE_FORMS["erasure_sum_direct"][0], 3),
+        (oracle._OBJECTIVE_COLUMNS, 27),
     ]
     for columns, logged in pins:
         rows.clear()

@@ -27,6 +27,9 @@ from macfb.oracle import (
 
 LOG2_3 = math.log2(3.0)
 
+#: the objectives that read the memo of their input lattice's sweep
+_LATTICE_OBJECTIVES = tuple(oracle_mod._OBJECTIVE_FORMS)
+
 # values computed by these oracles and frozen as regressions
 FROZEN = {
     ("cl_symmetric_direct", 1, 11): 0.40563906222956647,
@@ -49,6 +52,14 @@ CHARACTERIZATION_JSON_SHA256 = "94df042dc9bbf57adfa50d0796a746cf54fc41862a58c47b
 
 def _sha256_of_json(record: dict) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Each test starts and ends with no lattice's best rows in the memo, so each first call sweeps."""
+    oracle_mod._BEST.clear()
+    yield
+    oracle_mod._BEST.clear()
 
 
 @pytest.fixture
@@ -256,6 +267,7 @@ class TestOracleMax:
         cfg = OracleConfig(t_card=2, steps=5)
         base = oracle_max("db1_symmetric_direct", cfg)
         monkeypatch.setattr(oracle_mod, "_CHUNK", 17)
+        oracle_mod._BEST.clear()  # the rechunked sweep runs
         rechunked = oracle_max("db1_symmetric_direct", cfg)
         assert rechunked.value == base.value
         assert rechunked.argmax_params == base.argmax_params
@@ -263,6 +275,7 @@ class TestOracleMax:
     def test_t3_latin_hypercube_mode(self):
         cfg = OracleConfig(t_card=3, steps=5, seed=1, budget=10_000)
         r = oracle_max("cl_symmetric_direct", cfg)
+        oracle_mod._BEST.clear()  # the second call draws and sweeps the lattice again
         again = oracle_max("cl_symmetric_direct", cfg)
         assert r.value == again.value
         assert r.value <= 0.436215 + 1e-9
@@ -321,6 +334,7 @@ class TestOracleIndependence:
             monkeypatch.setattr(module, name, raising(name))
         for family in bounds._CAPS:
             monkeypatch.setitem(bounds._CAPS, family, raising(family))
+        oracle_mod._BEST.clear()  # each patched call sweeps
         with pytest.raises(AssertionError, match="the oracle called"):  # the closed forms it checks against
             verify_characterization(OracleConfig(t_card=1, steps=3))
         for objective in oracle_mod.OBJECTIVES:
@@ -364,6 +378,13 @@ class TestCharacterization:
         cfg = OracleConfig(t_card=2, steps=5)
         chunks = [len(p) for p, _, _ in oracle_mod.iter_input_grid(cfg)]
         verify_characterization(cfg)
+        for objective in _LATTICE_OBJECTIVES:  # the characterization's sweep serves them
+            oracle_max(objective, cfg)
+        assert rows == chunks
+        rows.clear()
+        oracle_mod._BEST.clear()
+        for objective in _LATTICE_OBJECTIVES:  # the first sweeps for all three
+            oracle_max(objective, cfg)
         assert rows == chunks
 
     def test_report_serializes(self):
@@ -402,9 +423,10 @@ class TestSharding:
         n_blocks = len(rows)
         assert n_blocks == len(list(oracle_mod.iter_input_grid(cfg))) > 3
 
-        def records():
-            out = [json.dumps(verify_characterization(cfg).to_dict())]
-            return out + [json.dumps(oracle_max(objective, cfg).to_dict()) for objective in oracle_mod.OBJECTIVES]
+        def records():  # the objectives sweep on an empty memo, then the characterization sweeps
+            oracle_mod._BEST.clear()
+            out = [json.dumps(oracle_max(objective, cfg).to_dict()) for objective in oracle_mod.OBJECTIVES]
+            return out + [json.dumps(verify_characterization(cfg).to_dict())]
 
         shards(1)
         serial = records()
@@ -582,6 +604,41 @@ class TestSharding:
             in_worker = pool.apply_async(verify_characterization, (cfg,)).get(timeout=120)
         assert json.dumps(in_worker.to_dict()) == json.dumps(verify_characterization(cfg).to_dict())
         _assert_no_child_left()
+
+
+class TestMemo:
+    """The lattice objectives read one sweep of their lattice, whichever call made it."""
+
+    @pytest.mark.parametrize("cfg, chunk", _SHARDED_CONFIGS)
+    def test_both_fill_paths_give_the_same_bits(self, monkeypatch, shards, cfg, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
+        seen = []
+        for cpus in (1, 2, 3):
+            shards(cpus)
+            oracle_mod._BEST.clear()
+            alone = _bits([oracle_max(objective, cfg).to_dict() for objective in _LATTICE_OBJECTIVES])
+            memo = _bits(oracle_mod._BEST[cfg])
+            oracle_mod._BEST.clear()
+            verify_characterization(cfg)
+            assert _bits(oracle_mod._BEST[cfg]) == memo
+            assert _bits([oracle_max(objective, cfg).to_dict() for objective in _LATTICE_OBJECTIVES]) == alone
+            seen.append((memo, alone))
+        assert all(bits == seen[0] for bits in seen)  # and whatever the shard count
+        _assert_no_child_left()
+
+    def test_a_memo_hit_still_checks_the_size(self, monkeypatch):
+        cfg = OracleConfig(t_card=2, steps=5)
+        verify_characterization(cfg)
+        assert cfg in oracle_mod._BEST
+
+        def refusing(size, what, budget=None):
+            raise BudgetExceededError(f"{what} of {size} evaluations refused")
+
+        monkeypatch.setattr(oracle_mod, "check_size", refusing)
+        for objective in _LATTICE_OBJECTIVES:
+            with pytest.raises(BudgetExceededError, match="grid of 3125 evaluations"):
+                oracle_max(objective, cfg)
 
 
 def _lowered(fn):
