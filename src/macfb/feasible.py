@@ -31,6 +31,7 @@ __all__ = [
     "lower_face_u2",
     "lower_face_projections",
     "project_to_lower_face",
+    "band_triple_rows",
     "sample_triple_rows",
 ]
 
@@ -117,11 +118,15 @@ def project_to_lower_face(t: UTriple) -> tuple[float, float]:
     return float(u1[0]), float(u2[0])
 
 
+def band_triple_rows(u1, u2, place) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triples (u1, u2, u) with u at the fraction ``place`` of its band [f2(2u1, 2u2), 1 - (u1 + u2)]."""
+    lo = f2(2.0 * u1, 2.0 * u2)
+    hi = 1.0 - (u1 + u2)
+    return u1, u2, lo + place * (hi - lo)
+
+
 def sample_triple_rows(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``n`` triples uniformly inside P (u1, u2 uniform, u uniform in its band), as arrays (u1, u2, u)."""
     u1 = rng.uniform(0.0, 0.25, size=n)
     u2 = rng.uniform(0.0, 0.25, size=n)
-    lo = f2(2.0 * u1, 2.0 * u2)
-    hi = 1.0 - (u1 + u2)
-    u = lo + rng.uniform(0.0, 1.0, size=n) * (hi - lo)
-    return u1, u2, u
+    return band_triple_rows(u1, u2, rng.uniform(0.0, 1.0, size=n))

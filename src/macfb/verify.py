@@ -6,6 +6,12 @@ array expressions over one enumeration, :func:`macfb._kernels.input_stats`,
 and the vectorized caps of :mod:`macfb.bounds`.  All sampling is driven by a
 single seeded generator, and random inputs keep their per-sample draw order
 (P(t), q1, q2), so runs are reproducible bit for bit.
+
+The lemma and equivalence suites, and the grid of the mu argmax, run in
+blocks of ``_BLOCK`` rows: each block draws its inputs from its span of the
+seeded stream (:class:`_Stream`), and each check's maximum is folded across
+the blocks, so their memory does not grow with ``samples`` and every draw and
+value is the one the whole arrays would give.
 """
 
 from __future__ import annotations
@@ -25,6 +31,94 @@ DEFAULT_SEED = 0
 _WITNESS_SAMPLES = 100
 #: random inputs, and as many binary uniform-T witnesses, in the dominance suite's soundness check
 _SOUNDNESS_SAMPLES = 200
+#: rows per block of the lemma and equivalence checks and of the mu grid: what a suite holds does not grow with samples
+_BLOCK = 8_192
+#: points of the grid that the argmax of mu is taken on
+_GRID = 1_000_000
+
+
+def _blocks(count: int):
+    """The (start, stop) row ranges of ``range(count)``, ``_BLOCK`` rows each but the last."""
+    return ((start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK))
+
+
+def _fold_max(count: int, violations) -> list[float]:
+    """The largest entry of each array that ``violations(start, stop)`` gives, over the blocks of ``range(count)``.
+
+    The block maxima are folded with ``np.maximum``: a NaN in any block stays
+    NaN, so a failing check stays failing, and of +0.0 and -0.0 the later
+    block's is kept, as ``np.max`` keeps the later of tied entries in a short
+    array.  An array that is empty in every block gives -inf; no rows at all
+    is an error, as the maximum of an empty array is.
+    """
+    if count < 1:
+        raise ValueError(f"cannot take a maximum over {count} samples")
+    worst = -np.inf
+    for start, stop in _blocks(count):
+        worst = np.maximum(worst, [np.max(v, initial=-np.inf) for v in violations(start, stop)])
+    return [float(w) for w in worst]
+
+
+def _grid(start: int, stop: int, count: int) -> np.ndarray:
+    """Points ``start:stop`` of ``np.linspace(0.0, 1.0, count)``, bit for bit: k times its step, and 1.0 last."""
+    x = np.arange(start, stop, dtype=float) * (1.0 / (count - 1))
+    if stop == count:
+        x[-1] = 1.0
+    return x
+
+
+def _grid_argmax(f, count: int) -> float:
+    """The point of ``np.linspace(0.0, 1.0, count)`` where ``f`` is largest, the first of equal maxima."""
+    best = []
+    for start, stop in _blocks(count):
+        x = _grid(start, stop, count)
+        values = f(x)
+        i = int(np.argmax(values))
+        best.append((values[i], x[i]))
+    # np.argmax takes the first block with the largest maximum (or the first NaN), as it would over the whole grid
+    return float(best[int(np.argmax([v for v, _ in best]))][1])
+
+
+class _Stream:
+    """Consecutive spans of one seeded PCG64 stream, each read one block of columns at a time.
+
+    ``span(lo, hi, rows, count)`` takes the stream's next ``rows * count``
+    draws, which ``rng.uniform(lo, hi, (rows, count))`` would take whole after
+    the earlier spans, and returns ``read(start, stop)``: the rows of columns
+    ``start:stop`` of that array, bit for bit, as a list of 1-D arrays, so
+    that each row can be freed on its own.  A uniform double is one 64-bit
+    draw, so ``read`` resets the bit generator to the seed's state, advances
+    it to each row's first draw in the block, and draws the row's block.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self._seeded = self._rng.bit_generator.state
+        self._taken = 0
+
+    def span(self, lo: float, hi: float, rows: int, count: int):
+        offset = self._taken
+        self._taken += rows * count
+
+        def read(start: int, stop: int) -> list[np.ndarray]:
+            return [self._draw(lo, hi, offset + r * count + start, stop - start) for r in range(rows)]
+
+        return read
+
+    def _draw(self, lo: float, hi: float, at: int, n: int) -> np.ndarray:
+        bits = self._rng.bit_generator
+        bits.state = self._seeded
+        bits.advance(at)
+        return self._rng.uniform(lo, hi, n)
+
+
+def _away_from_fold(s):
+    """Uniform draws on [0, 1 - 2e-4] moved to [0, 1] outside the band (0.5 - 1e-4, 0.5 + 1e-4)."""
+    # the radical in f2/phi is ill-conditioned where its argument crosses
+    # 1/2 (s near 1/2); sampling outside a 1e-4 band keeps float noise an
+    # order of magnitude below the 1e-12 gate, and the fold point itself
+    # is covered by exact spot checks
+    return np.where(s < 0.5 - 1e-4, s, s + 2e-4)
 
 
 def _check(name: str, samples: int, violation: float, tol: float) -> dict:
@@ -40,70 +134,69 @@ def _check(name: str, samples: int, violation: float, tol: float) -> dict:
 def lemma_suite(seed: int = DEFAULT_SEED, samples: int = 100_000) -> dict:
     """Analytic properties of the composite functions, by seeded sampling."""
     check_size(samples, "lemma sampling")
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def away_from_fold(shape):
-        # the radical in f2/phi is ill-conditioned where its argument crosses
-        # 1/2 (s near 1/2); sampling outside a 1e-4 band keeps float noise an
-        # order of magnitude below the 1e-12 gate, and the fold point itself
-        # is covered by exact spot checks
-        s = rng.uniform(0.0, 1.0 - 2e-4, shape)
-        return np.where(s < 0.5 - 1e-4, s, s + 2e-4)
-
-    s1, s2 = away_from_fold((2, samples))
-    v = s1 + s2 - 2.0 * s1 * s2
-    lower = f2(2.0 * s1 * (1.0 - s1), 2.0 * s2 * (1.0 - s2))
-    checks.append(_check("pairwise-noise-lower-bound", samples, float((lower - v).max()), 1e-12))
-    fold = abs(phi(0.5) - 0.5) + abs(f2(0.5, 0.5) - 0.5)
-    checks.append(_check("fold-point-exact", 1, fold, 0.0))
-
-    x, y, xp, yp = rng.uniform(0.0, 0.5, (4, samples))
-    mid = f2((x + xp) / 2.0, (y + yp) / 2.0)
-    avg = (f2(x, y) + f2(xp, yp)) / 2.0
-    checks.append(_check("f2-midpoint-convexity", samples, float((mid - avg).max()), 1e-12))
-
     n_h = min(samples, 2000)
-    eig = np.linalg.eigvalsh(f2_hessian_rows(rng.uniform(0.0, 0.49, n_h), rng.uniform(0.0, 0.49, n_h)))
-    worst = max((-eig[:, 0]).max(), np.abs(eig).min(axis=1).max())
-    checks.append(_check("f2-hessian-psd-rank1", n_h, float(worst), 1e-6))
+    # the stream's spans in draw order, each as rng.uniform(lo, hi, (rows, count)) would take it
+    stream = _Stream(seed)
+    pairs = stream.span(0.0, 1.0 - 2e-4, 2, samples)
+    convex = stream.span(0.0, 0.5, 4, samples)
+    hessian = stream.span(0.0, 0.49, 2, n_h)
+    monotone = stream.span(0.0, 0.25, 4, samples)
+    concave = stream.span(0.0, 0.25, 2, samples)
+    mus = stream.span(0.0, 1.0, 2, samples)
+    singles = stream.span(0.0, 1.0 - 2e-4, 1, samples)
+    linear = stream.span(0.0, 0.25, 2, samples)
 
-    a1, a2, b2 = rng.uniform(0.0, 0.25, (3, samples))
-    a1p = np.minimum(a1 + rng.uniform(0.0, 0.25, samples), 0.25)
-    checks.append(
-        _check("g-monotone-decreasing", samples, float((g_fn(a1p, b2) - g_fn(a1, b2)).max()), 1e-12)
+    def violations(start, stop):
+        # a generator that drops each input once its last check is yielded, so
+        # a block holds one check's inputs and temporaries at a time
+        s1, s2 = map(_away_from_fold, pairs(start, stop))
+        yield f2(2.0 * s1 * (1.0 - s1), 2.0 * s2 * (1.0 - s2)) - (s1 + s2 - 2.0 * s1 * s2)
+        yield (binary_entropy(phi(s1)) + binary_entropy(phi(s2))) / 2.0 - binary_entropy(phi((s1 + s2) / 2.0))
+        del s1, s2
+        x, y, xp, yp = convex(start, stop)
+        yield f2((x + xp) / 2.0, (y + yp) / 2.0) - (f2(x, y) + f2(xp, yp)) / 2.0
+        del x, y, xp, yp
+        a1, a2, b2, step = monotone(start, stop)
+        yield g_fn(np.minimum(a1 + step, 0.25), b2) - g_fn(a1, b2)
+        del b2, step
+        c1, c2 = concave(start, stop)
+        yield (g_fn(a1, a2) + g_fn(c1, c2)) / 2.0 - g_fn((a1 + c1) / 2.0, (a2 + c2) / 2.0)
+        del a1, a2, c1, c2
+        m1, m2 = mus(start, stop)
+        yield (mu_fn(m1) + mu_fn(m2)) / 2.0 - mu_fn((m1 + m2) / 2.0)
+        del m1, m2
+        (s,) = map(_away_from_fold, singles(start, stop))
+        yield np.abs(phi(2.0 * s * (1.0 - s)) - np.minimum(s, 1.0 - s))
+        yield np.abs(binary_entropy(phi(2.0 * s * (1.0 - s))) - binary_entropy(s))
+        yield np.abs(binary_entropy(phi(s)) - binary_entropy(phi(1.0 - s)))
+        del s
+        w1, w2 = linear(start, stop)
+        yield (w1 + w2) - f2(2.0 * w1, 2.0 * w2)
+
+    def hessian_violations(start, stop):
+        eig = np.linalg.eigvalsh(f2_hessian_rows(*hessian(start, stop)))
+        return -eig[:, 0], np.abs(eig).min(axis=1)
+
+    noise, hmid, convexity, monotony, concavity, mu_concavity, ident, hident, hsym, dominance = _fold_max(
+        samples, violations
     )
-    c1, c2 = rng.uniform(0.0, 0.25, (2, samples))
-    gmid = g_fn((a1 + c1) / 2.0, (a2 + c2) / 2.0)
-    gavg = (g_fn(a1, a2) + g_fn(c1, c2)) / 2.0
-    checks.append(_check("g-midpoint-concavity", samples, float((gavg - gmid).max()), 1e-12))
-
-    m1, m2 = rng.uniform(0.0, 1.0, (2, samples))
-    mmid = mu_fn((m1 + m2) / 2.0)
-    mavg = (mu_fn(m1) + mu_fn(m2)) / 2.0
-    checks.append(_check("mu-midpoint-concavity", samples, float((mavg - mmid).max()), 1e-12))
-
-    grid = np.linspace(0.0, 1.0, 1_000_000)
-    argmax = float(grid[int(np.argmax(mu_fn(grid)))])
-    checks.append(_check("mu-argmax-at-one-third", len(grid), abs(argmax - 1.0 / 3.0), 1e-5))
-
-    s = away_from_fold(samples)
-    ident = np.abs(phi(2.0 * s * (1.0 - s)) - np.minimum(s, 1.0 - s))
-    checks.append(_check("phi-folding-identity", samples, float(ident.max()), 1e-12))
-    hident = np.abs(binary_entropy(phi(2.0 * s * (1.0 - s))) - binary_entropy(s))
-    checks.append(_check("entropy-phi-identity", samples, float(hident.max()), 1e-12))
-    hsym = np.abs(binary_entropy(phi(s)) - binary_entropy(phi(1.0 - s)))
-    checks.append(_check("entropy-phi-symmetry", samples, float(hsym.max()), 1e-12))
-    hmid = binary_entropy(phi((s1 + s2) / 2.0))
-    havg = (binary_entropy(phi(s1)) + binary_entropy(phi(s2))) / 2.0
-    checks.append(_check("entropy-phi-midpoint-concavity", samples, float((havg - hmid).max()), 1e-12))
-
-    w1, w2 = rng.uniform(0.0, 0.25, (2, samples))
-    checks.append(
-        _check("f2-dominates-linear-sum", samples, float(((w1 + w2) - f2(2.0 * w1, 2.0 * w2)).max()), 1e-12)
-    )
-
-    return _suite("lemmas", checks)
+    fold = abs(phi(0.5) - 0.5) + abs(f2(0.5, 0.5) - 0.5)
+    argmax = _grid_argmax(mu_fn, _GRID)
+    return _suite("lemmas", [
+        _check("pairwise-noise-lower-bound", samples, noise, 1e-12),
+        _check("fold-point-exact", 1, fold, 0.0),
+        _check("f2-midpoint-convexity", samples, convexity, 1e-12),
+        _check("f2-hessian-psd-rank1", n_h, max(*_fold_max(n_h, hessian_violations)), 1e-6),
+        _check("g-monotone-decreasing", samples, monotony, 1e-12),
+        _check("g-midpoint-concavity", samples, concavity, 1e-12),
+        _check("mu-midpoint-concavity", samples, mu_concavity, 1e-12),
+        _check("mu-argmax-at-one-third", _GRID, abs(argmax - 1.0 / 3.0), 1e-5),
+        _check("phi-folding-identity", samples, ident, 1e-12),
+        _check("entropy-phi-identity", samples, hident, 1e-12),
+        _check("entropy-phi-symmetry", samples, hsym, 1e-12),
+        _check("entropy-phi-midpoint-concavity", samples, hmid, 1e-12),
+        _check("f2-dominates-linear-sum", samples, dominance, 1e-12),
+    ])
 
 
 def _random_inputs(rng: np.random.Generator, n: int, t_card: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,13 +299,18 @@ def dominance_suite(seed: int = DEFAULT_SEED) -> dict:
 def equivalence_suite(seed: int = DEFAULT_SEED, samples: int = 1000) -> dict:
     """Projection onto the lower feasibility face dominates cap by cap."""
     check_size(samples, "equivalence sampling")
-    rng = np.random.default_rng(seed)
-    u1, u2, u = feasible.sample_triple_rows(samples, rng)
-    u1b, u2b = feasible.lower_face_projections(u1, u2, u)
-    at_t, proj = bounds._CAPS["erasure-fb"](u1, u2, u), bounds._erasure_pair_staged(u1b, 0.0)(u2b)
-    worst_r1, worst_r2, worst_sum = (float((a - b).max()) for a, b in zip(at_t, proj))
-    face = u <= 0.5
-    worst_face = float(np.abs(f2(2.0 * u1b[face], 2.0 * u2b[face]) - u[face]).max(initial=-np.inf))
+    # the draws of feasible.sample_triple_rows(samples, rng): u1, then u2, then u's place in its band
+    stream = _Stream(seed)
+    pairs, places = stream.span(0.0, 0.25, 2, samples), stream.span(0.0, 1.0, 1, samples)
+
+    def violations(start, stop):
+        u1, u2, u = feasible.band_triple_rows(*pairs(start, stop), places(start, stop)[0])
+        u1b, u2b = feasible.lower_face_projections(u1, u2, u)
+        at_t, proj = bounds._CAPS["erasure-fb"](u1, u2, u), bounds._erasure_pair_staged(u1b, 0.0)(u2b)
+        face = u <= 0.5
+        return (*(a - b for a, b in zip(at_t, proj)), np.abs(f2(2.0 * u1b[face], 2.0 * u2b[face]) - u[face]))
+
+    worst_r1, worst_r2, worst_sum, worst_face = _fold_max(samples, violations)
     checks = [
         _check("projection-r1-cap-dominates", samples, worst_r1, 1e-9),
         _check("projection-r2-cap-dominates", samples, worst_r2, 1e-9),

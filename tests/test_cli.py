@@ -20,6 +20,18 @@ INNER_CSV_SHA256 = {
 }
 #: sha256 of ``macfb symrate all --format json``
 SYMRATE_JSON_SHA256 = "ffeb5477c55b86a0df017cb4fcae7c77b37a5eec538a88af0e870036f807a349"
+#: sha256 of ``macfb verify <args>``, frozen from the whole-array suites: the
+#: block-wise suites draw the same inputs and print the same bytes
+VERIFY_SHA256 = {
+    ("lemmas", "--samples", "5000", "--seed", "0"):
+        "e8494cdab20b1842560391a11581d91b3816677e5fbfd21e47eb3283cccb131a",
+    ("lemmas", "--samples", "100000", "--seed", "3", "--format", "json"):
+        "bc8e285671c15d899975440c3a27a40581333a28ab4505f7458ce5087f975063",
+    ("equivalence", "--samples", "200"):
+        "7f1af63928301a34de30ab84e84a17eee4fa879f0aff5bd17088e2e34217b21c",
+    ("equivalence", "--samples", "100000", "--format", "json"):
+        "58eb78db40b75b001ce91f153bd3316aee260f72739fc2c31b5757fa540616c7",
+}
 
 
 def run(*args, env=None, timeout=None):
@@ -135,6 +147,11 @@ class TestVerify:
         assert out.returncode == 0
         rec = json.loads(out.stdout)
         assert rec["results"]["passed"] is True
+
+    @pytest.mark.parametrize("args", list(VERIFY_SHA256))
+    def test_sampled_suite_bytes_frozen(self, args, capsys):
+        assert cli.main(["verify", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_SHA256[args]
 
     def test_characterization_small(self):
         out = run("verify", "characterization", "--t-card", "1", "--steps", "7")
