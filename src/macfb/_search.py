@@ -31,7 +31,7 @@ _TOL = 1e-11
 
 def _objective(v):
     """The objective of ``fun``'s output: the output itself, or the first row of a stack."""
-    return np.atleast_2d(v)[0]
+    return v if v.ndim == 1 else v[0]
 
 
 def _candidates(a, b, c, d):
@@ -44,7 +44,7 @@ def _candidates(a, b, c, d):
 
 
 def _golden_step(a, b, c, d, vc, vd, move, values=None, new=None):
-    """One golden-section update of the brackets of the problems in mask ``move``.
+    """One golden-section update of the brackets of the problems in mask ``move``, or of all if ``move`` is True.
 
     A problem that moves left keeps ``a``, and its ``b``, ``d`` and ``c``
     become ``d``, ``c`` and the left candidate of :func:`_candidates`; one
@@ -55,17 +55,15 @@ def _golden_step(a, b, c, d, vc, vd, move, values=None, new=None):
     and, for every problem, whether it moves left if it moves.
     """
     new_c, new_d = _candidates(a, b, c, d) if new is None else new
-    v_new_c, v_new_d = (vc, vd) if values is None else values
     left = _objective(vc) >= _objective(vd)
-    moved = (
-        np.where(left, a, c),
-        np.where(left, d, b),
-        np.where(left, new_c, d),
-        np.where(left, c, new_d),
-        np.where(left, v_new_c, vd),
-        np.where(left, vc, v_new_d),
-    )
-    if not move.all():
+    if values is None:
+        # a moved problem keeps the value of the point it keeps, vc if it moves left, else vd
+        kept = np.where(left, vc, vd)
+        v_moved = (kept, kept)
+    else:
+        v_moved = (np.where(left, values[0], vd), np.where(left, vc, values[1]))
+    moved = (np.where(left, a, c), np.where(left, d, b), np.where(left, new_c, d), np.where(left, c, new_d), *v_moved)
+    if move is not True:
         moved = tuple(np.where(move, after, before) for after, before in zip(moved, (a, b, c, d, vc, vd)))
     return (*moved, left)
 
@@ -95,7 +93,9 @@ def _golden_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     takes its new point and value from them.  Every problem visits every
     point, and returns exactly the result, of plain golden section in about
     half the calls.  A step in which every problem moves makes one
-    ``np.where`` per array of the state.
+    ``np.where`` per array of the state, and one for both values when its
+    new point has none yet; while every problem is pending, the new point's
+    value is taken without masks.
     """
     a, b = lo, hi
     c = b - _GOLD * (b - a)
@@ -103,15 +103,25 @@ def _golden_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     vc, vd, v_lo, v_hi = _evaluate(fun, [c, d, lo, hi])
     # pending: the problems whose last step's new point, c if it moved left, else d, is still unevaluated
     pending = b - a > _TOL
-    a, b, c, d, vc, vd, left = _golden_step(a, b, c, d, vc, vd, pending)
-    while pending.any():
-        again = pending & (b - a > _TOL)
+    # every: whether every problem is in the mask at hand (and there is one), so no np.where needs the mask
+    every = pending.all() and pending.size > 0
+    a, b, c, d, vc, vd, left = _golden_step(a, b, c, d, vc, vd, True if every else pending)
+    while every or pending.any():
+        again = b - a > _TOL
         new = _candidates(a, b, c, d)
         vx, *values = _evaluate(fun, [np.where(left, c, d), *new])
-        vc, vd = np.where(pending & left, vx, vc), np.where(pending & ~left, vx, vd)
-        a, b, c, d, vc, vd, _ = _golden_step(a, b, c, d, vc, vd, again, values, new)
-        pending = again & (b - a > _TOL)
-        a, b, c, d, vc, vd, left = _golden_step(a, b, c, d, vc, vd, pending)
+        if every:
+            vc, vd = np.where(left, vx, vc), np.where(left, vd, vx)
+        else:
+            again &= pending
+            vc, vd = np.where(pending & left, vx, vc), np.where(pending & ~left, vx, vd)
+        every = again.all()
+        a, b, c, d, vc, vd, _ = _golden_step(a, b, c, d, vc, vd, True if every else again, values, new)
+        pending = b - a > _TOL
+        if not every:
+            pending &= again
+        every = pending.all()
+        a, b, c, d, vc, vd, left = _golden_step(a, b, c, d, vc, vd, True if every else pending)
     k = np.argmax(np.stack([_objective(v) for v in (vc, vd, v_lo, v_hi)]), axis=0)
     return np.choose(k, [c, d, lo, hi]), np.choose(k, [vc, vd, v_lo, v_hi])
 

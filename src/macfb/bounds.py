@@ -154,7 +154,8 @@ class RateConstraintSet:
 
     def support(self, lam: float) -> float:
         """max of lam*R1 + (1-lam)*R2 over the set."""
-        return float(_support_of_corners(self._upper_corners(), lam))
+        self._upper_corners()  # raises unless the set is bounded
+        return float(_support_of_caps(np.array(self._caps())[:, None], lam, 1.0 - lam)[0])
 
     def contains(self, r1: float, r2: float) -> bool:
         a, b, c = self._caps()
@@ -332,12 +333,23 @@ def _corner_points(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     )
 
 
-def _support_of_corners(corners, lam):
-    """Pentagon support value(s) in direction (lam, 1-lam), from :func:`_corners`."""
-    x_max, y_at_x, x_at_y, y_max = corners
-    return np.maximum(
-        lam * x_max + (1.0 - lam) * y_at_x, lam * x_at_y + (1.0 - lam) * y_max
-    )
+def _support_of_caps(caps, lam, rest):
+    """The support value(s) in direction (lam, rest), rest = 1 - lam, of the pentagons of array ``caps``.
+
+    It is the larger of ``lam x + rest y`` at the two corners of
+    :func:`_corners`, computed in place on those fresh corners: ``caps`` are
+    left as they are, and no other array is allocated, so ``lam`` and
+    ``rest`` must broadcast to the corners' shape.  Each sum adds its terms
+    in the other order, which changes no bit.
+    """
+    x_max, y_at_x, x_at_y, y_max = _corners(*caps)
+    x_max *= lam
+    y_at_x *= rest
+    y_at_x += x_max
+    y_max *= rest
+    x_at_y *= lam
+    x_at_y += y_max
+    return np.maximum(y_at_x, x_at_y, out=y_at_x)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +362,8 @@ def _pentagon_support(stage_of, lams: np.ndarray):
 
     def fun(x):
         caps, lam = stage_of(x), np.tile(lams, len(x) // len(lams))  # x holds the problems' points in turn
-        return lambda y: _support_of_corners(_corners(*caps(y)), lam)
+        rest = 1.0 - lam
+        return lambda y: _support_of_caps(caps(y), lam, rest)
 
     return fun
 
@@ -376,9 +389,10 @@ def _cutset_joint(s, y) -> np.ndarray:
     """The joints (s, y (1 - 2s), (1 - y)(1 - 2s), s) of (P(00), P(01), P(10), P(11)) at (s, y), broadcast together."""
     r = 1.0 - 2.0 * s
     p01 = y * r
-    joint = np.empty(np.shape(p01) + (4,))
-    joint[..., 0], joint[..., 1], joint[..., 2], joint[..., 3] = s, p01, (1.0 - y) * r, s
-    return joint
+    # each atom is contiguous, so cutset_stats reads the joints' rows without a copy
+    joint = np.empty((4,) + np.shape(p01))
+    joint[0], joint[1], joint[2], joint[3] = s, p01, (1.0 - y) * r, s
+    return np.moveaxis(joint, 0, -1)
 
 
 def _cutset_caps(s, y):

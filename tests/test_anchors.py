@@ -111,7 +111,7 @@ def _witness_support(family):
     rows = bounds._binary_t_witness_rows(x[HALF : HALF + 1], y[HALF : HALF + 1] / 4.0)
     columns, pentagon = oracle._PENTAGONS[family]
     caps = pentagon(*_kernels.input_stats(*rows, columns).T)
-    return bounds._support_of_corners(bounds._corners(*caps), 0.5)[0]
+    return bounds._support_of_caps(caps, 0.5, 0.5)[0]
 
 
 @pytest.mark.parametrize("name, digits", [

@@ -542,6 +542,11 @@ class TestRefinement:
         np.testing.assert_array_equal(ys, 1.0)
         np.testing.assert_array_equal(fs, lams * 0.5 + (1.0 - lams))
 
+    def test_empty_batch(self):
+        # no problems: the search ends at once with no maximizers
+        x, f = _search._golden_max(lambda x: -x, np.zeros(0), np.ones(0))
+        assert x.shape == f.shape == (0,)
+
     def test_lookahead_matches_plain_golden_section(self, monkeypatch):
         lo, hi, fun, _ = _toy_parabolas()
 
@@ -653,6 +658,30 @@ class TestReductions:
                 np.testing.assert_array_equal(got[:, j].view(np.uint64), want.view(np.uint64))
             want = bounds._pentagon_support(stage_of, lams[[j % len(lams)]])(np.full(m, x[j]))(y[:, j])
             np.testing.assert_array_equal(support[:, j].view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
+    def test_in_place_support_is_the_support_of_the_corners_bitwise(self, family, rng):
+        # the solve's support, built in place on the corners with 1 - lam
+        # taken once, has the bits of lam x + (1 - lam) y at the corners,
+        # and leaves the caps it reads, the staged terms of x among them, as they were
+        stage_of, x_hi = bounds._FAMILIES[family]
+        lams = SWEEP_LAMBDAS[::30]
+        m, n = 5, 2 * len(lams)
+        lam = np.tile(lams, 2)
+        x = np.concatenate([[0.0, x_hi], rng.uniform(0.0, x_hi, n - 2)])
+        y = np.concatenate([np.zeros((1, n)), np.ones((1, n)), rng.uniform(0.0, 1.0, (m - 2, n))])
+        caps = stage_of(x)
+        x_max, y_at_x, x_at_y, y_max = bounds._corners(*caps(y))
+        want = np.maximum(lam * x_max + (1.0 - lam) * y_at_x, lam * x_at_y + (1.0 - lam) * y_max)
+        given = caps(y)
+        kept = [np.array(c, copy=True) for c in given]
+        got = bounds._support_of_caps(given, lam, 1.0 - lam)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for c, before in zip(given, kept):
+            np.testing.assert_array_equal(np.asarray(c).view(np.uint64), before.view(np.uint64))
+        for _ in range(2):  # the staged terms of x are read again, unchanged
+            support = bounds._pentagon_support(stage_of, lams)(x)(y)
+            np.testing.assert_array_equal(support.view(np.uint64), want.view(np.uint64))
 
     def test_cutset_flip_keeps_caps(self, rng):
         joint = rng.dirichlet(np.full(4, 0.5), 2000)

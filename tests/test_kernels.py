@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,17 +144,35 @@ def test_every_node_comes_after_its_sources():
         for source in sources:
             assert source in ("t", "q1", "q2") or graph.index(source) < graph.index(name), (name, source)
     assert set(_kernels.STAT_COLUMNS) <= set(graph)
+    # the tables of (X1, X2, Y) and their logs are one run, so their one
+    # step comes after every other node they read and before every reader
+    together = [
+        name for name, (_, how) in _kernels._GRAPH.items()
+        if how is _kernels._logged or isinstance(how, _kernels._LoggedTable)
+    ]
+    start = graph.index(together[0])
+    assert graph[start : start + len(together)] == together
+    for name in together:
+        sources, how = _kernels._GRAPH[name]
+        if how is _kernels._logged:
+            assert isinstance(_kernels._GRAPH[sources[0]][1], _kernels._LoggedTable), name
 
 
 @pytest.mark.parametrize("seeds, columns", CALLER_PLANS)
 def test_each_node_is_dropped_right_after_its_last_reader(seeds, columns):
     plan = _kernels._build_plan(seeds, columns)
-    built = [name for name, *_ in plan]
+    # a step builds one node, or the tuple of the logs of the tables of (X1, X2, Y)
+    steps = [(node if isinstance(node, tuple) else (node,), *rest) for node, *rest in plan]
+    built = [name for names, *_ in steps for name in names]
     graph = list(_kernels._GRAPH)
     assert built == sorted(built, key=graph.index) and not set(built) & set(seeds)
-    last_reader, dropped = {}, {}
-    for step, (name, sources, _, drop) in enumerate(plan):
-        assert all(source in seeds or source in built[:step] for source in sources), name
+    # the logs are the nodes of one step, and only they share a step
+    logged = [name for name in built if _kernels._GRAPH[name][1] is _kernels._logged]
+    assert [names for names, *_ in steps if len(names) > 1 or set(names) & set(logged)] in ([], [tuple(logged)])
+    done, last_reader, dropped = set(seeds), {}, {}
+    for step, (names, sources, _, drop) in enumerate(steps):
+        assert set(sources) <= done, names
+        done.update(names)
         last_reader.update(dict.fromkeys(sources, step))
         for node in drop:
             assert node not in dropped, node
@@ -175,7 +194,8 @@ def test_input_stats_rejects_every_name_outside_the_columns(monkeypatch, rng, na
 
 def test_only_the_requested_tables_are_logged(monkeypatch, rng):
     # the entries per batch row that one K = 2 chunk, and one cut-set chunk,
-    # takes p log p of: each distinct value of the noisy adder's tables once
+    # takes p log p of: each distinct value of the noisy adder's tables once;
+    # and the plogp calls it makes: the tables of (X1, X2, Y) take one
     rows = []
 
     def counted(table):
@@ -185,19 +205,46 @@ def test_only_the_requested_tables_are_logged(monkeypatch, rng):
     monkeypatch.setattr(_kernels, "plogp", counted)
     p, q1, q2 = random_batch(rng, 16, 2)
     pins = [
-        (_kernels.STAT_COLUMNS, 47),
-        (oracle._OBJECTIVE_FORMS["db1_symmetric_direct"][0], 24),
-        (oracle._OBJECTIVE_FORMS["cl_symmetric_direct"][0], 20),
-        (oracle._OBJECTIVE_FORMS["erasure_sum_direct"][0], 3),
-        (oracle._OBJECTIVE_COLUMNS, 27),
+        (_kernels.STAT_COLUMNS, 47, 7),
+        (oracle._OBJECTIVE_FORMS["db1_symmetric_direct"][0], 24, 4),
+        (oracle._OBJECTIVE_FORMS["cl_symmetric_direct"][0], 20, 4),
+        (oracle._OBJECTIVE_FORMS["erasure_sum_direct"][0], 3, 1),
+        (oracle._OBJECTIVE_COLUMNS, 27, 4),
     ]
-    for columns, logged in pins:
+    for columns, logged, calls in pins:
         rows.clear()
         _kernels.input_stats(p, q1, q2, columns)
-        assert sum(rows) == logged, columns
+        assert (sum(rows), len(rows)) == (logged, calls), columns
     rows.clear()
     _kernels.cutset_stats(rng.dirichlet(np.ones(4), size=16))
-    assert sum(rows) == 18
+    assert (sum(rows), len(rows)) == (18, 1)
+
+
+#: rows of the region solve's largest ``cutset_stats`` batch
+SOLVE_ROWS = 2896
+
+#: bound on the traced peak of one ``SOLVE_ROWS``-row ``cutset_stats`` call:
+#: 50 doubles a row.  Measured (numpy 2.4.6): 1,051,968 bytes, 45.4 doubles a
+#: row: the copy of P(x1, x2), the 18-row table and its logs, and the
+#: entropies.  So a second table-sized temporary does not fit under it.
+CUTSET_PEAK_BOUND = 50 * 8 * SOLVE_ROWS
+
+
+def test_cutset_call_traced_peak_is_bounded(rng):
+    joint = rng.dirichlet(np.ones(4), size=SOLVE_ROWS)
+    _kernels.cutset_stats(joint)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _kernels.cutset_stats(joint)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < CUTSET_PEAK_BOUND, peak
 
 
 def _add_rows(terms):
