@@ -22,11 +22,10 @@ each nonzero entry of the marginals of Y is one such half or a sum of them.
 So ``p log p`` is taken once per distinct value, and no table of Y with its
 zeros is built.
 
-The ``p log p`` of the tables of (X1, X2, Y) that a call reads, the 18
-distinct entries of a cut-set row among them, are taken by one ``plogp``
-call per chunk: each table is built into its rows of one table, which is
-logged at once (:func:`_log_step`).  At the batch sizes of the region solve
-a call's cost is numpy's per-call dispatch, not its arithmetic.
+The 18 distinct entries of the noisy adder's tables of (X1, X2, Y) at a
+row's P(x1, x2) are built into the rows of one table, and one ``plogp``
+call per chunk logs them all (:func:`_xy_log`).  At the batch sizes of the
+region solve a call's cost is numpy's per-call dispatch, not its arithmetic.
 
 Every entropy adds its terms in a fixed order (:func:`_sum_rows`,
 :func:`_neg_sum`), so each row gets the same bits whatever batch, chunk or
@@ -37,9 +36,8 @@ an order the swap X1 <-> X2 keeps (:func:`_cell_sum`).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from operator import itemgetter
 
 import numpy as np
 
@@ -63,8 +61,8 @@ STAT_COLUMNS = (
 __all__ = ["STAT_COLUMNS", "input_stats", "cutset_stats"]
 
 
-def _sum_rows(table: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum over one axis, one row after another, whatever the batch size; into ``out`` if given.
+def _sum_rows(table: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum over one axis, one row after another, whatever the batch size.
 
     With a batch axis (the last) longer than one, numpy's ``sum`` adds the
     rows in this order.  A batch of one is a single column, which numpy sums
@@ -72,14 +70,12 @@ def _sum_rows(table: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -
     it is added row by row here instead.
     """
     if table.shape[-1] > 1:
-        return table.sum(axis=axis, out=out)
+        return table.sum(axis=axis)
     rows = np.moveaxis(table, axis, 0)
-    if out is None:
-        out = np.empty_like(rows[0])
-    out[...] = rows[0]
+    acc = rows[0].copy()
     for row in rows[1:]:
-        out += row
-    return out
+        acc += row
+    return acc
 
 
 def _log_entropy(logs: np.ndarray) -> np.ndarray:
@@ -92,12 +88,12 @@ def _entropy(table: np.ndarray) -> np.ndarray:
     return _log_entropy(plogp(table))
 
 
-def _cell_sum(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``t[x1, x2]`` summed over the four cells as ``(01 + 10) + 00 + 11``, into ``out`` if given.
+def _cell_sum(t: np.ndarray) -> np.ndarray:
+    """``t[x1, x2]`` summed over the four cells as ``(01 + 10) + 00 + 11``.
 
     The swap X1 <-> X2 keeps this order.
     """
-    return np.add((t[0, 1] + t[1, 0]) + t[0, 0], t[1, 1], out=out)
+    return (t[0, 1] + t[1, 0]) + t[0, 0] + t[1, 1]
 
 
 def _over_x2(half: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -122,57 +118,28 @@ def _neg_sum(*rows: np.ndarray) -> np.ndarray:
     return np.negative(acc, out=acc)
 
 
-class _LoggedTable(NamedTuple):
-    """The ``how`` of a table of (X1, X2, Y) whose ``p log p`` is taken with the others (see :func:`_log_step`).
+#: the tables of (X1, X2, Y) in the table of :func:`_xy_log`, the 18
+#: distinct entries of a cut-set row as nine pairs of rows: name -> its pairs
+_XY_ROWS = {"x1x2": slice(0, 2), "half": slice(2, 4), "x1y_mid": 4, "x2y_mid": 5, "y_mid": 6, "x1": 7, "x2": 8}
 
-    ``shape`` is its shape but the batch axis, and ``fill(*sources,
-    out=None)`` builds it, into ``out`` if given.
+
+def _xy_log(x1x2: np.ndarray) -> np.ndarray:
+    """The ``p log p`` of the tables of ``_XY_ROWS`` at P(x1, x2), as one table (9, 2, n) in their rows.
+
+    Each table is built into its rows, and one ``plogp`` call logs them all.
     """
-
-    shape: tuple[int, ...]
-    fill: Callable[..., np.ndarray]
-
-
-def _logged(table: np.ndarray) -> np.ndarray:
-    """The ``how`` of the node ``<table>_log``, the ``p log p`` of a :class:`_LoggedTable` (see :func:`_log_step`)."""
+    table = np.empty((9, 2, x1x2.shape[-1]))
+    t = {name: table[rows] for name, rows in _XY_ROWS.items()}
+    t["x1x2"][...] = x1x2
+    half = np.multiply(t["x1x2"], _W, out=t["half"])
+    # y = x1 + 1 at x1 comes from both x2, and y = x2 + 1 at x2 from both x1
+    np.add(half[:, 0], half[:, 1], out=t["x1y_mid"])
+    np.add(half[0], half[1], out=t["x2y_mid"])
+    # y = 1 and 2 come from three cells each, added as in _cell_sum: (01 + 10) + 00 and (01 + 10) + 11
+    np.add(half[0, 1] + half[1, 0], half.reshape(4, -1)[::3], out=t["y_mid"])  # the cells 00 and 11
+    np.add(t["x1x2"][:, 0], t["x1x2"][:, 1], out=t["x1"])
+    np.add(t["x1x2"][0], t["x1x2"][1], out=t["x2"])
     return plogp(table)
-
-
-def _log_step(seeds: tuple[str, ...], logs: list[str]) -> tuple:
-    """The plan step ``(logs, sources, how)``: it builds the tables the nodes ``logs`` log, and logs them.
-
-    Each table is built, or copied if it is a seed, into its rows of one
-    table, and one ``plogp`` call over that table gives every ``<table>_log``
-    as a view.  The step's nodes are the logs: the tables live only in it.
-    """
-    tables = [_GRAPH[log][0][0] for log in logs]
-    built = [name for name in tables if name not in seeds]
-    sources = tuple(dict.fromkeys(
-        [source for name in built for source in _GRAPH[name][0] if source not in tables]
-        + [name for name in tables if name in seeds]
-    ))
-    rows, start = [], 0
-    for name in tables:
-        shape = _GRAPH[name][1].shape
-        rows.append((name, start, start + math.prod(shape), shape))
-        start += math.prod(shape)
-
-    def how(*values):
-        nodes = dict(zip(sources, values))
-        n = values[0].shape[-1]
-        table = np.empty((start, n))
-        for name, begin, end, shape in rows:
-            view = table[begin:end].reshape(*shape, n)
-            if name in seeds:
-                view[...] = nodes[name]
-            else:
-                node_sources, (_, fill) = _GRAPH[name]
-                fill(*[nodes[source] for source in node_sources], out=view)
-            nodes[name] = view
-        logged = plogp(table)
-        return [logged[begin:end].reshape(*shape, n) for _, begin, end, shape in rows]
-
-    return tuple(logs), sources, how
 
 
 #: the joint law of (T, X1, X2, Y) as one graph, with the batch axis last:
@@ -184,10 +151,10 @@ def _log_step(seeds: tuple[str, ...], logs: list[str]) -> tuple:
 #: adder's P(x1, x2, y[, t]), ``x1y_mid``, ``x2y_mid`` and ``y_mid`` the other
 #: distinct entries of P(x1, y), P(x2, y) and P(y), and ``<table>_log`` the
 #: ``p log p`` of ``<table>``; the rest are named by the variables they keep.
-#: The ``p log p`` of the tables of (X1, X2, Y) are taken together
-#: (:func:`_logged`).  ``H(v)``, the entropy of the variables v, comes after
-#: the last table it reads, and the ``STAT_COLUMNS`` come last, each from its
-#: entropies.
+#: ``xy_log`` holds the ``p log p`` of the tables of ``_XY_ROWS``, and their
+#: ``<table>_log`` are views of its rows.  ``H(v)``, the entropy of the
+#: variables v, comes after the last table it reads, and the ``STAT_COLUMNS``
+#: come last, each from its entropies.
 _GRAPH = {
     "H(t)": (("t",), _entropy),
     "b1": (("q1",), lambda q1: np.stack([q1, 1.0 - q1])),  # (2, K, n)
@@ -203,21 +170,9 @@ _GRAPH = {
     "H(tx1x2y)": (("w_log",), lambda logs: _log_entropy(np.stack([logs, logs], axis=2))),
     "H(tx1y)": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x2(half, logs))),
     "H(tx2y)": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x1(half, logs))),
-    # the tables of (X1, X2, Y), whose p log p are taken together
-    "x1x2": (("w",), _LoggedTable((2, 2), lambda w, out=None: _sum_rows(w, axis=2, out=out))),
-    "half": (("x1x2",), _LoggedTable((2, 2), lambda x1x2, out=None: np.multiply(x1x2, _W, out=out))),
-    # y = x1 + 1 at x1 comes from both x2, and y = x2 + 1 at x2 from both x1
-    "x1y_mid": (("half",), _LoggedTable((2,), lambda half, out=None: np.add(half[:, 0], half[:, 1], out=out))),
-    "x2y_mid": (("half",), _LoggedTable((2,), lambda half, out=None: np.add(half[0], half[1], out=out))),
-    # y = 1 and 2 come from three cells each, added as in _cell_sum: (01 + 10) + 00 and (01 + 10) + 11
-    "y_mid": (("half",), _LoggedTable((2,), lambda half, out=None: np.add(
-        half[0, 1] + half[1, 0], half.reshape(4, -1)[::3], out=out))),  # the cells 00 and 11
-    "x1": (("x1x2",), _LoggedTable((2,), lambda x1x2, out=None: np.add(x1x2[:, 0], x1x2[:, 1], out=out))),
-    "x2": (("x1x2",), _LoggedTable((2,), lambda x1x2, out=None: np.add(x1x2[0], x1x2[1], out=out))),
-    "y_erasure": (("x1x2",), _LoggedTable((3,), lambda x1x2, out=None: _cell_sum(x1x2[:, :, None] * _ERASURE[..., None], out))),
-    **{f"{table}_log": ((table,), _logged) for table in (
-        "x1x2", "half", "x1y_mid", "x2y_mid", "y_mid", "x1", "x2", "y_erasure",
-    )},
+    "x1x2": (("w",), lambda w: _sum_rows(w, axis=2)),  # (2, 2, n)
+    "xy_log": (("x1x2",), _xy_log),
+    **{f"{table}_log": (("xy_log",), itemgetter(rows)) for table, rows in _XY_ROWS.items()},
     "H(x1x2)": (("x1x2_log",), lambda logs: -_cell_sum(logs)),
     # each cell of P(x1, x2, y) holds its half twice, and the cells add as in H(x1x2)
     "H(x1x2y)": (("half_log",), lambda logs: -_cell_sum(logs + logs)),
@@ -227,7 +182,8 @@ _GRAPH = {
     "H(y)": (("half_log", "y_mid_log"), lambda h, m: _neg_sum(h[0, 0], m[0], m[1], h[1, 1])),
     "H(x1)": (("x1_log",), _log_entropy),
     "H(x2)": (("x2_log",), _log_entropy),
-    "H(y_erasure)": (("y_erasure_log",), _log_entropy),
+    "y_erasure": (("x1x2",), lambda x1x2: _cell_sum(x1x2[:, :, None] * _ERASURE[..., None])),
+    "H(y_erasure)": (("y_erasure",), _entropy),
     "h_x1_given_t": (("H(tx1)", "H(t)"), lambda tx1, t: tx1 - t),
     "h_x2_given_t": (("H(tx2)", "H(t)"), lambda tx2, t: tx2 - t),
     "i_x1_y_given_x2": (("H(x1x2)", "H(x2)", "H(x1x2y)", "H(x2y)"), lambda x1x2, x2, x1x2y, x2y: (x1x2 - x2) - (x1x2y - x2y)),
@@ -244,24 +200,21 @@ _GRAPH = {
 def _build_plan(seeds: tuple[str, ...], columns: tuple[str, ...]) -> tuple:
     """The steps that give ``columns`` from the nodes ``seeds``: the other nodes they read, in graph order.
 
-    A step is ``(node, its sources, how, the nodes no later step reads)``.
-    Every node is a step of its own but the :func:`_logged` ones and the
-    tables they log, which make one :func:`_log_step` at the place of the
-    first, whose node is the tuple of the logs and whose ``how`` returns one
-    value for each: so such a table reads only such tables and nodes before
-    them, and only its log reads it.  Each node is dropped right after its
-    last reader, and no node reads a column.
+    A step is ``(node, its sources, how, the nodes no later step reads)``:
+    each node is dropped right after its last reader, and no node reads a
+    column.  Kept to the end of the chunk, the tables of a 1,482-row
+    ``cutset_stats`` call made the allocator hand its pages back and fault
+    them in again on every call: about 19% slower (2-vCPU VM).
 
-    Kept to the end of the chunk, the tables of a 1,482-row ``cutset_stats``
-    call made the allocator hand its pages back and fault them in again on
-    every call: about 19% slower (2-vCPU VM).  The one table of a cut-set
-    chunk, 18 rows, and its logs each outgrow glibc's initial mmap
-    threshold.  Called again and again at one size of 1,629 to 2,896 rows,
-    a call faults 70 to 162 pages back in, and at 1,629 and 2,172 rows it
-    is slower than the seven tables it replaced.  In the region solve the
-    first outer call's 2,896-row batch raises the thresholds, so the solve
-    faults 207 pages once at 2,896 rows and about 130 once at 2,172, then
-    at most one per call.
+    The table of ``xy_log``, 18 rows of a cut-set chunk, and its logs each
+    outgrow glibc's initial mmap threshold (measured when the 18 entries
+    were first logged as one table, with the allocations of now).  Called
+    again and again at one size of 1,629 to 2,896 rows, a call faults 70 to
+    162 pages back in, and at 1,629 and 2,172 rows it is slower than the
+    seven tables it replaced.  In the region solve the first outer call's
+    2,896-row batch raises the thresholds, so the solve faults 207 pages
+    once at 2,896 rows and about 130 once at 2,172, then at most one per
+    call.
     """
     for name in columns:
         if name not in STAT_COLUMNS:
@@ -271,18 +224,10 @@ def _build_plan(seeds: tuple[str, ...], columns: tuple[str, ...]) -> tuple:
         if name in need and name not in seeds:
             need.update(_GRAPH[name][0])
     order = [name for name in _GRAPH if name in need and name not in seeds]
-    logs = [name for name in order if _GRAPH[name][1] is _logged]
-    together = {*logs, *(_GRAPH[log][0][0] for log in logs)}
-    first = next((name for name in order if name in together), None)
-    steps = []
-    for name in order:
-        sources, how = _GRAPH[name]
-        if name == first:
-            steps.append(_log_step(seeds, logs))
-        elif name not in together:
-            steps.append((name, sources, how.fill if isinstance(how, _LoggedTable) else how))
-    last = {source: at for at, (_, sources, _) in enumerate(steps) for source in sources}
-    return tuple((*step, tuple(node for node, at in last.items() if at == i)) for i, step in enumerate(steps))
+    last = {source: step for step, name in enumerate(order) for source in _GRAPH[name][0]}
+    return tuple(
+        (name, *_GRAPH[name], tuple(node for node, at in last.items() if at == step)) for step, name in enumerate(order)
+    )
 
 
 def _stats(seeds: dict, columns: tuple[str, ...]) -> np.ndarray:
@@ -294,11 +239,7 @@ def _stats(seeds: dict, columns: tuple[str, ...]) -> np.ndarray:
         sl = slice(start, min(start + CHUNK, n))
         nodes = {name: seed[..., sl] for name, seed in seeds.items()}
         for name, sources, how, drop in plan:
-            value = how(*[nodes[source] for source in sources])
-            if isinstance(name, tuple):
-                nodes.update(zip(name, value))
-            else:
-                nodes[name] = value
+            nodes[name] = how(*[nodes[source] for source in sources])
             for node in drop:
                 del nodes[node]
         for row, name in zip(out, columns):

@@ -153,7 +153,9 @@ class RateConstraintSet:
         return [(x_max, 0.0), (0.0, y_max), (x_max, y_at_x), (x_at_y, y_max)]
 
     def support(self, lam: float) -> float:
-        """max of lam*R1 + (1-lam)*R2 over the set."""
+        """max of lam*R1 + (1-lam)*R2 over the set, for lam in [0, 1]."""
+        if not 0.0 <= lam <= 1.0:  # NaN too
+            raise ValueError("lambda must lie in [0, 1]")
         self._upper_corners()  # raises unless the set is bounded
         return float(_support_of_caps(np.array(self._caps())[:, None], lam, 1.0 - lam)[0])
 

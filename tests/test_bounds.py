@@ -43,6 +43,12 @@ class TestRateConstraintSet:
         assert not caps.contains(0.8, 0.8)
         assert caps.support(0.5) == 0.75
 
+    @pytest.mark.parametrize("lam", [1.5, -0.5, math.nan])
+    def test_support_rejects_lambda_outside_the_unit_interval(self, lam):
+        # at 1.5 the corner formulas gave 1.25, but 1.5 R1 - 0.5 R2 peaks at 1.5, at (1, 0)
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\]"):
+            RateConstraintSet(1.0, 1.0, 1.5).support(lam)
+
     def test_box_only_when_sum_is_slack(self):
         caps = RateConstraintSet(0.3, 0.4, 5.0)
         assert (0.3, 0.4) in set(caps.corners())

@@ -144,35 +144,17 @@ def test_every_node_comes_after_its_sources():
         for source in sources:
             assert source in ("t", "q1", "q2") or graph.index(source) < graph.index(name), (name, source)
     assert set(_kernels.STAT_COLUMNS) <= set(graph)
-    # the tables of (X1, X2, Y) and their logs are one run, so their one
-    # step comes after every other node they read and before every reader
-    together = [
-        name for name, (_, how) in _kernels._GRAPH.items()
-        if how is _kernels._logged or isinstance(how, _kernels._LoggedTable)
-    ]
-    start = graph.index(together[0])
-    assert graph[start : start + len(together)] == together
-    for name in together:
-        sources, how = _kernels._GRAPH[name]
-        if how is _kernels._logged:
-            assert isinstance(_kernels._GRAPH[sources[0]][1], _kernels._LoggedTable), name
 
 
 @pytest.mark.parametrize("seeds, columns", CALLER_PLANS)
 def test_each_node_is_dropped_right_after_its_last_reader(seeds, columns):
     plan = _kernels._build_plan(seeds, columns)
-    # a step builds one node, or the tuple of the logs of the tables of (X1, X2, Y)
-    steps = [(node if isinstance(node, tuple) else (node,), *rest) for node, *rest in plan]
-    built = [name for names, *_ in steps for name in names]
+    built = [name for name, *_ in plan]
     graph = list(_kernels._GRAPH)
     assert built == sorted(built, key=graph.index) and not set(built) & set(seeds)
-    # the logs are the nodes of one step, and only they share a step
-    logged = [name for name in built if _kernels._GRAPH[name][1] is _kernels._logged]
-    assert [names for names, *_ in steps if len(names) > 1 or set(names) & set(logged)] in ([], [tuple(logged)])
-    done, last_reader, dropped = set(seeds), {}, {}
-    for step, (names, sources, _, drop) in enumerate(steps):
-        assert set(sources) <= done, names
-        done.update(names)
+    last_reader, dropped = {}, {}
+    for step, (name, sources, _, drop) in enumerate(plan):
+        assert all(source in seeds or source in built[:step] for source in sources), name
         last_reader.update(dict.fromkeys(sources, step))
         for node in drop:
             assert node not in dropped, node
@@ -192,10 +174,27 @@ def test_input_stats_rejects_every_name_outside_the_columns(monkeypatch, rng, na
     assert not logged  # raised before any chunk is built
 
 
+def test_xy_log_views_tile_its_rows_and_every_node_is_built():
+    # the <table>_log views of xy_log cover its 18 rows once each, in order
+    n = 3
+    shape = _kernels._xy_log(np.full((2, 2, n), 0.25)).shape
+    assert np.prod(shape) == 18 * n
+    table = np.arange(18 * n, dtype=float).reshape(shape)
+    views = [_kernels._GRAPH[f"{name}_log"] for name in _kernels._XY_ROWS]
+    assert all(sources == ("xy_log",) for sources, _ in views)
+    rows = [how(table) for _, how in views]
+    assert all(np.shares_memory(view, table) for view in rows)
+    np.testing.assert_array_equal(np.concatenate([view.reshape(-1, n) for view in rows]), table.reshape(-1, n))
+    # no node of the graph is left that no caller's plan builds
+    plans = [*CALLER_PLANS, (("t", "q1", "q2"), _kernels.STAT_COLUMNS)]
+    built = {name for seeds, columns in plans for name, *_ in _kernels._build_plan(seeds, columns)}
+    assert built == set(_kernels._GRAPH)
+
+
 def test_only_the_requested_tables_are_logged(monkeypatch, rng):
     # the entries per batch row that one K = 2 chunk, and one cut-set chunk,
-    # takes p log p of: each distinct value of the noisy adder's tables once;
-    # and the plogp calls it makes: the tables of (X1, X2, Y) take one
+    # takes p log p of: each distinct value of the noisy adder's tables once,
+    # the 18 of (X1, X2, Y) all together, in one plogp call, whichever a call reads
     rows = []
 
     def counted(table):
@@ -205,11 +204,11 @@ def test_only_the_requested_tables_are_logged(monkeypatch, rng):
     monkeypatch.setattr(_kernels, "plogp", counted)
     p, q1, q2 = random_batch(rng, 16, 2)
     pins = [
-        (_kernels.STAT_COLUMNS, 47, 7),
-        (oracle._OBJECTIVE_FORMS["db1_symmetric_direct"][0], 24, 4),
-        (oracle._OBJECTIVE_FORMS["cl_symmetric_direct"][0], 20, 4),
+        (_kernels.STAT_COLUMNS, 47, 8),
+        (oracle._OBJECTIVE_FORMS["db1_symmetric_direct"][0], 28, 4),
+        (oracle._OBJECTIVE_FORMS["cl_symmetric_direct"][0], 28, 4),
         (oracle._OBJECTIVE_FORMS["erasure_sum_direct"][0], 3, 1),
-        (oracle._OBJECTIVE_COLUMNS, 27, 4),
+        (oracle._OBJECTIVE_COLUMNS, 31, 5),
     ]
     for columns, logged, calls in pins:
         rows.clear()
