@@ -30,8 +30,12 @@ region solve a call's cost is numpy's per-call dispatch, not its arithmetic.
 Every entropy adds its terms in a fixed order (:func:`_sum_rows`,
 :func:`_neg_sum`), so each row gets the same bits whatever batch, chunk or
 position it comes in.  The order is that of the full table with its zero
-entries left out.  The tables of (X1, X2, ...) are summed cell by cell in
-an order the swap X1 <-> X2 keeps (:func:`_cell_sum`).
+entries left out.  The terms of the noisy adder's tables of (T, X1, X2, Y)
+are added in place, row after row, with no stacked copy of them
+(:func:`_doubled_terms`, :func:`_y_terms`).  The tables of (X1, X2, ...)
+are summed cell by cell in an order the swap X1 <-> X2 keeps
+(:func:`_cell_sum`).  P(y) of the erasure adder is built from its three
+entries.
 """
 
 from __future__ import annotations
@@ -41,13 +45,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from ..channel import Channel, transition_tensor
 from ..infofn import plogp
 
 #: rows per kernel chunk, small enough that a chunk's tables stay in the CPU cache
 CHUNK = 1 << 12
-
-_ERASURE = transition_tensor(Channel.ERASURE)
 
 #: W(y | x1, x2) at each of the two y the noisy adder's (x1, x2) can give
 _W = 0.5
@@ -96,18 +97,21 @@ def _cell_sum(t: np.ndarray) -> np.ndarray:
     return (t[0, 1] + t[1, 0]) + t[0, 0] + t[1, 1]
 
 
-def _over_x2(half: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """The terms of P(x1, y, t) from the distinct entries ``half`` of P(x1, x2, y, t) and their ``logs``.
+def _y_terms(half: np.ndarray, logs: np.ndarray) -> list[np.ndarray]:
+    """The terms of P(x1, y, t) as rows, in (x1, y, t) order.
 
-    At x1, y = x1 comes only from x2 = 0, y = x1 + 2 only from x2 = 1, and
-    y = x1 + 1 from both; so (x1, 3, ...).
+    They come from the distinct entries ``half`` of P(x1, x2, y, t) and
+    their ``logs``.  At x1, y = x1 comes only from x2 = 0, y = x1 + 2 only
+    from x2 = 1, and y = x1 + 1 from both.  With the users swapped, the terms
+    of P(x2, y, t).
     """
-    return np.stack([logs[:, 0], plogp(half[:, 0] + half[:, 1]), logs[:, 1]], axis=1)
+    mid = plogp(half[:, 0] + half[:, 1])
+    return [row for x1 in (0, 1) for part in (logs[x1, 0], mid[x1], logs[x1, 1]) for row in part]
 
 
-def _over_x1(half: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """The terms of P(x2, y, t): :func:`_over_x2` with the users swapped, (x2, 3, ...)."""
-    return _over_x2(half.swapaxes(0, 1), logs.swapaxes(0, 1))
+def _doubled_terms(logs: np.ndarray) -> list[np.ndarray]:
+    """The terms of P(x1, x2, y, t) as rows, in (x1, x2, duplicate, t) order: each row of ``logs`` twice."""
+    return [row for cell in logs.reshape(4, *logs.shape[2:]) for row in (*cell, *cell)]
 
 
 def _neg_sum(*rows: np.ndarray) -> np.ndarray:
@@ -167,9 +171,9 @@ _GRAPH = {
     "w_half": (("w",), lambda w: w * _W),
     "w_log": (("w_half",), lambda w_half: plogp(w_half)),
     # each entry of P(x1, x2, y, t) holds its half twice
-    "H(tx1x2y)": (("w_log",), lambda logs: _log_entropy(np.stack([logs, logs], axis=2))),
-    "H(tx1y)": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x2(half, logs))),
-    "H(tx2y)": (("w_half", "w_log"), lambda half, logs: _log_entropy(_over_x1(half, logs))),
+    "H(tx1x2y)": (("w_log",), lambda logs: _neg_sum(*_doubled_terms(logs))),
+    "H(tx1y)": (("w_half", "w_log"), lambda half, logs: _neg_sum(*_y_terms(half, logs))),
+    "H(tx2y)": (("w_half", "w_log"), lambda half, logs: _neg_sum(*_y_terms(half.swapaxes(0, 1), logs.swapaxes(0, 1)))),
     "x1x2": (("w",), lambda w: _sum_rows(w, axis=2)),  # (2, 2, n)
     "xy_log": (("x1x2",), _xy_log),
     **{f"{table}_log": (("xy_log",), itemgetter(rows)) for table, rows in _XY_ROWS.items()},
@@ -182,7 +186,8 @@ _GRAPH = {
     "H(y)": (("half_log", "y_mid_log"), lambda h, m: _neg_sum(h[0, 0], m[0], m[1], h[1, 1])),
     "H(x1)": (("x1_log",), _log_entropy),
     "H(x2)": (("x2_log",), _log_entropy),
-    "y_erasure": (("x1x2",), lambda x1x2: _cell_sum(x1x2[:, :, None] * _ERASURE[..., None])),
+    # the erasure adder's Y = X1 + X2, so P(y) = (P(00), P(01) + P(10), P(11))
+    "y_erasure": (("x1x2",), lambda x1x2: np.stack([x1x2[0, 0], x1x2[0, 1] + x1x2[1, 0], x1x2[1, 1]])),
     "H(y_erasure)": (("y_erasure",), _entropy),
     "h_x1_given_t": (("H(tx1)", "H(t)"), lambda tx1, t: tx1 - t),
     "h_x2_given_t": (("H(tx2)", "H(t)"), lambda tx2, t: tx2 - t),

@@ -10,8 +10,14 @@ only to be compared with the enumeration.
 
 :func:`verify_characterization` and the three lattice objectives of
 :func:`oracle_max` read the same input lattice, and one sweep of it serves
-them all: each block makes one ``input_stats`` call for every column they
-read (:func:`_sweep`).  Every sweep of a lattice stores the three
+them all (:func:`_sweep`).  At ``t_card`` 1 and 2 the q set is the product
+U x U of one user lattice U, so the terms that read one user's input alone,
+H(X1|T), H(X2|T) and their caps, take |U| values at a point of P(t).  Each
+block takes them at the user rows it touches, from one small
+``input_stats`` call and one row of ``bounds._CAPS``, and gathers them to
+its rows; one ``input_stats`` call over the block gives every other column
+(:func:`_block_stats`).  At ``t_card`` 3, a Latin hypercube, one call over
+the block gives every column.  Every sweep of a lattice stores the three
 objectives' results, each a (value, row, rows swept) triple, under the
 frozen ``OracleConfig`` in ``_BEST``, a module-level memo of under 1 KB per
 config that nothing evicts.  ``oracle_max`` reads it, and sweeps only when
@@ -44,6 +50,7 @@ this one; the sharding has been run on Python 3.11 only.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -84,7 +91,9 @@ class OracleConfig:
     ``steps`` is the number of lattice points per probability axis.  Each
     point of the P(t) simplex lattice is swept with the full q lattice of
     ``2 * t_card`` axes, or, for ``t_card == 3``, with ``steps**3`` points of
-    a Latin hypercube drawn from ``seed``.  ``budget`` only bounds the size.
+    a Latin hypercube drawn from ``seed``, a non-negative integer.
+    ``budget``, a positive integer as ``MACFB_BUDGET`` is, only bounds the
+    size; None means ``MACFB_BUDGET`` or the default.
     """
 
     t_card: int = 2
@@ -97,8 +106,12 @@ class OracleConfig:
             raise ValueError("t_card must be 1, 2 or 3")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.budget is None:
             object.__setattr__(self, "budget", env_budget())
+        elif not isinstance(self.budget, numbers.Integral) or self.budget < 1:
+            raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
 
     @property
     def grid_size(self) -> int:
@@ -135,16 +148,45 @@ def _simplex_lattice(parts: int, steps: int) -> Iterator[np.ndarray]:
 
 def iter_input_grid(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (p, q1, q2) chunks of shape (n, t_card): the q set at every point of the P(t) lattice."""
+    for block, _ in _input_blocks(cfg):
+        yield block
+
+
+def _input_blocks(cfg: OracleConfig) -> Iterator[tuple[tuple, tuple | None]]:
+    """Yield each chunk of :func:`iter_input_grid` as ``((p, q1, q2), users)``.
+
+    For ``t_card`` 1 and 2 the q set is U x U, U = g^t_card the user lattice
+    in "ij" order: row r is (U[r // |U|], U[r % |U|]).  ``users`` is then
+    ``(p, v, at1, at2)``: the chunk's P(t) at the user rows ``v`` = U[lo:hi]
+    that its q1 and q2 rows lie in, and the index in ``v`` of each row's q1
+    and of its q2.  For ``t_card`` 3, a Latin hypercube of the six q axes
+    with no such product, ``users`` is None.
+    """
     k, g = cfg.t_card, np.linspace(0.0, 1.0, cfg.steps)
     if k == 3:  # a full lattice of six q axes is out of reach
         q = _latin_hypercube(np.random.default_rng(cfg.seed), cfg.steps**3, 6)
     else:
-        q = np.stack([x.ravel() for x in np.meshgrid(*[g] * (2 * k), indexing="ij")], axis=1)
+        user = np.stack([x.ravel() for x in np.meshgrid(*[g] * k, indexing="ij")], axis=1)
+        m = len(user)
+        at1, at2 = np.divmod(np.arange(m * m), m)
+        q = np.concatenate([user[at1], user[at2]], axis=1)
     for p_rows in _simplex_lattice(k, cfg.steps):
         for p in p_rows:
             for start in range(0, len(q), _CHUNK):
-                block = q[start : start + _CHUNK]
-                yield np.broadcast_to(p, (len(block), k)), block[:, :k], block[:, k:]
+                stop = min(start + _CHUNK, len(q))
+                block = q[start:stop]
+                rows = np.broadcast_to(p, (len(block), k)), block[:, :k], block[:, k:]
+                if k == 3:
+                    yield rows, None
+                    continue
+                # the q1 rows of the chunk, and its q2 rows: all of U once it holds more than one run of q1
+                a1, b1 = start // m, (stop - 1) // m + 1
+                a2, b2 = (start % m, (stop - 1) % m + 1) if b1 - a1 == 1 else (0, m)
+                lo, hi = min(a1, a2), max(b1, b2)
+                at = at1[start:stop], at2[start:stop]
+                if lo:  # only a chunk inside one run of q1 can start past U's first row
+                    at = tuple(a - lo for a in at)
+                yield rows, (np.broadcast_to(p, (hi - lo, k)), user[lo:hi], *at)
 
 
 def _grid_blocks(cfg: OracleConfig) -> list[int]:
@@ -297,10 +339,11 @@ def _best_row(parts, vals) -> tuple[float, np.ndarray, int]:
     """A block's best value, its lexicographically smallest parameter row, and the block's row count.
 
     The block's parameter rows are its ``parts`` side by side; they are
-    joined only for the rows that reach the best value.
+    joined only for the rows that reach the best value, found by one scan of
+    ``vals`` (a boolean mask would be scanned again for each part).
     """
     m = float(vals.max())
-    hit = vals == m
+    hit = np.flatnonzero(vals == m)
     rows = np.concatenate([x[hit] for x in parts], axis=1)
     return m, rows[np.lexsort(rows.T[::-1])[0]], len(vals)
 
@@ -353,22 +396,44 @@ def _sweep_lattice(cfg: OracleConfig, characterize: bool):
     None when ``characterize`` is false.
     """
     each = partial(_sweep, characterize=characterize)
-    best, report = _sharded(each, _merge_sweeps, lambda: iter_input_grid(cfg), _grid_blocks(cfg))
+    best, report = _sharded(each, _merge_sweeps, lambda: _input_blocks(cfg), _grid_blocks(cfg))
     _BEST[cfg] = dict(zip(_OBJECTIVE_FORMS, best))
     return report
 
 
-def _sweep(block, characterize: bool):
-    """A block's :func:`_best_row` for each lattice objective, and its :func:`_characterize` report if asked.
+def _sweep(chunk, characterize: bool):
+    """A chunk's :func:`_best_row` for each lattice objective, and its :func:`_characterize` report if asked.
 
-    One ``input_stats`` call gives every column they read: with
-    ``characterize`` those of ``_CHECKED_COLUMNS``, which hold
-    ``_OBJECTIVE_COLUMNS``, else ``_OBJECTIVE_COLUMNS`` alone.
+    ``chunk`` is a ``(block, users)`` pair of :func:`_input_blocks`.  The
+    columns read are, with ``characterize``, those of ``_CHECKED_COLUMNS``,
+    which hold ``_OBJECTIVE_COLUMNS``, else ``_OBJECTIVE_COLUMNS`` alone.
     """
-    columns = _CHECKED_COLUMNS if characterize else _OBJECTIVE_COLUMNS
-    s = dict(zip(columns, _kernels.input_stats(*block, columns).T))
+    block, users = chunk
+    s = _block_stats(block, users, _CHECKED_COLUMNS if characterize else _OBJECTIVE_COLUMNS)
     best = tuple(_best_row(block, form(*map(s.get, names))) for names, form in _OBJECTIVE_FORMS.values())
-    return best, _characterize(block, s) if characterize else None
+    return best, _characterize(block, s, users) if characterize else None
+
+
+#: the columns that read one user's input law alone: H(X1|T) at (P(t), q1), and H(X2|T) at (P(t), q2)
+_PER_USER = ("h_x1_given_t", "h_x2_given_t")
+
+
+def _block_stats(block, users, columns: tuple[str, ...]) -> dict:
+    """The block's ``columns``, by name.
+
+    Without ``users`` one ``input_stats`` call gives them all.  With them,
+    one call over the block gives the columns that read both users, and one
+    at the user rows gives the ``_PER_USER`` columns, which both column
+    sets of :func:`_sweep` read, gathered to the block's rows.
+    """
+    if users is None:
+        return dict(zip(columns, _kernels.input_stats(*block, columns).T))
+    joint = tuple(name for name in columns if name not in _PER_USER)
+    s = dict(zip(joint, _kernels.input_stats(*block, joint).T))
+    p, v, at1, at2 = users
+    h1, h2 = _kernels.input_stats(p, v, v, _PER_USER).T
+    s["h_x1_given_t"], s["h_x2_given_t"] = np.take(h1, at1), np.take(h2, at2)
+    return s
 
 
 def _merge_sweeps(a, b):
@@ -425,14 +490,22 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     return CharacterizationReport(config=cfg, n_evaluated=n, max_violation=viol, equality_count=eq)
 
 
-def _characterize(block, s: dict) -> tuple[int, dict, dict]:
+def _characterize(block, s: dict, users=None) -> tuple[int, dict, dict]:
     """The rows of a ``(p, q1, q2)`` block, each check's largest violation over them, and each cap's tight rows.
 
     ``s`` maps each name of ``_CHECKED_COLUMNS`` to the block's column.
+    With the block's ``users`` of :func:`_input_blocks`, the caps of H(X1|T)
+    and H(X2|T), which read u1 and u2 alone, are taken at the user rows and
+    gathered to the block's rows.
     """
     p, q1, q2 = block
     u1, u2, u = u_triples(p, q1, q2)
+    if users is not None:  # the block's u1 and u2 are dropped here
+        p, v, at1, at2 = users
+        u1, u2, _ = u_triples(p, v, v)
     h1, h2, mu = bounds._CAPS["erasure-fb"](u1, u2, u)  # the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
+    if users is not None:
+        h1, h2 = np.take(h1, at1), np.take(h2, at2)
     half_h = bounds._half_h(u)
     caps = dict(zip(_INEQUALITIES, (h1, h2, half_h, half_h, bounds._h_mid(u), mu)))
     viol, eq = {}, {}

@@ -311,9 +311,11 @@ def _reference_cutset_stats(joint):
 
 def test_entropies_skip_only_exact_zeros(rng):
     # the noisy tables held by their distinct entries give every bit, the
-    # sign of a zero too, of the full tables summed entry by entry
+    # sign of a zero too, of the full tables summed entry by entry; the terms
+    # of the tables of T are added in place in the full table's C order, so
+    # K up to 8 is checked
     assert set(transition_tensor(Channel.NOISY_ADDITIVE).ravel()) == {0.0, _kernels._W}
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4, 8):
         for n in (1, 2, 33):
             batch = zero_atom_batch(rng, n, k)
             got, want = _kernels.input_stats(*batch, _kernels.STAT_COLUMNS), _reference_input_stats(*batch)

@@ -81,6 +81,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(steps=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # checked here, not first inside a t_card-3 sweep by numpy
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            OracleConfig(t_card=3, seed=seed)
+
+    @pytest.mark.parametrize("budget", [0, -5, 1.5])
+    def test_explicit_budget_must_be_a_positive_integer(self, budget):
+        # as MACFB_BUDGET must be, and never reported as "exceeds budget -5"
+        with pytest.raises(ValueError, match=f"budget must be a positive integer, got {budget!r}"):
+            OracleConfig(budget=budget)
+
+    def test_a_numpy_integer_seed_and_a_budget_of_the_grid_size(self):
+        cfg = OracleConfig(t_card=3, steps=2, seed=np.int64(0), budget=24)
+        assert verify_characterization(cfg).n_evaluated == cfg.grid_size == 24
+
     def test_budget_exceeded(self):
         cfg = OracleConfig(t_card=2, steps=41, budget=1_000_000)
         with pytest.raises(BudgetExceededError):
@@ -366,26 +382,36 @@ class TestCharacterization:
             assert rep.max_violation[name] <= 1e-12
 
     def test_one_kernel_call_per_chunk(self, monkeypatch):
-        rows = []
+        # each chunk makes one call over its rows for the columns that read
+        # both users, then one at the 25 rows of the user lattice for the
+        # columns that read one user alone, H(X1|T) and H(X2|T)
+        calls = []
         input_stats = _kernels.input_stats
 
-        def counted(p, *rest):
-            rows.append(len(p))
-            return input_stats(p, *rest)
+        def counted(p, q1, q2, columns):
+            calls.append((len(p), columns))
+            return input_stats(p, q1, q2, columns)
 
         monkeypatch.setattr(_kernels, "input_stats", counted)
         monkeypatch.setattr(oracle_mod, "_CHUNK", 500)  # two chunks at each point of the P(t) lattice
         cfg = OracleConfig(t_card=2, steps=5)
         chunks = [len(p) for p, _, _ in oracle_mod.iter_input_grid(cfg)]
+        assert chunks == [500, 125] * 5
+        per_user = ("h_x1_given_t", "h_x2_given_t")
+
+        def pattern(columns):
+            joint = tuple(name for name in columns if name not in per_user)
+            return [call for rows in chunks for call in ((rows, joint), (25, per_user))]
+
         verify_characterization(cfg)
         for objective in _LATTICE_OBJECTIVES:  # the characterization's sweep serves them
             oracle_max(objective, cfg)
-        assert rows == chunks
-        rows.clear()
+        assert calls == pattern(oracle_mod._CHECKED_COLUMNS)
+        calls.clear()
         oracle_mod._BEST.clear()
         for objective in _LATTICE_OBJECTIVES:  # the first sweeps for all three
             oracle_max(objective, cfg)
-        assert rows == chunks
+        assert calls == pattern(oracle_mod._OBJECTIVE_COLUMNS)
 
     def test_report_serializes(self):
         rep = verify_characterization(OracleConfig(t_card=1, steps=5))
@@ -447,12 +473,12 @@ class TestSharding:
         # three blocks (p = (0, 1), (1/2, 1/2), (1, 0)) whose h_y_erasure gaps
         # are -1, -0.0 and +0.0: one sweep in block order reports -0.0, while
         # two shards hold (-1, +0.0) and (-0.0)
-        column = oracle_mod._INEQUALITIES.index("h_y_erasure")
         gap_of_block = {0.0: -1.0, 0.5: -0.0, 1.0: 0.0}
 
         def stats(p, q1, q2, columns):
             out = np.zeros((len(p), len(columns)))
-            out[:, column] = gap_of_block[float(p[0, 0])]
+            if "h_y_erasure" in columns:
+                out[:, columns.index("h_y_erasure")] = gap_of_block[float(p[0, 0])]
             return out
 
         monkeypatch.setattr(_kernels, "input_stats", stats)
@@ -604,6 +630,66 @@ class TestSharding:
             in_worker = pool.apply_async(verify_characterization, (cfg,)).get(timeout=120)
         assert json.dumps(in_worker.to_dict()) == json.dumps(verify_characterization(cfg).to_dict())
         _assert_no_child_left()
+
+
+def _all_rows_sweep(cfg):
+    """The sweep of ``cfg``'s lattice in one process with every column at every row: ``(best, report)``.
+
+    Each block makes one ``input_stats`` call for all ``STAT_COLUMNS``, and
+    ``_characterize`` takes every cap at every row.
+    """
+    def each(block):
+        s = dict(zip(_kernels.STAT_COLUMNS, _kernels.input_stats(*block, _kernels.STAT_COLUMNS).T))
+        forms = oracle_mod._OBJECTIVE_FORMS.values()
+        best = tuple(oracle_mod._best_row(block, form(*map(s.get, names))) for names, form in forms)
+        return best, oracle_mod._characterize(block, s)
+
+    return reduce(oracle_mod._merge_sweeps, map(each, oracle_mod.iter_input_grid(cfg)))
+
+
+class TestPerUserTerms:
+    """H(X1|T), H(X2|T) and their caps, taken once per user-lattice row, give the bits of every row's own."""
+
+    @pytest.mark.parametrize("cfg", [OracleConfig(t_card=1, steps=9), OracleConfig(t_card=2, steps=6)])
+    @pytest.mark.parametrize("chunk", [17, 500, None])  # 17 and 500 cut inside a run of the 9 or 36 user rows
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_per_user_sweep_is_the_all_rows_sweep(self, monkeypatch, shards, cfg, chunk, cpus):
+        if chunk is not None:
+            monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
+        best, report = _all_rows_sweep(cfg)
+        shards(cpus)
+        rep = verify_characterization(cfg)
+        assert _bits((rep.n_evaluated, rep.max_violation, rep.equality_count)) == _bits(report)
+        assert _bits(tuple(oracle_mod._BEST[cfg].values())) == _bits(best)
+        oracle_mod._BEST.clear()  # and the objectives' own sweep
+        assert [oracle_max(objective, cfg).to_dict() for objective in _LATTICE_OBJECTIVES] == [
+            oracle_mod.OracleResult(objective, value, tuple(float(v) for v in row), n, cfg).to_dict()
+            for objective, (value, row, n) in zip(_LATTICE_OBJECTIVES, best)
+        ]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("t_card, steps, chunk", [(1, 9, 4), (1, 9, 17), (2, 6, 17), (2, 6, 500), (2, 6, None)])
+    def test_each_row_is_its_users_rows(self, monkeypatch, t_card, steps, chunk):
+        # the user rows hold each row's q1 and q2, and the chunks are those of the q set U x U
+        if chunk is not None:
+            monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
+        cfg = OracleConfig(t_card=t_card, steps=steps)
+        g = np.linspace(0.0, 1.0, steps)
+        q = np.stack([x.ravel() for x in np.meshgrid(*[g] * (2 * t_card), indexing="ij")], axis=1)
+        chunks = list(oracle_mod._input_blocks(cfg))
+        assert [len(p) for (p, _, _), _ in chunks] == oracle_mod._grid_blocks(cfg)
+        start = 0
+        for (p, q1, q2), (p_users, v, at1, at2) in chunks:
+            rows = slice(start % len(q), start % len(q) + len(p))
+            np.testing.assert_array_equal(np.concatenate([q1, q2], axis=1), q[rows])
+            np.testing.assert_array_equal(v[at1], q1)
+            np.testing.assert_array_equal(v[at2], q2)
+            np.testing.assert_array_equal(p_users, np.broadcast_to(p[0], (len(v), t_card)))
+            assert len(v) <= steps**t_card
+            # v starts and ends at rows that are read
+            assert min(at1.min(), at2.min()) == 0 and max(at1.max(), at2.max()) == len(v) - 1
+            start += len(p)
+        assert start == cfg.grid_size
 
 
 class TestMemo:
