@@ -12,9 +12,10 @@ symmetric rate off its caps.  The definition is staged: given the variable
 the solve's outer search moves (u for dbpc1, u1 for the others), it takes
 the terms of that variable alone once (h(u)/2 and h((1-u)/2); h(phi(2 u1))
 and 2 u1) and returns the caps as a function of the rest.  So the inner
-search, about 27 calls per outer step, evaluates only the terms that move
-with it.  Those terms, of shape ``(n,)``, broadcast against the rest at
-shape ``(m, n)``.  ``_CAPS`` holds each family's caps at a triple (u1, u2,
+search, 8 to 11 calls per outer step for cover-leung and erasure-fb and
+about 27 for the others, evaluates only the terms that move with it.
+Those terms, of shape ``(n,)``, broadcast against the rest at shape
+``(m, n)``.  ``_CAPS`` holds each family's caps at a triple (u1, u2,
 u), keyed like the exact pentagons of ``oracle._PENTAGONS``.  The constraint
 sets, ``symrate``, the oracle and the checks read it, and each row looks its
 staged form up here at call time, so the checks see what builds the regions.
@@ -31,9 +32,13 @@ reduced to two variables (x, y) over a box without losing its optimum:
 - erasure-fb: the (u1, u2) box with the sum cap mu(max(1/3, f2)), the
   triple form with u maximized out.
 
-Maximizing over y keeps concavity in x, so the nested golden-section search
-of :func:`macfb._search._solve` finds the optimum of all 181 directions at
-once.  Each family in ``_FAMILIES`` is its staged caps on the (x, y) box.
+Maximizing over y keeps concavity in x, so the nested search of
+:func:`macfb._search._solve` finds the optimum of all 181 directions at
+once: golden section over x, and over y either golden section (cutset,
+dbpc1) or, where the optimum over y is a crossing of two combinations of
+the caps, a root finder (cover-leung, erasure-fb; :func:`_pentagon_crossing`).
+Each family in ``_FAMILIES`` is its staged caps on the (x, y) box and its
+inner search.
 
 Since every region is convex, it is fixed by its support values, and no
 region sweeps a parameter grid:
@@ -46,8 +51,8 @@ region sweeps a parameter grid:
   pentagon corners, so they claim only what some input reaches
   (:func:`_inner_curve`).  They hull the solved corners and the exact
   boundary curve of the union: the top corner at grid_n values of u1, each
-  solved by a one-variable search over u2, and its mirror.  grid_n matters
-  to no other region.
+  the root of a difference of caps that rises in u2, and its mirror.
+  grid_n matters to no other region.
 
 Regions
 -------
@@ -70,7 +75,7 @@ import numpy as np
 
 from . import _kernels
 from ._budget import check_size
-from ._search import _golden_max, _solve
+from ._search import _crossing_max, _golden_max, _solve
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2
 from .geometry import SWEEP_LAMBDAS, BoundaryCurve, _concave_upper_hull, _support_polygon, pareto_filter
@@ -370,6 +375,42 @@ def _pentagon_support(stage_of, lams: np.ndarray):
     return fun
 
 
+def _swapped(lams: np.ndarray) -> np.ndarray:
+    """The directions below 1/2, which a family symmetric under swapping the users solves with the users swapped."""
+    return lams < 0.5
+
+
+def _pentagon_crossing(stage_of, lams: np.ndarray):
+    """A symmetric family's pentagon support and crossing difference, as the staged ``fun(x)`` of :func:`_solve`.
+
+    With weights (w1, w2), w1 >= w2, the support of caps (a, b, c) is the
+    smallest of L1 = w1 a + w2 b, L2 = (w1 - w2) a + w2 c and L3 = w1 c,
+    the vertices of the dual of the support LP.  In cover-leung and
+    erasure-fb, with u1 fixed, L1 rises with u2 and min(L2, L3) falls, so
+    the support over u2 peaks where L1 - min(L2, L3) crosses zero.  A
+    direction lam >= 1/2 takes the weights (lam, 1 - lam).  A direction
+    below 1/2 takes (1 - lam, lam): both families are symmetric under
+    swapping the users, so its support at (u1, u2) is that of direction lam
+    at (u2, u1), and its solved point holds the users swapped.
+    """
+    swapped = _swapped(lams)
+    w1, w2 = np.where(swapped, 1.0 - lams, lams), np.where(swapped, lams, 1.0 - lams)
+
+    def fun(x):
+        caps, k = stage_of(x), len(x) // len(lams)  # x holds the problems' points in turn
+        first, second = np.tile(w1, k), np.tile(w2, k)
+        both = first - second
+
+        def at(y):
+            a, b, c = caps(y)
+            low = np.minimum(both * a + second * c, first * c)
+            return np.stack([_support_of_caps((a, b, c), first, second), first * a + second * b - low])
+
+        return at
+
+    return fun
+
+
 def _db_face(u: np.ndarray):
     """dbpc1 caps on P's lower face at u in [0, 1/2]: ``caps(y)`` at u1 = y u (1 - u), y in [0, 1].
 
@@ -413,14 +454,26 @@ def _y_is_4u2(caps):
     return lambda y: caps(0.25 * y)
 
 
-#: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x)
-#: for each pentagon family; each looks its caps up on this module when called
+#: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x, inner search)
+#: for each pentagon family; each looks its caps up on this module when called.  The
+#: inner optimum of cover-leung and erasure-fb is a crossing (:func:`_pentagon_crossing`).
 _FAMILIES = {
-    "dbpc1": (_db_face, 0.5),
-    "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5),
-    "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25),
-    "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25),
+    "dbpc1": (_db_face, 0.5, _golden_max),
+    "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5, _golden_max),
+    "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25, _crossing_max),
+    "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25, _crossing_max),
 }
+
+
+def _solve_family(family: str, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solve of a family in the directions ``lams``: the maximizers x and y and the support there.
+
+    In a family of :func:`_crossing_max`, the point of a direction below
+    1/2 holds the users swapped (:func:`_pentagon_crossing`).
+    """
+    stage_of, x_hi, inner = _FAMILIES[family]
+    objective = _pentagon_crossing if inner is _crossing_max else _pentagon_support
+    return _solve(objective(stage_of, lams), x_hi, len(lams), inner)
 
 
 @lru_cache(maxsize=None)
@@ -429,17 +482,21 @@ def _solution(family: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     It does not depend on grid_n.
     """
-    stage_of, x_hi = _FAMILIES[family]
-    solution = _solve(_pentagon_support(stage_of, SWEEP_LAMBDAS), x_hi, len(SWEEP_LAMBDAS))
+    solution = _solve_family(family, SWEEP_LAMBDAS)
     for a in solution:
         a.flags.writeable = False
     return solution
 
 
 def _solved_points(family: str) -> np.ndarray:
-    """Pentagon corners at the optimum of each sweep direction."""
+    """Pentagon corners at the optimum of each sweep direction, mirrored where the users were swapped."""
     x, y, _ = _solution(family)
-    return _corner_points(*_FAMILIES[family][0](x)(y))
+    stage_of, _, inner = _FAMILIES[family]
+    points = _corner_points(*stage_of(x)(y))
+    if inner is _crossing_max:
+        swapped = np.tile(_swapped(SWEEP_LAMBDAS), 2)
+        points[swapped] = points[swapped, ::-1]
+    return points
 
 
 def cutset_region_noisy() -> BoundaryCurve:
@@ -452,19 +509,21 @@ def _inner_curve(family: str, grid_n: int) -> BoundaryCurve:
 
     In cover-leung and erasure-fb the r1 cap a rises with u1, the r2 cap b
     with u2, and the sum cap c rises in neither.  So at each u1 the union's
-    top corner at r1 = a(u1) is the maximum over u2 of min(b, c - a), a
-    unimodal problem; both families are symmetric, so the mirror gives the
-    other face.  Every point is an attained pentagon corner.
+    top corner at r1 = a(u1) is the maximum over u2 of min(b, c - a), where
+    b - (c - a), which rises, crosses zero (:func:`_crossing_max`); both
+    families are symmetric, so the mirror gives the other face.  Every
+    point is an attained pentagon corner.
     """
     check_size(grid_n, "inner face curve")
-    stage_of, x_hi = _FAMILIES[family]
+    stage_of, x_hi, _ = _FAMILIES[family]
     caps = stage_of(np.linspace(0.0, x_hi, grid_n))
 
     def top(y):
         a, b, c = caps(y)
-        return np.minimum(b, c - a)
+        rest = c - a
+        return np.stack([np.minimum(b, rest), b - rest])
 
-    y, _ = _golden_max(top, np.zeros(grid_n), np.ones(grid_n))
+    y, _ = _crossing_max(top, np.zeros(grid_n), np.ones(grid_n))
     face = _corner_points(*caps(y))
     pts = pareto_filter(np.concatenate([face, face[:, ::-1], _solved_points(family)])).points
     return BoundaryCurve(points=_concave_upper_hull(pts), label=family)

@@ -13,10 +13,10 @@ CMD = [sys.executable, "-m", "macfb"]
 
 #: sha256 of ``macfb region <which> --grid-n <grid_n>`` for the inner regions
 INNER_CSV_SHA256 = {
-    ("cover-leung", "21"): "6d2fda350349d619e9c2d173d28ef4be9319e329885055f1813ba9e4e39085e4",
-    ("cover-leung", "201"): "3de392f2c837d2d650c47d529e44d6d5bb9b82c488ba94dd9bc66e43ef4f9589",
-    ("erasure-fb", "21"): "cdad3116496b71a7ff9c94f29fbc59a1c1d58abe90c94a7e81bfcb29788bbafa",
-    ("erasure-fb", "201"): "bd1e1ea000faae736c2b08e7da512337dffb977dfb917eb5977ea5dfda6b6eb3",
+    ("cover-leung", "21"): "0ecbcb0ff7a3adf6eac4c847f688a4c2cb410ed13f8e17e74fc317fcd2a76b26",
+    ("cover-leung", "201"): "d82ffcdd4ac7da136c0162eb95ac52cfd989c31cddfb7794c32b960fd7856658",
+    ("erasure-fb", "21"): "84892f3a1c4035b9ec05e6a052d2e6be0ae025d9a584c3a2df2a7bc259332066",
+    ("erasure-fb", "201"): "5d3084639c57c998df033bf5ccd0c9c74f1be0d405a03608762b43eaf4a561ac",
 }
 #: sha256 of ``macfb symrate all --format json``
 SYMRATE_JSON_SHA256 = "ffeb5477c55b86a0df017cb4fcae7c77b37a5eec538a88af0e870036f807a349"

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import macfb.oracle as oracle_mod
-from macfb import _kernels, _search, bounds, feasible, infofn, symrate, verify
+from macfb import _kernels, bounds, feasible, infofn, symrate, verify
 from macfb.geometry import SWEEP_LAMBDAS
 from macfb.infofn import DomainError
 from macfb.oracle import (
@@ -785,10 +785,9 @@ class TestChecksSeeRegionFunctions:
         # the staged form is the one definition of a family's caps: the region
         # solve and the soundness check both read it on this module
         rows = np.array([45, 90, 135])
-        stage_of, x_hi = bounds._FAMILIES[family]
         solved = bounds._solution(family)[2][rows]
         monkeypatch.setattr(bounds, staged, _lowered_stage(getattr(bounds, staged)))
-        lowered = _search._solve(bounds._pentagon_support(stage_of, SWEEP_LAMBDAS[rows]), x_hi, len(rows))[2]
+        lowered = bounds._solve_family(family, SWEEP_LAMBDAS[rows])[2]
         assert np.all(lowered < solved - 1e-7), solved - lowered
         check = _soundness_check()
         assert not check["passed"] and check["max_violation"] > 1e-7
