@@ -187,19 +187,22 @@ def _crossing_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     return np.where(better, b, a), np.where(better, v_b, v_a)
 
 
-def _solve(fun, x_hi: float, n: int, inner=_golden_max) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve(fun, x_hi: float, n: int, inner=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize an objective over (x, y) in [0, x_hi] x [0, 1] for each of ``n`` problems.
 
     ``fun(x)`` takes an outer call's points, flattened (problem ``i % n`` at
     ``x[i]``), and returns ``g(y)``, the objective at (x, y) for y of shape
     ``(m, len(x))``, in the form the inner search ``inner`` reads: a plain
-    objective for :func:`_golden_max`, or the stack of objective and
-    difference for :func:`_crossing_max`.  The objective must be concave
-    in (x, y).  Then the best value over y is concave in x, so the outer
+    objective for :func:`_golden_max`, the default, or the stack of
+    objective and difference for :func:`_crossing_max`.  The objective must
+    be concave in (x, y).  Then the best value over y is concave in x, so the outer
     golden-section search over x searches a unimodal function, and each of
     its calls runs the inner search over y for every outer point at once.
     Returns the maximizers x and y and the value there.
     """
+
+    # looked up at the call, like the outer search, so both levels see this module's _golden_max
+    inner = _golden_max if inner is None else inner
 
     def best_y(x):
         y, f = inner(fun(x.ravel()), np.zeros(x.size), np.ones(x.size))

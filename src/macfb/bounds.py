@@ -38,7 +38,7 @@ once: golden section over x, and over y either golden section (cutset,
 dbpc1) or, where the optimum over y is a crossing of two combinations of
 the caps, a root finder (cover-leung, erasure-fb; :func:`_pentagon_crossing`).
 Each family in ``_FAMILIES`` is its staged caps on the (x, y) box and its
-inner search.
+solve.
 
 Since every region is convex, it is fixed by its support values, and no
 region sweeps a parameter grid:
@@ -50,9 +50,9 @@ region sweeps a parameter grid:
 - The inner regions, Cover-Leung and erasure-fb, are hulls of attained
   pentagon corners, so they claim only what some input reaches
   (:func:`_inner_curve`).  They hull the solved corners and the exact
-  boundary curve of the union: the top corner at grid_n values of u1, each
-  the root of a difference of caps that rises in u2, and its mirror.
-  grid_n matters to no other region.
+  boundary curve of the union: the top corner at grid_n values of u1 and
+  on either side of each solved u1, each the root of a difference of caps
+  that rises in u2, and its mirror.  grid_n matters to no other region.
 
 Regions
 -------
@@ -75,7 +75,7 @@ import numpy as np
 
 from . import _kernels
 from ._budget import check_size
-from ._search import _crossing_max, _golden_max, _solve
+from ._search import _crossing_max, _solve
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2
 from .geometry import SWEEP_LAMBDAS, BoundaryCurve, _concave_upper_hull, _support_polygon, pareto_filter
@@ -391,7 +391,8 @@ def _pentagon_crossing(stage_of, lams: np.ndarray):
     direction lam >= 1/2 takes the weights (lam, 1 - lam).  A direction
     below 1/2 takes (1 - lam, lam): both families are symmetric under
     swapping the users, so its support at (u1, u2) is that of direction lam
-    at (u2, u1), and its solved point holds the users swapped.
+    at (u2, u1), and its solved point holds the users swapped
+    (:func:`_solve_crossing`).
     """
     swapped = _swapped(lams)
     w1, w2 = np.where(swapped, 1.0 - lams, lams), np.where(swapped, lams, 1.0 - lams)
@@ -454,26 +455,45 @@ def _y_is_4u2(caps):
     return lambda y: caps(0.25 * y)
 
 
-#: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x, inner search)
-#: for each pentagon family; each looks its caps up on this module when called.  The
-#: inner optimum of cover-leung and erasure-fb is a crossing (:func:`_pentagon_crossing`).
+def _solve_golden(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve of staged caps in the directions ``lams`` by golden section at both levels."""
+    return _solve(_pentagon_support(stage_of, lams), x_hi, len(lams))
+
+
+def _swap_users(x: np.ndarray, y: np.ndarray, swapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) on the (u1, 4 u2) box with the users swapped in the columns ``swapped``: (y / 4, 4 x) there.
+
+    Scaling by 4 is exact, so swapping twice gives back the same bits.
+    """
+    return np.where(swapped, 0.25 * y, x), np.where(swapped, 4.0 * x, y)
+
+
+def _solve_crossing(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve of a user-symmetric family's staged caps on the (u1, 4 u2) box by the root finder over y.
+
+    A direction below 1/2 is solved with the users swapped
+    (:func:`_pentagon_crossing`), and its point is swapped back, so every
+    point is the optimum at (u1, 4 u2) itself.
+    """
+    x, y, f = _solve(_pentagon_crossing(stage_of, lams), x_hi, len(lams), _crossing_max)
+    return (*_swap_users(x, y, _swapped(lams)), f)
+
+
+#: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x, solve) for
+#: each pentagon family; each looks its caps up on this module when called.  The inner
+#: optimum of cover-leung and erasure-fb is a crossing (:func:`_pentagon_crossing`).
 _FAMILIES = {
-    "dbpc1": (_db_face, 0.5, _golden_max),
-    "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5, _golden_max),
-    "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25, _crossing_max),
-    "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25, _crossing_max),
+    "dbpc1": (_db_face, 0.5, _solve_golden),
+    "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5, _solve_golden),
+    "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25, _solve_crossing),
+    "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25, _solve_crossing),
 }
 
 
 def _solve_family(family: str, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The solve of a family in the directions ``lams``: the maximizers x and y and the support there.
-
-    In a family of :func:`_crossing_max`, the point of a direction below
-    1/2 holds the users swapped (:func:`_pentagon_crossing`).
-    """
-    stage_of, x_hi, inner = _FAMILIES[family]
-    objective = _pentagon_crossing if inner is _crossing_max else _pentagon_support
-    return _solve(objective(stage_of, lams), x_hi, len(lams), inner)
+    """The solve of a family in the directions ``lams``: the maximizers x and y and the support there."""
+    stage_of, x_hi, solve = _FAMILIES[family]
+    return solve(stage_of, x_hi, lams)
 
 
 @lru_cache(maxsize=None)
@@ -489,14 +509,9 @@ def _solution(family: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _solved_points(family: str) -> np.ndarray:
-    """Pentagon corners at the optimum of each sweep direction, mirrored where the users were swapped."""
+    """Pentagon corners at the optimum of each sweep direction."""
     x, y, _ = _solution(family)
-    stage_of, _, inner = _FAMILIES[family]
-    points = _corner_points(*stage_of(x)(y))
-    if inner is _crossing_max:
-        swapped = np.tile(_swapped(SWEEP_LAMBDAS), 2)
-        points[swapped] = points[swapped, ::-1]
-    return points
+    return _corner_points(*_FAMILIES[family][0](x)(y))
 
 
 def cutset_region_noisy() -> BoundaryCurve:
@@ -504,26 +519,37 @@ def cutset_region_noisy() -> BoundaryCurve:
     return _support_polygon(_solution("cutset")[2], Region.CUTSET.value)
 
 
+#: the face curve of an inner region is also taken this far on either side of each solved u1.
+#: On a flat optimum the outer search fixes u1 only to about 1e-7: solves that differed in the
+#: last bits of their inner search put the cover-leung and erasure-fb optima up to 1.03e-7 and
+#: 9.6e-8 apart.  To first order a solved corner anywhere in between supports no direction more
+#: than these two points and the solved corner do.
+_FLANK = 1e-6
+
+
 def _inner_curve(family: str, grid_n: int) -> BoundaryCurve:
-    """Hull of an inner region's face curve at grid_n values of u1, its mirror and the solved corners.
+    """Hull of an inner region's face curve, its mirror and the solved corners.
 
     In cover-leung and erasure-fb the r1 cap a rises with u1, the r2 cap b
     with u2, and the sum cap c rises in neither.  So at each u1 the union's
     top corner at r1 = a(u1) is the maximum over u2 of min(b, c - a), where
     b - (c - a), which rises, crosses zero (:func:`_crossing_max`); both
-    families are symmetric, so the mirror gives the other face.  Every
-    point is an attained pentagon corner.
+    families are symmetric, so the mirror gives the other face.  The face is
+    taken at grid_n values of u1 and ``_FLANK`` on either side of each
+    solved u1.  Every point is an attained pentagon corner.
     """
     check_size(grid_n, "inner face curve")
     stage_of, x_hi, _ = _FAMILIES[family]
-    caps = stage_of(np.linspace(0.0, x_hi, grid_n))
+    x = _solution(family)[0]
+    u1 = np.concatenate([np.linspace(0.0, x_hi, grid_n), np.clip(np.concatenate([x - _FLANK, x + _FLANK]), 0.0, x_hi)])
+    caps = stage_of(u1)
 
     def top(y):
         a, b, c = caps(y)
         rest = c - a
         return np.stack([np.minimum(b, rest), b - rest])
 
-    y, _ = _crossing_max(top, np.zeros(grid_n), np.ones(grid_n))
+    y, _ = _crossing_max(top, np.zeros(len(u1)), np.ones(len(u1)))
     face = _corner_points(*caps(y))
     pts = pareto_filter(np.concatenate([face, face[:, ::-1], _solved_points(family)])).points
     return BoundaryCurve(points=_concave_upper_hull(pts), label=family)

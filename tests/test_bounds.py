@@ -266,6 +266,35 @@ class TestRegionBoundaries:
         curve = region_boundary(RegionSpec(Region(which), grid_n))
         assert (support_values(curve, lams) - _grid_supports(*stage_of(u1)(y), lams)).min() >= -1e-12
 
+    @pytest.mark.parametrize("grid_n", [21, 201])
+    @pytest.mark.parametrize("which", ["cover-leung", "erasure-fb"])
+    def test_inner_region_is_symmetric(self, which, grid_n):
+        # both families are symmetric under swapping the users, and so is
+        # the region: its support in direction lam is that in 1 - lam, up to
+        # rounding
+        lams = np.linspace(0.0, 1.0, 3601)
+        support = support_values(region_boundary(RegionSpec(Region(which), grid_n)), lams)
+        np.testing.assert_allclose(support, support[::-1], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("grid_n", [21, 201])
+    @pytest.mark.parametrize("which", ["cover-leung", "erasure-fb"])
+    def test_inner_curve_holds_the_golden_section_solve(self, which, grid_n):
+        # on a flat optimum the outer search fixes u1 only to about 1e-7, so a
+        # solve whose inner search differs in its last bits stops elsewhere:
+        # golden section inside put the solved u1 up to 1.03e-7 away.  The
+        # region holds its corners and their mirror within 1e-12 in every
+        # direction, and is no lower at the sweep directions
+        stage_of, x_hi, _ = bounds._FAMILIES[which]
+        x, y, f = _solve_caps(stage_of, x_hi, SWEEP_LAMBDAS)
+        assert np.abs(x - bounds._solution(which)[0]).max() <= bounds._FLANK
+        corners = bounds._corner_points(*stage_of(x)(y))
+        golden = pareto_filter(np.concatenate([corners, corners[:, ::-1]]))
+        curve = region_boundary(RegionSpec(Region(which), grid_n))
+        lams = np.linspace(0.0, 1.0, 3601)
+        drop = support_values(curve, lams) - support_values(golden, lams)
+        assert drop.min() >= -1e-12, drop.min()
+        assert np.all(support_values(curve, SWEEP_LAMBDAS) >= f)
+
 
 # Support of every region at grid 21, at every 10th of the 181 sweep
 # directions.  Most values are those of the per-direction scalar Nelder-Mead
@@ -583,9 +612,19 @@ class TestRefinement:
         # the families solved by golden section at both levels
         for family in ("cutset", "dbpc1"):
             stage_of, x_hi, _ = bounds._FAMILIES[family]
-            monkeypatch.setattr(_search, "_golden_max", _plain_golden_max)
+            searches = 0
+
+            def plain(fun, lo, hi):
+                nonlocal searches
+                searches += 1
+                return _plain_golden_max(fun, lo, hi)
+
+            monkeypatch.setattr(_search, "_golden_max", plain)
             want = _solve_caps(stage_of, x_hi, SWEEP_LAMBDAS)
             monkeypatch.undo()
+            # the reference ran at both levels: one search over x, and one
+            # over y in each of its calls
+            assert searches > 1, searches
             for got, w in zip(bounds._solution(family), want):
                 np.testing.assert_array_equal(got, w)
 
@@ -593,14 +632,28 @@ class TestRefinement:
     def test_solve_carries_the_inner_maximizer(self, family):
         # y and the value travel with x through the outer search; the inner
         # search re-run at the returned x gives the same bits
-        stage_of, _, inner = bounds._FAMILIES[family]
-        objective = bounds._pentagon_crossing if inner is _search._crossing_max else bounds._pentagon_support
-        fun = objective(stage_of, SWEEP_LAMBDAS)
+        stage_of = bounds._FAMILIES[family][0]
         x, y, f = bounds._solution(family)
         n = len(x)
+        if family in CROSSING_FAMILIES:
+            # a direction below 1/2 was solved with the users swapped
+            x, y = bounds._swap_users(x, y, bounds._swapped(SWEEP_LAMBDAS))
+            fun, inner = bounds._pentagon_crossing(stage_of, SWEEP_LAMBDAS), _search._crossing_max
+        else:
+            fun, inner = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS), _search._golden_max
         y_again, f_again = inner(fun(x), np.zeros(n), np.ones(n))
         np.testing.assert_array_equal(y, y_again)
         np.testing.assert_array_equal(f, f_again)
+
+    @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
+    def test_solution_is_the_support_at_its_point(self, family):
+        # every family's (x, y) is the solved point itself, the crossing
+        # families' directions below 1/2 included: the support there is the
+        # solved support, bit for bit
+        stage_of = bounds._FAMILIES[family][0]
+        x, y, f = bounds._solution(family)
+        support = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS)(x)(y[None])[0]
+        np.testing.assert_array_equal(support.view(np.uint64), f.view(np.uint64))
 
     # plain golden section at both levels made 3,135-3,249 calls; the lookahead
     # made 728-756, and the crossing families' root finder 212 and 233
@@ -608,7 +661,7 @@ class TestRefinement:
 
     @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
     def test_solve_call_count(self, family, monkeypatch):
-        stage_of, x_hi, inner = bounds._FAMILIES[family]
+        stage_of, x_hi, solve = bounds._FAMILIES[family]
         stages = calls = 0
 
         def counted(x):
@@ -623,7 +676,7 @@ class TestRefinement:
 
             return at
 
-        monkeypatch.setitem(bounds._FAMILIES, family, (counted, x_hi, inner))
+        monkeypatch.setitem(bounds._FAMILIES, family, (counted, x_hi, solve))
         solution = bounds._solve_family(family, SWEEP_LAMBDAS)
         # the terms of x alone are taken once per outer call
         assert calls <= self.CALL_BOUNDS[family], calls
@@ -841,6 +894,16 @@ class TestReductions:
         l1, l2, l3 = w1 * a + w2 * b, (w1 - w2) * a + w2 * c, w1 * c
         np.testing.assert_array_equal(difference, l1 - np.minimum(l2, l3))
         np.testing.assert_allclose(support, np.minimum(l1, np.minimum(l2, l3)), rtol=0.0, atol=1e-15)
+
+    def test_swap_users_is_exact(self, rng):
+        # (x, y) -> (y / 4, 4 x) in the swapped columns, and back to the same bits
+        x, y = rng.uniform(0.0, 0.25, 50), rng.uniform(0.0, 1.0, 50)
+        swapped = rng.uniform(size=50) < 0.5
+        u1, y2 = bounds._swap_users(x, y, swapped)
+        np.testing.assert_array_equal(u1, np.where(swapped, y / 4.0, x))
+        np.testing.assert_array_equal(y2, np.where(swapped, 4.0 * x, y))
+        for got, want in zip(bounds._swap_users(u1, y2, swapped), (x, y)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("family", CROSSING_FAMILIES)
     def test_crossing_solve_is_no_lower_than_golden_section(self, family):

@@ -13,10 +13,10 @@ CMD = [sys.executable, "-m", "macfb"]
 
 #: sha256 of ``macfb region <which> --grid-n <grid_n>`` for the inner regions
 INNER_CSV_SHA256 = {
-    ("cover-leung", "21"): "0ecbcb0ff7a3adf6eac4c847f688a4c2cb410ed13f8e17e74fc317fcd2a76b26",
-    ("cover-leung", "201"): "d82ffcdd4ac7da136c0162eb95ac52cfd989c31cddfb7794c32b960fd7856658",
-    ("erasure-fb", "21"): "84892f3a1c4035b9ec05e6a052d2e6be0ae025d9a584c3a2df2a7bc259332066",
-    ("erasure-fb", "201"): "5d3084639c57c998df033bf5ccd0c9c74f1be0d405a03608762b43eaf4a561ac",
+    ("cover-leung", "21"): "75cc7ff5590a8b5b66648d1edbaf04676bf052a35927f04ed676a9288c58cce7",
+    ("cover-leung", "201"): "9d73b9961f103668d061c5e150a37176a79732e189c5792d291b442d2981612c",
+    ("erasure-fb", "21"): "575e09ff13443f248f4961fdd495f861c99fd42533ea27523bb60779d0014d86",
+    ("erasure-fb", "201"): "6c31299fc481775a16c781d28779f313a8f6c2dfce08f3a9a22a0b6a3e4a116f",
 }
 #: sha256 of ``macfb symrate all --format json``
 SYMRATE_JSON_SHA256 = "ffeb5477c55b86a0df017cb4fcae7c77b37a5eec538a88af0e870036f807a349"
@@ -95,8 +95,9 @@ class TestRegion:
 
     @staticmethod
     def _check_inner_csv(which, grid_n):
-        # frozen from the hull of the face curve at grid_n values of u1, its
-        # mirror and the solved corners; the bytes depend on grid_n
+        # frozen from the hull of the face curve at grid_n values of u1 and
+        # either side of each solved u1, its mirror and the solved corners;
+        # the bytes depend on grid_n
         out = run("region", which, "--grid-n", grid_n)
         assert out.returncode == 0
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == INNER_CSV_SHA256[which, grid_n]
