@@ -25,6 +25,8 @@ __all__ = [
     "UTriple",
     "InvalidTripleError",
     "u_triples",
+    "user_u",
+    "pair_u",
     "u_triple_of",
     "in_P",
     "in_P_rows",
@@ -45,25 +47,32 @@ class UTriple(NamedTuple):
     u: float
 
 
-def u_triples(p: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u1, u2, u) of each row of ``p``, ``q1``, ``q2``, which hold p_t, q1t and q2t over their last axis.
+def _t_sum(term, p, *qs):
+    """The sum over t of ``term(p_t, *q_t)``, over the last axis of ``p`` and ``qs``.
 
     The t terms are added one column at a time, in t order, without building
     (n, |T|) products.  For fewer than 8 terms that is the order, and so the
     bits, of ``np.sum`` over the last axis (numpy sums 8 or more pairwise).
     """
-
-    def column(t):
-        pt, a, b = p[..., t], q1[..., t], q2[..., t]
-        return pt * a * (1.0 - a), pt * b * (1.0 - b), pt * (a + b - 2.0 * a * b)
-
-    u1, u2, u = column(0)
+    total = term(p[..., 0], *(q[..., 0] for q in qs))
     for t in range(1, p.shape[-1]):
-        d1, d2, d = column(t)
-        u1 += d1
-        u2 += d2
-        u += d
-    return u1, u2, u
+        total += term(p[..., t], *(q[..., t] for q in qs))
+    return total
+
+
+def user_u(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """u1 of each row of ``p`` and ``q`` (u2 of ``p`` and q2): sum_t p_t q_t (1 - q_t), summed as by :func:`_t_sum`."""
+    return _t_sum(lambda pt, a: pt * a * (1.0 - a), p, q)
+
+
+def pair_u(p: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """u of each row of ``p``, ``q1``, ``q2``: sum_t p_t (q1t + q2t - 2 q1t q2t), summed as by :func:`_t_sum`."""
+    return _t_sum(lambda pt, a, b: pt * (a + b - 2.0 * a * b), p, q1, q2)
+
+
+def u_triples(p: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u1, u2, u) of each row of ``p``, ``q1``, ``q2``, which hold p_t, q1t and q2t over their last axis."""
+    return user_u(p, q1), user_u(p, q2), pair_u(p, q1, q2)
 
 
 def u_triple_of(d: JointInputDistribution) -> UTriple:

@@ -10,21 +10,21 @@ only to be compared with the enumeration.
 
 :func:`verify_characterization` and the three lattice objectives of
 :func:`oracle_max` read the same input lattice, and one sweep of it serves
-them all (:func:`_sweep`).  At ``t_card`` 1 and 2 the q set is the product
-U x U of one user lattice U, so the terms that read one user's input alone,
-H(X1|T), H(X2|T) and their caps, take |U| values at a point of P(t).  Each
-block takes them at the user rows it touches, from one small
-``input_stats`` call and one row of ``bounds._CAPS``, and gathers them to
-its rows; one ``input_stats`` call over the block gives every other column
-(:func:`_block_stats`).  At ``t_card`` 3, a Latin hypercube, one call over
-the block gives every column.  Every sweep of a lattice stores the three
-objectives' results, each a (value, row, rows swept) triple, under the
-frozen ``OracleConfig`` in ``_BEST``, a module-level memo of under 1 KB per
-config that nothing evicts.  ``oracle_max`` reads it, and sweeps only when
-it holds nothing for the config; the characterization always sweeps, since
-it checks the closed forms.  The memo holds what the kernel computed when
-it was filled, so a caller that patches ``_kernels.input_stats`` must call
-``_BEST.clear()`` for ``oracle_max`` to sweep with the patch.
+them all (:func:`_sweep`).  Each block takes the terms that read one
+user's input alone, H(X1|T), H(X2|T) and their caps, at its user rows, from
+one ``input_stats`` call and one row of ``bounds._CAPS``, and gathers them
+to its rows; one ``input_stats`` call over the block gives every other
+column (:func:`_block_stats`).  At ``t_card`` 1 and 2 the q set is the
+product U x U of one user lattice U, and the user rows are U at the block's
+point of P(t); at ``t_card`` 3, a Latin hypercube, each row is its own user
+row.  Every sweep of a lattice stores the three objectives' results, each a
+(value, row, rows swept) triple, under the frozen ``OracleConfig`` in
+``_BEST``, a module-level memo of under 1 KB per config that nothing evicts.
+``oracle_max`` reads it, and sweeps only when it holds nothing for the
+config; the characterization always sweeps, since it checks the closed
+forms.  The memo holds what the kernel computed when it was filled, so a
+caller that patches ``_kernels.input_stats`` must call ``_BEST.clear()``
+for ``oracle_max`` to sweep with the patch.
 
 A sweep of at least ``_SHARD_MIN_ROWS`` rows is split into shards, one per
 CPU this process may run on and at most one per block of the sweep.  The
@@ -62,7 +62,7 @@ import numpy as np
 from . import _kernels, bounds
 from ._budget import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceededError, check_size, env_budget
 from .channel import JointInputDistribution
-from .feasible import u_triples
+from .feasible import pair_u, user_u
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -102,10 +102,10 @@ class OracleConfig:
     budget: int | None = None
 
     def __post_init__(self):
-        if self.t_card not in (1, 2, 3):
-            raise ValueError("t_card must be 1, 2 or 3")
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
+        if not isinstance(self.t_card, numbers.Integral) or self.t_card not in (1, 2, 3):
+            raise ValueError(f"t_card must be 1, 2 or 3, got {self.t_card!r}")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 2:
+            raise ValueError(f"steps must be an integer of at least 2, got {self.steps!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.budget is None:
@@ -152,41 +152,35 @@ def iter_input_grid(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, np.ndarray,
         yield block
 
 
-def _input_blocks(cfg: OracleConfig) -> Iterator[tuple[tuple, tuple | None]]:
+def _input_blocks(cfg: OracleConfig) -> Iterator[tuple[tuple, tuple]]:
     """Yield each chunk of :func:`iter_input_grid` as ``((p, q1, q2), users)``.
 
-    For ``t_card`` 1 and 2 the q set is U x U, U = g^t_card the user lattice
-    in "ij" order: row r is (U[r // |U|], U[r % |U|]).  ``users`` is then
-    ``(p, v, at1, at2)``: the chunk's P(t) at the user rows ``v`` = U[lo:hi]
-    that its q1 and q2 rows lie in, and the index in ``v`` of each row's q1
-    and of its q2.  For ``t_card`` 3, a Latin hypercube of the six q axes
-    with no such product, ``users`` is None.
+    ``users`` is ``(p_v, v1, v2, at1, at2)``: user rows ``v1`` and ``v2``
+    with their P(t) ``p_v``, and the index in ``v1`` of each row's q1 and in
+    ``v2`` of its q2.  For ``t_card`` 1 and 2 the q set is U x U, U = g^t_card
+    the user lattice in "ij" order: row r is (U[r // |U|], U[r % |U|]), so
+    ``v1`` and ``v2`` are U, and ``at1, at2`` the chunk's slices of every
+    row's ``divmod(r, |U|)``.  For ``t_card`` 3, a Latin hypercube of the six
+    q axes with no such product, each row is its own user row: ``v1, v2`` are
+    the chunk's q1 and q2, and ``at1, at2`` are ``slice(None)``.
     """
     k, g = cfg.t_card, np.linspace(0.0, 1.0, cfg.steps)
     if k == 3:  # a full lattice of six q axes is out of reach
         q = _latin_hypercube(np.random.default_rng(cfg.seed), cfg.steps**3, 6)
     else:
         user = np.stack([x.ravel() for x in np.meshgrid(*[g] * k, indexing="ij")], axis=1)
-        m = len(user)
-        at1, at2 = np.divmod(np.arange(m * m), m)
+        at1, at2 = np.divmod(np.arange(len(user) ** 2), len(user))
         q = np.concatenate([user[at1], user[at2]], axis=1)
     for p_rows in _simplex_lattice(k, cfg.steps):
         for p in p_rows:
             for start in range(0, len(q), _CHUNK):
-                stop = min(start + _CHUNK, len(q))
-                block = q[start:stop]
+                at = slice(start, start + _CHUNK)
+                block = q[at]
                 rows = np.broadcast_to(p, (len(block), k)), block[:, :k], block[:, k:]
                 if k == 3:
-                    yield rows, None
-                    continue
-                # the q1 rows of the chunk, and its q2 rows: all of U once it holds more than one run of q1
-                a1, b1 = start // m, (stop - 1) // m + 1
-                a2, b2 = (start % m, (stop - 1) % m + 1) if b1 - a1 == 1 else (0, m)
-                lo, hi = min(a1, a2), max(b1, b2)
-                at = at1[start:stop], at2[start:stop]
-                if lo:  # only a chunk inside one run of q1 can start past U's first row
-                    at = tuple(a - lo for a in at)
-                yield rows, (np.broadcast_to(p, (hi - lo, k)), user[lo:hi], *at)
+                    yield rows, (*rows, slice(None), slice(None))
+                else:
+                    yield rows, (np.broadcast_to(p, user.shape), user, user, at1[at], at2[at])
 
 
 def _grid_blocks(cfg: OracleConfig) -> list[int]:
@@ -421,18 +415,16 @@ _PER_USER = ("h_x1_given_t", "h_x2_given_t")
 def _block_stats(block, users, columns: tuple[str, ...]) -> dict:
     """The block's ``columns``, by name.
 
-    Without ``users`` one ``input_stats`` call gives them all.  With them,
-    one call over the block gives the columns that read both users, and one
-    at the user rows gives the ``_PER_USER`` columns, which both column
-    sets of :func:`_sweep` read, gathered to the block's rows.
+    One ``input_stats`` call over the block gives the columns outside
+    ``_PER_USER``, and one at the block's ``users`` (of :func:`_input_blocks`)
+    gives the ``_PER_USER`` columns, which both column sets of :func:`_sweep`
+    read, gathered to the block's rows.
     """
-    if users is None:
-        return dict(zip(columns, _kernels.input_stats(*block, columns).T))
     joint = tuple(name for name in columns if name not in _PER_USER)
     s = dict(zip(joint, _kernels.input_stats(*block, joint).T))
-    p, v, at1, at2 = users
-    h1, h2 = _kernels.input_stats(p, v, v, _PER_USER).T
-    s["h_x1_given_t"], s["h_x2_given_t"] = np.take(h1, at1), np.take(h2, at2)
+    p, v1, v2, at1, at2 = users
+    h1, h2 = _kernels.input_stats(p, v1, v2, _PER_USER).T
+    s["h_x1_given_t"], s["h_x2_given_t"] = h1[at1], h2[at2]
     return s
 
 
@@ -490,22 +482,18 @@ def verify_characterization(cfg: OracleConfig) -> CharacterizationReport:
     return CharacterizationReport(config=cfg, n_evaluated=n, max_violation=viol, equality_count=eq)
 
 
-def _characterize(block, s: dict, users=None) -> tuple[int, dict, dict]:
+def _characterize(block, s: dict, users) -> tuple[int, dict, dict]:
     """The rows of a ``(p, q1, q2)`` block, each check's largest violation over them, and each cap's tight rows.
 
-    ``s`` maps each name of ``_CHECKED_COLUMNS`` to the block's column.
-    With the block's ``users`` of :func:`_input_blocks`, the caps of H(X1|T)
-    and H(X2|T), which read u1 and u2 alone, are taken at the user rows and
-    gathered to the block's rows.
+    ``s`` maps each name of ``_CHECKED_COLUMNS`` to the block's column.  u is
+    taken at the block's rows; u1 and u2, which the caps of H(X1|T) and
+    H(X2|T) alone read, at the block's ``users`` of :func:`_input_blocks`,
+    and those caps are gathered to the block's rows.
     """
-    p, q1, q2 = block
-    u1, u2, u = u_triples(p, q1, q2)
-    if users is not None:  # the block's u1 and u2 are dropped here
-        p, v, at1, at2 = users
-        u1, u2, _ = u_triples(p, v, v)
-    h1, h2, mu = bounds._CAPS["erasure-fb"](u1, u2, u)  # the raw terms h(phi(2 u1)), h(phi(2 u2)), mu(u)
-    if users is not None:
-        h1, h2 = np.take(h1, at1), np.take(h2, at2)
+    p_v, v1, v2, at1, at2 = users
+    u = pair_u(*block)
+    h1, h2, mu = bounds._CAPS["erasure-fb"](user_u(p_v, v1), user_u(p_v, v2), u)  # h(phi(2 u1)), h(phi(2 u2)), mu(u)
+    h1, h2 = h1[at1], h2[at2]
     half_h = bounds._half_h(u)
     caps = dict(zip(_INEQUALITIES, (h1, h2, half_h, half_h, bounds._h_mid(u), mu)))
     viol, eq = {}, {}

@@ -12,10 +12,12 @@ from macfb.feasible import (
     in_P_rows,
     lower_face_projections,
     lower_face_u2,
+    pair_u,
     project_to_lower_face,
     sample_triple_rows,
     u_triple_of,
     u_triples,
+    user_u,
 )
 from macfb.infofn import f2
 
@@ -46,7 +48,7 @@ class TestUTriple:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rows_are_the_summed_products_bit_for_bit(self, rng, k):
-        # the (n, |T|) products summed by np.sum, which u_triples adds column by column
+        # the (n, |T|) products summed by np.sum, which u_triples, user_u and pair_u add column by column
         p = rng.dirichlet(np.ones(k), size=5000)
         q1, q2 = rng.uniform(size=(2, 5000, k))
         q1[:100], q2[100:200] = 0.0, 1.0
@@ -55,11 +57,12 @@ class TestUTriple:
             np.sum(p * q2 * (1.0 - q2), axis=-1),
             np.sum(p * (q1 + q2 - 2.0 * q1 * q2), axis=-1),
         )
-        for got, w in zip(u_triples(p, q1, q2), want):
-            assert got.shape == (5000,)
-            assert got.tobytes() == w.tobytes()
-        for got, w in zip(u_triples(p[7], q1[7], q2[7]), want):
-            assert np.float64(got).tobytes() == w[7].tobytes()
+        for form in (u_triples, lambda p, q1, q2: (user_u(p, q1), user_u(p, q2), pair_u(p, q1, q2))):
+            for got, w in zip(form(p, q1, q2), want):
+                assert got.shape == (5000,)
+                assert got.tobytes() == w.tobytes()
+            for got, w in zip(form(p[7], q1[7], q2[7]), want):
+                assert np.float64(got).tobytes() == w[7].tobytes()
 
 
 class TestInP:

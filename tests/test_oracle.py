@@ -81,6 +81,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(steps=1)
 
+    @pytest.mark.parametrize("name, value", [("t_card", 2.0), ("t_card", "2"), ("steps", 5.5), ("steps", 21.0)])
+    def test_t_card_and_steps_must_be_integers(self, name, value):
+        # checked here, not first by math.comb inside a sweep
+        with pytest.raises(ValueError, match=f"{name} must be .*, got {value!r}"):
+            OracleConfig(**{name: value})
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # checked here, not first inside a t_card-3 sweep by numpy
@@ -94,7 +100,7 @@ class TestConfig:
             OracleConfig(budget=budget)
 
     def test_a_numpy_integer_seed_and_a_budget_of_the_grid_size(self):
-        cfg = OracleConfig(t_card=3, steps=2, seed=np.int64(0), budget=24)
+        cfg = OracleConfig(t_card=np.int64(3), steps=np.int64(2), seed=np.int64(0), budget=24)
         assert verify_characterization(cfg).n_evaluated == cfg.grid_size == 24
 
     def test_budget_exceeded(self):
@@ -383,8 +389,9 @@ class TestCharacterization:
 
     def test_one_kernel_call_per_chunk(self, monkeypatch):
         # each chunk makes one call over its rows for the columns that read
-        # both users, then one at the 25 rows of the user lattice for the
-        # columns that read one user alone, H(X1|T) and H(X2|T)
+        # both users, then one at its user rows for the columns that read one
+        # user alone, H(X1|T) and H(X2|T): the 25 rows of the user lattice,
+        # or at t_card 3 the chunk's own rows
         calls = []
         input_stats = _kernels.input_stats
 
@@ -393,25 +400,29 @@ class TestCharacterization:
             return input_stats(p, q1, q2, columns)
 
         monkeypatch.setattr(_kernels, "input_stats", counted)
-        monkeypatch.setattr(oracle_mod, "_CHUNK", 500)  # two chunks at each point of the P(t) lattice
-        cfg = OracleConfig(t_card=2, steps=5)
-        chunks = [len(p) for p, _, _ in oracle_mod.iter_input_grid(cfg)]
-        assert chunks == [500, 125] * 5
+        monkeypatch.setattr(oracle_mod, "_CHUNK", 500)
         per_user = ("h_x1_given_t", "h_x2_given_t")
+        for t_card, chunks, users in [
+            (2, [500, 125] * 5, lambda rows: 25),  # two chunks at each point of the P(t) lattice
+            (3, [125] * 15, lambda rows: rows),  # one
+        ]:
+            cfg = OracleConfig(t_card=t_card, steps=5)
+            assert [len(p) for p, _, _ in oracle_mod.iter_input_grid(cfg)] == chunks
 
-        def pattern(columns):
-            joint = tuple(name for name in columns if name not in per_user)
-            return [call for rows in chunks for call in ((rows, joint), (25, per_user))]
+            def pattern(columns):
+                joint = tuple(name for name in columns if name not in per_user)
+                return [call for rows in chunks for call in ((rows, joint), (users(rows), per_user))]
 
-        verify_characterization(cfg)
-        for objective in _LATTICE_OBJECTIVES:  # the characterization's sweep serves them
-            oracle_max(objective, cfg)
-        assert calls == pattern(oracle_mod._CHECKED_COLUMNS)
-        calls.clear()
-        oracle_mod._BEST.clear()
-        for objective in _LATTICE_OBJECTIVES:  # the first sweeps for all three
-            oracle_max(objective, cfg)
-        assert calls == pattern(oracle_mod._OBJECTIVE_COLUMNS)
+            calls.clear()
+            verify_characterization(cfg)
+            for objective in _LATTICE_OBJECTIVES:  # the characterization's sweep serves them
+                oracle_max(objective, cfg)
+            assert calls == pattern(oracle_mod._CHECKED_COLUMNS)
+            calls.clear()
+            oracle_mod._BEST.clear()
+            for objective in _LATTICE_OBJECTIVES:  # the first sweeps for all three
+                oracle_max(objective, cfg)
+            assert calls == pattern(oracle_mod._OBJECTIVE_COLUMNS)
 
     def test_report_serializes(self):
         rep = verify_characterization(OracleConfig(t_card=1, steps=5))
@@ -636,13 +647,13 @@ def _all_rows_sweep(cfg):
     """The sweep of ``cfg``'s lattice in one process with every column at every row: ``(best, report)``.
 
     Each block makes one ``input_stats`` call for all ``STAT_COLUMNS``, and
-    ``_characterize`` takes every cap at every row.
+    ``_characterize`` takes every cap at every row, each row its own user row.
     """
     def each(block):
         s = dict(zip(_kernels.STAT_COLUMNS, _kernels.input_stats(*block, _kernels.STAT_COLUMNS).T))
         forms = oracle_mod._OBJECTIVE_FORMS.values()
         best = tuple(oracle_mod._best_row(block, form(*map(s.get, names))) for names, form in forms)
-        return best, oracle_mod._characterize(block, s)
+        return best, oracle_mod._characterize(block, s, (*block, slice(None), slice(None)))
 
     return reduce(oracle_mod._merge_sweeps, map(each, oracle_mod.iter_input_grid(cfg)))
 
@@ -650,7 +661,9 @@ def _all_rows_sweep(cfg):
 class TestPerUserTerms:
     """H(X1|T), H(X2|T) and their caps, taken once per user-lattice row, give the bits of every row's own."""
 
-    @pytest.mark.parametrize("cfg", [OracleConfig(t_card=1, steps=9), OracleConfig(t_card=2, steps=6)])
+    @pytest.mark.parametrize("cfg", [
+        OracleConfig(t_card=1, steps=9), OracleConfig(t_card=2, steps=6), OracleConfig(t_card=3, steps=5, seed=1),
+    ])
     @pytest.mark.parametrize("chunk", [17, 500, None])  # 17 and 500 cut inside a run of the 9 or 36 user rows
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_the_per_user_sweep_is_the_all_rows_sweep(self, monkeypatch, shards, cfg, chunk, cpus):
@@ -679,15 +692,13 @@ class TestPerUserTerms:
         chunks = list(oracle_mod._input_blocks(cfg))
         assert [len(p) for (p, _, _), _ in chunks] == oracle_mod._grid_blocks(cfg)
         start = 0
-        for (p, q1, q2), (p_users, v, at1, at2) in chunks:
+        for (p, q1, q2), (p_users, v1, v2, at1, at2) in chunks:
             rows = slice(start % len(q), start % len(q) + len(p))
             np.testing.assert_array_equal(np.concatenate([q1, q2], axis=1), q[rows])
-            np.testing.assert_array_equal(v[at1], q1)
-            np.testing.assert_array_equal(v[at2], q2)
-            np.testing.assert_array_equal(p_users, np.broadcast_to(p[0], (len(v), t_card)))
-            assert len(v) <= steps**t_card
-            # v starts and ends at rows that are read
-            assert min(at1.min(), at2.min()) == 0 and max(at1.max(), at2.max()) == len(v) - 1
+            np.testing.assert_array_equal(v1[at1], q1)
+            np.testing.assert_array_equal(v2[at2], q2)
+            np.testing.assert_array_equal(p_users, np.broadcast_to(p[0], (len(v1), t_card)))
+            assert len(v1) == len(v2) == steps**t_card
             start += len(p)
         assert start == cfg.grid_size
 
