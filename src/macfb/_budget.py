@@ -3,11 +3,13 @@
 Sweeps compare their size with the budget before they allocate anything and
 raise :class:`BudgetExceededError` when it is larger.  ``MACFB_BUDGET`` (a
 positive integer) overrides the default budget; unset or empty means the
-default.
+default.  :func:`is_integer` is the type check of the integer fields of
+``OracleConfig`` and ``RegionSpec``, which size their grids.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 
 DEFAULT_BUDGET = 100_000_000
@@ -44,3 +46,8 @@ def check_size(size: int, what: str, budget: int | None = None) -> None:
         raise BudgetExceededError(
             f"{what} of {size} evaluations exceeds budget {budget} (set {BUDGET_ENV_VAR} to raise it)"
         )
+
+
+def is_integer(value) -> bool:
+    """True for an integer, numpy's included, that is not a ``bool``, which ``numbers.Integral`` admits."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -12,8 +12,8 @@ symmetric rate off its caps.  The definition is staged: given the variable
 the solve's outer search moves (u for dbpc1, u1 for the others), it takes
 the terms of that variable alone once (h(u)/2 and h((1-u)/2); h(phi(2 u1))
 and 2 u1) and returns the caps as a function of the rest.  So the inner
-search, 8 to 11 calls per outer step for cover-leung and erasure-fb and
-about 27 for the others, evaluates only the terms that move with it.
+search, 8 to 11 calls per outer call for cover-leung and erasure-fb and
+28 for the others, evaluates only the terms that move with it.
 Those terms, of shape ``(n,)``, broadcast against the rest at shape
 ``(m, n)``.  ``_CAPS`` holds each family's caps at a triple (u1, u2,
 u), keyed like the exact pentagons of ``oracle._PENTAGONS``.  The constraint
@@ -74,7 +74,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import _kernels
-from ._budget import check_size
+from ._budget import check_size, is_integer
 from ._search import _crossing_max, _solve
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2
@@ -114,8 +114,10 @@ class RegionSpec:
     grid_n: int = 201
 
     def __post_init__(self):
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
+        if not isinstance(self.which, Region):
+            raise ValueError(f"which must be a Region, got {self.which!r}")
+        if not is_integer(self.grid_n) or self.grid_n < 2:
+            raise ValueError(f"grid_n must be an integer of at least 2, got {self.grid_n!r}")
 
 
 @dataclass(frozen=True)

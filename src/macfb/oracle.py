@@ -50,7 +50,6 @@ this one; the sharding has been run on Python 3.11 only.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -60,7 +59,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import _kernels, bounds
-from ._budget import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceededError, check_size, env_budget
+from ._budget import BUDGET_ENV_VAR, DEFAULT_BUDGET, BudgetExceededError, check_size, env_budget, is_integer
 from .channel import JointInputDistribution
 from .feasible import pair_u, user_u
 
@@ -102,15 +101,15 @@ class OracleConfig:
     budget: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.t_card, numbers.Integral) or self.t_card not in (1, 2, 3):
+        if not is_integer(self.t_card) or self.t_card not in (1, 2, 3):
             raise ValueError(f"t_card must be 1, 2 or 3, got {self.t_card!r}")
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 2:
+        if not is_integer(self.steps) or self.steps < 2:
             raise ValueError(f"steps must be an integer of at least 2, got {self.steps!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.budget is None:
             object.__setattr__(self, "budget", env_budget())
-        elif not isinstance(self.budget, numbers.Integral) or self.budget < 1:
+        elif not is_integer(self.budget) or self.budget < 1:
             raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
 
     @property

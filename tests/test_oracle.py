@@ -81,19 +81,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(steps=1)
 
-    @pytest.mark.parametrize("name, value", [("t_card", 2.0), ("t_card", "2"), ("steps", 5.5), ("steps", 21.0)])
+    @pytest.mark.parametrize(
+        "name, value", [("t_card", 2.0), ("t_card", "2"), ("t_card", True), ("steps", 5.5), ("steps", 21.0), ("steps", True)]
+    )
     def test_t_card_and_steps_must_be_integers(self, name, value):
         # checked here, not first by math.comb inside a sweep
         with pytest.raises(ValueError, match=f"{name} must be .*, got {value!r}"):
             OracleConfig(**{name: value})
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # checked here, not first inside a t_card-3 sweep by numpy
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
             OracleConfig(t_card=3, seed=seed)
 
-    @pytest.mark.parametrize("budget", [0, -5, 1.5])
+    @pytest.mark.parametrize("budget", [0, -5, 1.5, True])
     def test_explicit_budget_must_be_a_positive_integer(self, budget):
         # as MACFB_BUDGET must be, and never reported as "exceeds budget -5"
         with pytest.raises(ValueError, match=f"budget must be a positive integer, got {budget!r}"):
