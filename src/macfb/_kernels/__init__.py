@@ -211,15 +211,13 @@ def _build_plan(seeds: tuple[str, ...], columns: tuple[str, ...]) -> tuple:
     ``cutset_stats`` call made the allocator hand its pages back and fault
     them in again on every call: about 19% slower (2-vCPU VM).
 
-    The table of ``xy_log``, 18 rows of a cut-set chunk, and its logs each
-    outgrow glibc's initial mmap threshold (measured when the 18 entries
-    were first logged as one table, with the allocations of now).  Called
-    again and again at one size of 1,629 to 2,896 rows, a call faults 70 to
-    162 pages back in, and at 1,629 and 2,172 rows it is slower than the
-    seven tables it replaced.  In the region solve the first outer call's
-    2,896-row batch raises the thresholds, so the solve faults 207 pages
-    once at 2,896 rows and about 130 once at 2,172, then at most one per
-    call.
+    The table of ``xy_log``, 18 rows of a cut-set chunk, and its logs
+    outgrow glibc's initial 128 KiB mmap threshold above 910 rows.  Called
+    again and again at one size of 1,629 to 2,896 rows, a call faulted 70
+    to 162 pages back in.  The cut-set region's solve calls at 724 and 543
+    rows, below it: the whole solve faults 42 pages, 34 of them in its
+    first call and at most one in each later call (numpy 2.4.6, measured by
+    ``ru_minflt``).
     """
     for name in columns:
         if name not in STAT_COLUMNS:

@@ -13,7 +13,7 @@ the solve's outer search moves (u for dbpc1, u1 for the others), it takes
 the terms of that variable alone once (h(u)/2 and h((1-u)/2); h(phi(2 u1))
 and 2 u1) and returns the caps as a function of the rest.  So the inner
 search, 8 to 11 calls per outer call for cover-leung and erasure-fb and
-28 for the others, evaluates only the terms that move with it.
+28 for dbpc1, evaluates only the terms that move with it.
 Those terms, of shape ``(n,)``, broadcast against the rest at shape
 ``(m, n)``.  ``_CAPS`` holds each family's caps at a triple (u1, u2,
 u), keyed like the exact pentagons of ``oracle._PENTAGONS``.  The constraint
@@ -27,18 +27,20 @@ each direction asks for the maximum of a concave function.  Each family is
 reduced to two variables (x, y) over a box without losing its optimum:
 
 - dbpc1: u in [0, 1/2] and a point of P's lower face u = f2(2u1, 2u2);
-- cutset: the flip-symmetric joints (s, y(1-2s), (1-y)(1-2s), s);
+- cutset: the flip-symmetric joints (s, y(1-2s), (1-y)(1-2s), s), on
+  which y = 1/2 is optimal in every direction (:func:`_cutset_caps`), so
+  s alone is searched;
 - cover-leung: the (u1, u2) box;
 - erasure-fb: the (u1, u2) box with the sum cap mu(max(1/3, f2)), the
   triple form with u maximized out.
 
 Maximizing over y keeps concavity in x, so the nested search of
 :func:`macfb._search._solve` finds the optimum of all 181 directions at
-once: golden section over x, and over y either golden section (cutset,
-dbpc1) or, where the optimum over y is a crossing of two combinations of
-the caps, a root finder (cover-leung, erasure-fb; :func:`_pentagon_crossing`).
-Each family in ``_FAMILIES`` is its staged caps on the (x, y) box and its
-solve.
+once: golden section over x, and over y either golden section (dbpc1) or,
+where the optimum over y is a crossing of two combinations of the caps, a
+root finder (cover-leung, erasure-fb; :func:`_pentagon_crossing`).  The
+cut-set solve is golden section over s alone, at y = 1/2.  Each family in
+``_FAMILIES`` is its staged caps on the (x, y) box and its solve.
 
 Since every region is convex, it is fixed by its support values, and no
 region sweeps a parameter grid:
@@ -73,9 +75,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _search
 from ._budget import check_size, is_integer
-from ._search import _crossing_max, _solve
 from .channel import JointInputDistribution
 from .feasible import InvalidTripleError, UTriple, in_P, lower_face_u2
 from .geometry import SWEEP_LAMBDAS, BoundaryCurve, _concave_upper_hull, _support_polygon, pareto_filter
@@ -447,6 +448,15 @@ def _cutset_caps(s, y):
     The flip (x1, x2) -> (1 - x1, 1 - x2) keeps all three caps, which are
     concave in the joint, so a joint averaged with its flip (P(00) = P(11))
     has caps no lower.
+
+    On these joints y = 1/2 is optimal at every s.  P(X2 = 0) = s + P(10)
+    = 1 - P(X1 = 0), so H(X1) = H(X2), and the per-user caps are one:
+    I(X1;Y|X2) = H(X1|X2)/2 = H(X2|X1)/2 = I(X2;Y|X1).  P(Y) = (s, 1 - s,
+    1 - s, s)/2, so the sum cap I(X1,X2;Y) = h(s) depends on s alone.  The
+    per-user cap is concave in y, and the swap X1 <-> X2 maps y to 1 - y,
+    so it peaks at y = 1/2.  A pentagon's support in any direction, and its
+    symmetric rate, never fall when a cap rises, so at each s the joint
+    (s, (1 - 2s)/2, (1 - 2s)/2, s) is the best of the flip-symmetric ones.
     """
     joint = _cutset_joint(s, y)
     return tuple(c.reshape(joint.shape[:-1]) for c in _kernels.cutset_stats(joint.reshape(-1, 4)).T)
@@ -459,7 +469,17 @@ def _y_is_4u2(caps):
 
 def _solve_golden(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve of staged caps in the directions ``lams`` by golden section at both levels."""
-    return _solve(_pentagon_support(stage_of, lams), x_hi, len(lams))
+    return _search._solve(_pentagon_support(stage_of, lams), x_hi, len(lams))
+
+
+def _solve_half(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve of staged caps whose optimum over y is y = 1/2 in every direction: golden section over x alone.
+
+    The solved y is 1/2 exactly, so the solution has the shape of the nested solves'.
+    """
+    support, n = _pentagon_support(stage_of, lams), len(lams)
+    x, f = _search._golden_max(lambda x: support(x.ravel())(0.5).reshape(x.shape), np.zeros(n), np.full(n, x_hi))
+    return x, np.full(n, 0.5), f
 
 
 def _swap_users(x: np.ndarray, y: np.ndarray, swapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,16 +497,17 @@ def _solve_crossing(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray
     (:func:`_pentagon_crossing`), and its point is swapped back, so every
     point is the optimum at (u1, 4 u2) itself.
     """
-    x, y, f = _solve(_pentagon_crossing(stage_of, lams), x_hi, len(lams), _crossing_max)
+    x, y, f = _search._solve(_pentagon_crossing(stage_of, lams), x_hi, len(lams), _search._crossing_max)
     return (*_swap_users(x, y, _swapped(lams)), f)
 
 
 #: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x, solve) for
 #: each pentagon family; each looks its caps up on this module when called.  The inner
-#: optimum of cover-leung and erasure-fb is a crossing (:func:`_pentagon_crossing`).
+#: optimum of cover-leung and erasure-fb is a crossing (:func:`_pentagon_crossing`), and
+#: that of cutset is y = 1/2 (:func:`_cutset_caps`).
 _FAMILIES = {
     "dbpc1": (_db_face, 0.5, _solve_golden),
-    "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5, _solve_golden),
+    "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5, _solve_half),
     "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25, _solve_crossing),
     "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25, _solve_crossing),
 }
@@ -551,7 +572,7 @@ def _inner_curve(family: str, grid_n: int) -> BoundaryCurve:
         rest = c - a
         return np.stack([np.minimum(b, rest), b - rest])
 
-    y, _ = _crossing_max(top, np.zeros(len(u1)), np.ones(len(u1)))
+    y, _ = _search._crossing_max(top, np.zeros(len(u1)), np.ones(len(u1)))
     face = _corner_points(*caps(y))
     pts = pareto_filter(np.concatenate([face, face[:, ::-1], _solved_points(family)])).points
     return BoundaryCurve(points=_concave_upper_hull(pts), label=family)

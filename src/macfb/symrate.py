@@ -5,7 +5,8 @@ family's caps.  Symmetry and the structure of each family reduce that to a
 path t -> caps(t) on which the symmetric rate is unimodal, and
 :func:`_symmetric_max` finds its peak by golden section:
 
-- cut-set: the flip- and swap-symmetric joints (a, 1/2 - a, 1/2 - a, a);
+- cut-set: the joints (a, 1/2 - a, 1/2 - a, a), the best of the
+  flip-symmetric joints at each a (:func:`macfb.bounds._cutset_caps`);
 - Cover-Leung: the diagonal u1 = u2;
 - dependence balance: the balance path of :func:`_balance_path`.
 """
@@ -109,10 +110,10 @@ def solve_cutset_symmetric() -> float:
 def cutset_symmetric_argmax() -> tuple[float, np.ndarray]:
     """Cut-set symmetric rate together with the optimizing input joint.
 
-    min(c1, c2, c3 / 2) is concave in the joint and kept by the flip
-    (x1, x2) -> (1 - x1, 1 - x2) and by the swap X1 <-> X2, so averaging an
-    optimal joint over both gives an optimal joint (a, b, b, a).  Golden
-    section searches a in [0, 1/2].
+    The symmetric rate rises with the caps, so by the lemma of
+    :func:`macfb.bounds._cutset_caps` it is best at a joint (a, 1/2 - a,
+    1/2 - a, a): the caps ``_cutset_caps(a, 1/2)``, which the cut-set
+    region's solve searches too.  Golden section searches a in [0, 1/2].
     """
     a, value = _symmetric_max(lambda a: bounds._cutset_caps(a, 0.5), 0.5)
     return value, bounds._cutset_joint(np.array([a]), 0.5)[0]

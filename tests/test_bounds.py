@@ -642,9 +642,10 @@ class TestRefinement:
             _search._golden_max(lambda x: -x, np.zeros(2), np.array([1.0, 0.5]))
 
     def test_solution_matches_plain_golden_section(self, monkeypatch):
-        # the families solved by golden section at both levels
-        for family in ("cutset", "dbpc1"):
-            stage_of, x_hi, _ = bounds._FAMILIES[family]
+        # the families solved by golden section: dbpc1 at both levels, one
+        # search over x and one over y in each of its calls, and cutset over
+        # s alone, in one search
+        for family, one_level in (("cutset", True), ("dbpc1", False)):
             searches = 0
 
             def plain(fun, lo, hi):
@@ -653,21 +654,26 @@ class TestRefinement:
                 return _plain_golden_max(fun, lo, hi)
 
             monkeypatch.setattr(_search, "_golden_max", plain)
-            want = _solve_caps(stage_of, x_hi, SWEEP_LAMBDAS)
+            want = bounds._solve_family(family, SWEEP_LAMBDAS)
             monkeypatch.undo()
-            # the reference ran at both levels: one search over x, and one
-            # over y in each of its calls
-            assert searches > 1, searches
+            assert (searches == 1) if one_level else (searches > 1), searches
             for got, w in zip(bounds._solution(family), want):
                 np.testing.assert_array_equal(got, w)
 
     @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
     def test_solve_carries_the_inner_maximizer(self, family):
         # y and the value travel with x through the outer search; the inner
-        # search re-run at the returned x gives the same bits
+        # search re-run at the returned x gives the same bits.  The cut-set
+        # inner maximizer is y = 1/2 (bounds._cutset_caps), and the value is
+        # the support there
         stage_of = bounds._FAMILIES[family][0]
         x, y, f = bounds._solution(family)
         n = len(x)
+        if family == "cutset":
+            np.testing.assert_array_equal(y, np.full(n, 0.5))
+            support = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS)(x)(0.5)
+            np.testing.assert_array_equal(f.view(np.uint64), support.view(np.uint64))
+            return
         if family in CROSSING_FAMILIES:
             # a direction below 1/2 was solved with the users swapped
             x, y = bounds._swap_users(x, y, bounds._swapped(SWEEP_LAMBDAS))
@@ -689,8 +695,9 @@ class TestRefinement:
         np.testing.assert_array_equal(support.view(np.uint64), f.view(np.uint64))
 
     # plain golden section at both levels made 3,135-3,249 calls; the lookahead
-    # makes 27 outer calls of 28 inner calls each, and the crossing families'
-    # root finder 212 and 233
+    # makes 27 outer calls of 28 inner calls each for dbpc1, 27 calls over s
+    # alone for cutset, and the crossing families' root finder 212 and 233
+    CALLS = {"cutset": 27, "dbpc1": 27 * 28}
     CALL_BOUNDS = {"cover-leung": 220, "erasure-fb": 240}
 
     @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
@@ -716,7 +723,7 @@ class TestRefinement:
         if family in self.CALL_BOUNDS:
             assert calls <= self.CALL_BOUNDS[family], calls
         else:
-            assert calls == 27 * 28, calls
+            assert calls == self.CALLS[family], calls
         assert stages <= 30, stages
         for got, full in zip(solution, bounds._solution(family)):
             np.testing.assert_array_equal(got, full)
@@ -986,6 +993,36 @@ class TestReductions:
         y = sym[:, 1] / (1.0 - 2.0 * s)
         np.testing.assert_allclose(bounds._cutset_joint(s, y), sym, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(np.stack(bounds._cutset_caps(s, y), axis=1), caps_sym, rtol=0.0, atol=1e-12)
+
+    def test_cutset_half_is_the_best_y(self, rng):
+        # the lemma of bounds._cutset_caps on the flip-symmetric joints: the
+        # per-user caps are one, the sum cap depends on s alone, and the
+        # caps at y = 1/2 are no lower than at any y (on 100,000 joints:
+        # 8.9e-16, 1.3e-15, and never lower)
+        s = np.concatenate([rng.uniform(0.0, 0.5, 10_000), [0.0, 0.0, 0.5, 0.5]])
+        y = np.concatenate([rng.uniform(0.0, 1.0, 10_000), [0.0, 1.0, 0.0, 1.0]])
+        c1, c2, c3 = _kernels.cutset_stats(bounds._cutset_joint(s, y)).T
+        h1, h2, h3 = _kernels.cutset_stats(bounds._cutset_joint(s, 0.5)).T
+        assert np.abs(c1 - c2).max() <= 2e-15
+        assert np.abs(c3 - h3).max() <= 4e-15
+        assert np.all(np.minimum(h1, h2) >= np.maximum(c1, c2) - 1e-15)
+
+    def test_cutset_solve_is_no_lower_than_the_nested_solve(self):
+        # the golden section over (s, y) that solved the cut-set region
+        # before, kept as the reference; the supports moved by -6.7e-16 to
+        # +3.9e-16
+        stage_of = bounds._FAMILIES["cutset"][0]
+        nested = _solve_caps(stage_of, 0.5, SWEEP_LAMBDAS)[2]
+        got = bounds._solution("cutset")[2]
+        assert np.all(got >= nested - 1e-12), (got - nested).min()
+
+    def test_cutset_solve_beats_a_dense_grid_of_s_and_y(self):
+        # y = 1/2 is not on the grid, so no grid joint is one the solve searches
+        stage_of = bounds._FAMILIES["cutset"][0]
+        s, y = (v.ravel() for v in np.meshgrid(np.linspace(0.0, 0.5, 401), np.linspace(0.0, 1.0, 400)))
+        best = _grid_supports(*stage_of(s)(y))
+        got = bounds._solution("cutset")[2]
+        assert np.all(got >= best - 1e-12), (got - best).min()
 
     def test_erasure_sum_cap_maximized_over_band(self, rng):
         u1, u2, u = sample_triple_rows(5000, rng)

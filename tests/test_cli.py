@@ -103,7 +103,7 @@ class TestRegion:
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == INNER_CSV_SHA256[which, grid_n]
 
     @pytest.mark.parametrize("which, digest", [
-        ("cutset", "df38b1bbce3e209321a7e615e7f9856615661d1d81d72fb3c362b4a697c1b4fa"),
+        ("cutset", "655cf2a9944f1b524af3d5cdcaba78ba90d56ffef28a7ecde703b11bc4a50c4d"),
         ("dbpc1", "66434e5c0f0a49e7ca68a41684ee06b54330893c8ca1b6965d549b46f9214cec"),
         ("dbpc2", "0eedc90740c8afd0d2eb6c4bdae893bc42c47600865ad012f7e7f2ca40f4a7b5"),
         ("dbpc", "0ba599d5d171ba23e15ccbf01789babcf9a0165d21d32241a98fcfa6a7e537d3"),

@@ -219,18 +219,18 @@ def test_only_the_requested_tables_are_logged(monkeypatch, rng):
     assert (sum(rows), len(rows)) == (18, 1)
 
 
-#: rows of the region solve's largest ``cutset_stats`` batch
-SOLVE_ROWS = 2896
+#: rows of one large ``cutset_stats`` call: four times the cut-set region solve's largest, 724
+LARGE_ROWS = 2896
 
-#: bound on the traced peak of one ``SOLVE_ROWS``-row ``cutset_stats`` call:
+#: bound on the traced peak of one ``LARGE_ROWS``-row ``cutset_stats`` call:
 #: 50 doubles a row.  Measured (numpy 2.4.6): 1,051,968 bytes, 45.4 doubles a
 #: row: the copy of P(x1, x2), the 18-row table and its logs, and the
 #: entropies.  So a second table-sized temporary does not fit under it.
-CUTSET_PEAK_BOUND = 50 * 8 * SOLVE_ROWS
+CUTSET_PEAK_BOUND = 50 * 8 * LARGE_ROWS
 
 
 def test_cutset_call_traced_peak_is_bounded(rng):
-    joint = rng.dirichlet(np.ones(4), size=SOLVE_ROWS)
+    joint = rng.dirichlet(np.ones(4), size=LARGE_ROWS)
     _kernels.cutset_stats(joint)
     started = not tracemalloc.is_tracing()
     if started:
