@@ -5,8 +5,9 @@ each problem by golden section.  :func:`_crossing_max` maximizes one that
 peaks where a rising difference crosses zero, such as the minimum of a
 rising and a falling function, by a bracketing root finder.
 :func:`_solve` maximizes a function of (x, y) over a box whose best value
-over y is unimodal in x: a golden-section search over x, whose every step
-runs one of the two over y, finds the optimum.
+over y is unimodal in x and whose optimum over y is such a crossing: a
+golden-section search over x, whose every step runs the root finder over
+y, finds the optimum.
 
 The golden-section search looks one step ahead: each call evaluates a
 step's new point together with both points the next step can ask for, so
@@ -15,16 +16,17 @@ section; the next step takes its new point and value from them.  The outer
 search passes its three points per problem to one inner search, whose
 maximizer over y travels with the value.  Golden section takes a number of
 steps fixed by its bracket's width, the same for every problem.  So a
-nested solve of 181 problems over [0, 1/2] x [0, 1] makes 756 calls with
-golden section inside, 27 outer calls of 28 inner calls each, and about
-230 with the root finder, instead of about 3,200.
+nested solve of 181 problems over [0, 1/4] x [0, 1] makes 26 outer calls
+and about 210 to 280 inner calls of the root finder.  Golden section at
+both levels took 756 calls (27 outer calls of 28 inner calls each), and
+plain golden section about 3,200.
 
 The points of one call are the rows of an ``(m, n)`` array, one column per
 problem, so a term with one value per problem, of shape ``(n,)``,
 broadcasts over them.  The objective of :func:`_solve` is staged:
 ``fun(x)`` is called once per outer call and returns the inner objective
 ``g(y)``.  So whatever depends on x alone is computed once per outer call,
-not in each of the 8 to 28 inner calls that follow it.
+not in each of the 8 to 11 inner calls that follow it.
 """
 
 from __future__ import annotations
@@ -174,25 +176,21 @@ def _crossing_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     return np.where(better, b, a), np.where(better, v_b, v_a)
 
 
-def _solve(fun, x_hi: float, n: int, inner=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve(fun, x_hi: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize an objective over (x, y) in [0, x_hi] x [0, 1] for each of ``n`` problems.
 
     ``fun(x)`` takes an outer call's points, flattened (problem ``i % n`` at
-    ``x[i]``), and returns ``g(y)``, the objective at (x, y) for y of shape
-    ``(m, len(x))``, in the form the inner search ``inner`` reads: a plain
-    objective for :func:`_golden_max`, the default, or the stack of
-    objective and difference for :func:`_crossing_max`.  The objective must
-    be concave in (x, y).  Then the best value over y is concave in x, so the outer
-    golden-section search over x searches a unimodal function, and each of
-    its calls runs the inner search over y for every outer point at once.
-    Returns the maximizers x and y and the value there.
+    ``x[i]``), and returns ``g(y)``, the stack of objective and difference at
+    (x, y) for y of shape ``(m, len(x))`` that :func:`_crossing_max` reads.
+    The best value over y must be unimodal in x, as it is when the objective
+    is concave in (x, y).  The outer golden-section search over x then
+    searches a unimodal function, and each of its calls runs the root finder
+    over y for every outer point at once.  Returns the maximizers x and y and
+    the value there.
     """
 
-    # looked up at the call, like the outer search, so both levels see this module's _golden_max
-    inner = _golden_max if inner is None else inner
-
     def best_y(x):
-        y, f = inner(fun(x.ravel()), np.zeros(x.size), np.ones(x.size))
+        y, f = _crossing_max(fun(x.ravel()), np.zeros(x.size), np.ones(x.size))
         return np.stack([f, y]).reshape(2, *x.shape)
 
     x, (f, y) = _golden_max(best_y, np.zeros(n), np.full(n, x_hi))

@@ -8,12 +8,11 @@ Every cap is defined once, vectorized, from the terms h(phi(2 ui)), h(u)/2,
 h((1-u)/2) and mu(u): dbpc1 (:func:`_db_staged`; dbpc2 is its mirror),
 Cover-Leung (:func:`_cl_staged`) and the erasure feedback caps in triple
 form (:func:`_erasure_staged`); :func:`_symmetric` reads a pentagon's
-symmetric rate off its caps.  The definition is staged: given the variable
-the solve's outer search moves (u for dbpc1, u1 for the others), it takes
-the terms of that variable alone once (h(u)/2 and h((1-u)/2); h(phi(2 u1))
-and 2 u1) and returns the caps as a function of the rest.  So the inner
-search, 8 to 11 calls per outer call for cover-leung and erasure-fb and
-28 for dbpc1, evaluates only the terms that move with it.
+symmetric rate off its caps.  The definition is staged: given u1, the
+variable the solve's outer search moves, it takes the terms of u1 alone
+once (h(phi(2 u1)) and 2 u1) and returns the caps as a function of the
+rest.  So the inner search, 8 to 11 calls per outer call, evaluates only
+the terms that move with it.
 Those terms, of shape ``(n,)``, broadcast against the rest at shape
 ``(m, n)``.  ``_CAPS`` holds each family's caps at a triple (u1, u2,
 u), keyed like the exact pentagons of ``oracle._PENTAGONS``.  The constraint
@@ -26,7 +25,8 @@ pentagon's support is a minimum of nonnegative combinations of its caps, so
 each direction asks for the maximum of a concave function.  Each family is
 reduced to two variables (x, y) over a box without losing its optimum:
 
-- dbpc1: u in [0, 1/2] and a point of P's lower face u = f2(2u1, 2u2);
+- dbpc1: the (u1, u2) box with u = f2(2u1, 2u2), P's lower face
+  (:func:`_db_pair_staged`);
 - cutset: the flip-symmetric joints (s, y(1-2s), (1-y)(1-2s), s), on
   which y = 1/2 is optimal in every direction (:func:`_cutset_caps`), so
   s alone is searched;
@@ -36,11 +36,14 @@ reduced to two variables (x, y) over a box without losing its optimum:
 
 Maximizing over y keeps concavity in x, so the nested search of
 :func:`macfb._search._solve` finds the optimum of all 181 directions at
-once: golden section over x, and over y either golden section (dbpc1) or,
-where the optimum over y is a crossing of two combinations of the caps, a
-root finder (cover-leung, erasure-fb; :func:`_pentagon_crossing`).  The
-cut-set solve is golden section over s alone, at y = 1/2.  Each family in
-``_FAMILIES`` is its staged caps on the (x, y) box and its solve.
+once: golden section over x, and over y a root finder, where the optimum
+over y is a crossing of two combinations of the caps (cover-leung,
+erasure-fb; :func:`_pentagon_crossing`).  The cut-set solve is golden
+section over s alone, at y = 1/2.  dbpc1 is solved along the arcs of its
+boundary (:func:`_solve_db`): one nested solve along the curve where its
+unsaturated caps meet the sum cap, and one golden section over u along the
+arc where r1 is saturated.  Each family in ``_FAMILIES`` is its staged
+caps on the (x, y) box and its solve.
 
 Since every region is convex, it is fixed by its support values, and no
 region sweeps a parameter grid:
@@ -209,13 +212,25 @@ def _h_mid(u):
     return binary_entropy((1.0 - u) / 2.0)
 
 
-def _db_staged(u):
-    """The dbpc1 caps (genie = X1) at u: ``caps(u1, u2)`` gives them at (u1, u2, u), broadcast together.
+def _db_staged(u1):
+    """The dbpc1 caps (genie = X1) at u1: ``caps(u2, u)`` gives them at (u1, u2, u), broadcast together.
 
-    h(u)/2 and h((1 - u)/2) depend on u alone, so they are taken here once.
+    h(phi(2 u1)) is taken here once.
     """
-    half_h, h_mid = _half_h(u), _h_mid(u)
-    return lambda u1, u2: (np.minimum(half_h, _h_phi(u1)), 0.5 * _h_phi(u2), h_mid)
+    r1 = _h_phi(u1)
+    return lambda u2, u: (np.minimum(_half_h(u), r1), 0.5 * _h_phi(u2), _h_mid(u))
+
+
+def _db_pair_staged(u1):
+    """The dbpc1 caps on P's lower face u = f2(2 u1, 2 u2), as ``caps(u2)`` at (u1, u2); 2 u1 is taken once.
+
+    The optimum over P lies on this face.  A triple (u1, u2, u) with
+    u <= 1/2 has the face point (u1, lower_face_u2(u1, u), u), whose u2 is
+    no lower, so its caps are no lower; one with u > 1/2 is dominated by
+    (u1, 1/4, 1/2), since h(u)/2 <= 1/2 and h((1 - u)/2) falls in u.
+    """
+    caps, two_u1 = _db_staged(u1), 2.0 * u1
+    return lambda u2: caps(u2, f2(two_u1, 2.0 * u2))
 
 
 def _cl_staged(u1):
@@ -247,8 +262,8 @@ def _erasure_pair_staged(u1, floor: float):
 #: each family's caps (r1, r2, sum) at the triple (u1, u2, u), keyed like ``oracle._PENTAGONS``;
 #: each row looks its staged form up on this module when called, and cover-leung reads no u
 _CAPS = {
-    "dbpc1": lambda u1, u2, u: _db_staged(u)(u1, u2),
-    "dbpc2": lambda u1, u2, u: itemgetter(1, 0, 2)(_db_staged(u)(u2, u1)),  # dbpc1, the users swapped
+    "dbpc1": lambda u1, u2, u: _db_staged(u1)(u2, u),
+    "dbpc2": lambda u1, u2, u: itemgetter(1, 0, 2)(_db_staged(u2)(u1, u)),  # dbpc1, the users swapped
     "cover-leung": lambda u1, u2, u=None: _cl_staged(u1)(u2),
     "erasure-fb": lambda u1, u2, u: _erasure_staged(u1)(u2, u),
 }
@@ -415,23 +430,6 @@ def _pentagon_crossing(stage_of, lams: np.ndarray):
     return fun
 
 
-def _db_face(u: np.ndarray):
-    """dbpc1 caps on P's lower face at u in [0, 1/2]: ``caps(y)`` at u1 = y u (1 - u), y in [0, 1].
-
-    u1 runs over the face's u1-range, and u2 solves f2(2 u1, 2 u2) = u.  At
-    a fixed u the caps rise with u1 and u2, and u above 1/2 lowers every cap
-    while every (u1, u2) is feasible at u = 1/2, so the optimum over P lies
-    on this face.
-    """
-    caps = _db_staged(u)
-
-    def at(y):
-        u1 = y * u * (1.0 - u)
-        return caps(u1, lower_face_u2(u1, u))
-
-    return at
-
-
 def _cutset_joint(s, y) -> np.ndarray:
     """The joints (s, y (1 - 2s), (1 - y)(1 - 2s), s) of (P(00), P(01), P(10), P(11)) at (s, y), broadcast together."""
     r = 1.0 - 2.0 * s
@@ -467,11 +465,6 @@ def _y_is_4u2(caps):
     return lambda y: caps(0.25 * y)
 
 
-def _solve_golden(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve of staged caps in the directions ``lams`` by golden section at both levels."""
-    return _search._solve(_pentagon_support(stage_of, lams), x_hi, len(lams))
-
-
 def _solve_half(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve of staged caps whose optimum over y is y = 1/2 in every direction: golden section over x alone.
 
@@ -497,8 +490,83 @@ def _solve_crossing(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray
     (:func:`_pentagon_crossing`), and its point is swapped back, so every
     point is the optimum at (u1, 4 u2) itself.
     """
-    x, y, f = _search._solve(_pentagon_crossing(stage_of, lams), x_hi, len(lams), _search._crossing_max)
+    x, y, f = _search._solve(_pentagon_crossing(stage_of, lams), x_hi, len(lams))
     return (*_swap_users(x, y, _swapped(lams)), f)
+
+
+def _db_crossing(stage_of, lams: np.ndarray):
+    """dbpc1's pentagon support on the curve Gamma, and the vertex V, as the staged ``fun(x)`` of :func:`_solve`.
+
+    Gamma is where the sum cap meets the unsaturated caps: h(phi(2 u1)) +
+    h(phi(2 u2))/2 = h((1 - f2)/2), a difference that rises in u2.  Problem
+    k is direction ``lams[k]``, whose objective is the support of the true
+    caps, with r1 = min(h(f2)/2, h(phi(2 u1))).  One more problem, the last,
+    finds V, where Gamma meets the saturation of r1: its objective is
+    -|h(phi(2 u1)) - h(f2)/2|, whose difference rises along Gamma.  It does
+    not depend on ``lams``, so V is the same in every batch.
+    """
+    lam = np.append(lams, 0.5)  # the direction of V's problem is not read
+    n = len(lam)
+
+    def fun(x):
+        caps, first = stage_of(x), np.tile(lam, len(x) // n)  # x holds the problems' points in turn
+        rest, r1, v = 1.0 - first, _h_phi(x), slice(n - 1, None, n)
+
+        def at(y):
+            a, b, c = caps(y)
+            objective = _support_of_caps((a, b, c), first, rest)
+            objective[:, v] = -np.abs(r1[v] - _half_h(f2(2.0 * x[v], 0.5 * y[:, v])))
+            return np.stack([objective, r1 + b - c])
+
+        return at
+
+    return fun
+
+
+def _db_arc(lams: np.ndarray, u_v: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points (u1, 4 u2) of arc A that support the directions ``lams``.
+
+    On arc A r1 is saturated at h(u)/2 and the sum cap is active, so the
+    corner is A(u) = (h(u)/2, h((1 - u)/2) - h(u)/2), attained for u in
+    [u_v, 1/2].  Its support G(u) = (2 lam - 1) h(u)/2 + (1 - lam) h((1 -
+    u)/2) is concave, and golden section finds its maximum over [u_v, 1/2].
+    The face point at that u with the largest u2 that saturates r1 is the
+    root of h(phi(2 u1)) - h(u)/2, which rises in u1 on [0, u (1 - u)]; the
+    saturated end of its last bracket is taken.
+    """
+    n = len(lams)
+    u, _ = _search._golden_max(
+        lambda u: (2.0 * lams - 1.0) * _half_h(u) + (1.0 - lams) * _h_mid(u), np.full(n, u_v), np.full(n, 0.5)
+    )
+    half_h = _half_h(u)
+
+    def saturation(u1):
+        d = _h_phi(u1) - half_h
+        return np.stack([np.minimum(d, 0.0), d])
+
+    u1, _ = _search._crossing_max(saturation, np.zeros(n), u * (1.0 - u))
+    return u1, 4.0 * lower_face_u2(u1, u)
+
+
+def _solve_db(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dbpc1's solve on the (u1, 4 u2) box, along the arcs of its boundary.
+
+    Its optimum lies on one of them.  Take lam >= 1/2: both upper corners of
+    a pentagon have x <= r1 <= h(u)/2 and x + y <= h((1 - u)/2), and h(u)/2
+    <= 1/2 < h(1/4) <= h((1 - u)/2), so its support is at most G(u) of
+    :func:`_db_arc`, with equality on arc A.  Arc A ends at the vertex V
+    (u_v = 0.3466865...), where it meets Gamma, the curve on which r1 is
+    unsaturated and the sum cap is active.  Golden section over u1 along
+    Gamma (:func:`_db_crossing`) gives each direction's best point there
+    and V; :func:`_db_arc` gives the best point of arc A.  Each direction
+    keeps the better of the two, whose support is taken at its own point.
+    """
+    n = len(lams)
+    x, y, f = _search._solve(_db_crossing(stage_of, lams), x_hi, n + 1)
+    x_a, y_a = _db_arc(lams, f2(2.0 * x[n], 0.5 * y[n]))
+    f_a = _pentagon_support(stage_of, lams)(x_a)(y_a[None])[0]
+    on_arc = f_a > f[:n]
+    return np.where(on_arc, x_a, x[:n]), np.where(on_arc, y_a, y[:n]), np.where(on_arc, f_a, f[:n])
 
 
 #: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x, solve) for
@@ -506,7 +574,7 @@ def _solve_crossing(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray
 #: optimum of cover-leung and erasure-fb is a crossing (:func:`_pentagon_crossing`), and
 #: that of cutset is y = 1/2 (:func:`_cutset_caps`).
 _FAMILIES = {
-    "dbpc1": (_db_face, 0.5, _solve_golden),
+    "dbpc1": (lambda u1: _y_is_4u2(_db_pair_staged(u1)), 0.25, _solve_db),
     "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5, _solve_half),
     "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25, _solve_crossing),
     "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25, _solve_crossing),

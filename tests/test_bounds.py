@@ -392,8 +392,18 @@ CROSSING_FAMILIES = ["cover-leung", "erasure-fb"]
 
 
 def _solve_caps(stage_of, x_hi, lams):
-    """The solve, by golden section at both levels, of staged caps ``stage_of`` in the directions ``lams``."""
-    return _search._solve(bounds._pentagon_support(stage_of, lams), x_hi, len(lams))
+    """The solve, by golden section at both levels, of staged caps ``stage_of`` in the directions ``lams``.
+
+    Each outer call runs one inner golden section over y, whose maximizer travels with the value.
+    """
+    fun, n = bounds._pentagon_support(stage_of, lams), len(lams)
+
+    def best_y(x):
+        y, f = _search._golden_max(fun(x.ravel()), np.zeros(x.size), np.ones(x.size))
+        return np.stack([f, y]).reshape(2, *x.shape)
+
+    x, (f, y) = _search._golden_max(best_y, np.zeros(n), np.full(n, x_hi))
+    return x, y, f
 
 
 def _solve(family, rows):
@@ -604,12 +614,13 @@ class TestRefinement:
         np.testing.assert_allclose(x, best, atol=1e-7)
         np.testing.assert_allclose(f, fun(best), atol=1e-14)
         # both levels of the nested solve: the support rises with x and y,
-        # so the optimum is the corner (x_hi, 1)
+        # and its difference is negative all along y, so the optimum is the
+        # corner (x_hi, 1)
         lams = np.array([0.1, 0.5, 0.9])
 
         def support(x):
             lam = np.tile(lams, len(x) // len(lams))
-            return lambda y: lam * x + (1.0 - lam) * y
+            return lambda y: np.stack([lam * x + (1.0 - lam) * y, y - 2.0])
 
         xs, ys, fs = _search._solve(support, 0.5, len(lams))
         np.testing.assert_array_equal(xs, 0.5)
@@ -642,10 +653,10 @@ class TestRefinement:
             _search._golden_max(lambda x: -x, np.zeros(2), np.array([1.0, 0.5]))
 
     def test_solution_matches_plain_golden_section(self, monkeypatch):
-        # the families solved by golden section: dbpc1 at both levels, one
-        # search over x and one over y in each of its calls, and cutset over
-        # s alone, in one search
-        for family, one_level in (("cutset", True), ("dbpc1", False)):
+        # the families whose every golden section is checked: cutset over s
+        # alone, in one search, and dbpc1 in two, over u1 along Gamma and
+        # over u along arc A
+        for family, golden_searches in (("cutset", 1), ("dbpc1", 2)):
             searches = 0
 
             def plain(fun, lo, hi):
@@ -656,7 +667,7 @@ class TestRefinement:
             monkeypatch.setattr(_search, "_golden_max", plain)
             want = bounds._solve_family(family, SWEEP_LAMBDAS)
             monkeypatch.undo()
-            assert (searches == 1) if one_level else (searches > 1), searches
+            assert searches == golden_searches, searches
             for got, w in zip(bounds._solution(family), want):
                 np.testing.assert_array_equal(got, w)
 
@@ -669,18 +680,29 @@ class TestRefinement:
         stage_of = bounds._FAMILIES[family][0]
         x, y, f = bounds._solution(family)
         n = len(x)
+        if family == "dbpc1":
+            # a direction keeps its point on Gamma, the root of h(phi(2 u1)) +
+            # b - c, or on arc A, where r1 is saturated at h(u)/2 and the sum
+            # cap is active.  Gamma held the 85 directions below 0.472 and
+            # lam = 1, arc A the other 95
+            fun = bounds._db_crossing(stage_of, SWEEP_LAMBDAS)(np.append(x, 0.0))
+            y_again, f_again = _search._crossing_max(fun, np.zeros(n + 1), np.ones(n + 1))
+            on_gamma = (y_again[:n] == y) & (f_again[:n] == f)
+            a, b, c = stage_of(x)(y)
+            on_arc = (bounds._h_phi(x) >= binary_entropy(f2(2.0 * x, 0.5 * y)) / 2.0) & (a + b >= c - 1e-11)
+            assert np.all(on_gamma | on_arc)
+            assert on_gamma[SWEEP_LAMBDAS < 0.383].all()
+            assert on_arc[(SWEEP_LAMBDAS >= 0.5) & (SWEEP_LAMBDAS < 1.0)].all()
+            return
         if family == "cutset":
             np.testing.assert_array_equal(y, np.full(n, 0.5))
             support = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS)(x)(0.5)
             np.testing.assert_array_equal(f.view(np.uint64), support.view(np.uint64))
             return
-        if family in CROSSING_FAMILIES:
-            # a direction below 1/2 was solved with the users swapped
-            x, y = bounds._swap_users(x, y, bounds._swapped(SWEEP_LAMBDAS))
-            fun, inner = bounds._pentagon_crossing(stage_of, SWEEP_LAMBDAS), _search._crossing_max
-        else:
-            fun, inner = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS), _search._golden_max
-        y_again, f_again = inner(fun(x), np.zeros(n), np.ones(n))
+        # a direction below 1/2 was solved with the users swapped
+        x, y = bounds._swap_users(x, y, bounds._swapped(SWEEP_LAMBDAS))
+        fun = bounds._pentagon_crossing(stage_of, SWEEP_LAMBDAS)
+        y_again, f_again = _search._crossing_max(fun(x), np.zeros(n), np.ones(n))
         np.testing.assert_array_equal(y, y_again)
         np.testing.assert_array_equal(f, f_again)
 
@@ -694,10 +716,11 @@ class TestRefinement:
         support = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS)(x)(y[None])[0]
         np.testing.assert_array_equal(support.view(np.uint64), f.view(np.uint64))
 
-    # plain golden section at both levels made 3,135-3,249 calls; the lookahead
-    # makes 27 outer calls of 28 inner calls each for dbpc1, 27 calls over s
-    # alone for cutset, and the crossing families' root finder 212 and 233
-    CALLS = {"cutset": 27, "dbpc1": 27 * 28}
+    # plain golden section at both levels made 3,135-3,249 calls, and with
+    # the lookahead 756 (27 outer calls of 28 inner calls each).  Cutset
+    # makes 27 calls over s alone; dbpc1 281 along Gamma, with its root
+    # finder, and one at the points of arc A; the crossing families 212 and 233
+    CALLS = {"cutset": 27, "dbpc1": 282}
     CALL_BOUNDS = {"cover-leung": 220, "erasure-fb": 240}
 
     @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
@@ -830,28 +853,117 @@ class TestCrossingMax:
         assert np.all(np.abs(y - root) <= np.where(high > 0.0, 1e-12, 1e-9)), np.abs(y - root)
 
 
+#: the solved dbpc1 support may exceed its arc bound max_u G by this many ulps of the bound (it
+#: did by at most 0.5)
+ARC_BOUND_ULPS = 4
+
+
+def _arc_bound(lams):
+    """max over u in [0, 1/2] of G(u) = (2 lam - 1) h(u)/2 + (1 - lam) h((1 - u)/2), for each lam >= 1/2.
+
+    G is concave, and its slope has the sign of (2 lam - 1) h'(u) - (1 - lam)
+    log2((1 + u)/(1 - u)), with h'(u) = log2((1 - u)/u); 80 bisection steps
+    on that sign put u within rounding of the maximizer, and the ends are
+    taken too.
+    """
+    lam = lams[:, None]
+    lo, hi = np.zeros_like(lam), np.full_like(lam, 0.5)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        rising = (2.0 * lam - 1.0) * np.log2((1.0 - mid) / mid) > (1.0 - lam) * np.log2((1.0 + mid) / (1.0 - mid))
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    u = np.concatenate([lo, hi, np.zeros_like(lo), np.full_like(lo, 0.5)], axis=1)
+    return ((2.0 * lam - 1.0) * binary_entropy(u) / 2.0 + (1.0 - lam) * binary_entropy((1.0 - u) / 2.0)).max(axis=1)
+
+
+def _vertex_bisection():
+    """u_v, the u of the vertex V, by bisection: the u whose saturation point on the face meets the sum cap.
+
+    At u the face point that saturates r1 has h(phi(2 u1)) = h(u)/2 (an inner
+    bisection over u1 in [0, u (1 - u)]), and u2 = lower_face_u2(u1, u).
+    There r1 + r2 - sum = h(u)/2 + h(phi(2 u2))/2 - h((1 - u)/2) rises in u,
+    negative at 0.2 and positive at 1/2.
+    """
+
+    def excess(u):
+        lo, hi = 0.0, u * (1.0 - u)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if binary_entropy(phi(2.0 * mid)) < binary_entropy(u) / 2.0 else (lo, mid)
+        u2 = lower_face_u2(hi, u)
+        return binary_entropy(u) / 2.0 + binary_entropy(phi(2.0 * u2)) / 2.0 - binary_entropy((1.0 - u) / 2.0)
+
+    lo, hi = 0.2, 0.5
+    assert excess(lo) < 0.0 < excess(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestDbpc1Arcs:
+    """dbpc1's solve along the arcs of its boundary: Gamma, the vertex V and arc A (bounds._solve_db)."""
+
+    def test_witness_attains_the_solved_support(self):
+        # the binary uniform-T input at each solved (u1, u2), its exact dbpc1
+        # pentagon read from input_stats, not the closed form, supports each
+        # direction within 1e-12 of the solve (it was within 6.7e-16); the
+        # arc-A points come from the saturation root
+        x, y, f = bounds._solution("dbpc1")
+        columns, pentagon = oracle._PENTAGONS["dbpc1"]
+        caps = pentagon(*_kernels.input_stats(*bounds._binary_t_witness_rows(x, y / 4.0), columns).T)
+        support = bounds._support_of_caps(caps, SWEEP_LAMBDAS, 1.0 - SWEEP_LAMBDAS)
+        assert np.abs(support - f).max() <= 1e-12, np.abs(support - f).max()
+
+    def test_support_is_at_most_the_arc_bound(self):
+        # at lam >= 1/2 every pentagon's support is at most max_u G(u), from
+        # the caps alone, whatever the search did
+        upper = SWEEP_LAMBDAS >= 0.5
+        bound = _arc_bound(SWEEP_LAMBDAS[upper])
+        f = bounds._solution("dbpc1")[2][upper]
+        assert np.all(f <= bound + ARC_BOUND_ULPS * np.spacing(bound)), (f - bound).max()
+        # and where arc A alone supports, at lam >= 0.683, the bound is attained
+        tight = SWEEP_LAMBDAS[upper] >= 0.683
+        np.testing.assert_allclose(f[tight], bound[tight], rtol=0.0, atol=1e-15)
+
+    def test_vertex_is_a_bisection(self, monkeypatch):
+        # the lower end of arc A's one golden section is u_v, found from the
+        # solve's extra column; a bisection gives 0.34668653074593...
+        lows, golden = [], _search._golden_max
+
+        def recorded(fun, lo, hi):
+            lows.append(lo)
+            return golden(fun, lo, hi)
+
+        monkeypatch.setattr(_search, "_golden_max", recorded)
+        bounds._solve_family("dbpc1", SWEEP_LAMBDAS[[0, 90]])
+        arc = [lo for lo in lows if lo[0] > 0.0]
+        assert len(arc) == 1 and np.all(arc[0] == arc[0][0])
+        assert abs(arc[0][0] - _vertex_bisection()) <= 1e-10, arc[0][0] - _vertex_bisection()
+
+
 class TestReductions:
     """Each step that reduces a region family to the solver's two variables."""
 
     def test_lower_face_point_dominates_triple(self, rng):
+        # a triple's lower-face point, (u1, lower_face_u2(u1, u)) for u <= 1/2
+        # and (u1, 1/4) above, has dbpc1 caps on the solve's box no lower
         u1, u2, u = sample_triple_rows(5000, rng)
         v = np.minimum(u, 0.5)
-        span = v * (1.0 - v)
-        # span = 0 only at v = 0, where u1 = 0 too
-        y = np.divide(u1, span, out=np.zeros_like(u1), where=span > 0.0)
-        face = bounds._db_face(v)(y)
+        face = bounds._FAMILIES["dbpc1"][0](u1)(4.0 * lower_face_u2(u1, v))
         for f, t in zip(face, _old_db_caps(u1, u2, u)):
             assert np.all(f >= t - 1e-12), (f - t).min()
 
     def test_db_face_matches_the_scalar_face_map(self, rng):
-        # each cap of the face at y, broadcast against u, must keep the bits
-        # of the caps at u1 = y u (1 - u) and the scalar lower_face_u2(u1, u)
-        u = np.concatenate([[0.0, 0.25, 0.5], rng.uniform(0.0, 0.5, 60)])
-        for y in (rng.uniform(0.0, 1.0, (4, len(u))), rng.uniform(0.0, 1.0, len(u))):
-            u1 = y * u * (1.0 - u)
-            u2 = np.vectorize(lambda a, b: float(lower_face_u2(a, b)))(u1, u)
-            for got, want in zip(bounds._db_face(u)(y), bounds._db_staged(u)(u1, u2)):
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # each dbpc1 cap on the box at (u1, y), y broadcast against u1, keeps
+        # the bits of the caps written out at the face point (u1, y / 4, u),
+        # u = f2(2 u1, y / 2) taken one scalar at a time
+        u1 = np.concatenate([[0.0, 0.25, 0.1], rng.uniform(0.0, 0.25, 60)])
+        for y in (rng.uniform(0.0, 1.0, (4, len(u1))), np.concatenate([[1.0, 0.0, 1.0], rng.uniform(0.0, 1.0, 60)])):
+            u = np.vectorize(lambda a, b: f2(a, b))(2.0 * u1, 0.5 * y)
+            want = _old_db_caps(u1, 0.25 * y, u)
+            for got, w in zip(bounds._FAMILIES["dbpc1"][0](u1)(y), want):
+                np.testing.assert_array_equal(got.view(np.uint64), w.view(np.uint64))
 
     @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
     def test_broadcast_matches_each_column_alone(self, family, rng):

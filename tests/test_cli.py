@@ -104,9 +104,9 @@ class TestRegion:
 
     @pytest.mark.parametrize("which, digest", [
         ("cutset", "655cf2a9944f1b524af3d5cdcaba78ba90d56ffef28a7ecde703b11bc4a50c4d"),
-        ("dbpc1", "66434e5c0f0a49e7ca68a41684ee06b54330893c8ca1b6965d549b46f9214cec"),
-        ("dbpc2", "0eedc90740c8afd0d2eb6c4bdae893bc42c47600865ad012f7e7f2ca40f4a7b5"),
-        ("dbpc", "0ba599d5d171ba23e15ccbf01789babcf9a0165d21d32241a98fcfa6a7e537d3"),
+        ("dbpc1", "9cfe5a0bb840e135d3fe1bbafa4ebfa4d95dddde3765870b570efa27142e6985"),
+        ("dbpc2", "2b77df3b41607f2196dae7a8de896c0e5916a62946d23f2f6d23ba0b0ae9ac58"),
+        ("dbpc", "f86c12f7d93cf2540309e049f016a05040a26706d087da0a63c5b1731d0ae8b0"),
     ])
     def test_outer_region_csv_is_its_support_polygon(self, which, digest, capsys, monkeypatch):
         # one vertex per pair of consecutive kept support lines of the 181:
