@@ -1,32 +1,31 @@
-"""Batched searches: many one- and two-variable concave problems at once.
+"""Batched searches: many one-variable concave problems at once.
 
 :func:`_golden_max` maximizes a unimodal function over an interval for
 each problem by golden section.  :func:`_crossing_max` maximizes one that
 peaks where a rising difference crosses zero, such as the minimum of a
-rising and a falling function, by a bracketing root finder.
-:func:`_solve` maximizes a function of (x, y) over a box whose best value
-over y is unimodal in x and whose optimum over y is such a crossing: a
-golden-section search over x, whose every step runs the root finder over
-y, finds the optimum.
+rising and a falling function, by a bracketing root finder.  An objective
+may itself run a search at its points: every call passes all its points,
+flattened, to one inner search, whose maximizer can travel with the value.
 
 The golden-section search looks one step ahead: each call evaluates a
 step's new point together with both points the next step can ask for, so
 it takes two steps per call and visits every point of plain golden
-section; the next step takes its new point and value from them.  The outer
-search passes its three points per problem to one inner search, whose
-maximizer over y travels with the value.  Golden section takes a number of
-steps fixed by its bracket's width, the same for every problem.  So a
-nested solve of 181 problems over [0, 1/4] x [0, 1] makes 26 outer calls
-and about 210 to 280 inner calls of the root finder.  Golden section at
-both levels took 756 calls (27 outer calls of 28 inner calls each), and
-plain golden section about 3,200.
+section; the next step takes its new point and value from them.  Golden
+section takes a number of steps fixed by its bracket's width, the same for
+every problem: 26 calls over [0, 1/4].
+
+Solving the 181 sweep directions of a region family over a two-variable
+box took about 3,200 calls of its caps by plain golden section at both
+levels, 756 with the lookahead (27 outer calls of 28 inner calls each),
+and 212 to 282 with the root finder over y inside golden section over x.
+Where the optimum over y does not depend on the direction, one root per
+point serves every direction: a golden section over x whose objective
+runs the root finder over y makes 259 calls (cover-leung, erasure-fb),
+with no support taken at the inner steps.
 
 The points of one call are the rows of an ``(m, n)`` array, one column per
 problem, so a term with one value per problem, of shape ``(n,)``,
-broadcasts over them.  The objective of :func:`_solve` is staged:
-``fun(x)`` is called once per outer call and returns the inner objective
-``g(y)``.  So whatever depends on x alone is computed once per outer call,
-not in each of the 8 to 11 inner calls that follow it.
+broadcasts over them.
 """
 
 from __future__ import annotations
@@ -38,10 +37,10 @@ import numpy as np
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _TOL = 1e-11
 #: the stopping rules of :func:`_crossing_max`: a difference within _ROOT_TOL of 0, or a bracket of
-#: at most _BRACKET_TOL.  On the cover-leung and erasure-fb solves they made 212 and 233 calls, and
-#: no support at the 181 directions fell below golden section's (they rose by up to 8.0e-14 and
-#: 2.8e-14).  Stopping at adjacent floats took 353 and 370 calls for supports within 4e-16 of these;
-#: a 1e-11 bracket lowered one cover-leung support by 2.1e-13.
+#: at most _BRACKET_TOL.  Over y inside the nested cover-leung and erasure-fb solves they made 212
+#: and 233 calls, and no support at the 181 directions fell below golden section's (they rose by up
+#: to 8.0e-14 and 2.8e-14).  Stopping at adjacent floats took 353 and 370 calls for supports within
+#: 4e-16 of these; a 1e-11 bracket lowered one cover-leung support by 2.1e-13.
 _ROOT_TOL = 1e-15
 _BRACKET_TOL = 1e-12
 
@@ -174,24 +173,3 @@ def _crossing_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
         active &= (np.abs(d) > _ROOT_TOL) & (b - a > _BRACKET_TOL)
     better = v_b > v_a
     return np.where(better, b, a), np.where(better, v_b, v_a)
-
-
-def _solve(fun, x_hi: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize an objective over (x, y) in [0, x_hi] x [0, 1] for each of ``n`` problems.
-
-    ``fun(x)`` takes an outer call's points, flattened (problem ``i % n`` at
-    ``x[i]``), and returns ``g(y)``, the stack of objective and difference at
-    (x, y) for y of shape ``(m, len(x))`` that :func:`_crossing_max` reads.
-    The best value over y must be unimodal in x, as it is when the objective
-    is concave in (x, y).  The outer golden-section search over x then
-    searches a unimodal function, and each of its calls runs the root finder
-    over y for every outer point at once.  Returns the maximizers x and y and
-    the value there.
-    """
-
-    def best_y(x):
-        y, f = _crossing_max(fun(x.ravel()), np.zeros(x.size), np.ones(x.size))
-        return np.stack([f, y]).reshape(2, *x.shape)
-
-    x, (f, y) = _golden_max(best_y, np.zeros(n), np.full(n, x_hi))
-    return x, y, f

@@ -11,8 +11,8 @@ form (:func:`_erasure_staged`); :func:`_symmetric` reads a pentagon's
 symmetric rate off its caps.  The definition is staged: given u1, the
 variable the solve's outer search moves, it takes the terms of u1 alone
 once (h(phi(2 u1)) and 2 u1) and returns the caps as a function of the
-rest.  So the inner search, 8 to 11 calls per outer call, evaluates only
-the terms that move with it.
+rest.  So the root finder over y, about 10 calls per call over u1,
+evaluates only the terms that move with it.
 Those terms, of shape ``(n,)``, broadcast against the rest at shape
 ``(m, n)``.  ``_CAPS`` holds each family's caps at a triple (u1, u2,
 u), keyed like the exact pentagons of ``oracle._PENTAGONS``.  The constraint
@@ -34,16 +34,16 @@ reduced to two variables (x, y) over a box without losing its optimum:
 - erasure-fb: the (u1, u2) box with the sum cap mu(max(1/3, f2)), the
   triple form with u maximized out.
 
-Maximizing over y keeps concavity in x, so the nested search of
-:func:`macfb._search._solve` finds the optimum of all 181 directions at
-once: golden section over x, and over y a root finder, where the optimum
-over y is a crossing of two combinations of the caps (cover-leung,
-erasure-fb; :func:`_pentagon_crossing`).  The cut-set solve is golden
-section over s alone, at y = 1/2.  dbpc1 is solved along the arcs of its
-boundary (:func:`_solve_db`): one nested solve along the curve where its
-unsaturated caps meet the sum cap, and one golden section over u along the
-arc where r1 is saturated.  Each family in ``_FAMILIES`` is its staged
-caps on the (x, y) box and its solve.
+Maximizing over y keeps concavity in x.  In cover-leung, erasure-fb and
+dbpc1 the optimum over y at each u1 lies on Gamma, the curve where the sum
+cap meets the unsaturated caps, in every direction (:func:`_on_gamma`).
+So one golden section over u1, with the root finder over y at each of its
+points, solves all 181 directions at once (:func:`_gamma_max`).  dbpc1 is
+solved along the arcs of its boundary (:func:`_solve_db`): along Gamma,
+and by one golden section over u along the arc where r1 is saturated,
+which starts at the vertex V, a root along Gamma.  The cut-set solve is
+golden section over s alone, at y = 1/2.  Each family in ``_FAMILIES`` is
+its staged caps on the (x, y) box and its solve.
 
 Since every region is convex, it is fixed by its support values, and no
 region sweeps a parameter grid:
@@ -56,8 +56,8 @@ region sweeps a parameter grid:
   pentagon corners, so they claim only what some input reaches
   (:func:`_inner_curve`).  They hull the solved corners and the exact
   boundary curve of the union: the top corner at grid_n values of u1 and
-  on either side of each solved u1, each the root of a difference of caps
-  that rises in u2, and its mirror.  grid_n matters to no other region.
+  on either side of each solved u1, each a point of Gamma, and its mirror.
+  grid_n matters to no other region.
 
 Regions
 -------
@@ -383,7 +383,7 @@ def _support_of_caps(caps, lam, rest):
 
 
 def _pentagon_support(stage_of, lams: np.ndarray):
-    """A family's pentagon support as the staged ``fun(x)`` of :func:`_solve`; problem k is direction ``lams[k]``."""
+    """A family's pentagon support, staged: ``fun(x)(y)`` is its value at (x, y); problem k is direction ``lams[k]``."""
 
     def fun(x):
         caps, lam = stage_of(x), np.tile(lams, len(x) // len(lams))  # x holds the problems' points in turn
@@ -396,38 +396,6 @@ def _pentagon_support(stage_of, lams: np.ndarray):
 def _swapped(lams: np.ndarray) -> np.ndarray:
     """The directions below 1/2, which a family symmetric under swapping the users solves with the users swapped."""
     return lams < 0.5
-
-
-def _pentagon_crossing(stage_of, lams: np.ndarray):
-    """A symmetric family's pentagon support and crossing difference, as the staged ``fun(x)`` of :func:`_solve`.
-
-    With weights (w1, w2), w1 >= w2, the support of caps (a, b, c) is the
-    smallest of L1 = w1 a + w2 b, L2 = (w1 - w2) a + w2 c and L3 = w1 c,
-    the vertices of the dual of the support LP.  In cover-leung and
-    erasure-fb, with u1 fixed, L1 rises with u2 and min(L2, L3) falls, so
-    the support over u2 peaks where L1 - min(L2, L3) crosses zero.  A
-    direction lam >= 1/2 takes the weights (lam, 1 - lam).  A direction
-    below 1/2 takes (1 - lam, lam): both families are symmetric under
-    swapping the users, so its support at (u1, u2) is that of direction lam
-    at (u2, u1), and its solved point holds the users swapped
-    (:func:`_solve_crossing`).
-    """
-    swapped = _swapped(lams)
-    w1, w2 = np.where(swapped, 1.0 - lams, lams), np.where(swapped, lams, 1.0 - lams)
-
-    def fun(x):
-        caps, k = stage_of(x), len(x) // len(lams)  # x holds the problems' points in turn
-        first, second = np.tile(w1, k), np.tile(w2, k)
-        both = first - second
-
-        def at(y):
-            a, b, c = caps(y)
-            low = np.minimum(both * a + second * c, first * c)
-            return np.stack([_support_of_caps((a, b, c), first, second), first * a + second * b - low])
-
-        return at
-
-    return fun
 
 
 def _cutset_joint(s, y) -> np.ndarray:
@@ -468,7 +436,7 @@ def _y_is_4u2(caps):
 def _solve_half(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve of staged caps whose optimum over y is y = 1/2 in every direction: golden section over x alone.
 
-    The solved y is 1/2 exactly, so the solution has the shape of the nested solves'.
+    The solved y is 1/2 exactly, so the solution has the shape of the other solves'.
     """
     support, n = _pentagon_support(stage_of, lams), len(lams)
     x, f = _search._golden_max(lambda x: support(x.ravel())(0.5).reshape(x.shape), np.zeros(n), np.full(n, x_hi))
@@ -483,44 +451,80 @@ def _swap_users(x: np.ndarray, y: np.ndarray, swapped: np.ndarray) -> tuple[np.n
     return np.where(swapped, 0.25 * y, x), np.where(swapped, 4.0 * x, y)
 
 
-def _solve_crossing(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve of a user-symmetric family's staged caps on the (u1, 4 u2) box by the root finder over y.
+def _on_gamma(stage_of, u1: np.ndarray, r1=None) -> tuple[np.ndarray, tuple]:
+    """Gamma at each u1, where the sum cap meets the unsaturated caps: the root y of b - (c - r1), and the caps there.
 
-    A direction below 1/2 is solved with the users swapped
-    (:func:`_pentagon_crossing`), and its point is swapped back, so every
-    point is the optimum at (u1, 4 u2) itself.
+    ``stage_of`` stages a family's caps (a, b, c) on the (u1, 4 u2) box, and
+    ``r1(u1)`` is its unsaturated r1 cap; left out, it is the r1 cap a
+    itself, which in cover-leung and erasure-fb does not saturate.  b rises
+    in y and c does not, so min(b, c - r1) peaks where the difference, which
+    rises, crosses zero (:func:`macfb._search._crossing_max`).  No direction
+    is read: on both symmetric families a <= c (a <= 1/2 < h(1/4) <= c, and
+    a <= 1 < 3/2 <= c), so with weights w1 >= w2 the support is
+    w1 a + w2 min(b, c - a), whose maximum over y lies on Gamma.  Returns y
+    and the caps at (u1, y).
     """
-    x, y, f = _search._solve(_pentagon_crossing(stage_of, lams), x_hi, len(lams))
-    return (*_swap_users(x, y, _swapped(lams)), f)
+    caps, n = stage_of(u1), len(u1)
+    unsaturated = None if r1 is None else r1(u1)
+
+    def top(y):
+        a, b, c = caps(y)
+        rest = c - (a if unsaturated is None else unsaturated)
+        return np.stack([np.minimum(b, rest), b - rest])
+
+    y, _ = _search._crossing_max(top, np.zeros(n), np.ones(n))
+    return y, caps(y)
 
 
-def _db_crossing(stage_of, lams: np.ndarray):
-    """dbpc1's pentagon support on the curve Gamma, and the vertex V, as the staged ``fun(x)`` of :func:`_solve`.
+def _gamma_max(stage_of, x_hi: float, w1: np.ndarray, w2: np.ndarray, r1=None):
+    """The best point of Gamma (:func:`_on_gamma`) in the weights (w1, w2), one problem per entry.
 
-    Gamma is where the sum cap meets the unsaturated caps: h(phi(2 u1)) +
-    h(phi(2 u2))/2 = h((1 - f2)/2), a difference that rises in u2.  Problem
-    k is direction ``lams[k]``, whose objective is the support of the true
-    caps, with r1 = min(h(f2)/2, h(phi(2 u1))).  One more problem, the last,
-    finds V, where Gamma meets the saturation of r1: its objective is
-    -|h(phi(2 u1)) - h(f2)/2|, whose difference rises along Gamma.  It does
-    not depend on ``lams``, so V is the same in every batch.
+    Golden section over u1 in [0, x_hi] of the support at Gamma's point;
+    its y travels with the value.  Returns the maximizers u1 and y and the
+    support there.
     """
-    lam = np.append(lams, 0.5)  # the direction of V's problem is not read
-    n = len(lam)
 
-    def fun(x):
-        caps, first = stage_of(x), np.tile(lam, len(x) // n)  # x holds the problems' points in turn
-        rest, r1, v = 1.0 - first, _h_phi(x), slice(n - 1, None, n)
+    def support(x):
+        y, caps = _on_gamma(stage_of, x.ravel(), r1)
+        k = len(x)  # the rows of x hold the problems' points in turn
+        return np.stack([_support_of_caps(caps, np.tile(w1, k), np.tile(w2, k)), y]).reshape(2, *x.shape)
 
-        def at(y):
-            a, b, c = caps(y)
-            objective = _support_of_caps((a, b, c), first, rest)
-            objective[:, v] = -np.abs(r1[v] - _half_h(f2(2.0 * x[v], 0.5 * y[:, v])))
-            return np.stack([objective, r1 + b - c])
+    x, (f, y) = _search._golden_max(support, np.zeros(len(w1)), np.full(len(w1), x_hi))
+    return x, y, f
 
-        return at
 
-    return fun
+def _solve_gamma(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve of a user-symmetric family's staged caps on the (u1, 4 u2) box along Gamma.
+
+    A direction lam >= 1/2 takes the weights (lam, 1 - lam).  A direction
+    below 1/2 takes (1 - lam, lam): cover-leung and erasure-fb are symmetric
+    under swapping the users, so its support at (u1, u2) is that of
+    direction lam at (u2, u1).  Its point is swapped back, so every point is
+    the optimum at (u1, 4 u2) itself.
+    """
+    swapped = _swapped(lams)
+    x, y, f = _gamma_max(stage_of, x_hi, np.where(swapped, 1.0 - lams, lams), np.where(swapped, lams, 1.0 - lams))
+    return (*_swap_users(x, y, swapped), f)
+
+
+def _db_vertex(stage_of, x_hi: float) -> float:
+    """u_v, the u of dbpc1's vertex V, where Gamma meets the saturation of r1.
+
+    Along Gamma, with r1 = h(phi(2 u1)) unsaturated, the difference
+    h(phi(2 u1)) - h(u)/2 rises in u1, and V is its root
+    (:func:`macfb._search._crossing_max`, with Gamma's root inside).  No
+    direction is read, so V is the same in every batch.
+    """
+
+    def saturation(x):
+        u1 = x.ravel()
+        y, _ = _on_gamma(stage_of, u1, _h_phi)
+        d = (_h_phi(u1) - _half_h(f2(2.0 * u1, 0.5 * y))).reshape(x.shape)
+        return np.stack([-np.abs(d), d])
+
+    u1, _ = _search._crossing_max(saturation, np.zeros(1), np.full(1, x_hi))
+    y, _ = _on_gamma(stage_of, u1, _h_phi)
+    return float(f2(2.0 * u1[0], 0.5 * y[0]))
 
 
 def _db_arc(lams: np.ndarray, u_v: float) -> tuple[np.ndarray, np.ndarray]:
@@ -557,27 +561,28 @@ def _solve_db(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.n
     :func:`_db_arc`, with equality on arc A.  Arc A ends at the vertex V
     (u_v = 0.3466865...), where it meets Gamma, the curve on which r1 is
     unsaturated and the sum cap is active.  Golden section over u1 along
-    Gamma (:func:`_db_crossing`) gives each direction's best point there
-    and V; :func:`_db_arc` gives the best point of arc A.  Each direction
-    keeps the better of the two, whose support is taken at its own point.
+    Gamma (:func:`_gamma_max`, with r1 = h(phi(2 u1))) gives each
+    direction's best point there, and V is a root along Gamma
+    (:func:`_db_vertex`); :func:`_db_arc` gives the best point of arc A.
+    Each direction keeps the better of the two, whose support is taken at
+    its own point.
     """
-    n = len(lams)
-    x, y, f = _search._solve(_db_crossing(stage_of, lams), x_hi, n + 1)
-    x_a, y_a = _db_arc(lams, f2(2.0 * x[n], 0.5 * y[n]))
+    x, y, f = _gamma_max(stage_of, x_hi, lams, 1.0 - lams, _h_phi)
+    x_a, y_a = _db_arc(lams, _db_vertex(stage_of, x_hi))
     f_a = _pentagon_support(stage_of, lams)(x_a)(y_a[None])[0]
-    on_arc = f_a > f[:n]
-    return np.where(on_arc, x_a, x[:n]), np.where(on_arc, y_a, y[:n]), np.where(on_arc, f_a, f[:n])
+    on_arc = f_a > f
+    return np.where(on_arc, x_a, x), np.where(on_arc, y_a, y), np.where(on_arc, f_a, f)
 
 
 #: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x, solve) for
-#: each pentagon family; each looks its caps up on this module when called.  The inner
-#: optimum of cover-leung and erasure-fb is a crossing (:func:`_pentagon_crossing`), and
-#: that of cutset is y = 1/2 (:func:`_cutset_caps`).
+#: each pentagon family; each looks its caps up on this module when called.  Cover-leung,
+#: erasure-fb and dbpc1 are solved along Gamma (:func:`_on_gamma`), and cutset at
+#: y = 1/2 (:func:`_cutset_caps`).
 _FAMILIES = {
     "dbpc1": (lambda u1: _y_is_4u2(_db_pair_staged(u1)), 0.25, _solve_db),
     "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5, _solve_half),
-    "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25, _solve_crossing),
-    "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25, _solve_crossing),
+    "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25, _solve_gamma),
+    "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25, _solve_gamma),
 }
 
 
@@ -623,9 +628,9 @@ def _inner_curve(family: str, grid_n: int) -> BoundaryCurve:
 
     In cover-leung and erasure-fb the r1 cap a rises with u1, the r2 cap b
     with u2, and the sum cap c rises in neither.  So at each u1 the union's
-    top corner at r1 = a(u1) is the maximum over u2 of min(b, c - a), where
-    b - (c - a), which rises, crosses zero (:func:`_crossing_max`); both
-    families are symmetric, so the mirror gives the other face.  The face is
+    top corner at r1 = a(u1) is the maximum over u2 of min(b, c - a), on
+    Gamma (:func:`_on_gamma`); both families are symmetric, so the mirror
+    gives the other face.  The face is
     taken at grid_n values of u1 and ``_FLANK`` on either side of each
     solved u1.  Every point is an attained pentagon corner.
     """
@@ -633,15 +638,7 @@ def _inner_curve(family: str, grid_n: int) -> BoundaryCurve:
     stage_of, x_hi, _ = _FAMILIES[family]
     x = _solution(family)[0]
     u1 = np.concatenate([np.linspace(0.0, x_hi, grid_n), np.clip(np.concatenate([x - _FLANK, x + _FLANK]), 0.0, x_hi)])
-    caps = stage_of(u1)
-
-    def top(y):
-        a, b, c = caps(y)
-        rest = c - a
-        return np.stack([np.minimum(b, rest), b - rest])
-
-    y, _ = _search._crossing_max(top, np.zeros(len(u1)), np.ones(len(u1)))
-    face = _corner_points(*caps(y))
+    face = _corner_points(*_on_gamma(stage_of, u1)[1])
     pts = pareto_filter(np.concatenate([face, face[:, ::-1], _solved_points(family)])).points
     return BoundaryCurve(points=_concave_upper_hull(pts), label=family)
 

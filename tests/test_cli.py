@@ -13,10 +13,10 @@ CMD = [sys.executable, "-m", "macfb"]
 
 #: sha256 of ``macfb region <which> --grid-n <grid_n>`` for the inner regions
 INNER_CSV_SHA256 = {
-    ("cover-leung", "21"): "75cc7ff5590a8b5b66648d1edbaf04676bf052a35927f04ed676a9288c58cce7",
-    ("cover-leung", "201"): "9d73b9961f103668d061c5e150a37176a79732e189c5792d291b442d2981612c",
-    ("erasure-fb", "21"): "575e09ff13443f248f4961fdd495f861c99fd42533ea27523bb60779d0014d86",
-    ("erasure-fb", "201"): "6c31299fc481775a16c781d28779f313a8f6c2dfce08f3a9a22a0b6a3e4a116f",
+    ("cover-leung", "21"): "f6eb9c98f747c5248541e1dc23a3b8f61827d18318e404205c774d626279b5f6",
+    ("cover-leung", "201"): "a7f5bbc0e9b0da2d34dab115f732314ecd32bfd97e6e813e8ec179136439169f",
+    ("erasure-fb", "21"): "aeafd3885849aee753f7ce63e07ba834106a2ba188363425c7a4600a7fbeadc4",
+    ("erasure-fb", "201"): "1f823f1d66e2ee75dfdc05939441adee50957e8770e488f692c38e3f4d53b62c",
 }
 #: sha256 of ``macfb symrate all --format json``
 SYMRATE_JSON_SHA256 = "ffeb5477c55b86a0df017cb4fcae7c77b37a5eec538a88af0e870036f807a349"
@@ -104,9 +104,9 @@ class TestRegion:
 
     @pytest.mark.parametrize("which, digest", [
         ("cutset", "655cf2a9944f1b524af3d5cdcaba78ba90d56ffef28a7ecde703b11bc4a50c4d"),
-        ("dbpc1", "9cfe5a0bb840e135d3fe1bbafa4ebfa4d95dddde3765870b570efa27142e6985"),
-        ("dbpc2", "2b77df3b41607f2196dae7a8de896c0e5916a62946d23f2f6d23ba0b0ae9ac58"),
-        ("dbpc", "f86c12f7d93cf2540309e049f016a05040a26706d087da0a63c5b1731d0ae8b0"),
+        ("dbpc1", "fb625b0ea01c9d266dc4b1cce6c8af6f8721ac3c3e9716f6cef949c4a6067e9a"),
+        ("dbpc2", "247d25243398cba0fd9e557ef71c5e1e87b0a02a1cb69af7e40049aa20f3f011"),
+        ("dbpc", "0e72205e3fa1900f0910db7a9b2a25169cbd5f1983b3e0a7a5bee4dcd5d0714d"),
     ])
     def test_outer_region_csv_is_its_support_polygon(self, which, digest, capsys, monkeypatch):
         # one vertex per pair of consecutive kept support lines of the 181:
