@@ -3,9 +3,17 @@
 :func:`_golden_max` maximizes a unimodal function over an interval for
 each problem by golden section.  :func:`_crossing_max` maximizes one that
 peaks where a rising difference crosses zero, such as the minimum of a
-rising and a falling function, by a bracketing root finder.  An objective
-may itself run a search at its points: every call passes all its points,
-flattened, to one inner search, whose maximizer can travel with the value.
+rising and a falling function, by a bracketing root finder.
+
+Both take ``fun(x)``, whose points ``x`` are the rows of an ``(m, n)``
+array, one column per problem, so a term with one value per problem, of
+shape ``(n,)``, broadcasts over them.  Its output is the objective at the
+points, or a stack of rows whose first is the objective (for
+:func:`_crossing_max` always a stack, whose second row is the difference);
+the rows after these travel with the objective.  Both return the
+maximizers and ``fun``'s whole output there.  So an objective may itself
+run a search at its points, passing them all, flattened, to one inner
+search, and return that search's maximizer as a row of its own.
 
 The golden-section search looks one step ahead: each call evaluates a
 step's new point together with both points the next step can ask for, so
@@ -13,19 +21,6 @@ it takes two steps per call and visits every point of plain golden
 section; the next step takes its new point and value from them.  Golden
 section takes a number of steps fixed by its bracket's width, the same for
 every problem: 26 calls over [0, 1/4].
-
-Solving the 181 sweep directions of a region family over a two-variable
-box took about 3,200 calls of its caps by plain golden section at both
-levels, 756 with the lookahead (27 outer calls of 28 inner calls each),
-and 212 to 282 with the root finder over y inside golden section over x.
-Where the optimum over y does not depend on the direction, one root per
-point serves every direction: a golden section over x whose objective
-runs the root finder over y makes 259 calls (cover-leung, erasure-fb),
-with no support taken at the inner steps.
-
-The points of one call are the rows of an ``(m, n)`` array, one column per
-problem, so a term with one value per problem, of shape ``(n,)``,
-broadcasts over them.
 """
 
 from __future__ import annotations
@@ -37,10 +32,11 @@ import numpy as np
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _TOL = 1e-11
 #: the stopping rules of :func:`_crossing_max`: a difference within _ROOT_TOL of 0, or a bracket of
-#: at most _BRACKET_TOL.  Over y inside the nested cover-leung and erasure-fb solves they made 212
-#: and 233 calls, and no support at the 181 directions fell below golden section's (they rose by up
-#: to 8.0e-14 and 2.8e-14).  Stopping at adjacent floats took 353 and 370 calls for supports within
-#: 4e-16 of these; a 1e-11 bracket lowered one cover-leung support by 2.1e-13.
+#: at most _BRACKET_TOL.  Run over y inside golden section over x, the cover-leung and erasure-fb
+#: solves made 212 and 233 calls with them, and no support at the 181 directions fell below golden
+#: section's (they rose by up to 8.0e-14 and 2.8e-14).  Stopping at adjacent floats took 353 and
+#: 370 calls for supports within 4e-16 of these; a 1e-11 bracket lowered one cover-leung support
+#: by 2.1e-13.
 _ROOT_TOL = 1e-15
 _BRACKET_TOL = 1e-12
 
@@ -128,29 +124,31 @@ def _golden_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
 def _crossing_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximum over [lo, hi] of an objective that peaks where a rising difference crosses zero, one problem per entry.
 
-    ``fun(x)`` returns, at points ``x`` of shape ``(m, n)``, a stack of two
-    arrays: the objective and a difference that is nondecreasing in x, with
-    the objective rising where the difference is negative and falling where
-    it is positive.  The minimum of a rising and a falling function is such
-    an objective, with their difference.  If the difference is >= 0 at lo,
-    the maximum is at lo; if it is <= 0 at hi, at hi.  Otherwise the
-    bracket [a, b], a difference < 0 at a and >= 0 at b, shrinks onto the
-    root by Illinois steps: regula falsi, which halves the difference kept
-    at an end that stays for a second step in a row (Dowell and Jarratt,
-    BIT 11, 1971), and bisection where that step's point is not inside
-    the bracket.  A problem stops at a difference within ``_ROOT_TOL`` of
-    0 or a bracket of at most ``_BRACKET_TOL``, and its answer is the end
-    of higher objective.  Every call evaluates every problem, each in its
-    own column, and a stopped problem keeps its state, so a problem's
-    result does not depend on the rest of the batch.  Returns the
-    maximizers and the objective there.
+    ``fun(x)`` returns, at points ``x`` of shape ``(m, n)``, a stack whose
+    first two rows are the objective and a difference that is nondecreasing
+    in x, with the objective rising where the difference is negative and
+    falling where it is positive; any further rows travel with them.  The
+    minimum of a rising and a falling function is such an objective, with
+    their difference.  If the difference is >= 0 at lo, the maximum is at
+    lo; if it is <= 0 at hi, at hi.  Otherwise the bracket [a, b], a
+    difference < 0 at a and >= 0 at b, shrinks onto the root by Illinois
+    steps: regula falsi, which halves the difference kept at an end that
+    stays for a second step in a row (Dowell and Jarratt, BIT 11, 1971),
+    and bisection where that step's point is not inside the bracket.  A
+    problem stops at a difference within ``_ROOT_TOL`` of 0 or a bracket of
+    at most ``_BRACKET_TOL``, and its answer is the end of higher
+    objective.  Every call evaluates every problem, each in its own column,
+    and a stopped problem keeps its state, so a problem's result does not
+    depend on the rest of the batch.  Returns the maximizers and ``fun``'s
+    output there.
     """
-    (v_a, d_a), (v_b, d_b) = _evaluate(fun, [lo, hi])
+    out_a, out_b = _evaluate(fun, [lo, hi])
+    d_a, d_b = out_a[1], out_b[1]
     at_lo = d_a >= 0.0
     at_hi = ~at_lo & (d_b <= 0.0)
     # an optimum on an end closes the bracket there
-    a, v_a = np.where(at_hi, hi, lo), np.where(at_hi, v_b, v_a)
-    b, v_b = np.where(at_lo, lo, hi), np.where(at_lo, v_a, v_b)
+    a, out_a = np.where(at_hi, hi, lo), np.where(at_hi, out_b, out_a)
+    b, out_b = np.where(at_lo, lo, hi), np.where(at_lo, out_a, out_b)
     active = b - a > _BRACKET_TOL
     # the problems whose last step replaced a, and those whose last step replaced b
     to_a = to_b = np.zeros(a.shape, dtype=bool)
@@ -161,15 +159,15 @@ def _crossing_max(fun, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
         with np.errstate(all="ignore"):
             x = a - d_a * (width / (d_b - d_a))
         x = np.where((a < x) & (x < b), x, a + 0.5 * width)
-        v, d = fun(x[None])[:, 0]
-        left = d < 0.0
+        out = fun(x[None])[:, 0]
+        left = out[1] < 0.0
         was_a, was_b = to_a, to_b
         to_a, to_b = active & left, active & ~left
         # the Illinois step: an end kept for a second step in a row keeps half its difference
         d_b = np.where(to_a & was_a, 0.5 * d_b, d_b)
         d_a = np.where(to_b & was_b, 0.5 * d_a, d_a)
-        a, d_a, v_a = np.where(to_a, x, a), np.where(to_a, d, d_a), np.where(to_a, v, v_a)
-        b, d_b, v_b = np.where(to_b, x, b), np.where(to_b, d, d_b), np.where(to_b, v, v_b)
-        active &= (np.abs(d) > _ROOT_TOL) & (b - a > _BRACKET_TOL)
-    better = v_b > v_a
-    return np.where(better, b, a), np.where(better, v_b, v_a)
+        a, d_a, out_a = np.where(to_a, x, a), np.where(to_a, out[1], d_a), np.where(to_a, out, out_a)
+        b, d_b, out_b = np.where(to_b, x, b), np.where(to_b, out[1], d_b), np.where(to_b, out, out_b)
+        active &= (np.abs(out[1]) > _ROOT_TOL) & (b - a > _BRACKET_TOL)
+    better = out_b[0] > out_a[0]
+    return np.where(better, b, a), np.where(better, out_b, out_a)

@@ -11,7 +11,7 @@ form (:func:`_erasure_staged`); :func:`_symmetric` reads a pentagon's
 symmetric rate off its caps.  The definition is staged: given u1, the
 variable the solve's outer search moves, it takes the terms of u1 alone
 once (h(phi(2 u1)) and 2 u1) and returns the caps as a function of the
-rest.  So the root finder over y, about 10 calls per call over u1,
+rest.  So the root finder over u2, about 10 calls per call over u1,
 evaluates only the terms that move with it.
 Those terms, of shape ``(n,)``, broadcast against the rest at shape
 ``(m, n)``.  ``_CAPS`` holds each family's caps at a triple (u1, u2,
@@ -34,16 +34,16 @@ reduced to two variables (x, y) over a box without losing its optimum:
 - erasure-fb: the (u1, u2) box with the sum cap mu(max(1/3, f2)), the
   triple form with u maximized out.
 
-Maximizing over y keeps concavity in x.  In cover-leung, erasure-fb and
-dbpc1 the optimum over y at each u1 lies on Gamma, the curve where the sum
-cap meets the unsaturated caps, in every direction (:func:`_on_gamma`).
-So one golden section over u1, with the root finder over y at each of its
-points, solves all 181 directions at once (:func:`_gamma_max`).  dbpc1 is
-solved along the arcs of its boundary (:func:`_solve_db`): along Gamma,
-and by one golden section over u along the arc where r1 is saturated,
-which starts at the vertex V, a root along Gamma.  The cut-set solve is
-golden section over s alone, at y = 1/2.  Each family in ``_FAMILIES`` is
-its staged caps on the (x, y) box and its solve.
+Maximizing over y keeps concavity in x, and every solve is one golden
+section over x of the support at a point of a curve y(x), for all 181
+directions at once (:func:`_curve_max`).  In cover-leung, erasure-fb and
+dbpc1 the optimum over u2 at each u1 lies on Gamma, the curve where the
+sum cap meets the unsaturated caps, in every direction, and the root
+finder gives Gamma's u2 (:func:`_on_gamma`).  dbpc1 is solved along the
+arcs of its boundary (:func:`_solve_db`): along Gamma, and by one golden
+section over u along the arc where r1 is saturated, which starts at the
+vertex V, a root along Gamma.  The cut-set curve is y = 1/2.  Each family
+in ``_FAMILIES`` is its staged caps on its own (x, y) box and its solve.
 
 Since every region is convex, it is fixed by its support values, and no
 region sweeps a parameter grid:
@@ -382,17 +382,6 @@ def _support_of_caps(caps, lam, rest):
 # ---------------------------------------------------------------------------
 
 
-def _pentagon_support(stage_of, lams: np.ndarray):
-    """A family's pentagon support, staged: ``fun(x)(y)`` is its value at (x, y); problem k is direction ``lams[k]``."""
-
-    def fun(x):
-        caps, lam = stage_of(x), np.tile(lams, len(x) // len(lams))  # x holds the problems' points in turn
-        rest = 1.0 - lam
-        return lambda y: _support_of_caps(caps(y), lam, rest)
-
-    return fun
-
-
 def _swapped(lams: np.ndarray) -> np.ndarray:
     """The directions below 1/2, which a family symmetric under swapping the users solves with the users swapped."""
     return lams < 0.5
@@ -428,83 +417,70 @@ def _cutset_caps(s, y):
     return tuple(c.reshape(joint.shape[:-1]) for c in _kernels.cutset_stats(joint.reshape(-1, 4)).T)
 
 
-def _y_is_4u2(caps):
-    """``caps(u2)`` of a (u1, u2) family as ``caps(y)`` on the solve's box: y = 4 u2."""
-    return lambda y: caps(0.25 * y)
-
-
-def _solve_half(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve of staged caps whose optimum over y is y = 1/2 in every direction: golden section over x alone.
-
-    The solved y is 1/2 exactly, so the solution has the shape of the other solves'.
-    """
-    support, n = _pentagon_support(stage_of, lams), len(lams)
-    x, f = _search._golden_max(lambda x: support(x.ravel())(0.5).reshape(x.shape), np.zeros(n), np.full(n, x_hi))
-    return x, np.full(n, 0.5), f
-
-
-def _swap_users(x: np.ndarray, y: np.ndarray, swapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) on the (u1, 4 u2) box with the users swapped in the columns ``swapped``: (y / 4, 4 x) there.
-
-    Scaling by 4 is exact, so swapping twice gives back the same bits.
-    """
-    return np.where(swapped, 0.25 * y, x), np.where(swapped, 4.0 * x, y)
-
-
 def _on_gamma(stage_of, u1: np.ndarray, r1=None) -> tuple[np.ndarray, tuple]:
-    """Gamma at each u1, where the sum cap meets the unsaturated caps: the root y of b - (c - r1), and the caps there.
+    """Gamma at each u1, where the sum cap meets the unsaturated caps: the root u2 of b - (c - r1), and the caps there.
 
-    ``stage_of`` stages a family's caps (a, b, c) on the (u1, 4 u2) box, and
+    ``stage_of`` stages a family's caps (a, b, c) on the (u1, u2) box, and
     ``r1(u1)`` is its unsaturated r1 cap; left out, it is the r1 cap a
     itself, which in cover-leung and erasure-fb does not saturate.  b rises
-    in y and c does not, so min(b, c - r1) peaks where the difference, which
-    rises, crosses zero (:func:`macfb._search._crossing_max`).  No direction
-    is read: on both symmetric families a <= c (a <= 1/2 < h(1/4) <= c, and
-    a <= 1 < 3/2 <= c), so with weights w1 >= w2 the support is
-    w1 a + w2 min(b, c - a), whose maximum over y lies on Gamma.  Returns y
-    and the caps at (u1, y).
+    in u2 and c does not, so min(b, c - r1) peaks where the difference,
+    which rises, crosses zero (:func:`macfb._search._crossing_max`).  No
+    direction is read: on both symmetric families a <= c (a <= 1/2 < h(1/4)
+    <= c, and a <= 1 < 3/2 <= c), so with weights w1 >= w2 the support is
+    w1 a + w2 min(b, c - a), whose maximum over u2 lies on Gamma.  Returns
+    u2 and the caps at (u1, u2), each of u1's shape.
     """
+    shape, u1 = np.shape(u1), np.ravel(u1)
     caps, n = stage_of(u1), len(u1)
     unsaturated = None if r1 is None else r1(u1)
 
-    def top(y):
-        a, b, c = caps(y)
+    def top(t):
+        a, b, c = caps(0.25 * t)
         rest = c - (a if unsaturated is None else unsaturated)
         return np.stack([np.minimum(b, rest), b - rest])
 
-    y, _ = _search._crossing_max(top, np.zeros(n), np.ones(n))
-    return y, caps(y)
+    # the root is sought over t = 4 u2 in [0, 1]: the bracket rule of _crossing_max is
+    # absolute, and on [0, 1/4] it stops at other bits, which move the inner regions' points
+    t, _ = _search._crossing_max(top, np.zeros(n), np.ones(n))
+    u2 = 0.25 * t
+    return u2.reshape(shape), tuple(np.reshape(c, shape) for c in caps(u2))
 
 
-def _gamma_max(stage_of, x_hi: float, w1: np.ndarray, w2: np.ndarray, r1=None):
-    """The best point of Gamma (:func:`_on_gamma`) in the weights (w1, w2), one problem per entry.
+def _curve_max(curve, x_hi: float, w1: np.ndarray, w2: np.ndarray):
+    """The best point of a curve in the weights (w1, w2), one problem per entry.
 
-    Golden section over u1 in [0, x_hi] of the support at Gamma's point;
-    its y travels with the value.  Returns the maximizers u1 and y and the
-    support there.
+    ``curve(x)`` gives, at points x of shape ``(m, n)``, the curve's y and
+    the caps at (x, y), each of x's shape.  Golden section over x in
+    [0, x_hi] of the support at the curve's point; its y travels with the
+    value.  Returns the maximizers x and y and the support there.
     """
 
     def support(x):
-        y, caps = _on_gamma(stage_of, x.ravel(), r1)
-        k = len(x)  # the rows of x hold the problems' points in turn
-        return np.stack([_support_of_caps(caps, np.tile(w1, k), np.tile(w2, k)), y]).reshape(2, *x.shape)
+        y, caps = curve(x)
+        return np.stack([_support_of_caps(caps, w1, w2), y])
 
     x, (f, y) = _search._golden_max(support, np.zeros(len(w1)), np.full(len(w1), x_hi))
     return x, y, f
 
 
+def _solve_half(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve of staged caps whose optimum over y is y = 1/2 in every direction: the best point of that line."""
+    return _curve_max(lambda x: (np.full(x.shape, 0.5), stage_of(x)(0.5)), x_hi, lams, 1.0 - lams)
+
+
 def _solve_gamma(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve of a user-symmetric family's staged caps on the (u1, 4 u2) box along Gamma.
+    """Solve of a user-symmetric family's staged caps on the (u1, u2) box along Gamma.
 
     A direction lam >= 1/2 takes the weights (lam, 1 - lam).  A direction
     below 1/2 takes (1 - lam, lam): cover-leung and erasure-fb are symmetric
     under swapping the users, so its support at (u1, u2) is that of
     direction lam at (u2, u1).  Its point is swapped back, so every point is
-    the optimum at (u1, 4 u2) itself.
+    the optimum at (u1, u2) itself.
     """
     swapped = _swapped(lams)
-    x, y, f = _gamma_max(stage_of, x_hi, np.where(swapped, 1.0 - lams, lams), np.where(swapped, lams, 1.0 - lams))
-    return (*_swap_users(x, y, swapped), f)
+    w1, w2 = np.where(swapped, 1.0 - lams, lams), np.where(swapped, lams, 1.0 - lams)
+    x, y, f = _curve_max(lambda u1: _on_gamma(stage_of, u1), x_hi, w1, w2)
+    return np.where(swapped, y, x), np.where(swapped, x, y), f
 
 
 def _db_vertex(stage_of, x_hi: float) -> float:
@@ -512,23 +488,21 @@ def _db_vertex(stage_of, x_hi: float) -> float:
 
     Along Gamma, with r1 = h(phi(2 u1)) unsaturated, the difference
     h(phi(2 u1)) - h(u)/2 rises in u1, and V is its root
-    (:func:`macfb._search._crossing_max`, with Gamma's root inside).  No
-    direction is read, so V is the same in every batch.
+    (:func:`macfb._search._crossing_max`, with Gamma's root inside); u
+    travels with it.  No direction is read, so V is the same in every batch.
     """
 
-    def saturation(x):
-        u1 = x.ravel()
-        y, _ = _on_gamma(stage_of, u1, _h_phi)
-        d = (_h_phi(u1) - _half_h(f2(2.0 * u1, 0.5 * y))).reshape(x.shape)
-        return np.stack([-np.abs(d), d])
+    def saturation(u1):
+        u = f2(2.0 * u1, 2.0 * _on_gamma(stage_of, u1, _h_phi)[0])
+        d = _h_phi(u1) - _half_h(u)
+        return np.stack([-np.abs(d), d, u])
 
-    u1, _ = _search._crossing_max(saturation, np.zeros(1), np.full(1, x_hi))
-    y, _ = _on_gamma(stage_of, u1, _h_phi)
-    return float(f2(2.0 * u1[0], 0.5 * y[0]))
+    _, (_, _, u) = _search._crossing_max(saturation, np.zeros(1), np.full(1, x_hi))
+    return float(u[0])
 
 
 def _db_arc(lams: np.ndarray, u_v: float) -> tuple[np.ndarray, np.ndarray]:
-    """The points (u1, 4 u2) of arc A that support the directions ``lams``.
+    """The points (u1, u2) of arc A that support the directions ``lams``.
 
     On arc A r1 is saturated at h(u)/2 and the sum cap is active, so the
     corner is A(u) = (h(u)/2, h((1 - u)/2) - h(u)/2), attained for u in
@@ -549,11 +523,11 @@ def _db_arc(lams: np.ndarray, u_v: float) -> tuple[np.ndarray, np.ndarray]:
         return np.stack([np.minimum(d, 0.0), d])
 
     u1, _ = _search._crossing_max(saturation, np.zeros(n), u * (1.0 - u))
-    return u1, 4.0 * lower_face_u2(u1, u)
+    return u1, lower_face_u2(u1, u)
 
 
 def _solve_db(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dbpc1's solve on the (u1, 4 u2) box, along the arcs of its boundary.
+    """dbpc1's solve on the (u1, u2) box, along the arcs of its boundary.
 
     Its optimum lies on one of them.  Take lam >= 1/2: both upper corners of
     a pentagon have x <= r1 <= h(u)/2 and x + y <= h((1 - u)/2), and h(u)/2
@@ -561,28 +535,28 @@ def _solve_db(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.n
     :func:`_db_arc`, with equality on arc A.  Arc A ends at the vertex V
     (u_v = 0.3466865...), where it meets Gamma, the curve on which r1 is
     unsaturated and the sum cap is active.  Golden section over u1 along
-    Gamma (:func:`_gamma_max`, with r1 = h(phi(2 u1))) gives each
-    direction's best point there, and V is a root along Gamma
+    Gamma (:func:`_curve_max` of :func:`_on_gamma`, with r1 = h(phi(2 u1)))
+    gives each direction's best point there, and V is a root along Gamma
     (:func:`_db_vertex`); :func:`_db_arc` gives the best point of arc A.
     Each direction keeps the better of the two, whose support is taken at
     its own point.
     """
-    x, y, f = _gamma_max(stage_of, x_hi, lams, 1.0 - lams, _h_phi)
+    x, y, f = _curve_max(lambda u1: _on_gamma(stage_of, u1, _h_phi), x_hi, lams, 1.0 - lams)
     x_a, y_a = _db_arc(lams, _db_vertex(stage_of, x_hi))
-    f_a = _pentagon_support(stage_of, lams)(x_a)(y_a[None])[0]
+    f_a = _support_of_caps(stage_of(x_a)(y_a), lams, 1.0 - lams)
     on_arc = f_a > f
     return np.where(on_arc, x_a, x), np.where(on_arc, y_a, y), np.where(on_arc, f_a, f)
 
 
 #: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x, solve) for
 #: each pentagon family; each looks its caps up on this module when called.  Cover-leung,
-#: erasure-fb and dbpc1 are solved along Gamma (:func:`_on_gamma`), and cutset at
-#: y = 1/2 (:func:`_cutset_caps`).
+#: erasure-fb and dbpc1 are solved on their own (u1, u2) along Gamma (:func:`_on_gamma`),
+#: and cutset at y = 1/2 (:func:`_cutset_caps`).
 _FAMILIES = {
-    "dbpc1": (lambda u1: _y_is_4u2(_db_pair_staged(u1)), 0.25, _solve_db),
+    "dbpc1": (lambda u1: _db_pair_staged(u1), 0.25, _solve_db),
     "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5, _solve_half),
-    "cover-leung": (lambda u1: _y_is_4u2(_cl_staged(u1)), 0.25, _solve_gamma),
-    "erasure-fb": (lambda u1: _y_is_4u2(_erasure_pair_staged(u1, 1.0 / 3.0)), 0.25, _solve_gamma),
+    "cover-leung": (lambda u1: _cl_staged(u1), 0.25, _solve_gamma),
+    "erasure-fb": (lambda u1: _erasure_pair_staged(u1, 1.0 / 3.0), 0.25, _solve_gamma),
 }
 
 

@@ -54,7 +54,7 @@ import os
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -182,13 +182,6 @@ def _input_blocks(cfg: OracleConfig) -> Iterator[tuple[tuple, tuple]]:
                     yield rows, (np.broadcast_to(p, user.shape), user, user, at1[at], at2[at])
 
 
-def _grid_blocks(cfg: OracleConfig) -> list[int]:
-    """The rows of each chunk :func:`iter_input_grid` yields: the q set in ``_CHUNK`` rows at each P(t) point."""
-    n_p = _lattice_size(cfg.t_card, cfg.steps)
-    n_q = cfg.grid_size // n_p
-    return [min(_CHUNK, n_q - start) for start in range(0, n_q, _CHUNK)] * n_p
-
-
 def _latin_hypercube(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     cells = (np.arange(n)[:, None] + rng.uniform(size=(n, dim))) / n
     for j in range(dim):
@@ -201,15 +194,16 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _sharded(each: Callable, merge: Callable, blocks: Callable[[], Iterator], rows: list[int]):
+def _sharded(each: Callable, merge: Callable, blocks: Callable[[], Iterable], rows: list[int]):
     """The fold by ``merge`` of ``each`` over the blocks of the sweep ``blocks()`` (see the module docstring).
 
-    ``blocks()`` makes a new iterator over the sweep's blocks, of ``rows``
-    rows each.  Each shard folds ``each`` of its blocks in block order, and
-    the shards' results are folded in shard order, so ``merge`` must give
-    the same bits for both folds of any consecutive results.  A child's
-    exception is raised here, with its type and message.  No child outlives
-    the call: on every way out, every child is killed and joined.
+    ``blocks()`` gives the sweep's blocks, of ``rows`` rows each, from the
+    first at every call: a list, or a new iterator where a list would hold
+    too much at once.  Each shard folds ``each`` of its blocks in block
+    order, and the shards' results are folded in shard order, so ``merge``
+    must give the same bits for both folds of any consecutive results.  A
+    child's exception is raised here, with its type and message.  No child
+    outlives the call: on every way out, every child is killed and joined.
     """
     n = len(rows)
     w = min(_cpus(), n) if sum(rows) >= _SHARD_MIN_ROWS and hasattr(os, "fork") else 1
@@ -389,7 +383,8 @@ def _sweep_lattice(cfg: OracleConfig, characterize: bool):
     None when ``characterize`` is false.
     """
     each = partial(_sweep, characterize=characterize)
-    best, report = _sharded(each, _merge_sweeps, lambda: _input_blocks(cfg), _grid_blocks(cfg))
+    blocks = list(_input_blocks(cfg))  # views of one q set, which forked shards share
+    best, report = _sharded(each, _merge_sweeps, lambda: blocks, [len(p) for (p, _, _), _ in blocks])
     _BEST[cfg] = dict(zip(_OBJECTIVE_FORMS, best))
     return report
 

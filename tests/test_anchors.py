@@ -104,11 +104,11 @@ def _assert_within(got, exact, tol):
 def _witness_support(family):
     """The exact pentagon's support at λ = 1/2 of the binary uniform-T input the region solve finds there.
 
-    The solve's y is 4 u2; the caps are the witness's exact quantities from
-    ``input_stats``, not the closed form.
+    The solve's (x, y) is (u1, u2); the caps are the witness's exact
+    quantities from ``input_stats``, not the closed form.
     """
     x, y, _ = bounds._solution(family)
-    rows = bounds._binary_t_witness_rows(x[HALF : HALF + 1], y[HALF : HALF + 1] / 4.0)
+    rows = bounds._binary_t_witness_rows(x[HALF : HALF + 1], y[HALF : HALF + 1])
     columns, pentagon = oracle._PENTAGONS[family]
     caps = pentagon(*_kernels.input_stats(*rows, columns).T)
     return bounds._support_of_caps(caps, 0.5, 0.5)[0]

@@ -275,10 +275,11 @@ class TestRegionBoundaries:
         # the region contains the best corner of the family's own
         # grid_n x grid_n grid in every direction, between the 181 too
         stage_of, x_hi, _ = bounds._FAMILIES[which]
-        u1, y = (v.ravel() for v in np.meshgrid(np.linspace(0.0, x_hi, grid_n), np.linspace(0.0, 1.0, grid_n)))
+        g = np.linspace(0.0, x_hi, grid_n)
+        u1, u2 = (v.ravel() for v in np.meshgrid(g, g))
         lams = np.linspace(0.0, 1.0, 3601)
         curve = region_boundary(RegionSpec(Region(which), grid_n))
-        assert (support_values(curve, lams) - _grid_supports(*stage_of(u1)(y), lams)).min() >= -1e-12
+        assert (support_values(curve, lams) - _grid_supports(*stage_of(u1)(u2), lams)).min() >= -1e-12
 
     @pytest.mark.parametrize("grid_n", [21, 201])
     @pytest.mark.parametrize("which", ["cover-leung", "erasure-fb"])
@@ -393,17 +394,24 @@ BATCH_FAMILIES = {"cutset": "cutset", "dbpc": "dbpc1", "cover-leung": "cover-leu
 #: the user-symmetric families, whose r1 cap does not saturate, solved along Gamma
 CROSSING_FAMILIES = ["cover-leung", "erasure-fb"]
 
+#: the upper end of each family's y: u2 in [0, 1/4], or the cut-set joint's y in [0, 1]
+Y_HI = {"cutset": 1.0, "dbpc1": 0.25, "cover-leung": 0.25, "erasure-fb": 0.25}
 
-def _solve_caps(stage_of, x_hi, lams):
+
+def _solve_caps(stage_of, x_hi, lams, y_hi=0.25):
     """The solve, by golden section at both levels, of staged caps ``stage_of`` in the directions ``lams``.
 
-    Each outer call runs one inner golden section over y, whose maximizer travels with the value.
+    Each outer call runs one inner golden section over y = y_hi t, t in [0, 1], whose maximizer
+    travels with the value.
     """
-    fun, n = bounds._pentagon_support(stage_of, lams), len(lams)
+    n = len(lams)
 
     def best_y(x):
-        y, f = _search._golden_max(fun(x.ravel()), np.zeros(x.size), np.ones(x.size))
-        return np.stack([f, y]).reshape(2, *x.shape)
+        caps, lam = stage_of(x.ravel()), np.tile(lams, len(x))  # x holds the problems' points in turn
+        t, f = _search._golden_max(
+            lambda t: bounds._support_of_caps(caps(y_hi * t), lam, 1.0 - lam), np.zeros(x.size), np.ones(x.size)
+        )
+        return np.stack([f, y_hi * t]).reshape(2, *x.shape)
 
     x, (f, y) = _search._golden_max(best_y, np.zeros(n), np.full(n, x_hi))
     return x, y, f
@@ -679,19 +687,19 @@ class TestRefinement:
             f_again = bounds._support_of_caps(caps, SWEEP_LAMBDAS, 1.0 - SWEEP_LAMBDAS)
             on_gamma = (y_again == y) & (f_again == f)
             a, b, c = stage_of(x)(y)
-            on_arc = (bounds._h_phi(x) >= binary_entropy(f2(2.0 * x, 0.5 * y)) / 2.0) & (a + b >= c - 1e-11)
+            on_arc = (bounds._h_phi(x) >= binary_entropy(f2(2.0 * x, 2.0 * y)) / 2.0) & (a + b >= c - 1e-11)
             assert np.all(on_gamma | on_arc)
             assert on_gamma[SWEEP_LAMBDAS < 0.383].all()
             assert on_arc[(SWEEP_LAMBDAS >= 0.5) & (SWEEP_LAMBDAS < 1.0)].all()
             return
         if family == "cutset":
             np.testing.assert_array_equal(y, np.full(n, 0.5))
-            support = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS)(x)(0.5)
+            support = bounds._support_of_caps(stage_of(x)(0.5), SWEEP_LAMBDAS, 1.0 - SWEEP_LAMBDAS)
             np.testing.assert_array_equal(f.view(np.uint64), support.view(np.uint64))
             return
         # a direction below 1/2 was solved with the users swapped, in the weights (1 - lam, lam)
         swapped = bounds._swapped(SWEEP_LAMBDAS)
-        x, y = bounds._swap_users(x, y, swapped)
+        x, y = np.where(swapped, y, x), np.where(swapped, x, y)
         y_again, caps = bounds._on_gamma(stage_of, x)
         lam, rest = SWEEP_LAMBDAS, 1.0 - SWEEP_LAMBDAS
         support = bounds._support_of_caps(caps, np.where(swapped, rest, lam), np.where(swapped, lam, rest))
@@ -706,7 +714,8 @@ class TestRefinement:
         # Gamma's points and their mirror
         stage_of = bounds._FAMILIES[family][0]
         x, y, _ = bounds._solution(family)
-        u1, y_solved = bounds._swap_users(x, y, bounds._swapped(SWEEP_LAMBDAS))
+        swapped = bounds._swapped(SWEEP_LAMBDAS)
+        u1, y_solved = np.where(swapped, y, x), np.where(swapped, x, y)
         y_again, caps = bounds._on_gamma(stage_of, u1)
         np.testing.assert_array_equal(y_again.view(np.uint64), y_solved.view(np.uint64))
         face = bounds._corner_points(*caps)
@@ -734,17 +743,17 @@ class TestRefinement:
         # solved support, bit for bit
         stage_of = bounds._FAMILIES[family][0]
         x, y, f = bounds._solution(family)
-        support = bounds._pentagon_support(stage_of, SWEEP_LAMBDAS)(x)(y[None])[0]
+        support = bounds._support_of_caps(stage_of(x)(y), SWEEP_LAMBDAS, 1.0 - SWEEP_LAMBDAS)
         np.testing.assert_array_equal(support.view(np.uint64), f.view(np.uint64))
 
     # plain golden section at both levels made 3,135-3,249 calls, and with
     # the lookahead 756 (27 outer calls of 28 inner calls each).  Cutset
     # makes 27 calls over s alone.  Along Gamma each of the 26 outer calls
-    # runs the root finder over y and takes the caps at its root: 259 calls
+    # runs the root finder over u2 and takes the caps at its root: 259 calls
     # for cover-leung and erasure-fb, and 307 for dbpc1, whose vertex V takes
-    # 91 more (10 stages) and arc A one, at its points
-    CALLS = {"cutset": 27, "dbpc1": 399, "cover-leung": 259, "erasure-fb": 259}
-    STAGES = {"cutset": 27, "dbpc1": 37, "cover-leung": 26, "erasure-fb": 26}
+    # 81 more (9 stages; u travels with its root) and arc A one, at its points
+    CALLS = {"cutset": 27, "dbpc1": 389, "cover-leung": 259, "erasure-fb": 259}
+    STAGES = {"cutset": 27, "dbpc1": 36, "cover-leung": 26, "erasure-fb": 26}
 
     @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
     def test_solve_call_count(self, family, monkeypatch):
@@ -794,7 +803,7 @@ class TestCrossingMax:
     def test_toy_crossings(self):
         fun, root = _toy_crossings()
         n = len(root)
-        y, f = _search._crossing_max(fun, np.zeros(n), np.ones(n))
+        y, (f, _) = _search._crossing_max(fun, np.zeros(n), np.ones(n))
         best = np.clip(root, 0.0, 1.0)
         # an optimum on an end is returned exactly, with its value there
         at_end = (best == 0.0) | (best == 1.0)
@@ -815,7 +824,7 @@ class TestCrossingMax:
             d = y + shift
             return np.stack([-np.abs(d), d])
 
-        y, f = _search._crossing_max(fun, np.zeros(4), np.ones(4))
+        y, (f, _) = _search._crossing_max(fun, np.zeros(4), np.ones(4))
         np.testing.assert_array_equal(y, [0.0, 0.0, 1.0, 1.0])
         np.testing.assert_array_equal(f, [0.0, -0.25, 0.0, -0.25])
         assert calls == 1, calls
@@ -827,7 +836,7 @@ class TestCrossingMax:
         for rows in (np.arange(n)[::-1], np.array([5, 0, 6]), np.array([3])):
             got = _search._crossing_max(_toy_crossings(rows)[0], np.zeros(len(rows)), np.ones(len(rows)))
             for g, w in zip(got, full):
-                np.testing.assert_array_equal(g, w[rows])
+                np.testing.assert_array_equal(g, w[..., rows])
 
     def test_stopped_problems_raise_no_warning(self):
         # a constant difference stops its problem on an end at once, with the
@@ -846,8 +855,19 @@ class TestCrossingMax:
         assert abs(y[2] - 0.3) <= 1e-15 and 0.0 <= y[3] <= 1.0
 
     def test_empty_batch(self):
-        y, f = _search._crossing_max(lambda y: np.stack([y, y]), np.zeros(0), np.ones(0))
-        assert y.shape == f.shape == (0,)
+        y, out = _search._crossing_max(lambda y: np.stack([y, y]), np.zeros(0), np.ones(0))
+        assert y.shape == (0,) and out.shape == (2, 0)
+
+    def test_returns_every_row_at_its_answer(self):
+        # rows after the objective and the difference travel with them: at
+        # each answer, on an end or inside, fun's whole output comes back bit
+        # for bit, as fun gives it there
+        fun, root = _toy_crossings()
+        n = len(root)
+        y, out = _search._crossing_max(lambda y: np.concatenate([fun(y), np.sin(y)[None]]), np.zeros(n), np.ones(n))
+        assert out.shape == (3, n)
+        np.testing.assert_array_equal(out[:2].view(np.uint64), fun(y[None])[:, 0].view(np.uint64))
+        np.testing.assert_array_equal(out[2].view(np.uint64), np.sin(y).view(np.uint64))
 
     def test_each_step_stays_in_the_bracket(self):
         # differences with a kink and a flat stretch, and with jumps, the last
@@ -924,16 +944,28 @@ def _vertex_bisection():
 class TestDbpc1Arcs:
     """dbpc1's solve along the arcs of its boundary: Gamma, the vertex V and arc A (bounds._solve_db)."""
 
-    def test_witness_attains_the_solved_support(self):
-        # the binary uniform-T input at each solved (u1, u2), its exact dbpc1
+    @pytest.mark.parametrize("family", ["dbpc1", *CROSSING_FAMILIES])
+    def test_witness_attains_the_solved_support(self, family):
+        # the binary uniform-T input at each solved (u1, u2), its exact
         # pentagon read from input_stats, not the closed form, supports each
-        # direction within 1e-12 of the solve (it was within 6.7e-16); the
-        # arc-A points come from the saturation root
-        x, y, f = bounds._solution("dbpc1")
-        columns, pentagon = oracle._PENTAGONS["dbpc1"]
-        caps = pentagon(*_kernels.input_stats(*bounds._binary_t_witness_rows(x, y / 4.0), columns).T)
+        # direction within 1e-12 of the solve (it was within 5.6e-16, 3.3e-16
+        # and 4.4e-16 for dbpc1, cover-leung and erasure-fb); dbpc1's arc-A
+        # points come from the saturation root
+        x, y, f = bounds._solution(family)
+        columns, pentagon = oracle._PENTAGONS[family]
+        caps = pentagon(*_kernels.input_stats(*bounds._binary_t_witness_rows(x, y), columns).T)
         support = bounds._support_of_caps(caps, SWEEP_LAMBDAS, 1.0 - SWEEP_LAMBDAS)
         assert np.abs(support - f).max() <= 1e-12, np.abs(support - f).max()
+
+    def test_solutions_lie_on_their_own_boxes(self):
+        # dbpc1, cover-leung and erasure-fb are solved on their own (u1, u2)
+        # in [0, 1/4]^2, and cutset on (s, y) with y = 1/2 exactly
+        for family in ("dbpc1", *CROSSING_FAMILIES):
+            x, y, _ = bounds._solution(family)
+            assert np.all((x >= 0.0) & (x <= 0.25) & (y >= 0.0) & (y <= 0.25)), family
+        s, y, _ = bounds._solution("cutset")
+        assert np.all((s >= 0.0) & (s <= 0.5))
+        np.testing.assert_array_equal(y, np.full(len(y), 0.5))
 
     def test_support_is_at_most_the_arc_bound(self):
         # at lam >= 1/2 every pentagon's support is at most max_u G(u), from
@@ -970,42 +1002,49 @@ class TestReductions:
         # and (u1, 1/4) above, has dbpc1 caps on the solve's box no lower
         u1, u2, u = sample_triple_rows(5000, rng)
         v = np.minimum(u, 0.5)
-        face = bounds._FAMILIES["dbpc1"][0](u1)(4.0 * lower_face_u2(u1, v))
+        face = bounds._FAMILIES["dbpc1"][0](u1)(lower_face_u2(u1, v))
         for f, t in zip(face, _old_db_caps(u1, u2, u)):
             assert np.all(f >= t - 1e-12), (f - t).min()
 
     def test_db_face_matches_the_scalar_face_map(self, rng):
-        # each dbpc1 cap on the box at (u1, y), y broadcast against u1, keeps
-        # the bits of the caps written out at the face point (u1, y / 4, u),
-        # u = f2(2 u1, y / 2) taken one scalar at a time
+        # each dbpc1 cap on the box at (u1, u2), u2 broadcast against u1,
+        # keeps the bits of the caps written out at the face point (u1, u2,
+        # u), u = f2(2 u1, 2 u2) taken one scalar at a time
         u1 = np.concatenate([[0.0, 0.25, 0.1], rng.uniform(0.0, 0.25, 60)])
-        for y in (rng.uniform(0.0, 1.0, (4, len(u1))), np.concatenate([[1.0, 0.0, 1.0], rng.uniform(0.0, 1.0, 60)])):
-            u = np.vectorize(lambda a, b: f2(a, b))(2.0 * u1, 0.5 * y)
-            want = _old_db_caps(u1, 0.25 * y, u)
-            for got, w in zip(bounds._FAMILIES["dbpc1"][0](u1)(y), want):
+        grid = rng.uniform(0.0, 0.25, (4, len(u1)))
+        for u2 in (grid, np.concatenate([[0.25, 0.0, 0.25], rng.uniform(0.0, 0.25, 60)])):
+            u = np.vectorize(lambda a, b: f2(a, b))(2.0 * u1, 2.0 * u2)
+            want = _old_db_caps(u1, u2, u)
+            for got, w in zip(bounds._FAMILIES["dbpc1"][0](u1)(u2), want):
                 np.testing.assert_array_equal(got.view(np.uint64), w.view(np.uint64))
 
     @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
     def test_broadcast_matches_each_column_alone(self, family, rng):
         # staged caps at x of shape (n,) and y of shape (m, n), and the
-        # pentagon support of directions tiled over x, keep in each column the
-        # bits of that column's problem evaluated alone on 1-D arrays; so do
-        # Gamma's point and caps at each u1 of a batch, taken alone
+        # pentagon support of directions of shape (n,), keep in each column
+        # the bits of that column's problem evaluated alone on 1-D arrays; so
+        # do Gamma's point and caps at each u1 of a batch, taken alone, and
+        # at the batch as an (m, n) array
         stage_of, x_hi, _ = bounds._FAMILIES[family]
-        lams = SWEEP_LAMBDAS[::30]
-        m, n = 5, 2 * len(lams)
+        lam = np.tile(SWEEP_LAMBDAS[::30], 2)
+        m, n = 5, len(lam)
         x = np.concatenate([[0.0, x_hi], rng.uniform(0.0, x_hi, n - 2)])
-        y = np.concatenate([np.zeros((1, n)), np.ones((1, n)), rng.uniform(0.0, 1.0, (m - 2, n))])
+        y = Y_HI[family] * np.concatenate([np.zeros((1, n)), np.ones((1, n)), rng.uniform(0.0, 1.0, (m - 2, n))])
         caps = [np.broadcast_to(c, (m, n)) for c in stage_of(x)(y)]
-        support = bounds._pentagon_support(stage_of, lams)(x)(y)
+        support = bounds._support_of_caps(stage_of(x)(y), lam, 1.0 - lam)
         assert support.shape == (m, n)
         r1 = bounds._h_phi if family == "dbpc1" else None
         gamma = None if family == "cutset" else bounds._on_gamma(stage_of, x, r1)
+        if gamma is not None:
+            y_grid, caps_grid = bounds._on_gamma(stage_of, np.broadcast_to(x, (m, n)), r1)
+            for got, want in zip((y_grid, *caps_grid), (gamma[0], *gamma[1])):
+                assert got.shape == (m, n)
+                np.testing.assert_array_equal(got.view(np.uint64), np.broadcast_to(want, (m, n)).view(np.uint64))
         for j in range(n):
             alone = stage_of(np.full(m, x[j]))(y[:, j])
             for got, want in zip(caps, alone):
                 np.testing.assert_array_equal(got[:, j].view(np.uint64), want.view(np.uint64))
-            want = bounds._pentagon_support(stage_of, lams[[j % len(lams)]])(np.full(m, x[j]))(y[:, j])
+            want = bounds._support_of_caps(alone, lam[j], 1.0 - lam[j])
             np.testing.assert_array_equal(support[:, j].view(np.uint64), want.view(np.uint64))
             if gamma is not None:
                 y_alone, caps_alone = bounds._on_gamma(stage_of, x[[j]], r1)
@@ -1018,11 +1057,10 @@ class TestReductions:
         # taken once, has the bits of lam x + (1 - lam) y at the corners,
         # and leaves the caps it reads, the staged terms of x among them, as they were
         stage_of, x_hi, _ = bounds._FAMILIES[family]
-        lams = SWEEP_LAMBDAS[::30]
-        m, n = 5, 2 * len(lams)
-        lam = np.tile(lams, 2)
+        lam = np.tile(SWEEP_LAMBDAS[::30], 2)
+        m, n = 5, len(lam)
         x = np.concatenate([[0.0, x_hi], rng.uniform(0.0, x_hi, n - 2)])
-        y = np.concatenate([np.zeros((1, n)), np.ones((1, n)), rng.uniform(0.0, 1.0, (m - 2, n))])
+        y = Y_HI[family] * np.concatenate([np.zeros((1, n)), np.ones((1, n)), rng.uniform(0.0, 1.0, (m - 2, n))])
         caps = stage_of(x)
         x_max, y_at_x, x_at_y, y_max = bounds._corners(*caps(y))
         want = np.maximum(lam * x_max + (1.0 - lam) * y_at_x, lam * x_at_y + (1.0 - lam) * y_max)
@@ -1033,7 +1071,7 @@ class TestReductions:
         for c, before in zip(given, kept):
             np.testing.assert_array_equal(np.asarray(c).view(np.uint64), before.view(np.uint64))
         for _ in range(2):  # the staged terms of x are read again, unchanged
-            support = bounds._pentagon_support(stage_of, lams)(x)(y)
+            support = bounds._support_of_caps(caps(y), lam, 1.0 - lam)
             np.testing.assert_array_equal(support.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("family", CROSSING_FAMILIES)
@@ -1043,8 +1081,8 @@ class TestReductions:
         stage_of, x_hi, _ = bounds._FAMILIES[family]
         u1 = np.concatenate([[0.0, x_hi, 0.1], rng.uniform(0.0, x_hi, 300)])
         u2 = np.concatenate([[x_hi, 0.0, 0.1], rng.uniform(0.0, x_hi, 300)])
-        a, b, c = stage_of(u1)(4.0 * u2)
-        a_swapped, b_swapped, c_swapped = stage_of(u2)(4.0 * u1)
+        a, b, c = stage_of(u1)(u2)
+        a_swapped, b_swapped, c_swapped = stage_of(u2)(u1)
         for got, want in ((a, b_swapped), (b, a_swapped), (c, c_swapped)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -1052,29 +1090,20 @@ class TestReductions:
     def test_support_peaks_on_gamma(self, family, rng):
         # the reduction behind bounds._on_gamma: a <= c on a grid of the box,
         # so with weights w1 >= w2 the support is w1 a + w2 min(b, c - a), and
-        # at fixed u1 its maximum over y, on a grid of 2,001 values, is no
+        # at fixed u1 its maximum over u2, on a grid of 2,001 values, is no
         # higher than at Gamma's point, for random directions (the smallest
         # margin was 0.0)
         stage_of, x_hi, _ = bounds._FAMILIES[family]
-        u1, y = (v.ravel() for v in np.meshgrid(np.linspace(0.0, x_hi, 101), np.linspace(0.0, 1.0, 101)))
-        a, _, c = stage_of(u1)(y)
+        g = np.linspace(0.0, x_hi, 101)
+        u1, u2 = (v.ravel() for v in np.meshgrid(g, g))
+        a, _, c = stage_of(u1)(u2)
         assert np.all(a <= c)
         u1 = np.concatenate([[0.0, x_hi], rng.uniform(0.0, x_hi, 38)])
         lam = rng.uniform(0.5, 1.0, len(u1))
         _, caps = bounds._on_gamma(stage_of, u1)
         on_gamma = bounds._support_of_caps(caps, lam, 1.0 - lam)
-        grid = bounds._pentagon_support(stage_of, lam)(u1)(np.linspace(0.0, 1.0, 2001)[:, None])
+        grid = bounds._support_of_caps(stage_of(u1)(np.linspace(0.0, x_hi, 2001)[:, None]), lam, 1.0 - lam)
         assert np.all(on_gamma >= grid.max(axis=0) - 1e-15), (on_gamma - grid.max(axis=0)).min()
-
-    def test_swap_users_is_exact(self, rng):
-        # (x, y) -> (y / 4, 4 x) in the swapped columns, and back to the same bits
-        x, y = rng.uniform(0.0, 0.25, 50), rng.uniform(0.0, 1.0, 50)
-        swapped = rng.uniform(size=50) < 0.5
-        u1, y2 = bounds._swap_users(x, y, swapped)
-        np.testing.assert_array_equal(u1, np.where(swapped, y / 4.0, x))
-        np.testing.assert_array_equal(y2, np.where(swapped, 4.0 * x, y))
-        for got, want in zip(bounds._swap_users(u1, y2, swapped), (x, y)):
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("family", CROSSING_FAMILIES)
     def test_crossing_solve_is_no_lower_than_golden_section(self, family):
@@ -1094,8 +1123,8 @@ class TestReductions:
         u1 = np.linspace(0.0, x_hi, grid_n)
         caps = stage_of(u1)
 
-        def top(y):
-            a, b, c = caps(y)
+        def top(t):  # at u2 = t / 4, t in [0, 1]
+            a, b, c = caps(0.25 * t)
             return np.minimum(b, c - a)
 
         _, (a, b, c) = bounds._on_gamma(stage_of, u1)
@@ -1136,7 +1165,7 @@ class TestReductions:
         # before, kept as the reference; the supports moved by -6.7e-16 to
         # +3.9e-16
         stage_of = bounds._FAMILIES["cutset"][0]
-        nested = _solve_caps(stage_of, 0.5, SWEEP_LAMBDAS)[2]
+        nested = _solve_caps(stage_of, 0.5, SWEEP_LAMBDAS, y_hi=1.0)[2]
         got = bounds._solution("cutset")[2]
         assert np.all(got >= nested - 1e-12), (got - nested).min()
 

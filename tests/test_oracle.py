@@ -457,10 +457,8 @@ class TestSharding:
     def test_results_do_not_depend_on_the_shard_count(self, monkeypatch, shards, cfg, chunk):
         if chunk is not None:
             monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
-        rows = oracle_mod._grid_blocks(cfg)
-        assert rows == [len(p) for p, _, _ in oracle_mod.iter_input_grid(cfg)]
-        n_blocks = len(rows)
-        assert n_blocks == len(list(oracle_mod.iter_input_grid(cfg))) > 3
+        n_blocks = len(list(oracle_mod.iter_input_grid(cfg)))
+        assert n_blocks > 3
 
         def records():  # the objectives sweep on an empty memo, then the characterization sweeps
             oracle_mod._BEST.clear()
@@ -691,10 +689,8 @@ class TestPerUserTerms:
         cfg = OracleConfig(t_card=t_card, steps=steps)
         g = np.linspace(0.0, 1.0, steps)
         q = np.stack([x.ravel() for x in np.meshgrid(*[g] * (2 * t_card), indexing="ij")], axis=1)
-        chunks = list(oracle_mod._input_blocks(cfg))
-        assert [len(p) for (p, _, _), _ in chunks] == oracle_mod._grid_blocks(cfg)
         start = 0
-        for (p, q1, q2), (p_users, v1, v2, at1, at2) in chunks:
+        for (p, q1, q2), (p_users, v1, v2, at1, at2) in oracle_mod._input_blocks(cfg):
             rows = slice(start % len(q), start % len(q) + len(p))
             np.testing.assert_array_equal(np.concatenate([q1, q2], axis=1), q[rows])
             np.testing.assert_array_equal(v1[at1], q1)
