@@ -32,11 +32,12 @@ import numpy as np
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 _TOL = 1e-11
 #: the stopping rules of :func:`_crossing_max`: a difference within _ROOT_TOL of 0, or a bracket of
-#: at most _BRACKET_TOL.  Run over y inside golden section over x, the cover-leung and erasure-fb
-#: solves made 212 and 233 calls with them, and no support at the 181 directions fell below golden
-#: section's (they rose by up to 8.0e-14 and 2.8e-14).  Stopping at adjacent floats took 353 and
-#: 370 calls for supports within 4e-16 of these; a 1e-11 bracket lowered one cover-leung support
-#: by 2.1e-13.
+#: at most _BRACKET_TOL.  They were chosen when the cover-leung and erasure-fb solves ran it over y
+#: inside golden section over x: 212 and 233 calls, and no support at the 181 directions fell below
+#: golden section's (they rose by up to 8.0e-14 and 2.8e-14).  Stopping at adjacent floats took 353
+#: and 370 calls for supports within 4e-16 of these; a 1e-11 bracket lowered one cover-leung support
+#: by 2.1e-13.  Those solves now run it at both levels, over u1 on the slope of the support and
+#: over y at each of its points, in 120 and 130 calls.
 _ROOT_TOL = 1e-15
 _BRACKET_TOL = 1e-12
 

@@ -34,16 +34,20 @@ reduced to two variables (x, y) over a box without losing its optimum:
 - erasure-fb: the (u1, u2) box with the sum cap mu(max(1/3, f2)), the
   triple form with u maximized out.
 
-Maximizing over y keeps concavity in x, and every solve is one golden
-section over x of the support at a point of a curve y(x), for all 181
-directions at once (:func:`_curve_max`).  In cover-leung, erasure-fb and
-dbpc1 the optimum over u2 at each u1 lies on Gamma, the curve where the
-sum cap meets the unsaturated caps, in every direction, and the root
-finder gives Gamma's u2 (:func:`_on_gamma`).  dbpc1 is solved along the
-arcs of its boundary (:func:`_solve_db`): along Gamma, and by one golden
-section over u along the arc where r1 is saturated, which starts at the
-vertex V, a root along Gamma.  The cut-set curve is y = 1/2.  Each family
-in ``_FAMILIES`` is its staged caps on its own (x, y) box and its solve.
+Maximizing over y keeps concavity in x, and every solve runs along a
+curve y(x), for all 181 directions at once.  In cover-leung, erasure-fb
+and dbpc1 the optimum over u2 at each u1 lies on Gamma, the curve where
+the sum cap meets the unsaturated caps, in every direction, and the root
+finder gives Gamma's u2 (:func:`_on_gamma`).  Along Gamma the cover-leung
+and erasure-fb supports peak smoothly, and their corner is the root of
+the support's slope there, of closed-form derivatives of the caps
+(:func:`_solve_corner`).  Golden section over x of the support at a point
+of the curve (:func:`_curve_max`) is left to cutset, whose curve is
+y = 1/2, and dbpc1, whose support along Gamma is not unimodal.  dbpc1 is
+solved along the arcs of its boundary (:func:`_solve_db`): along Gamma,
+and by one golden section over u along the arc where r1 is saturated,
+which starts at the vertex V, a root along Gamma.  Each family in
+``_FAMILIES`` is its staged caps on its own (x, y) box and its solve.
 
 Since every region is convex, it is fixed by its support values, and no
 region sweeps a parameter grid:
@@ -259,6 +263,42 @@ def _erasure_pair_staged(u1, floor: float):
     return lambda u2: caps(u2, np.maximum(floor, f2(two_u1, 2.0 * u2)))
 
 
+def _gamma_slopes(scale: float, sum_slope, u1, u2):
+    """(r1 a', r2 b', r1 F_u1, r2 F_u2) at (u1, u2), broadcast together, for F = a + b - c and r = sqrt(1 - 4u).
+
+    The caps are a = scale h(phi(2 u1)), b = scale h(phi(2 u2)) and a sum
+    cap c of f = f2(2 u1, 2 u2) = (1 - r1 r2)/2 alone, whose dc/df is
+    ``sum_slope(r1 r2)``.  phi(2u) = (1 - r)/2, so d phi(2u)/du = 1/r and
+    h'(phi(2u)) = log2((1 + r)/(1 - r)), +inf at u = 0; df/du1 = r2/r1 and
+    df/du2 = r1/r2.  So a' = scale h'(phi(2 u1))/r1 and c_u1 = c_f r2/r1,
+    and the same with the users swapped.  Each product is finite except r1
+    a' and r1 F_u1 at u1 = 0, which are +inf.
+    """
+    r1, r2 = np.sqrt(1.0 - 4.0 * u1), np.sqrt(1.0 - 4.0 * u2)
+    c_f = sum_slope(r1 * r2)
+    a, b = (scale * np.log2((1.0 + r) / (1.0 - r)) for r in (r1, r2))
+    return a, b, a - c_f * r2, b - c_f * r1
+
+
+def _cl_slopes(u1, u2):
+    """:func:`_gamma_slopes` of the Cover-Leung caps: c = h((1 - f)/2) = h((1 + rho)/4), rho = r1 r2.
+
+    So c_f = -h'((1 + rho)/4)/2 = -log2((3 - rho)/(1 + rho))/2.
+    """
+    return _gamma_slopes(0.5, lambda rho: -0.5 * np.log2((3.0 - rho) / (1.0 + rho)), u1, u2)
+
+
+def _erasure_band_slopes(u1, u2):
+    """:func:`_gamma_slopes` of the erasure band caps: c = mu(max(1/3, f)), f = (1 - rho)/2, rho = r1 r2.
+
+    So c_f = mu'(f) = log2((1 - f)/(2f)) = log2((1 + rho)/(2 - 2 rho)) above
+    the floor, and 0 below it; mu' vanishes at 1/3, so c_f is continuous.
+    """
+    return _gamma_slopes(
+        1.0, lambda rho: np.where(rho < 1.0 / 3.0, np.log2((1.0 + rho) / (2.0 - 2.0 * rho)), 0.0), u1, u2
+    )
+
+
 #: each family's caps (r1, r2, sum) at the triple (u1, u2, u), keyed like ``oracle._PENTAGONS``;
 #: each row looks its staged form up on this module when called, and cover-leung reads no u
 _CAPS = {
@@ -468,18 +508,60 @@ def _solve_half(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np
     return _curve_max(lambda x: (np.full(x.shape, 0.5), stage_of(x)(0.5)), x_hi, lams, 1.0 - lams)
 
 
-def _solve_gamma(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve of a user-symmetric family's staged caps on the (u1, u2) box along Gamma.
+def _corner_slope(slopes, u1, u2, w1, w2):
+    """The slope of the support w1 a + w2 b along Gamma at its points (u1, u2), times a positive finite factor.
+
+    On Gamma F = a + b - c = 0, so du2/du1 = -F_u1/F_u2 and the slope is w1
+    a' + w2 b' du2/du1, or w1 a' where Gamma's root sits at an end of [0,
+    1/4] and u2 does not move.  In the terms (A, B, P, Q) = (r1 a', r2 b',
+    r1 F_u1, r2 F_u2) of ``slopes`` (:func:`_gamma_slopes`), r2 cancels and
+    r1 times the slope is w1 A - w2 B P / Q.  Over 1 + A, which is +inf at
+    u1 = 0, A and P tend to 1 there, so the slope's +inf at u1 = 0 and
+    -inf at u1 = 1/4 become finite, and the root finder keeps its regula
+    falsi steps.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, p, q = slopes(u1, u2)
+        steep = np.isinf(a)
+        a, p = (np.where(steep, 1.0, v / (1.0 + a)) for v in (a, p))
+        moving = np.where((u2 > 0.0) & (u2 < 0.25), b * p / q, 0.0)
+    return w1 * a - w2 * moving
+
+
+def _solve_corner(slopes, stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve of a user-symmetric family's staged caps on the (u1, u2) box along Gamma, as a root of the support's slope.
 
     A direction lam >= 1/2 takes the weights (lam, 1 - lam).  A direction
     below 1/2 takes (1 - lam, lam): cover-leung and erasure-fb are symmetric
     under swapping the users, so its support at (u1, u2) is that of
     direction lam at (u2, u1).  Its point is swapped back, so every point is
     the optimum at (u1, u2) itself.
+
+    The support along Gamma (:func:`_on_gamma`) peaks smoothly, where its
+    slope (:func:`_corner_slope`, of the closed-form ``slopes``) falls
+    through zero.  So one :func:`macfb._search._crossing_max` over u1 in
+    [0, x_hi], with minus the slope as its difference, solves every
+    direction; the support and Gamma's u2 travel with u1 as rows of its
+    output.  The search answers with an end of its last bracket, and its
+    objective picks that end: one where the difference vanishes to the
+    root finder's tolerance is the root itself; otherwise both ends lie
+    within the bracket's 1e-12 of the root, and the support is flat to
+    rounding there, so the end of higher support is taken.  Taking the end
+    of higher support always can answer up to 1.9e-10 from the root, and
+    taking the end of smaller difference put one erasure-fb support 1.1e-16
+    below a golden-section solve's.
     """
     swapped = _swapped(lams)
     w1, w2 = np.where(swapped, 1.0 - lams, lams), np.where(swapped, lams, 1.0 - lams)
-    x, y, f = _curve_max(lambda u1: _on_gamma(stage_of, u1), x_hi, w1, w2)
+
+    def support(u1):
+        u2, caps = _on_gamma(stage_of, u1)
+        d = -_corner_slope(slopes, u1, u2, w1, w2)
+        f = _support_of_caps(caps, w1, w2)
+        return np.stack([np.where(np.abs(d) <= _search._ROOT_TOL, np.inf, f), d, f, u2])
+
+    n = len(lams)
+    x, (_, _, f, y) = _search._crossing_max(support, np.zeros(n), np.full(n, x_hi))
     return np.where(swapped, y, x), np.where(swapped, x, y), f
 
 
@@ -549,14 +631,16 @@ def _solve_db(stage_of, x_hi: float, lams: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 #: (staged caps: x -> caps(y) at (x, y), broadcast together, upper end of x, solve) for
-#: each pentagon family; each looks its caps up on this module when called.  Cover-leung,
-#: erasure-fb and dbpc1 are solved on their own (u1, u2) along Gamma (:func:`_on_gamma`),
-#: and cutset at y = 1/2 (:func:`_cutset_caps`).
+#: each pentagon family; each looks its caps and slopes up on this module when called.
+#: Cover-leung, erasure-fb and dbpc1 are solved on their own (u1, u2) along Gamma
+#: (:func:`_on_gamma`), and cutset at y = 1/2 (:func:`_cutset_caps`).
 _FAMILIES = {
     "dbpc1": (lambda u1: _db_pair_staged(u1), 0.25, _solve_db),
     "cutset": (lambda s: lambda y: _cutset_caps(s, y), 0.5, _solve_half),
-    "cover-leung": (lambda u1: _cl_staged(u1), 0.25, _solve_gamma),
-    "erasure-fb": (lambda u1: _erasure_pair_staged(u1, 1.0 / 3.0), 0.25, _solve_gamma),
+    "cover-leung": (lambda u1: _cl_staged(u1), 0.25, lambda *solve: _solve_corner(_cl_slopes, *solve)),
+    "erasure-fb": (
+        lambda u1: _erasure_pair_staged(u1, 1.0 / 3.0), 0.25, lambda *solve: _solve_corner(_erasure_band_slopes, *solve)
+    ),
 }
 
 
@@ -590,10 +674,12 @@ def cutset_region_noisy() -> BoundaryCurve:
 
 
 #: the face curve of an inner region is also taken this far on either side of each solved u1.
-#: On a flat optimum the outer search fixes u1 only to about 1e-7: solves that differed in the
-#: last bits of their inner search put the cover-leung and erasure-fb optima up to 1.03e-7 and
-#: 9.6e-8 apart.  To first order a solved corner anywhere in between supports no direction more
-#: than these two points and the solved corner do.
+#: The solved corners are roots of the slope, exact to rounding, but the hull's chords from
+#: them to the grid's samples, 1/800 apart at grid 201, cut under the face; these points sample
+#: the face near each corner.  Without them, at grid 201, the hull falls by up to 3.8e-7
+#: (cover-leung) and 4.2e-7 (erasure-fb) on 3,601 probe directions, and by 1.5e-8 and 3.1e-8
+#: even for lam in [1/4, 3/4].  It falls most near lam = 0 and 1, whose corners crowd toward
+#: u1 = 1/4, where the sum cap, and so the corner, moves like sqrt(1/4 - u1).
 _FLANK = 1e-6
 
 
@@ -606,7 +692,8 @@ def _inner_curve(family: str, grid_n: int) -> BoundaryCurve:
     Gamma (:func:`_on_gamma`); both families are symmetric, so the mirror
     gives the other face.  The face is
     taken at grid_n values of u1 and ``_FLANK`` on either side of each
-    solved u1.  Every point is an attained pentagon corner.
+    solved u1, which samples it near each corner.  Every point is an
+    attained pentagon corner.
     """
     check_size(grid_n, "inner face curve")
     stage_of, x_hi, _ = _FAMILIES[family]

@@ -17,7 +17,8 @@ to its rows; one ``input_stats`` call over the block gives every other
 column (:func:`_block_stats`).  At ``t_card`` 1 and 2 the q set is the
 product U x U of one user lattice U, and the user rows are U at the block's
 point of P(t); at ``t_card`` 3, a Latin hypercube, each row is its own user
-row.  Every sweep of a lattice stores the three objectives' results, each a
+row, so one ``input_stats`` call over the block gives every column.  Every
+sweep of a lattice stores the three objectives' results, each a
 (value, row, rows swept) triple, under the frozen ``OracleConfig`` in
 ``_BEST``, a module-level memo of under 1 KB per config that nothing evicts.
 ``oracle_max`` reads it, and sweeps only when it holds nothing for the
@@ -412,11 +413,16 @@ def _block_stats(block, users, columns: tuple[str, ...]) -> dict:
     One ``input_stats`` call over the block gives the columns outside
     ``_PER_USER``, and one at the block's ``users`` (of :func:`_input_blocks`)
     gives the ``_PER_USER`` columns, which both column sets of :func:`_sweep`
-    read, gathered to the block's rows.
+    read, gathered to the block's rows.  A block whose users are its own
+    rows (``t_card`` 3) takes every column from its one call: a second would
+    rebuild P(t, x1) and P(t, x2) at the same rows, and a column's bits do
+    not depend on the others asked with it.
     """
+    p, v1, v2, at1, at2 = users
+    if isinstance(at1, slice):
+        return dict(zip(columns, _kernels.input_stats(*block, columns).T))
     joint = tuple(name for name in columns if name not in _PER_USER)
     s = dict(zip(joint, _kernels.input_stats(*block, joint).T))
-    p, v1, v2, at1, at2 = users
     h1, h2 = _kernels.input_stats(p, v1, v2, _PER_USER).T
     s["h_x1_given_t"], s["h_x2_given_t"] = h1[at1], h2[at2]
     return s

@@ -748,12 +748,14 @@ class TestRefinement:
 
     # plain golden section at both levels made 3,135-3,249 calls, and with
     # the lookahead 756 (27 outer calls of 28 inner calls each).  Cutset
-    # makes 27 calls over s alone.  Along Gamma each of the 26 outer calls
-    # runs the root finder over u2 and takes the caps at its root: 259 calls
-    # for cover-leung and erasure-fb, and 307 for dbpc1, whose vertex V takes
-    # 81 more (9 stages; u travels with its root) and arc A one, at its points
-    CALLS = {"cutset": 27, "dbpc1": 389, "cover-leung": 259, "erasure-fb": 259}
-    STAGES = {"cutset": 27, "dbpc1": 36, "cover-leung": 26, "erasure-fb": 26}
+    # makes 27 calls over s alone.  Along Gamma each outer call runs the root
+    # finder over u2 and takes the caps at its root, about 10 calls.  The
+    # root finder of the slope over u1 takes 12 outer calls for cover-leung
+    # and 13 for erasure-fb, where golden section took 26 (259 calls each).
+    # dbpc1 takes 26 along Gamma (307 calls), and its vertex V 81 more (9
+    # stages; u travels with its root) and arc A one, at its points
+    CALLS = {"cutset": 27, "dbpc1": 389, "cover-leung": 120, "erasure-fb": 130}
+    STAGES = {"cutset": 27, "dbpc1": 36, "cover-leung": 12, "erasure-fb": 13}
 
     @pytest.mark.parametrize("family", sorted(bounds._FAMILIES))
     def test_solve_call_count(self, family, monkeypatch):
@@ -992,6 +994,78 @@ class TestDbpc1Arcs:
         arc = [lo for lo in lows if lo[0] > 0.0]
         assert len(arc) == 1 and np.all(arc[0] == arc[0][0])
         assert abs(arc[0][0] - _vertex_bisection()) <= 1e-14, arc[0][0] - _vertex_bisection()
+
+
+#: the closed-form slopes of each crossing family's caps
+SLOPES = {"cover-leung": bounds._cl_slopes, "erasure-fb": bounds._erasure_band_slopes}
+
+
+def _solve_weights(lams=SWEEP_LAMBDAS):
+    """The weights (w1, w2) the crossing solve takes: (lam, 1 - lam), with the users swapped below 1/2."""
+    swapped = bounds._swapped(lams)
+    return np.where(swapped, 1.0 - lams, lams), np.where(swapped, lams, 1.0 - lams)
+
+
+class TestCornerSlope:
+    """The cover-leung and erasure-fb corners as roots of the support's slope along Gamma."""
+
+    @pytest.mark.parametrize("family", CROSSING_FAMILIES)
+    def test_slopes_are_the_derivatives_of_the_caps(self, family, rng):
+        # (r1 a', r2 b', r1 F_u1, r2 F_u2), F = a + b - c, against central
+        # differences of the staged caps at random interior points; erasure-fb
+        # is the band form, so points on both sides of its floor f2 = 1/3 are
+        # drawn
+        stage_of = bounds._FAMILIES[family][0]
+        u1, u2 = rng.uniform(1e-3, 0.25 - 1e-3, (2, 500))
+        r1, r2 = np.sqrt(1.0 - 4.0 * u1), np.sqrt(1.0 - 4.0 * u2)
+        a, b, p, q = SLOPES[family](u1, u2)
+
+        def caps(x, y):
+            a, b, c = stage_of(x)(y)
+            return np.stack([a, b, a + b - c])
+
+        e = 1e-7
+        d1 = (caps(u1 + e, u2) - caps(u1 - e, u2)) / (2.0 * e)
+        d2 = (caps(u1, u2 + e) - caps(u1, u2 - e)) / (2.0 * e)
+        assert (f2(2.0 * u1, 2.0 * u2) < 1.0 / 3.0).any() and (f2(2.0 * u1, 2.0 * u2) > 1.0 / 3.0).any()
+        for got, want in ((a / r1, d1[0]), (b / r2, d2[1]), (p / r1, d1[2]), (q / r2, d2[2])):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("family", CROSSING_FAMILIES)
+    def test_corner_difference_is_finite(self, family):
+        # minus the slope, at 2,001 points of Gamma from u1 = 0 (a' = +inf)
+        # to u1 = 1/4 (c_u1 = -inf), in the weights of all 181 directions,
+        # with no warning.  At u1 = 0 Gamma's root sits at u2 = 1/4, and the
+        # difference is its limit there, -w1
+        stage_of = bounds._FAMILIES[family][0]
+        u1 = np.broadcast_to(np.linspace(0.0, 0.25, 2001)[:, None], (2001, len(SWEEP_LAMBDAS)))
+        w1, w2 = _solve_weights()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u2 = bounds._on_gamma(stage_of, u1)[0]
+            d = -bounds._corner_slope(SLOPES[family], u1, u2, w1, w2)
+        assert np.isfinite(d).all()
+        np.testing.assert_array_equal(u2[0], 0.25)
+        np.testing.assert_array_equal(d[0], -w1)
+
+    @pytest.mark.parametrize("family", CROSSING_FAMILIES)
+    def test_solved_corners_are_roots_of_the_slope(self, family):
+        # before the swap back, each solved u1 lies within 1e-12 of a sign
+        # change of the difference, rising through zero, or at an end where
+        # the optimum is (lam = 0 and 1, at u1 = 1/4)
+        stage_of = bounds._FAMILIES[family][0]
+        x, y, _ = bounds._solution(family)
+        u1 = np.where(bounds._swapped(SWEEP_LAMBDAS), y, x)
+        w1, w2 = _solve_weights()
+
+        def difference(u1):
+            return -bounds._corner_slope(SLOPES[family], u1, bounds._on_gamma(stage_of, u1)[0], w1, w2)
+
+        below, above = difference(np.maximum(u1 - 1e-12, 0.0)), difference(np.minimum(u1 + 1e-12, 0.25))
+        crossing = (below <= 0.0) & (above >= 0.0)
+        at_end = ((u1 == 0.0) & (difference(u1) >= 0.0)) | ((u1 == 0.25) & (difference(u1) <= 0.0))
+        assert np.all(crossing | at_end), np.flatnonzero(~(crossing | at_end))
+        assert at_end.sum() == 2
 
 
 class TestReductions:

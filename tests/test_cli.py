@@ -13,10 +13,10 @@ CMD = [sys.executable, "-m", "macfb"]
 
 #: sha256 of ``macfb region <which> --grid-n <grid_n>`` for the inner regions
 INNER_CSV_SHA256 = {
-    ("cover-leung", "21"): "f6eb9c98f747c5248541e1dc23a3b8f61827d18318e404205c774d626279b5f6",
-    ("cover-leung", "201"): "a7f5bbc0e9b0da2d34dab115f732314ecd32bfd97e6e813e8ec179136439169f",
-    ("erasure-fb", "21"): "aeafd3885849aee753f7ce63e07ba834106a2ba188363425c7a4600a7fbeadc4",
-    ("erasure-fb", "201"): "1f823f1d66e2ee75dfdc05939441adee50957e8770e488f692c38e3f4d53b62c",
+    ("cover-leung", "21"): "0ad840064f53c15cfbaea7bd13bd2c02b89962e8a8b98940a75848b443a0bbdd",
+    ("cover-leung", "201"): "775fd61f030c1911966e52e526d7e381320cd535ee6e49a04764223e4b08e2ca",
+    ("erasure-fb", "21"): "b15d5c5b74426511bdbf9307391d968f086c1ab7fa4f6f8bb94ce504c9dcd605",
+    ("erasure-fb", "201"): "3da5ba214270da4afd588ae0960af0cd15a067e8258bd58d947506e3e352afb7",
 }
 #: sha256 of ``macfb symrate all --format json``
 SYMRATE_JSON_SHA256 = "ffeb5477c55b86a0df017cb4fcae7c77b37a5eec538a88af0e870036f807a349"

@@ -390,10 +390,11 @@ class TestCharacterization:
             assert rep.max_violation[name] <= 1e-12
 
     def test_one_kernel_call_per_chunk(self, monkeypatch):
-        # each chunk makes one call over its rows for the columns that read
-        # both users, then one at its user rows for the columns that read one
-        # user alone, H(X1|T) and H(X2|T): the 25 rows of the user lattice,
-        # or at t_card 3 the chunk's own rows
+        # at t_card 1 and 2 each chunk makes one call over its rows for the
+        # columns that read both users, then one at the 25 rows of the user
+        # lattice for the columns that read one user alone, H(X1|T) and
+        # H(X2|T); at t_card 3 the user rows are the chunk's own, and one
+        # call over them gives every column
         calls = []
         input_stats = _kernels.input_stats
 
@@ -404,16 +405,18 @@ class TestCharacterization:
         monkeypatch.setattr(_kernels, "input_stats", counted)
         monkeypatch.setattr(oracle_mod, "_CHUNK", 500)
         per_user = ("h_x1_given_t", "h_x2_given_t")
-        for t_card, chunks, users in [
-            (2, [500, 125] * 5, lambda rows: 25),  # two chunks at each point of the P(t) lattice
-            (3, [125] * 15, lambda rows: rows),  # one
+        for t_card, chunks in [
+            (2, [500, 125] * 5),  # two chunks at each point of the P(t) lattice
+            (3, [125] * 15),  # one
         ]:
             cfg = OracleConfig(t_card=t_card, steps=5)
             assert [len(p) for p, _, _ in oracle_mod.iter_input_grid(cfg)] == chunks
 
             def pattern(columns):
+                if t_card == 3:
+                    return [(rows, columns) for rows in chunks]
                 joint = tuple(name for name in columns if name not in per_user)
-                return [call for rows in chunks for call in ((rows, joint), (users(rows), per_user))]
+                return [call for rows in chunks for call in ((rows, joint), (25, per_user))]
 
             calls.clear()
             verify_characterization(cfg)
